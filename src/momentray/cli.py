@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -50,27 +49,6 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 class ConfigError(Exception):
     pass
-
-
-def _worker_count():
-    raw = os.environ.get("MOMENTRAY_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MOMENTRAY_WORKERS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order so worker count never changes output."""
-    items = list(items)
-    workers = min(_worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_fraction(text):
@@ -333,16 +311,12 @@ def cmd_jacobian(params):
         raise ConfigError("kind must be phi, psi, or both")
     tol = float(params["tol"])
     jobs = [(kind, d) for kind in kinds for d in params["dims"]]
-
-    def one(job):
-        kind, d = job
-        return estimate_c_d(
-            kind, d, samples=int(params["samples"]), seed=int(params["seed"]) + d
-        )
-
     rows = []
     passed = True
-    for est in _parallel_map(one, jobs):
+    for kind, d in jobs:
+        est = estimate_c_d(
+            kind, d, samples=int(params["samples"]), seed=int(params["seed"]) + d
+        )
         ok = est.rel_dispersion < tol and est.mean != 0.0
         passed = passed and ok
         rows.append(
@@ -373,16 +347,12 @@ def cmd_duality(params):
     for d in params["dims"]:
         rng = np.random.default_rng(int(params["seed"]) + 100 * d)
         pairs = [random_box_pair(d, rng) for _ in range(int(params["pairs"]))]
-
-        def one(pair, dim=d):
-            E, F = pair
+        for i, (E, F) in enumerate(pairs):
             span = E.first_axis_span()
             wspan = F.first_axis_span()
-            return adjointness_gap(
+            gap = adjointness_gap(
                 E, F, (span.lo, span.hi), (wspan.lo, wspan.hi), quad
             )
-
-        for i, gap in enumerate(_parallel_map(one, pairs)):
             ok = gap["rel_gap"] <= tol
             passed = passed and ok
             rows.append(
@@ -405,13 +375,11 @@ def cmd_rwt(params):
     floor = float(params["floor"])
     entries = _corpus_from(params)
 
-    def one(entry):
-        interval = (entry.interval.lo, entry.interval.hi)
-        return entry, check_rwt(entry.E, entry.F, interval, quad)
-
     rows = []
     passed = True
-    for entry, rep in _parallel_map(one, entries):
+    for entry in entries:
+        interval = (entry.interval.lo, entry.interval.hi)
+        rep = check_rwt(entry.E, entry.F, interval, quad)
         ok = max(rep.ratio_e, rep.ratio_f) >= floor
         passed = passed and ok
         rows.append(
@@ -515,7 +483,9 @@ def cmd_lemma2(params):
     grid_n = int(params["grid_n"])
     theta_frac = float(params["theta_frac"])
 
-    def one(entry):
+    rows = []
+    passed = True
+    for entry in entries:
         interval = (entry.interval.lo, entry.interval.hi)
         window = (entry.window.lo, entry.window.hi)
         primal = lemma2_grid_primal(
@@ -529,11 +499,6 @@ def cmd_lemma2(params):
             if params["sweep"]
             else []
         )
-        return entry, primal, dual, sweep
-
-    rows = []
-    passed = True
-    for entry, primal, dual, sweep in _parallel_map(one, entries):
         reports = [("primal", primal), ("dual", dual)] + [
             (f"sweep-{i}", rep) for i, rep in enumerate(sweep)
         ]

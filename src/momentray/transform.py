@@ -10,7 +10,6 @@ outer integrals.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -405,53 +404,53 @@ def _leggauss(n):
     return _GL_CACHE[n]
 
 
-def _power_roots(ratio, m):
-    """Real solutions of v**m == ratio."""
-    if m == 1:
-        return (ratio,)
-    if m % 2 == 0:
-        if ratio < 0.0:
-            return ()
-        r = ratio ** (1.0 / m)
-        return (-r, r)
-    return (math.copysign(abs(ratio) ** (1.0 / m), ratio),)
-
-
-def _overlap_product_integral(a_lo, a_hi, b_lo, b_hi, scales, exps, v_lo, v_hi):
-    """Exact integral over v of prod_j |[a_j] ∩ ([b_j] + scales_j * v**exps_j)|.
+def _overlap_product_integrals(a_lo, a_hi, b_lo, b_hi, scales, exps, v_lo, v_hi):
+    """Exact integrals over v in [v_lo, v_hi], one per row i of scales, of
+    prod_j |[a_j] ∩ ([b_j] + scales[i, j] * v**exps[j])|.
 
     The integrand is piecewise polynomial: each factor is piecewise linear
     in the shift, so between shift-crossing breakpoints a Gauss-Legendre
-    rule of sufficient order is exact.
+    rule of sufficient order is exact.  Every row has the same breakpoint
+    slots: v_lo, v_hi, 0 and the real roots of v**exps[j] == c / scales[i, j]
+    for the four edge differences c.  A slot without a real root (NaN) or
+    without a finite one (zero scale) holds v_lo, so after clipping and
+    sorting the spare slots are zero-width segments that add exactly 0.
+    Rows are processed in chunks of at most _CHUNK_LIMIT quadrature points.
     """
-    if v_hi <= v_lo:
-        return 0.0
-    pts = [v_lo, v_hi, 0.0]
-    for j in range(a_lo.size):
-        sc = scales[j]
-        if sc == 0.0:
-            continue
-        for c in (
-            a_lo[j] - b_lo[j],
-            a_lo[j] - b_hi[j],
-            a_hi[j] - b_lo[j],
-            a_hi[j] - b_hi[j],
-        ):
-            pts.extend(_power_roots(c / sc, int(exps[j])))
-    pts = sorted(p for p in set(pts) if v_lo <= p <= v_hi)
-    degree = int(exps.sum())
-    nodes, weights = _leggauss(degree // 2 + 1)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        v = 0.5 * (a + b) + half * nodes
-        shift = scales[None, :] * v[:, None] ** exps[None, :]
-        ov = np.minimum(a_hi, b_hi + shift) - np.maximum(a_lo, b_lo + shift)
-        np.clip(ov, 0.0, None, out=ov)
-        total += half * float(weights @ ov.prod(axis=1))
-    return total
+    diffs = np.stack([a_lo - b_lo, a_lo - b_hi, a_hi - b_lo, a_hi - b_hi], axis=1)
+    nodes, weights = _leggauss(sum(exps) // 2 + 1)
+    n_seg = 2 + 4 * sum(1 if e % 2 else 2 for e in exps)
+    block = max(1, _CHUNK_LIMIT // (n_seg * nodes.size))
+    out = np.empty(scales.shape[0])
+    for start in range(0, scales.shape[0], block):
+        sc = scales[start : start + block]
+        n = sc.shape[0]
+        cols = [np.full((n, 1), v_lo), np.full((n, 1), v_hi), np.zeros((n, 1))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j, e in enumerate(exps):
+                ratio = diffs[j] / sc[:, j, None]
+                if e == 1:
+                    cols.append(ratio)
+                elif e % 2:
+                    cols.append(np.copysign(np.abs(ratio) ** (1.0 / e), ratio))
+                else:
+                    root = ratio ** (1.0 / e)  # NaN where ratio < 0
+                    cols.extend((-root, root))
+        pts = np.concatenate(cols, axis=1)
+        pts[~np.isfinite(pts)] = v_lo
+        np.clip(pts, v_lo, v_hi, out=pts)
+        pts.sort(axis=1)
+        half = 0.5 * (pts[:, 1:] - pts[:, :-1])
+        mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
+        v = mid[:, :, None] + half[:, :, None] * nodes
+        prod = np.ones_like(v)
+        for j, e in enumerate(exps):
+            shift = sc[:, j, None, None] * v**e
+            ov = np.minimum(a_hi[j], b_hi[j] + shift) - np.maximum(a_lo[j], b_lo[j] + shift)
+            np.clip(ov, 0.0, None, out=ov)
+            prod *= ov
+        out[start : start + block] = (half * (prod @ weights)).sum(axis=1)
+    return out
 
 
 def _pairing_layered(E, F, lo, hi, step, dual):
@@ -463,37 +462,28 @@ def _pairing_layered(E, F, lo, hi, step, dual):
     running through the window, where breakpoints come from real roots of
     the parameter powers.  Contributions add exactly across box pairs
     because a line point lies in at most one box of a disjoint union.
+    All first-axis midpoints of a box pair go through one kernel call.
     """
     d = E.dim
-    total = 0.0
-    if not dual:
-        exps = np.ones(d - 1, dtype=np.int64)
-        for f_lo, f_hi in zip(F.los, F.his):
-            centers, w = _grid_axes(f_lo[0], f_hi[0], step)
-            for e_lo, e_hi in zip(E.los, E.his):
-                s_lo, s_hi = max(lo, e_lo[0]), min(hi, e_hi[0])
-                if s_hi <= s_lo:
-                    continue
-                for y in centers:
-                    total += w * _overlap_product_integral(
-                        f_lo[1:], f_hi[1:], e_lo[1:], e_hi[1:],
-                        -(y ** np.arange(1, d)), exps, s_lo, s_hi,
-                    )
+    if dual:
+        outer, inner, exps = E, F, tuple(range(1, d))
     else:
-        exps = np.arange(1, d, dtype=np.int64)
-        for e_lo, e_hi in zip(E.los, E.his):
-            centers, w = _grid_axes(e_lo[0], e_hi[0], step)
-            for f_lo, f_hi in zip(F.los, F.his):
-                t_lo, t_hi = max(lo, f_lo[0]), min(hi, f_hi[0])
-                if t_hi <= t_lo:
-                    continue
-                scales = np.empty(d - 1)
-                for z in centers:
-                    scales.fill(z)
-                    total += w * _overlap_product_integral(
-                        e_lo[1:], e_hi[1:], f_lo[1:], f_hi[1:],
-                        scales, exps, t_lo, t_hi,
-                    )
+        outer, inner, exps = F, E, (1,) * (d - 1)
+    total = 0.0
+    for o_lo, o_hi in zip(outer.los, outer.his):
+        centers, w = _grid_axes(o_lo[0], o_hi[0], step)
+        if dual:
+            scales = np.repeat(centers[:, None], d - 1, axis=1)
+        else:
+            scales = -(centers[:, None] ** np.arange(1, d))
+        for i_lo, i_hi in zip(inner.los, inner.his):
+            v_lo, v_hi = max(lo, i_lo[0]), min(hi, i_hi[0])
+            if v_hi <= v_lo:
+                continue
+            vals = _overlap_product_integrals(
+                o_lo[1:], o_hi[1:], i_lo[1:], i_hi[1:], scales, exps, v_lo, v_hi
+            )
+            total += w * float(vals.sum())
     return float(total)
 
 

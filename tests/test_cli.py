@@ -108,16 +108,6 @@ def test_outputs_are_byte_deterministic(mini_corpus_path, tmp_path):
     assert ma["outputs"]["a.csv"] == mb["outputs"]["b.csv"]
 
 
-def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
-    argv = ["jacobian", "--dims", "2,3", "--samples", "10"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("MOMENTRAY_WORKERS", "1")
-    assert run(argv + ["--output", str(a)]) == PASS
-    monkeypatch.setenv("MOMENTRAY_WORKERS", "4")
-    assert run(argv + ["--output", str(b)]) == PASS
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_flag_overrides_config_value(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [2], "samples": 7}))

@@ -1,8 +1,15 @@
 """Exact fibers, the pairing quadratures, and superlevel brackets."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from momentray import transform
+from momentray.acceptance import random_box_pair
 from momentray.lorentz import SimpleFunction
 from momentray.sets import BoxUnionSet, Interval
 from momentray.transform import (
@@ -173,3 +180,239 @@ def test_quadspec_validation():
         QuadSpec(step=0.0)
     with pytest.raises(ValueError):
         QuadSpec(samples=0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the layered pairing one first-axis midpoint at a time
+
+
+def _power_roots(ratio, m):
+    """Real solutions of v**m == ratio."""
+    if m == 1:
+        return (ratio,)
+    if m % 2 == 0:
+        if ratio < 0.0:
+            return ()
+        r = ratio ** (1.0 / m)
+        return (-r, r)
+    return (math.copysign(abs(ratio) ** (1.0 / m), ratio),)
+
+
+def _overlap_product_integral(a_lo, a_hi, b_lo, b_hi, scales, exps, v_lo, v_hi):
+    """Integral over v of prod_j |[a_j] ∩ ([b_j] + scales_j * v**exps_j)|,
+    Gauss-Legendre between the deduplicated breakpoints of one midpoint."""
+    if v_hi <= v_lo:
+        return 0.0
+    pts = [v_lo, v_hi, 0.0]
+    for j in range(a_lo.size):
+        sc = scales[j]
+        if sc == 0.0:
+            continue
+        for c in (
+            a_lo[j] - b_lo[j],
+            a_lo[j] - b_hi[j],
+            a_hi[j] - b_lo[j],
+            a_hi[j] - b_hi[j],
+        ):
+            pts.extend(_power_roots(c / sc, int(exps[j])))
+    pts = sorted(p for p in set(pts) if v_lo <= p <= v_hi)
+    nodes, weights = np.polynomial.legendre.leggauss(int(exps.sum()) // 2 + 1)
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if b <= a:
+            continue
+        half = 0.5 * (b - a)
+        v = 0.5 * (a + b) + half * nodes
+        shift = scales[None, :] * v[:, None] ** exps[None, :]
+        ov = np.minimum(a_hi, b_hi + shift) - np.maximum(a_lo, b_lo + shift)
+        np.clip(ov, 0.0, None, out=ov)
+        total += half * float(weights @ ov.prod(axis=1))
+    return total
+
+
+def _reference_pairing(E, F, lo, hi, step, dual):
+    d = E.dim
+    total = 0.0
+    if not dual:
+        exps = np.ones(d - 1, dtype=np.int64)
+        for f_lo, f_hi in zip(F.los, F.his):
+            centers, w = transform._grid_axes(f_lo[0], f_hi[0], step)
+            for e_lo, e_hi in zip(E.los, E.his):
+                s_lo, s_hi = max(lo, e_lo[0]), min(hi, e_hi[0])
+                for y in centers:
+                    total += w * _overlap_product_integral(
+                        f_lo[1:], f_hi[1:], e_lo[1:], e_hi[1:],
+                        -(y ** np.arange(1, d)), exps, s_lo, s_hi,
+                    )
+    else:
+        exps = np.arange(1, d, dtype=np.int64)
+        for e_lo, e_hi in zip(E.los, E.his):
+            centers, w = transform._grid_axes(e_lo[0], e_hi[0], step)
+            for f_lo, f_hi in zip(F.los, F.his):
+                t_lo, t_hi = max(lo, f_lo[0]), min(hi, f_hi[0])
+                for z in centers:
+                    total += w * _overlap_product_integral(
+                        e_lo[1:], e_hi[1:], f_lo[1:], f_hi[1:],
+                        np.full(d - 1, z), exps, t_lo, t_hi,
+                    )
+    return total
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_layered_pairing_matches_per_midpoint_reference(d):
+    rng = np.random.default_rng(40 + d)
+    quad = QuadSpec(step=1.0 / 128.0)
+    for _ in range(4):
+        E, F = random_box_pair(d, rng, max_boxes=3)
+        interval = E.first_axis_span()
+        window = F.first_axis_span()
+        primal = bilinear_form(E, F, interval, quad)
+        dual = bilinear_form_dual(E, F, window, quad)
+        ref_primal = _reference_pairing(E, F, interval.lo, interval.hi, quad.step, False)
+        ref_dual = _reference_pairing(E, F, window.lo, window.hi, quad.step, True)
+        assert primal > 0.0 and dual > 0.0
+        assert primal == pytest.approx(ref_primal, rel=1e-12)
+        assert dual == pytest.approx(ref_dual, rel=1e-12)
+
+
+def test_layered_pairing_midpoint_at_zero():
+    # A first-axis width of one step puts the only midpoint at 0: the primal
+    # scales are -(0**j) and the dual scale is z = 0, so every shift root is
+    # infinite or NaN.  The line through a point with x1 = 0 is horizontal,
+    # so the value is step * |I ∩ [E]_1| * |[E]_rest ∩ [F]_rest|.
+    step = 1.0 / 64.0
+    thin = [-step / 2, step / 2]
+    wide = BoxUnionSet([np.array([[0.0, 1.0], [-0.5, 0.5], [-0.25, 0.75]])])
+    thin_f = BoxUnionSet([np.array([thin, [0.0, 1.0], [0.0, 1.0]])])
+    quad = QuadSpec(step=step)
+    primal = bilinear_form(wide, thin_f, (0.0, 1.0), quad)
+    assert primal == pytest.approx(_reference_pairing(wide, thin_f, 0.0, 1.0, step, False), rel=1e-12)
+    assert primal == pytest.approx(step * 1.0 * 0.5 * 0.75, rel=1e-12)
+    thin_e = BoxUnionSet([np.array([thin, [0.0, 1.0], [0.0, 1.0]])])
+    dual = bilinear_form_dual(thin_e, wide, (0.0, 1.0), quad)
+    assert dual == pytest.approx(_reference_pairing(thin_e, wide, 0.0, 1.0, step, True), rel=1e-12)
+    assert dual == pytest.approx(step * 1.0 * 0.5 * 0.75, rel=1e-12)
+
+
+def test_layered_pairing_skips_degenerate_first_axis_overlap():
+    F = BoxUnionSet([np.array([[-0.5, 0.8], [-0.4, 0.6], [-0.3, 0.7]])])
+    core = np.array([[0.0, 1.0], [-0.5, 0.5], [-0.5, 0.5]])
+    touching = np.array([[1.0, 1.5], [-0.5, 0.5], [-0.5, 0.5]])  # meets I at 1
+    outside = np.array([[1.5, 2.0], [-0.5, 0.5], [-0.5, 0.5]])  # misses I
+    base = bilinear_form(BoxUnionSet([core]), F, (0.0, 1.0))
+    assert base > 0.0
+    assert bilinear_form(BoxUnionSet([core, touching, outside]), F, (0.0, 1.0)) == base
+    assert bilinear_form(BoxUnionSet([touching, outside]), F, (0.0, 1.0)) == 0.0
+    # the kernel itself integrates nothing over a one-point parameter range
+    scales = np.linspace(-1.0, 1.0, 9)[:, None] * np.ones(2)
+    for exps in ((1, 1), (1, 2)):
+        vals = transform._overlap_product_integrals(
+            core[1:, 0], core[1:, 1], F.los[0, 1:], F.his[0, 1:], scales, exps, 0.3, 0.3
+        )
+        assert np.all(vals == 0.0)
+
+
+def test_layered_pairing_chunks_agree_and_bound_memory(monkeypatch):
+    E = BoxUnionSet([np.array([[0.0, 1.0], [-0.5, 0.5]])])
+    F = BoxUnionSet([np.array([[-0.5, 0.8], [0.0, 1.0]])])
+    quad = QuadSpec(step=2.0**-14)  # 21,300 first-axis midpoints
+    one_chunk = bilinear_form(E, F, (0.0, 1.0), quad)
+    one_chunk_dual = bilinear_form_dual(E, F, (-0.5, 0.8), quad)
+    monkeypatch.setattr(transform, "_CHUNK_LIMIT", 6 * 512)
+    tracemalloc.start()
+    try:
+        chunked = bilinear_form(E, F, (0.0, 1.0), quad)
+        chunked_dual = bilinear_form_dual(E, F, (-0.5, 0.8), quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunked == pytest.approx(one_chunk, rel=1e-12)
+    assert chunked_dual == pytest.approx(one_chunk_dual, rel=1e-12)
+    # in one chunk the same two calls peak near 11 MB
+    assert peak < 3_000_000
+
+
+# ---------------------------------------------------------------------------
+# properties of the pairing
+
+
+@st.composite
+def box_unions(draw, d, max_boxes=2):
+    """Unions of disjoint boxes on a 1/16 grid, one first-axis slab each;
+    the other axes straddle the origin."""
+    n = draw(st.integers(1, max_boxes))
+    cut = draw(st.integers(-16, 0))
+    boxes = []
+    for _ in range(n):
+        width = draw(st.integers(2, 12))
+        sides = [[cut, cut + width]]
+        sides += [[draw(st.integers(-12, -2)), draw(st.integers(2, 12))] for _ in range(d - 1)]
+        boxes.append(np.array(sides, dtype=float) / 16.0)
+        cut += width
+    return BoxUnionSet(boxes)
+
+
+@st.composite
+def box_union_pairs(draw):
+    d = draw(st.integers(2, 4))
+    return draw(box_unions(d)), draw(box_unions(d))
+
+
+def _both_routes(E, F):
+    return (
+        bilinear_form(E, F, E.first_axis_span()),
+        bilinear_form_dual(E, F, F.first_axis_span()),
+    )
+
+
+def _shifted(S, shift):
+    return BoxUnionSet([np.stack([lo + shift, hi + shift], axis=1) for lo, hi in zip(S.los, S.his)])
+
+
+@given(box_union_pairs(), st.lists(st.integers(-16, 16), min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_pairing_translation_covariant_in_later_coordinates(pair, offsets):
+    E, F = pair
+    shift = np.zeros(E.dim)
+    shift[1:] = np.array(offsets[: E.dim - 1]) / 8.0
+    moved = _both_routes(_shifted(E, shift), _shifted(F, shift))
+    for value, base in zip(moved, _both_routes(E, F)):
+        assert value == pytest.approx(base, rel=1e-12)
+
+
+@given(box_union_pairs(), st.booleans(), st.integers(0, 3), st.integers(0, 1), st.integers(1, 15))
+@settings(max_examples=25, deadline=None)
+def test_primal_pairing_additive_under_box_split(pair, split_f, axis, which, sixteenths):
+    E, F = pair
+    d = E.dim
+    target = F if split_f else E
+    axis = 1 + axis % (d - 1) if split_f else axis % d
+    i = which % target.n_boxes
+    lo, hi = target.los[i].copy(), target.his[i].copy()
+    cut = lo[axis] + (hi[axis] - lo[axis]) * sixteenths / 16.0
+    left_hi, right_lo = hi.copy(), lo.copy()
+    left_hi[axis] = right_lo[axis] = cut
+    boxes = [np.stack([a, b], axis=1) for k, (a, b) in enumerate(zip(target.los, target.his)) if k != i]
+    split = BoxUnionSet(boxes + [np.stack([lo, left_hi], axis=1), np.stack([right_lo, hi], axis=1)])
+    interval = E.first_axis_span()
+    base = bilinear_form(E, F, interval)
+    value = bilinear_form(E, split, interval) if split_f else bilinear_form(split, F, interval)
+    assert value == pytest.approx(base, rel=1e-12)
+
+
+@given(box_union_pairs())
+@settings(max_examples=25, deadline=None)
+def test_pairing_adjointness_on_random_unions(pair):
+    """Both routes agree to 1e-3 of the pairing, or of |F| * |I| / 1000.
+
+    The floor is for grazing pairs, whose incidences occupy less than one
+    first-axis step: there the midpoint rule's error is small in absolute
+    terms but not next to the pairing itself, which can be ~1e-11 and
+    which both routes approach as the step shrinks.  |F| * |I| bounds the
+    pairing, since every fiber lies in I.
+    """
+    E, F = pair
+    span, wspan = E.first_axis_span(), F.first_axis_span()
+    gap = adjointness_gap(E, F, (span.lo, span.hi), (wspan.lo, wspan.hi))
+    scale = max(gap["primal"], gap["dual"], 1e-3 * F.measure * span.length)
+    assert gap["abs_gap"] <= 1e-3 * scale
