@@ -111,9 +111,8 @@ def _resolve(args, config, schema):
 def _quad_from(params):
     spec = params.get("quad") or {}
     if not isinstance(spec, dict):
-        raise ConfigError("quad must be an object with method/step/samples/seed")
-    allowed = {"method", "step", "samples", "seed"}
-    unknown = set(spec) - allowed
+        raise ConfigError("quad must be an object with method/step")
+    unknown = set(spec) - {"method", "step"}
     if unknown:
         raise ConfigError(f"unknown quad keys: {sorted(unknown)}")
     base = QuadSpec()
@@ -121,8 +120,6 @@ def _quad_from(params):
         return QuadSpec(
             method=spec.get("method", base.method),
             step=float(spec.get("step", base.step)),
-            samples=int(spec.get("samples", base.samples)),
-            seed=int(spec.get("seed", base.seed)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -161,14 +158,22 @@ def _sha256(path):
 
 
 class Report:
-    """Rows plus meta, rendered to CSV/JSON/stdout deterministically."""
+    """Rows plus meta, rendered to CSV/JSON/stdout deterministically.
 
-    def __init__(self, command, params, columns, rows, extra_meta=None):
+    A command whose JSON form is not its rows passes that document as
+    json_payload; JSON output then writes it, to stdout when no output
+    path is given.
+    """
+
+    def __init__(
+        self, command, params, columns, rows, extra_meta=None, json_payload=None
+    ):
         self.command = command
         self.params = params
         self.columns = list(columns)
         self.rows = rows
         self.extra_meta = dict(extra_meta or {})
+        self.json_payload = json_payload
 
     def _meta(self):
         meta = {"command": self.command, "version": __version__}
@@ -190,7 +195,7 @@ class Report:
             fh.write(",".join(_cell(row[c]) for c in self.columns) + "\n")
 
     def write_json(self, fh):
-        payload = {
+        payload = self.json_payload or {
             "meta": self._meta(),
             "columns": self.columns,
             "rows": self.rows,
@@ -228,6 +233,8 @@ def _emit(report, params, passed, started):
             out + ".manifest.json", report.command, params, [out], started
         )
         sys.stdout.write(f"wrote {out}\n")
+    elif fmt == "json" and report.json_payload:
+        report.write_json(sys.stdout)
     else:
         report.print_table(sys.stdout)
     if passed is not None:
@@ -537,7 +544,7 @@ def cmd_refine(params):
         seed=int(params["seed"]),
     )
     rows = []
-    payload = {}
+    towers = {}
     passed = True
     for start in starts:
         tower = build_tower(
@@ -556,7 +563,7 @@ def cmd_refine(params):
         report["structure_fraction"] = frac
         report["structure_checked"] = checked
         report["start"] = start
-        payload[start] = report
+        towers[start] = report
         for level in report["levels"]:
             rows.append(
                 {
@@ -577,12 +584,12 @@ def cmd_refine(params):
         "n_nodes", "measure", "threshold", "predicted_average",
         "structure_fraction",
     ]
-    report = Report("refine", params, columns, rows)
-    report.json_payload = payload
-    return report, passed
+    payload = {"meta": {"command": "refine", "version": __version__}, "towers": towers}
+    return Report("refine", params, columns, rows, json_payload=payload), passed
 
 
 def cmd_acceptance(params):
+    """Runs the suite and writes its own reports; returns no Report."""
     outdir = params.get("output") or params.get("outdir")
     started = time.perf_counter()
     suite = run_suite(
@@ -609,7 +616,7 @@ def cmd_acceptance(params):
     return None, suite.passed
 
 
-_COMMON_SCHEMA = {"seed": 0, "output": None, "format": "csv", "quad": None}
+_COMMON_SCHEMA = {"seed": 0, "output": None, "format": "csv"}
 
 
 def _schema_for(command):
@@ -621,9 +628,9 @@ def _schema_for(command):
     elif command == "jacobian":
         schema.update(dims=[2, 3, 4, 5, 6, 7], kind="both", samples=100, tol=1e-6)
     elif command == "duality":
-        schema.update(dims=[2, 3], pairs=50, tol=1e-3)
+        schema.update(dims=[2, 3], pairs=50, tol=1e-3, quad=None)
     elif command == "rwt":
-        schema.update(corpus=None, floor=0.01)
+        schema.update(corpus=None, floor=0.01, quad=None)
     elif command == "superlevel":
         schema.update(corpus=None, entry="d2-unit", grid_n=48)
     elif command == "scaling":
@@ -754,28 +761,9 @@ def main(argv=None):
         config = _load_config(args.config)
         schema = _schema_for(args.command)
         params = _resolve(args, config, schema)
-        if args.command == "acceptance":
-            _, passed = cmd_acceptance(params)
-            return PASS if passed else FAIL
         started = time.perf_counter()
         report, passed = _HANDLERS[args.command](params)
-        if args.command == "refine" and (params.get("format") or "csv") == "json":
-            out = params.get("output")
-            payload = {
-                "meta": {"command": "refine", "version": __version__},
-                "towers": report.json_payload,
-            }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            if out:
-                os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-                with open(out, "w") as fh:
-                    fh.write(text)
-                _write_manifest(out + ".manifest.json", "refine", params, [out], started)
-                sys.stdout.write(f"wrote {out}\n")
-            else:
-                sys.stdout.write(text)
-            sys.stdout.write("verdict: " + ("PASS" if passed else "FAIL") + "\n")
-        else:
+        if report is not None:
             _emit(report, params, passed, started)
         return PASS if passed in (None, True) else FAIL
     except ConfigError as exc:

@@ -22,8 +22,8 @@ from .geometry import (
     jacobian_closed_form,
     jacobian_numeric,
 )
-from .sets import BoxUnionSet, Interval
-from .transform import bilinear_form, line_fiber
+from .sets import BoxUnionSet, FiberSet, Interval
+from .transform import bilinear_form, fiber_measure_batch, fiber_pieces
 
 
 @dataclass(frozen=True)
@@ -85,27 +85,6 @@ class Tower:
     @property
     def top(self):
         return self.levels[-1]
-
-
-def refine_step(tuples, fiber_fn, keep_fraction=0.5):
-    """Keep the tuples whose fiber measure clears the average-based bar.
-
-    Returns (kept tuples, their fibers, threshold).  The threshold is
-    keep_fraction times the mean fiber measure, so the discarded tuples
-    carry at most keep_fraction of the total fiber mass.
-    """
-    tuples = list(tuples)
-    if not tuples:
-        raise ValueError("cannot refine an empty collection")
-    fibers = [fiber_fn(item) for item in tuples]
-    measures = np.array([f.measure for f in fibers])
-    threshold = keep_fraction * float(measures.mean())
-    keep = measures >= threshold
-    if not keep.any():
-        raise ValueError("refinement emptied the collection")
-    kept = [t for t, ok in zip(tuples, keep) if ok]
-    kept_fibers = [f for f, ok in zip(fibers, keep) if ok]
-    return kept, kept_fibers, threshold
 
 
 def _sample_points(region, count, rng):
@@ -174,16 +153,14 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
 
     if base is None:
         candidates = _sample_points(source, config.base_candidates, rng)
-        best_measure = -1.0
-        base = candidates[0]
-        for cand in candidates:
-            m = line_fiber(fiber_target, cand, fiber_range, dual=fiber_dual).measure
-            if m > best_measure:
-                best_measure = m
-                base = cand
+        measures = fiber_measure_batch(
+            fiber_target, candidates, fiber_range, dual=fiber_dual
+        )
+        base = candidates[np.argmax(measures)]  # the first maximum
     base = np.asarray(base, dtype=float)
 
-    fiber0 = line_fiber(fiber_target, base, fiber_range, dual=fiber_dual)
+    los, his = fiber_pieces(fiber_target, base, fiber_range, dual=fiber_dual)
+    fiber0 = FiberSet(zip(los[0], his[0]))
     if fiber0.is_empty:
         raise TowerCollapse(plan[0][0])
     centers, widths = fiber0.cells(config.cell_width)
@@ -215,10 +192,8 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
         prev = levels[-1]
         tgt_set = F if target == "F" else E
         rng_param = window if kind == "t" else interval
-        fibers = [
-            line_fiber(tgt_set, pt, rng_param, dual=(kind == "t")) for pt in points
-        ]
-        measures = np.array([f.measure for f in fibers])
+        los, his = fiber_pieces(tgt_set, points, rng_param, dual=(kind == "t"))
+        measures = np.clip(his - los, 0.0, None).sum(axis=1)
         node_vols = prev.widths.prod(axis=1) * prev.weights
         mean = float((measures * node_vols).sum() / node_vols.sum())
         threshold = config.keep_fraction * mean
@@ -231,7 +206,7 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
         child_params, child_widths, child_weights, child_parent = [], [], [], []
         kept_indices = np.flatnonzero(keep)
         for i in kept_indices:
-            c, w = fibers[i].cells(config.cell_width)
+            c, w = FiberSet(zip(los[i], his[i])).cells(config.cell_width)
             if c.size == 0:
                 continue
             stem = np.repeat(prev.params[i][None, :], c.size, axis=0)

@@ -39,13 +39,6 @@ class Interval:
         return Interval(lo, hi) if hi >= lo else None
 
 
-def _as_interval(value):
-    if isinstance(value, Interval):
-        return value
-    lo, hi = value
-    return Interval(lo, hi)
-
-
 class Box:
     """Axis-aligned closed box given as per-axis [lo, hi] bounds."""
 
@@ -230,18 +223,6 @@ class FiberSet:
 
     def contains(self, x, atol=0.0):
         return bool(np.any((self.los - atol <= x) & (x <= self.his + atol)))
-
-    def intersect(self, interval):
-        iv = _as_interval(interval)
-        lo = np.maximum(self.los, iv.lo)
-        hi = np.minimum(self.his, iv.hi)
-        keep = hi >= lo
-        return FiberSet(list(zip(lo[keep], hi[keep])))
-
-    def union(self, other):
-        return FiberSet(
-            list(zip(self.los, self.his)) + list(zip(other.los, other.his))
-        )
 
     def cells(self, max_width):
         """Partition into equal cells of width <= max_width per interval.

@@ -17,12 +17,7 @@ from scipy.special import zeta as _hurwitz_zeta
 
 from .lorentz import SimpleFunction, lorentz_norm_from_steps
 from .sets import Box, BoxUnionSet, Interval
-from .transform import (
-    apply_x,
-    bilinear_form,
-    bilinear_form_dual,
-    region_cell_values,
-)
+from .transform import apply_x, bilinear_form, region_cell_values
 
 MAX_MATERIALIZED_BOXES = 500_000
 
@@ -462,90 +457,13 @@ class Lemma2Report:
     delta: float
     rhs: float
     hypothesis_min: float
-    theta: float = float("nan")
-    region_measure: float = float("nan")
+    theta: float
+    region_measure: float
     printed_variant: bool = False
 
 
-def _sampled_min(source, region, interval, dual, grid_n):
-    blocks = region_cell_values(
-        source, region, interval, grid_n, dual=dual, corners=False
-    )
-    return min(float(b.center_values.min()) for b in blocks)
-
-
-def check_lemma2_primal(E, E_sub, G, delta1, interval, quad=None, hypothesis_grid=8):
-    """Check |E_sub| against delta1^2 (T/|G|)^(d-2) (T/|E|)^(d(d-1)/2).
-
-    The hypothesis that lines from every point of G spend at least delta1
-    parameter mass in E_sub is verified on a midpoint sample grid over G.
-    """
-    d = E.dim
-    hyp_min = _sampled_min(E_sub, G, interval, dual=False, grid_n=hypothesis_grid)
-    if hyp_min + 1e-12 < delta1:
-        raise ValueError(
-            f"hypothesis fails: sampled fiber minimum {hyp_min:.6g} is below "
-            f"delta1 = {delta1:.6g}"
-        )
-    t_value = bilinear_form(E, G, interval, quad)
-    rhs = (
-        delta1**2
-        * (t_value / G.measure) ** (d - 2)
-        * (t_value / E.measure) ** (d * (d - 1) // 2)
-    )
-    ratio = math.inf if rhs == 0.0 else E_sub.measure / rhs
-    return Lemma2Report(
-        kind="primal",
-        ratio=ratio,
-        subset_measure=E_sub.measure,
-        pairing=t_value,
-        delta=float(delta1),
-        rhs=rhs,
-        hypothesis_min=hyp_min,
-        region_measure=G.measure,
-    )
-
-
-def check_lemma2_dual(
-    H, F, F_sub, delta2, window, quad=None, printed_variant=False, hypothesis_grid=8
-):
-    """Check |F_sub| against delta2^d (T/|F|)^(d-1) (T/|H|)^((d^2-d+2)/2-d).
-
-    The last factor divides by |H| (the form the argument actually uses);
-    printed_variant=True divides by |F| instead, as displayed.
-    """
-    d = H.dim
-    hyp_min = _sampled_min(F_sub, H, window, dual=True, grid_n=hypothesis_grid)
-    if hyp_min + 1e-12 < delta2:
-        raise ValueError(
-            f"hypothesis fails: sampled fiber minimum {hyp_min:.6g} is below "
-            f"delta2 = {delta2:.6g}"
-        )
-    t_value = bilinear_form_dual(H, F, window, quad)
-    second = F.measure if printed_variant else H.measure
-    rhs = (
-        delta2**d
-        * (t_value / F.measure) ** (d - 1)
-        * (t_value / second) ** ((d * d - d + 2) // 2 - d)
-    )
-    ratio = math.inf if rhs == 0.0 else F_sub.measure / rhs
-    return Lemma2Report(
-        kind="dual",
-        ratio=ratio,
-        subset_measure=F_sub.measure,
-        pairing=t_value,
-        delta=float(delta2),
-        rhs=rhs,
-        hypothesis_min=hyp_min,
-        region_measure=H.measure,
-        printed_variant=printed_variant,
-    )
-
-
 def _grid_vals_vols(source, region, interval, grid_n, dual):
-    blocks = region_cell_values(
-        source, region, interval, grid_n, dual=dual, corners=False
-    )
+    blocks = region_cell_values(source, region, interval, grid_n, dual=dual)
     vals = np.concatenate([b.center_values.reshape(-1) for b in blocks])
     vols = np.concatenate(
         [np.full(b.center_values.size, b.cell_volume) for b in blocks]

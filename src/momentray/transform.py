@@ -9,12 +9,11 @@ outer integrals.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import Box, BoxUnionSet, FiberSet, Interval
+from .sets import BoxUnionSet, Interval
 
 _CHUNK_LIMIT = 1 << 22
 
@@ -26,27 +25,17 @@ class QuadSpec:
     "layered" (default) applies composite midpoint along the first
     coordinate only and integrates the remaining coordinates and the line
     parameter exactly, so its error is one-dimensional regardless of the
-    ambient dimension.  "midpoint" is a full per-axis tensor midpoint rule
-    and "montecarlo" draws seeded uniform samples per box.
+    ambient dimension.  "midpoint" is a full per-axis tensor midpoint rule.
     """
 
     method: str = "layered"
     step: float = 1.0 / 512.0
-    samples: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("layered", "midpoint", "montecarlo"):
-            raise ValueError("method must be 'layered', 'midpoint' or 'montecarlo'")
+        if self.method not in ("layered", "midpoint"):
+            raise ValueError("method must be 'layered' or 'midpoint'")
         if not self.step > 0:
             raise ValueError("step must be positive")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-
-
-def default_quad(dim):
-    """Default layered spec; the step is a first-axis resolution."""
-    return QuadSpec()
 
 
 def _interval_pair(interval):
@@ -59,98 +48,19 @@ def _interval_pair(interval):
 
 
 # ---------------------------------------------------------------------------
-# exact fibers, scalar path
+# exact fibers
 
 
-def _primal_fiber_box(blo, bhi, x, lo, hi):
-    """Intersection of {s : gamma(x, s) in box} with [lo, hi], or None."""
-    slo = max(lo, blo[0])
-    shi = min(hi, bhi[0])
-    x1 = x[0]
-    for j in range(1, len(x)):
-        coef = x1**j
-        if coef == 0.0:
-            if not (blo[j] <= x[j] <= bhi[j]):
-                return None
-            continue
-        a = (blo[j] - x[j]) / coef
-        b = (bhi[j] - x[j]) / coef
-        if coef < 0.0:
-            a, b = b, a
-        slo = max(slo, a)
-        shi = min(shi, b)
-        if shi < slo:
-            return None
-    return (slo, shi) if shi >= slo else None
+def _primal_pieces(region, X, lo, hi):
+    """Per box, the fiber endpoints (slo, shi) of every row of X.
 
-
-def _odd_root(v, j):
-    return float(np.sign(v) * np.abs(v) ** (1.0 / j))
-
-
-def _dual_fiber_box(blo, bhi, x, lo, hi):
-    """Components of {t : gamma_star(x, t) in box} inside [lo, hi]."""
-    comps = [(max(lo, blo[0]), min(hi, bhi[0]))]
-    if comps[0][1] < comps[0][0]:
-        return []
-    x1 = x[0]
-    for j in range(1, len(x)):
-        # constraint: x1 * t^j in [x_j - bhi_j, x_j - blo_j]
-        tlo = x[j] - bhi[j]
-        thi = x[j] - blo[j]
-        if x1 == 0.0:
-            if tlo <= 0.0 <= thi:
-                continue
-            return []
-        mlo, mhi = sorted((tlo / x1, thi / x1))
-        if j % 2 == 1:
-            pieces = [(_odd_root(mlo, j), _odd_root(mhi, j))]
-        else:
-            if mhi < 0.0:
-                return []
-            hi_root = mhi ** (1.0 / j)
-            if mlo <= 0.0:
-                pieces = [(-hi_root, hi_root)]
-            else:
-                lo_root = mlo ** (1.0 / j)
-                pieces = [(-hi_root, -lo_root), (lo_root, hi_root)]
-        comps = [
-            (max(a, c), min(b, e))
-            for a, b in comps
-            for c, e in pieces
-            if min(b, e) >= max(a, c)
-        ]
-        if not comps:
-            return []
-    return comps
-
-
-def line_fiber(region, x, interval, dual=False):
-    """Exact parameter set where the line through x meets the box union."""
-    lo, hi = _interval_pair(interval)
-    x = np.asarray(x, dtype=float)
-    if x.size != region.dim:
-        raise ValueError("point dimension does not match the set")
-    pieces = []
-    for blo, bhi in zip(region.los, region.his):
-        if dual:
-            pieces.extend(_dual_fiber_box(blo, bhi, x, lo, hi))
-        else:
-            piece = _primal_fiber_box(blo, bhi, x, lo, hi)
-            if piece is not None:
-                pieces.append(piece)
-    return FiberSet(pieces)
-
-
-# ---------------------------------------------------------------------------
-# exact fibers, batch path (measures only)
-
-
-def _primal_measures(region, X, lo, hi):
+    The line through x meets a box where s lies in its first-axis range
+    and x_j + s * x1**j in its j-th range, each constraint linear in s.
+    A piece with shi < slo is empty.
+    """
     n, d = X.shape
     x1 = X[:, 0]
     powers = x1[:, None] ** np.arange(1, d)[None, :]
-    total = np.zeros(n)
     for blo, bhi in zip(region.los, region.his):
         slo = np.full(n, max(lo, blo[0]))
         shi = np.full(n, min(hi, bhi[0]))
@@ -169,15 +79,20 @@ def _primal_measures(region, X, lo, hi):
                 hi_j = np.where(zero, np.where(ok, np.inf, -np.inf), hi_j)
             slo = np.maximum(slo, lo_j)
             shi = np.minimum(shi, hi_j)
-        total += np.clip(shi - slo, 0.0, None)
-    return total
+        yield slo, shi
 
 
-def _dual_measures(region, X, lo, hi):
+def _dual_pieces(region, X, lo, hi):
+    """Per box, the component endpoints (clo, chi) of every row of X.
+
+    The dual line meets a box where t lies in its first-axis range and
+    x1 * t**j in x_j minus its j-th range.  For even j that is a range of
+    |t|, which splits a component in two when it excludes 0; a column is
+    added only when some row splits.  A piece with chi < clo is empty.
+    """
     n, d = X.shape
     x1 = X[:, 0]
     zero = x1 == 0.0
-    total = np.zeros(n)
     for blo, bhi in zip(region.los, region.his):
         comp_lo = [np.full(n, max(lo, blo[0]))]
         comp_hi = [np.full(n, min(hi, bhi[0]))]
@@ -219,70 +134,47 @@ def _dual_measures(region, X, lo, hi):
                     new_lo.append(np.maximum(clo, s2_lo))
                     new_hi.append(np.minimum(chi, s2_hi))
             comp_lo, comp_hi = new_lo, new_hi
-        for clo, chi in zip(comp_lo, comp_hi):
-            total += np.clip(chi - clo, 0.0, None)
+        yield from zip(comp_lo, comp_hi)
+
+
+def _pieces(region, X, lo, hi, dual):
+    return (_dual_pieces if dual else _primal_pieces)(region, X, lo, hi)
+
+
+def _fiber_measures(region, X, lo, hi, dual):
+    # one box at a time, so no (n, pieces) array is ever held
+    total = np.zeros(X.shape[0])
+    for plo, phi in _pieces(region, X, lo, hi, dual):
+        total += np.clip(phi - plo, 0.0, None)
     return total
+
+
+def _fiber_points(region, points):
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    if X.shape[1] != region.dim:
+        raise ValueError("point dimension does not match the set")
+    return X
 
 
 def fiber_measure_batch(region, points, interval, dual=False):
     """Exact fiber measures for a batch of points, shape (n, d) -> (n,)."""
     lo, hi = _interval_pair(interval)
-    X = np.asarray(points, dtype=float)
-    squeeze = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != region.dim:
-        raise ValueError("point dimension does not match the set")
-    out = _dual_measures(region, X, lo, hi) if dual else _primal_measures(region, X, lo, hi)
-    return float(out[0]) if squeeze else out
+    X = _fiber_points(region, points)
+    out = _fiber_measures(region, X, lo, hi, dual)
+    return float(out[0]) if np.ndim(points) == 1 else out
 
 
-# ---------------------------------------------------------------------------
-# grid functions
+def fiber_pieces(region, points, interval, dual=False):
+    """Exact fiber pieces for a batch of points: (los, his), each (n, k).
 
-
-class GridFunction:
-    """Multilinear interpolant of grid values, zero outside its box."""
-
-    def __init__(self, origin, spacing, values):
-        self.values = np.asarray(values, dtype=float)
-        self.origin = np.asarray(origin, dtype=float)
-        spacing = np.asarray(spacing, dtype=float)
-        if spacing.ndim == 0:
-            spacing = np.full(self.values.ndim, float(spacing))
-        self.spacing = spacing
-        if self.origin.size != self.values.ndim or self.spacing.size != self.values.ndim:
-            raise ValueError("origin/spacing must match the value array rank")
-        if np.any(self.spacing <= 0):
-            raise ValueError("spacing must be positive")
-        if min(self.values.shape) < 2:
-            raise ValueError("need at least two grid nodes per axis")
-
-    @property
-    def dim(self):
-        return self.values.ndim
-
-    def support_box(self):
-        extent = self.origin + self.spacing * (np.array(self.values.shape) - 1)
-        return Box(np.stack([self.origin, extent], axis=1))
-
-    def __call__(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        u = (p - self.origin) / self.spacing
-        shape = np.array(self.values.shape)
-        inside = np.all(u >= 0.0, axis=1) & np.all(u <= shape - 1, axis=1)
-        i0 = np.clip(np.floor(u).astype(int), 0, shape - 2)
-        frac = u - i0
-        out = np.zeros(p.shape[0])
-        for corner in itertools.product((0, 1), repeat=self.dim):
-            idx = tuple((i0[:, a] + corner[a]) for a in range(self.dim))
-            weight = np.ones(p.shape[0])
-            for a in range(self.dim):
-                weight *= frac[:, a] if corner[a] else (1.0 - frac[:, a])
-            out += weight * self.values[idx]
-        out[~inside] = 0.0
-        if np.asarray(points).ndim == 1:
-            return float(out[0])
-        return out
+    Column k is one box's fiber, or one component of it on the dual route,
+    for every point; a piece with his < los is empty.  Pieces from touching
+    boxes can touch, so FiberSet(zip(los[i], his[i])) is point i's fiber.
+    """
+    lo, hi = _interval_pair(interval)
+    X = _fiber_points(region, points)
+    los, his = zip(*_pieces(region, X, lo, hi, dual))
+    return np.stack(los, axis=1), np.stack(his, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +185,7 @@ def _is_simple_function(f):
     return hasattr(f, "weights") and hasattr(f, "supports")
 
 
-def _line_integral(f, points, interval, dual, quad):
+def _line_integral(f, points, interval, dual):
     lo, hi = _interval_pair(interval)
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(f, BoxUnionSet):
@@ -303,44 +195,20 @@ def _line_integral(f, points, interval, dual, quad):
         for w, support in zip(f.weights, f.supports):
             out += w * fiber_measure_batch(support, X, (lo, hi), dual=dual)
         return out
-    if isinstance(f, GridFunction):
-        quad = quad or default_quad(f.dim)
-        if quad.method != "midpoint":
-            raise ValueError("grid integrands use midpoint quadrature")
-        n = max(1, int(np.ceil((hi - lo) / quad.step)))
-        h = (hi - lo) / n
-        svals = lo + (np.arange(n) + 0.5) * h
-        d = X.shape[1]
-        out = np.zeros(X.shape[0])
-        block = max(1, _CHUNK_LIMIT // max(n, 1))
-        for start in range(0, X.shape[0], block):
-            Xb = X[start : start + block]
-            pts = np.empty((Xb.shape[0], n, d))
-            if dual:
-                pts[:, :, 0] = svals[None, :]
-                for j in range(1, d):
-                    pts[:, :, j] = Xb[:, None, j] - Xb[:, None, 0] * svals[None, :] ** j
-            else:
-                pts[:, :, 0] = svals[None, :]
-                for j in range(1, d):
-                    pts[:, :, j] = Xb[:, None, j] + svals[None, :] ** j * Xb[:, None, 0]
-            vals = f(pts.reshape(-1, d)).reshape(Xb.shape[0], n)
-            out[start : start + block] = vals.sum(axis=1) * h
-        return out
     raise TypeError(f"unsupported integrand type: {type(f).__name__}")
 
 
-def apply_x(f, interval, x, quad=None):
+def apply_x(f, interval, x):
     """Line transform of f at x: integral of f(gamma(x, s)) over s in I.
 
-    Exact for box unions and simple functions; midpoint quadrature for grid
-    functions.  Accepts a single point (d,) or a batch (n, d).
+    Exact for box unions and simple functions.  Accepts a single point (d,)
+    or a batch (n, d).
     """
-    out = _line_integral(f, x, interval, dual=False, quad=quad)
+    out = _line_integral(f, x, interval, dual=False)
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
-def apply_x_star(g, window, x, quad=None):
+def apply_x_star(g, window, x):
     """Dual transform of g at x over the parameter window.
 
     Errors when g's first-axis support is not covered by the window, since
@@ -352,8 +220,6 @@ def apply_x_star(g, window, x, quad=None):
     elif _is_simple_function(g):
         spans = [s.first_axis_span() for s in g.supports]
         span = Interval(min(s.lo for s in spans), max(s.hi for s in spans))
-    elif isinstance(g, GridFunction):
-        span = g.support_box().interval(0)
     else:
         raise TypeError(f"unsupported integrand type: {type(g).__name__}")
     if span.lo < lo - 1e-12 or span.hi > hi + 1e-12:
@@ -361,7 +227,7 @@ def apply_x_star(g, window, x, quad=None):
             f"window [{lo}, {hi}] does not cover the support's first-axis span "
             f"[{span.lo}, {span.hi}]"
         )
-    out = _line_integral(g, x, window, dual=True, quad=quad)
+    out = _line_integral(g, x, window, dual=True)
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
@@ -487,33 +353,23 @@ def _pairing_layered(E, F, lo, hi, step, dual):
     return float(total)
 
 
-def _outer_integral(values_fn, region, quad):
-    if quad.method == "midpoint":
-        return sum(
-            _midpoint_box_sum(values_fn, blo, bhi, quad.step)
-            for blo, bhi in zip(region.los, region.his)
-        )
-    rng = np.random.default_rng(quad.seed)
-    vols = region.box_volumes
-    total_vol = vols.sum()
-    result = 0.0
-    for blo, bhi, vol in zip(region.los, region.his, vols):
-        n_b = max(1, int(round(quad.samples * vol / total_vol)))
-        pts = rng.uniform(blo, bhi, size=(n_b, region.dim))
-        result += float(values_fn(pts).mean()) * vol
-    return result
+def _outer_integral(values_fn, region, step):
+    return sum(
+        _midpoint_box_sum(values_fn, blo, bhi, step)
+        for blo, bhi in zip(region.los, region.his)
+    )
 
 
 def bilinear_form(E, F, interval, quad=None):
     """Pairing <X chi_E, chi_F> with exact inner fibers over the interval."""
     if E.dim != F.dim:
         raise ValueError("E and F must share a dimension")
-    quad = quad or default_quad(F.dim)
+    quad = quad or QuadSpec()
     lo, hi = _interval_pair(interval)
     if quad.method == "layered":
         return _pairing_layered(E, F, lo, hi, quad.step, dual=False)
     return _outer_integral(
-        lambda pts: _primal_measures(E, pts, lo, hi), F, quad
+        lambda pts: _fiber_measures(E, pts, lo, hi, False), F, quad.step
     )
 
 
@@ -525,7 +381,7 @@ def bilinear_form_dual(E, F, window, quad=None):
     """
     if E.dim != F.dim:
         raise ValueError("E and F must share a dimension")
-    quad = quad or default_quad(E.dim)
+    quad = quad or QuadSpec()
     lo, hi = _interval_pair(window)
     span = F.first_axis_span()
     if span.lo < lo - 1e-12 or span.hi > hi + 1e-12:
@@ -536,7 +392,7 @@ def bilinear_form_dual(E, F, window, quad=None):
     if quad.method == "layered":
         return _pairing_layered(E, F, lo, hi, quad.step, dual=True)
     return _outer_integral(
-        lambda pts: _dual_measures(F, pts, lo, hi), E, quad
+        lambda pts: _fiber_measures(F, pts, lo, hi, True), E, quad.step
     )
 
 
@@ -566,7 +422,7 @@ def adjointness_gap(E, F, interval, window, quad=None):
 
 
 # ---------------------------------------------------------------------------
-# superlevel sets of the transform over a region
+# the transform on per-box midpoint grids
 
 
 @dataclass
@@ -577,14 +433,14 @@ class CellBlock:
     widths: np.ndarray
     counts: tuple
     center_values: np.ndarray
-    corner_values: np.ndarray | None = None
+    corner_values: np.ndarray | None = None  # no longer filled; bench/ reads it
 
     @property
     def cell_volume(self):
         return float(np.prod(self.widths))
 
 
-def region_cell_values(source, region, interval, grid_n, dual=False, corners=True):
+def region_cell_values(source, region, interval, grid_n, dual=False):
     """Evaluate the transform of chi_source on per-box grids over region."""
     lo, hi = _interval_pair(interval)
     blocks = []
@@ -597,118 +453,13 @@ def region_cell_values(source, region, interval, grid_n, dual=False, corners=Tru
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        vals = (
-            _dual_measures(source, pts, lo, hi)
-            if dual
-            else _primal_measures(source, pts, lo, hi)
-        )
-        block = CellBlock(
-            lows=blo.copy(),
-            widths=widths,
-            counts=counts,
-            center_values=vals.reshape(counts),
-        )
-        if corners:
-            corner_axes = [
-                blo[a] + np.arange(counts[a] + 1) * widths[a]
-                for a in range(region.dim)
-            ]
-            mesh = np.meshgrid(*corner_axes, indexing="ij")
-            pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-            cvals = (
-                _dual_measures(source, pts, lo, hi)
-                if dual
-                else _primal_measures(source, pts, lo, hi)
+        vals = _fiber_measures(source, pts, lo, hi, dual)
+        blocks.append(
+            CellBlock(
+                lows=blo.copy(),
+                widths=widths,
+                counts=counts,
+                center_values=vals.reshape(counts),
             )
-            block.corner_values = cvals.reshape(tuple(c + 1 for c in counts))
-        blocks.append(block)
+        )
     return blocks
-
-
-def _mask_to_set(blocks, masks):
-    bounds = []
-    for block, mask in zip(blocks, masks):
-        idx = np.argwhere(mask)
-        if idx.size == 0:
-            continue
-        los = block.lows[None, :] + idx * block.widths[None, :]
-        his = los + block.widths[None, :]
-        bounds.extend(np.stack([los, his], axis=2))
-    if not bounds:
-        return None
-    return BoxUnionSet([Box(b) for b in bounds], validate=False)
-
-
-@dataclass
-class SuperlevelResult:
-    """Grid bracket of {x in region : (X chi_source)(x) >= theta}."""
-
-    theta: float
-    grid_n: int
-    dim: int
-    inner_measure: float
-    outer_measure: float
-    center_measure: float
-    max_value: float
-    blocks: list = field(repr=False)
-    _inner_masks: list = field(repr=False)
-    _outer_masks: list = field(repr=False)
-    _center_masks: list = field(repr=False)
-
-    def inner_set(self):
-        return _mask_to_set(self.blocks, self._inner_masks)
-
-    def outer_set(self):
-        return _mask_to_set(self.blocks, self._outer_masks)
-
-    def center_set(self):
-        return _mask_to_set(self.blocks, self._center_masks)
-
-
-def superlevel_set(source, region, interval, theta, grid_n, dual=False):
-    """Inner and outer grid approximations of a transform superlevel set.
-
-    A cell counts as inner when its center and all corners clear theta, and
-    as outer when any sampled value does; the true set is bracketed between
-    the two measures.
-    """
-    blocks = region_cell_values(source, region, interval, grid_n, dual=dual, corners=True)
-    inner_masks, outer_masks, center_masks = [], [], []
-    inner = outer = center = 0.0
-    max_value = 0.0
-    dim = region.dim
-    for block in blocks:
-        V = block.center_values
-        C = block.corner_values
-        max_value = max(max_value, float(V.max()), float(C.max()))
-        corner_all = np.ones_like(V, dtype=bool)
-        corner_any = np.zeros_like(V, dtype=bool)
-        for offsets in itertools.product((0, 1), repeat=dim):
-            sl = tuple(
-                slice(o, o + n) for o, n in zip(offsets, block.counts)
-            )
-            corner_all &= C[sl] >= theta
-            corner_any |= C[sl] >= theta
-        center_mask = V >= theta
-        inner_mask = center_mask & corner_all
-        outer_mask = center_mask | corner_any
-        vol = block.cell_volume
-        inner += inner_mask.sum() * vol
-        outer += outer_mask.sum() * vol
-        center += center_mask.sum() * vol
-        inner_masks.append(inner_mask)
-        outer_masks.append(outer_mask)
-        center_masks.append(center_mask)
-    return SuperlevelResult(
-        theta=float(theta),
-        grid_n=int(grid_n),
-        dim=dim,
-        inner_measure=float(inner),
-        outer_measure=float(outer),
-        center_measure=float(center),
-        max_value=max_value,
-        blocks=blocks,
-        _inner_masks=inner_masks,
-        _outer_masks=outer_masks,
-        _center_masks=center_masks,
-    )

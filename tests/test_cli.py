@@ -56,6 +56,17 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "configuration error" in err and "bogus_knob" in err
 
 
+def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
+    cfg = tmp_path / "quad.json"
+    cfg.write_text(json.dumps({"quad": {"method": "midpoint", "step": 0.5}}))
+    assert run(["lemma2", "--config", str(cfg), "--corpus", mini_corpus_path]) == USAGE
+    assert run(["refine", "--config", str(cfg)]) == USAGE
+    argv = ["duality", "--config", str(cfg), "--dims", "2", "--pairs", "1", "--tol", "1"]
+    assert run(argv) == PASS
+    cfg.write_text(json.dumps({"quad": {"method": "midpoint", "samples": 10}}))
+    assert run(["rwt", "--config", str(cfg), "--corpus", mini_corpus_path]) == USAGE
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["jacobian", "--config", str(tmp_path / "nope.json")]) == USAGE
 

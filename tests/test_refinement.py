@@ -1,7 +1,5 @@
 """Tests for the greedy refinement towers and their oracles."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from momentray.refinement import (
     enumerate_tower_bruteforce,
     image_volume_lower_bound,
     rasterized_image_measure,
-    refine_step,
     tower_report,
 )
 from momentray.sets import Box, BoxUnionSet, Interval
@@ -24,35 +21,6 @@ def unit_pair(d):
     E = BoxUnionSet([Box(np.array([[0.0, 1.0]] * d))])
     F = BoxUnionSet([Box(np.array([[0.0, 1.0]] * d))])
     return E, F
-
-
-# ---------------------------------------------------------------------------
-# the keep rule
-
-
-def test_refine_step_keeps_everything_when_uniform():
-    items = list(range(4))
-    kept, fibers, threshold = refine_step(
-        items, lambda _: SimpleNamespace(measure=1.0), keep_fraction=0.5
-    )
-    assert kept == items
-    assert threshold == pytest.approx(0.5)
-    assert all(f.measure == 1.0 for f in fibers)
-
-
-def test_refine_step_discards_thin_fibers():
-    sizes = {0: 0.0, 1: 0.0, 2: 1.0, 3: 1.0}
-    kept, fibers, threshold = refine_step(
-        list(sizes), lambda k: SimpleNamespace(measure=sizes[k]), keep_fraction=0.5
-    )
-    assert kept == [2, 3]
-    assert threshold == pytest.approx(0.25)
-    assert [f.measure for f in fibers] == [1.0, 1.0]
-
-
-def test_refine_step_rejects_empty_input():
-    with pytest.raises(ValueError):
-        refine_step([], lambda k: SimpleNamespace(measure=1.0))
 
 
 def test_config_validation():

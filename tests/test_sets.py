@@ -89,15 +89,6 @@ def test_fiber_empty_inputs_dropped():
     assert f.measure == 0.0
 
 
-def test_fiber_intersect_and_union():
-    f = FiberSet([(0.0, 2.0)])
-    clipped = f.intersect(Interval(1.0, 5.0))
-    assert clipped.measure == pytest.approx(1.0)
-    joined = f.union(FiberSet([(3.0, 4.0)]))
-    assert joined.n_intervals == 2
-    assert joined.measure == pytest.approx(3.0)
-
-
 def test_fiber_cells_preserve_measure():
     f = FiberSet([(0.0, 1.0), (2.0, 2.3)])
     centers, widths = f.cells(max_width=0.25)

@@ -11,8 +11,6 @@ from momentray.sharpness import (
     CounterexampleSpec,
     build_counterexample_f,
     build_xf_lower_bound,
-    check_lemma2_dual,
-    check_lemma2_primal,
     check_rwt,
     counterexample_f_lp,
     critical_exponents,
@@ -250,40 +248,33 @@ def test_lemma2_primal_hand_config():
     E = unit_box(2)
     G = box_from([0.4, 0.4], [0.6, 0.6])
     # every start in G keeps its line inside E for parameters up to 2/3
-    rep = check_lemma2_primal(E, E, G, delta1=0.6, interval=Interval(0.0, 1.0))
-    assert rep.kind == "primal"
+    rep = lemma2_grid_primal(E, G, Interval(0.0, 1.0), grid_n=8)
+    assert rep.kind == "primal-grid"
     assert rep.hypothesis_min >= 0.6
+    assert rep.region_measure == pytest.approx(G.measure)  # every cell is rich
     assert rep.subset_measure == pytest.approx(1.0)
     assert rep.rhs > 0.0
     assert rep.ratio == pytest.approx(rep.subset_measure / rep.rhs, rel=1e-12)
-    with pytest.raises(ValueError):
-        check_lemma2_primal(E, E, G, delta1=0.9, interval=Interval(0.0, 1.0))
 
 
 def test_lemma2_dual_hand_config():
     F = unit_box(2)
     H = box_from([0.4, 0.4], [0.6, 0.6])
-    rep = check_lemma2_dual(H, F, F, delta2=0.5, window=Interval(0.0, 1.0))
-    assert rep.kind == "dual"
+    rep = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8)
+    assert rep.kind == "dual-grid"
     assert rep.hypothesis_min >= 0.5
     assert rep.ratio > 0.0
-    printed = check_lemma2_dual(
-        H, F, F, delta2=0.5, window=Interval(0.0, 1.0), printed_variant=True
-    )
+    printed = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8, printed_variant=True)
     assert printed.printed_variant
     # at d=2 the variant exponent (d^2-d+2)/2 - d vanishes, so both agree
     assert printed.rhs == rep.rhs
-    with pytest.raises(ValueError):
-        check_lemma2_dual(H, F, F, delta2=0.95, window=Interval(0.0, 1.0))
 
 
 def test_lemma2_dual_variants_differ_in_3d():
     F = unit_box(3)
     H = box_from([0.4, 0.4, 0.4], [0.6, 0.6, 0.6])
-    rep = check_lemma2_dual(H, F, F, delta2=0.5, window=Interval(0.0, 1.0))
-    printed = check_lemma2_dual(
-        H, F, F, delta2=0.5, window=Interval(0.0, 1.0), printed_variant=True
-    )
+    rep = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8)
+    printed = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8, printed_variant=True)
     assert rep.hypothesis_min >= 0.5
     # the variants normalize by different measures once the exponent is nonzero
     assert printed.rhs != pytest.approx(rep.rhs, rel=1e-3)
