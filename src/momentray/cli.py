@@ -1,11 +1,11 @@
 """Command line runner: seeded sweeps, deterministic reports, verdicts.
 
-Every subcommand resolves its parameters from flags, then an optional JSON
-config file, then built-in defaults (flags win).  Reports carry their full
-parameterization in '# key=value' header comments (CSV) or a meta object
-(JSON) and never embed timestamps, so identical configs and seeds produce
-byte-identical files.  A sibling manifest records config hash, seed, tool
-version, output digests, and wall time; wall time lives only there.
+COMMANDS declares each subcommand's parameters.  Each value comes from its
+flag, else the JSON config, else its default, through one converter.  Reports
+carry their full parameterization in '# key=value' header comments (CSV) or a
+meta object (JSON) and never embed timestamps, so identical configs and seeds
+produce byte-identical files.  A sibling manifest records config hash, seed,
+tool version, output digests, and wall time; wall time lives only there.
 
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration error.
 """
@@ -18,6 +18,8 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -51,25 +53,91 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not a rational number: {text!r}") from exc
+# Converters: each parameter names one, applied alike to its flag text, its
+# config JSON value and its default.  A ValueError names the bad value and
+# _resolve adds the key.
 
 
-def _parse_int_list(text):
-    try:
-        return [int(tok) for tok in str(text).replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _integer(value):
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _parse_float_list(text):
-    try:
-        return [float(tok) for tok in str(text).replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+def _number(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"expected a number, got {value!r}")
+
+
+def _boolean(value):
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+def _text(value):
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {value!r}")
+
+
+def _positive_rational(value):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            fr = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            fr = None
+        if fr is not None and fr > 0:
+            return fr
+    raise ValueError(f"expected a positive rational like 3/2, got {value!r}")
+
+
+def _choice(*options):
+    def convert(value):
+        if value in options:
+            return value
+        raise ValueError(f"expected one of {', '.join(options)}; got {value!r}")
+
+    return convert
+
+
+def _list_of(convert):
+    """A list converter: accepts "2,3" as well as [2, 3], but no empty list."""
+
+    def convert_list(value):
+        if isinstance(value, str):
+            value = [tok for tok in value.replace(" ", "").split(",") if tok]
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"expected a non-empty list, got {value!r}")
+        return [convert(item) for item in value]
+
+    return convert_list
+
+
+def _quad(value):
+    if not isinstance(value, dict):
+        raise ValueError("expected an object with method/step")
+    unknown = set(value) - {"method", "step"}
+    if unknown:
+        raise ValueError(f"unknown quad keys: {sorted(unknown)}")
+    base = QuadSpec()
+    return QuadSpec(
+        method=value.get("method", base.method),
+        step=_number(value.get("step", base.step)),
+    )
 
 
 def _load_config(path):
@@ -87,46 +155,31 @@ def _load_config(path):
     return data
 
 
-def _resolve(args, config, schema):
-    """Flags override config values override schema defaults."""
-    unknown = set(config) - set(schema)
+def _resolve(args, config, params):
+    """Flags override config values override defaults; null means default.
+
+    Whichever wins passes through the parameter's converter.
+    """
+    allowed = sorted(param.key for param in params)
+    unknown = set(config) - set(allowed)
     if unknown:
-        raise ConfigError(
-            f"unknown config keys: {sorted(unknown)}; allowed: {sorted(schema)}"
-        )
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}; allowed: {allowed}")
     resolved = {}
-    for key, default in schema.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = default
-        if resolved[key] is None and default is not None:
-            resolved[key] = default
+    for param in params:
+        value = getattr(args, param.key, None)
+        if value is None:
+            value = config.get(param.key)
+        if value is None:
+            value = param.default
+        try:
+            resolved[param.key] = None if value is None else param.convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"{param.key}: {exc}") from exc
     return resolved
 
 
-def _quad_from(params):
-    spec = params.get("quad") or {}
-    if not isinstance(spec, dict):
-        raise ConfigError("quad must be an object with method/step")
-    unknown = set(spec) - {"method", "step"}
-    if unknown:
-        raise ConfigError(f"unknown quad keys: {sorted(unknown)}")
-    base = QuadSpec()
-    try:
-        return QuadSpec(
-            method=spec.get("method", base.method),
-            step=float(spec.get("step", base.step)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _corpus_from(params):
-    path = params.get("corpus")
+    path = params["corpus"]
     if path:
         try:
             return load_corpus(path)
@@ -150,39 +203,37 @@ def _cell(value):
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class Report:
     """Rows plus meta, rendered to CSV/JSON/stdout deterministically.
+
+    The columns are the keys of the first row, in order.
 
     A command whose JSON form is not its rows passes that document as
     json_payload; JSON output then writes it, to stdout when no output
     path is given.
     """
 
-    def __init__(
-        self, command, params, columns, rows, extra_meta=None, json_payload=None
-    ):
+    def __init__(self, command, params, rows, extra_meta=None, json_payload=None):
         self.command = command
         self.params = params
-        self.columns = list(columns)
+        self.columns = list(rows[0]) if rows else []
         self.rows = rows
         self.extra_meta = dict(extra_meta or {})
         self.json_payload = json_payload
 
     def _meta(self):
         meta = {"command": self.command, "version": __version__}
-        for key in sorted(self.params):
-            value = self.params[key]
-            if key in ("output", "format", "config"):
+        for key, value in sorted(self.params.items()):
+            if key in ("output", "format"):
                 continue
-            if isinstance(value, dict):
-                value = json.dumps(value, sort_keys=True)
+            if isinstance(value, QuadSpec):
+                value = json.dumps(vars(value), sort_keys=True)
+            elif isinstance(value, Fraction):
+                value = str(value)
             meta[key] = value
         meta.update(self.extra_meta)
         return meta
@@ -204,10 +255,7 @@ class Report:
         fh.write("\n")
 
     def print_table(self, stream):
-        widths = [
-            max(len(c), *(len(_cell(r[c])) for r in self.rows)) if self.rows else len(c)
-            for c in self.columns
-        ]
+        widths = [max(len(c), *(len(_cell(r[c])) for r in self.rows)) for c in self.columns]
         header = "  ".join(c.ljust(w) for c, w in zip(self.columns, widths))
         stream.write(header + "\n")
         for row in self.rows:
@@ -218,10 +266,7 @@ class Report:
 
 
 def _emit(report, params, passed, started):
-    out = params.get("output")
-    fmt = params.get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be 'csv' or 'json'")
+    out, fmt = params["output"], params["format"]
     if out:
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         with open(out, "w") as fh:
@@ -241,18 +286,12 @@ def _emit(report, params, passed, started):
         sys.stdout.write("verdict: " + ("PASS" if passed else "FAIL") + "\n")
 
 
-def _config_hash(params):
-    canon = {
-        k: v for k, v in params.items() if k not in ("output", "config")
-    }
-    blob = json.dumps(canon, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _write_manifest(path, command, params, outputs, started):
+    canon = {k: v for k, v in params.items() if k != "output"}
+    blob = json.dumps(canon, sort_keys=True, default=str).encode()
     manifest = {
         "command": command,
-        "config_hash": _config_hash(params),
+        "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": params.get("seed"),
         "version": __version__,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
@@ -261,6 +300,10 @@ def _write_manifest(path, command, params, outputs, started):
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _all_pass(rows):
+    return all(row["verdict"] == "PASS" for row in rows)
 
 
 def _fraction_str(fr):
@@ -287,45 +330,31 @@ def cmd_exponents(params):
                 ),
             }
         )
-    columns = ["d", "p", "q", "p_float", "q_float", "homogeneous_dim", "vertices"]
-    return Report("exponents", params, columns, rows), None
+    return Report("exponents", params, rows), None
 
 
 def cmd_region(params):
-    d = params["dim"]
-    p = _parse_fraction(str(params["p"]))
-    q = _parse_fraction(str(params["q"]))
-    if p <= 0 or q <= 0:
-        raise ConfigError("p and q must be positive")
-    inside = region_contains(
-        d, 1 / p, 1 / q, include_boundary=bool(params["boundary"])
-    )
+    d, p, q, boundary = params["dim"], params["p"], params["q"], params["boundary"]
+    inside = region_contains(d, 1 / p, 1 / q, include_boundary=boundary)
     rows = [
         {
             "d": d,
             "p": _fraction_str(p),
             "q": _fraction_str(q),
-            "include_boundary": bool(params["boundary"]),
+            "include_boundary": boundary,
             "inside": inside,
         }
     ]
-    return Report("region", params, ["d", "p", "q", "include_boundary", "inside"], rows), inside
+    return Report("region", params, rows), inside
 
 
 def cmd_jacobian(params):
     kinds = ("phi", "psi") if params["kind"] == "both" else (params["kind"],)
-    if any(k not in ("phi", "psi") for k in kinds):
-        raise ConfigError("kind must be phi, psi, or both")
-    tol = float(params["tol"])
     jobs = [(kind, d) for kind in kinds for d in params["dims"]]
     rows = []
-    passed = True
     for kind, d in jobs:
-        est = estimate_c_d(
-            kind, d, samples=int(params["samples"]), seed=int(params["seed"]) + d
-        )
-        ok = est.rel_dispersion < tol and est.mean != 0.0
-        passed = passed and ok
+        est = estimate_c_d(kind, d, samples=params["samples"], seed=params["seed"] + d)
+        ok = est.rel_dispersion < params["tol"] and est.mean != 0.0
         rows.append(
             {
                 "kind": est.kind,
@@ -339,29 +368,21 @@ def cmd_jacobian(params):
                 "verdict": "PASS" if ok else "FAIL",
             }
         )
-    columns = [
-        "kind", "d", "samples", "mean", "std",
-        "rel_dispersion", "ratio_min", "ratio_max", "verdict",
-    ]
-    return Report("jacobian", params, columns, rows), passed
+    return Report("jacobian", params, rows), _all_pass(rows)
 
 
 def cmd_duality(params):
-    quad = _quad_from(params)
-    tol = float(params["tol"])
     rows = []
-    passed = True
     for d in params["dims"]:
-        rng = np.random.default_rng(int(params["seed"]) + 100 * d)
-        pairs = [random_box_pair(d, rng) for _ in range(int(params["pairs"]))]
+        rng = np.random.default_rng(params["seed"] + 100 * d)
+        pairs = [random_box_pair(d, rng) for _ in range(params["pairs"])]
         for i, (E, F) in enumerate(pairs):
             span = E.first_axis_span()
             wspan = F.first_axis_span()
             gap = adjointness_gap(
-                E, F, (span.lo, span.hi), (wspan.lo, wspan.hi), quad
+                E, F, (span.lo, span.hi), (wspan.lo, wspan.hi), params["quad"]
             )
-            ok = gap["rel_gap"] <= tol
-            passed = passed and ok
+            ok = gap["rel_gap"] <= params["tol"]
             rows.append(
                 {
                     "d": d,
@@ -373,22 +394,15 @@ def cmd_duality(params):
                     "verdict": "PASS" if ok else "FAIL",
                 }
             )
-    columns = ["d", "pair", "primal", "dual", "abs_gap", "rel_gap", "verdict"]
-    return Report("duality", params, columns, rows), passed
+    return Report("duality", params, rows), _all_pass(rows)
 
 
 def cmd_rwt(params):
-    quad = _quad_from(params)
-    floor = float(params["floor"])
-    entries = _corpus_from(params)
-
     rows = []
-    passed = True
-    for entry in entries:
+    for entry in _corpus_from(params):
         interval = (entry.interval.lo, entry.interval.hi)
-        rep = check_rwt(entry.E, entry.F, interval, quad)
-        ok = max(rep.ratio_e, rep.ratio_f) >= floor
-        passed = passed and ok
+        rep = check_rwt(entry.E, entry.F, interval, params["quad"])
+        ok = max(rep.ratio_e, rep.ratio_f) >= params["floor"]
         rows.append(
             {
                 "corpus_id": entry.entry_id,
@@ -403,19 +417,14 @@ def cmd_rwt(params):
                 "verdict": "PASS" if ok else "FAIL",
             }
         )
-    columns = [
-        "corpus_id", "d", "t_value", "measure_E", "measure_F",
-        "alpha", "beta", "ratio_E", "ratio_F", "verdict",
-    ]
-    return Report("rwt", params, columns, rows), passed
+    return Report("rwt", params, rows), _all_pass(rows)
 
 
 def cmd_superlevel(params):
-    entries = _corpus_from(params)
-    entry = _corpus_entry(entries, params["entry"])
+    entry = _corpus_entry(_corpus_from(params), params["entry"])
     rep = superlevel_mass_check(
         entry.E, entry.F, (entry.interval.lo, entry.interval.hi),
-        grid_n=int(params["grid_n"]),
+        grid_n=params["grid_n"],
     )
     ok = rep.c0 > 0.0 and rep.t_inside >= rep.t_outside
     rows = [
@@ -433,16 +442,14 @@ def cmd_superlevel(params):
             "verdict": "PASS" if ok else "FAIL",
         }
     ]
-    columns = list(rows[0])
-    return Report("superlevel", params, columns, rows), ok
+    return Report("superlevel", params, rows), ok
 
 
 def cmd_scaling(params):
     d = params["dim"]
     p_d, _ = critical_exponents(d)
-    r = float(params["r"]) if params["r"] is not None else float(p_d)
-    n_list = params["n_list"]
-    res = scaling_experiment(d, r=r, n_list=n_list)
+    r = params["r"] if params["r"] is not None else float(p_d)
+    res = scaling_experiment(d, r=r, n_list=params["n_list"])
     rows = [
         {
             "N": n,
@@ -460,7 +467,7 @@ def cmd_scaling(params):
         "predicted_f": repr(res.predicted_f),
         "predicted_xf": repr(res.predicted_xf),
     }
-    return Report("scaling", params, ["N", "norm_f", "norm_xf"], rows, meta), None
+    return Report("scaling", params, rows, meta), None
 
 
 def cmd_necessity(params):
@@ -480,19 +487,13 @@ def cmd_necessity(params):
                 "verdict": rep.verdict,
             }
         )
-    columns = ["d", "r_over_critical", "r", "slope_f", "slope_xf", "slope_gap", "verdict"]
-    return Report("necessity", params, columns, rows), None
+    return Report("necessity", params, rows), None
 
 
 def cmd_lemma2(params):
-    entries = _corpus_from(params)
-    floor = float(params["floor"])
-    grid_n = int(params["grid_n"])
-    theta_frac = float(params["theta_frac"])
-
+    floor, grid_n, theta_frac = params["floor"], params["grid_n"], params["theta_frac"]
     rows = []
-    passed = True
-    for entry in entries:
+    for entry in _corpus_from(params):
         interval = (entry.interval.lo, entry.interval.hi)
         window = (entry.window.lo, entry.window.hi)
         primal = lemma2_grid_primal(
@@ -501,17 +502,12 @@ def cmd_lemma2(params):
         dual = lemma2_grid_dual(
             entry.E, entry.F, window, theta_frac=theta_frac, grid_n=grid_n
         )
-        sweep = (
-            lemma2_shrinking_sweep(entry.E, entry.F, interval, grid_n=grid_n)
-            if params["sweep"]
-            else []
-        )
-        reports = [("primal", primal), ("dual", dual)] + [
-            (f"sweep-{i}", rep) for i, rep in enumerate(sweep)
-        ]
+        reports = [("primal", primal), ("dual", dual)]
+        if params["sweep"]:
+            sweep = lemma2_shrinking_sweep(entry.E, entry.F, interval, grid_n=grid_n)
+            reports += [(f"sweep-{i}", rep) for i, rep in enumerate(sweep)]
         for kind, rep in reports:
             ok = rep.ratio >= floor
-            passed = passed and ok
             rows.append(
                 {
                     "corpus_id": entry.entry_id,
@@ -524,24 +520,17 @@ def cmd_lemma2(params):
                     "verdict": "PASS" if ok else "FAIL",
                 }
             )
-    columns = [
-        "corpus_id", "kind", "theta", "region_measure",
-        "subset_measure", "rhs", "ratio", "verdict",
-    ]
-    return Report("lemma2", params, columns, rows), passed
+    return Report("lemma2", params, rows), _all_pass(rows)
 
 
 def cmd_refine(params):
-    entries = _corpus_from(params)
-    entry = _corpus_entry(entries, params["entry"])
+    entry = _corpus_entry(_corpus_from(params), params["entry"])
     starts = ("phi", "psi") if params["start"] == "both" else (params["start"],)
-    if any(s not in ("phi", "psi") for s in starts):
-        raise ConfigError("start must be phi, psi, or both")
     config = TowerConfig(
-        cell_width=float(params["cell_width"]),
-        keep_fraction=float(params["keep_fraction"]),
-        max_nodes=int(params["max_nodes"]),
-        seed=int(params["seed"]),
+        cell_width=params["cell_width"],
+        keep_fraction=params["keep_fraction"],
+        max_nodes=params["max_nodes"],
+        seed=params["seed"],
     )
     rows = []
     towers = {}
@@ -556,7 +545,7 @@ def cmd_refine(params):
             config=config,
         )
         frac, checked = check_tower_structure(
-            tower, samples=int(params["samples"]), seed=int(params["seed"])
+            tower, samples=params["samples"], seed=params["seed"]
         )
         passed = passed and frac == 1.0
         report = tower_report(tower)
@@ -579,22 +568,17 @@ def cmd_refine(params):
                     "structure_fraction": frac,
                 }
             )
-    columns = [
-        "corpus_id", "start", "label", "param_kind", "target",
-        "n_nodes", "measure", "threshold", "predicted_average",
-        "structure_fraction",
-    ]
     payload = {"meta": {"command": "refine", "version": __version__}, "towers": towers}
-    return Report("refine", params, columns, rows, json_payload=payload), passed
+    return Report("refine", params, rows, json_payload=payload), passed
 
 
 def cmd_acceptance(params):
     """Runs the suite and writes its own reports; returns no Report."""
-    outdir = params.get("output") or params.get("outdir")
+    outdir = params["outdir"]
     started = time.perf_counter()
     suite = run_suite(
         outdir=outdir,
-        seed=int(params["seed"]),
+        seed=params["seed"],
         profile=params["profile"],
         include_determinism=True,
         stream=sys.stdout,
@@ -616,54 +600,112 @@ def cmd_acceptance(params):
     return None, suite.passed
 
 
-_COMMON_SCHEMA = {"seed": 0, "output": None, "format": "csv"}
+@dataclass(frozen=True)
+class Param:
+    """One settable value: its flag text, config value and default all pass
+    through convert.  No flags means config only; a _boolean's --no-* flag
+    sets False, its other flags True."""
+
+    key: str
+    default: object
+    convert: Callable
+    flags: tuple
+    help: str
 
 
-def _schema_for(command):
-    schema = dict(_COMMON_SCHEMA)
-    if command == "exponents":
-        schema.update(dims=[2, 3, 4])
-    elif command == "region":
-        schema.update(dim=3, p="3/2", q="2", boundary=True)
-    elif command == "jacobian":
-        schema.update(dims=[2, 3, 4, 5, 6, 7], kind="both", samples=100, tol=1e-6)
-    elif command == "duality":
-        schema.update(dims=[2, 3], pairs=50, tol=1e-3, quad=None)
-    elif command == "rwt":
-        schema.update(corpus=None, floor=0.01, quad=None)
-    elif command == "superlevel":
-        schema.update(corpus=None, entry="d2-unit", grid_n=48)
-    elif command == "scaling":
-        schema.update(dim=3, r=None, n_list=[16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
-    elif command == "necessity":
-        schema.update(
-            dim=3, r_mults=[0.9, 1.0, 1.1],
-            n_list=[16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
-        )
-    elif command == "lemma2":
-        schema.update(corpus=None, floor=0.01, grid_n=32, theta_frac=0.5, sweep=False)
-    elif command == "refine":
-        schema.update(
-            corpus=None, entry="d2-unit", start="both", cell_width=1.0 / 32.0,
-            keep_fraction=0.5, max_nodes=20000, samples=200,
-        )
-    elif command == "acceptance":
-        schema.update(profile="full", outdir=None)
-    return schema
+@dataclass(frozen=True)
+class Command:
+    help: str
+    handler: Callable
+    params: tuple
 
 
-_HANDLERS = {
-    "exponents": cmd_exponents,
-    "region": cmd_region,
-    "jacobian": cmd_jacobian,
-    "duality": cmd_duality,
-    "rwt": cmd_rwt,
-    "superlevel": cmd_superlevel,
-    "scaling": cmd_scaling,
-    "necessity": cmd_necessity,
-    "lemma2": cmd_lemma2,
-    "refine": cmd_refine,
-    "acceptance": cmd_acceptance,
+_INTS = _list_of(_integer)
+_SEED = Param("seed", 0, _integer, ("--seed",), "base RNG seed")
+_REPORT = (
+    Param("output", None, _text, ("--output",), "write the report to this path"),
+    Param("format", "csv", _choice("csv", "json"), ("--format",), "csv or json"),
+)
+_DIM = Param("dim", 3, _integer, ("--dim",), "dimension d")
+_CORPUS = Param("corpus", None, _text, ("--corpus",), "JSON corpus file (default: built-in)")
+_ENTRY = Param("entry", "d2-unit", _text, ("--entry",), "corpus entry id")
+_FLOOR = Param("floor", 0.01, _number, ("--floor",), "smallest passing ratio")
+_QUAD = Param("quad", None, _quad, (), "pairing quadrature (config only)")
+_N_LIST = Param(
+    "n_list", [16, 32, 64, 128, 256, 512, 1024, 2048, 4096], _INTS, ("--n-list",),
+    "comma-separated family start indices N",
+)
+
+
+def _dims(default):
+    return Param("dims", default, _INTS, ("--dims", "--dim"), "comma-separated dimensions")
+
+
+COMMANDS = {
+    "exponents": Command("critical exponents and region vertices", cmd_exponents, (
+        _dims([2, 3, 4]), *_REPORT,
+    )),
+    "region": Command("membership test for the boundedness triangle", cmd_region, (
+        _DIM,
+        Param("p", "3/2", _positive_rational, ("--p",), "source exponent, like 3/2"),
+        Param("q", "2", _positive_rational, ("--q",), "target exponent, like 2"),
+        Param("boundary", True, _boolean, ("--boundary", "--no-boundary"),
+              "count the boundary as inside, or not"),
+        *_REPORT,
+    )),
+    "jacobian": Command("numeric vs factored determinant sweep", cmd_jacobian, (
+        _dims([2, 3, 4, 5, 6, 7]),
+        Param("kind", "both", _choice("phi", "psi", "both"), ("--kind",), "incidence map"),
+        Param("samples", 100, _integer, ("--samples",), "parameter samples per dimension"),
+        Param("tol", 1e-6, _number, ("--tol",), "largest passing relative dispersion"),
+        _SEED, *_REPORT,
+    )),
+    "duality": Command("forward/dual pairing agreement on random pairs", cmd_duality, (
+        _dims([2, 3]),
+        Param("pairs", 50, _integer, ("--pairs",), "random box pairs per dimension"),
+        Param("tol", 1e-3, _number, ("--tol",), "largest passing relative gap"),
+        _QUAD, _SEED, *_REPORT,
+    )),
+    "rwt": Command("two-sided testing ratios over the corpus", cmd_rwt, (
+        _CORPUS, _FLOOR, _QUAD, *_REPORT,
+    )),
+    "superlevel": Command("threshold mass check for one corpus entry", cmd_superlevel, (
+        _CORPUS, _ENTRY,
+        Param("grid_n", 48, _integer, ("--grid-n",), "grid cells per axis"),
+        *_REPORT,
+    )),
+    "scaling": Command("norm decay of the shrinking family", cmd_scaling, (
+        _DIM,
+        Param("r", None, _number, ("--r",), "secondary exponent (default: critical)"),
+        _N_LIST, *_REPORT,
+    )),
+    "necessity": Command("divergence verdicts around the critical exponent", cmd_necessity, (
+        _DIM,
+        Param("r_mults", [0.9, 1.0, 1.1], _list_of(_number), ("--r-mults",),
+              "multiples of the critical secondary exponent"),
+        _N_LIST, *_REPORT,
+    )),
+    "lemma2": Command("rich-subset ratios over the corpus", cmd_lemma2, (
+        _CORPUS, _FLOOR,
+        Param("grid_n", 32, _integer, ("--grid-n",), "grid cells per axis"),
+        Param("theta_frac", 0.5, _number, ("--theta-frac",), "threshold over the average"),
+        Param("sweep", False, _boolean, ("--sweep",), "include the shrinking-region sweep"),
+        *_REPORT,
+    )),
+    "refine": Command("build a refinement tower for one corpus entry", cmd_refine, (
+        _CORPUS, _ENTRY,
+        Param("start", "both", _choice("phi", "psi", "both"), ("--start",), "first map of the tower"),
+        Param("cell_width", 1.0 / 32.0, _number, ("--cell-width",), "tower cell width"),
+        Param("keep_fraction", 0.5, _number, ("--keep-fraction",), "keep bar over the mean"),
+        Param("max_nodes", 20000, _integer, ("--max-nodes",), "nodes sampled per level"),
+        Param("samples", 200, _integer, ("--samples",), "structure audit samples"),
+        _SEED, *_REPORT,
+    )),
+    "acceptance": Command("run the acceptance suite", cmd_acceptance, (
+        Param("profile", "full", _choice("full", "quick"), ("--profile",), "suite sizes"),
+        Param("outdir", None, _text, ("--outdir",), "directory for suite reports"),
+        _SEED,
+    )),
 }
 
 
@@ -673,103 +715,33 @@ def _build_parser():
         description="Numerical checks for the moment-curve line transform.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, configure):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON file with default parameters")
-        p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--format", choices=("csv", "json"), help="report format")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        configure(p)
-        return p
-
-    add("exponents", "critical exponents and region vertices", lambda p: (
-        p.add_argument("--dims", "--dim", dest="dims", type=_parse_int_list,
-                       help="comma-separated dimensions"),
-    ))
-    add("region", "membership test for the boundedness triangle", lambda p: (
-        p.add_argument("--dim", type=int),
-        p.add_argument("--p", help="Lebesgue exponent, rational like 3/2"),
-        p.add_argument("--q", help="target exponent, rational like 2"),
-        p.add_argument("--boundary", dest="boundary", action="store_const",
-                       const=True, default=None, help="count the boundary as inside"),
-        p.add_argument("--no-boundary", dest="boundary", action="store_const",
-                       const=False, help="open region only"),
-    ))
-    add("jacobian", "numeric vs factored determinant sweep", lambda p: (
-        p.add_argument("--dims", "--dim", dest="dims", type=_parse_int_list),
-        p.add_argument("--kind", choices=("phi", "psi", "both")),
-        p.add_argument("--samples", type=int),
-        p.add_argument("--tol", type=float),
-    ))
-    add("duality", "forward/dual pairing agreement on random pairs", lambda p: (
-        p.add_argument("--dims", "--dim", dest="dims", type=_parse_int_list),
-        p.add_argument("--pairs", type=int),
-        p.add_argument("--tol", type=float),
-    ))
-    add("rwt", "two-sided testing ratios over the corpus", lambda p: (
-        p.add_argument("--corpus", help="JSON corpus file (default: built-in)"),
-        p.add_argument("--floor", type=float),
-    ))
-    add("superlevel", "threshold mass check for one corpus entry", lambda p: (
-        p.add_argument("--corpus"),
-        p.add_argument("--entry"),
-        p.add_argument("--grid-n", dest="grid_n", type=int),
-    ))
-    add("scaling", "norm decay of the shrinking family", lambda p: (
-        p.add_argument("--dim", type=int),
-        p.add_argument("--r", type=float, help="secondary exponent (default: critical)"),
-        p.add_argument("--n-list", dest="n_list", type=_parse_int_list),
-    ))
-    add("necessity", "divergence verdicts around the critical exponent", lambda p: (
-        p.add_argument("--dim", type=int),
-        p.add_argument("--r-mults", dest="r_mults", type=_parse_float_list,
-                       help="multiples of the critical secondary exponent"),
-        p.add_argument("--n-list", dest="n_list", type=_parse_int_list),
-    ))
-    add("lemma2", "rich-subset ratios over the corpus", lambda p: (
-        p.add_argument("--corpus"),
-        p.add_argument("--floor", type=float),
-        p.add_argument("--grid-n", dest="grid_n", type=int),
-        p.add_argument("--theta-frac", dest="theta_frac", type=float),
-        p.add_argument("--sweep", action="store_const", const=True, default=None,
-                       help="include the shrinking-region sweep"),
-    ))
-    add("refine", "build a refinement tower for one corpus entry", lambda p: (
-        p.add_argument("--corpus"),
-        p.add_argument("--entry"),
-        p.add_argument("--start", choices=("phi", "psi", "both")),
-        p.add_argument("--cell-width", dest="cell_width", type=float),
-        p.add_argument("--keep-fraction", dest="keep_fraction", type=float),
-        p.add_argument("--max-nodes", dest="max_nodes", type=int),
-        p.add_argument("--samples", type=int),
-    ))
-    add("acceptance", "run the acceptance suite", lambda p: (
-        p.add_argument("--profile", choices=("full", "quick")),
-        p.add_argument("--outdir", help="directory for suite reports"),
-    ))
+        for param in command.params:
+            if param.convert is _boolean:
+                for flag in param.flags:
+                    p.add_argument(flag, dest=param.key, action="store_const",
+                                   const=not flag.startswith("--no-"), help=param.help)
+            elif param.flags:
+                p.add_argument(*param.flags, dest=param.key, help=param.help)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
+    command = COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
-        schema = _schema_for(args.command)
-        params = _resolve(args, config, schema)
+        params = _resolve(args, _load_config(args.config), command.params)
         started = time.perf_counter()
-        report, passed = _HANDLERS[args.command](params)
+        report, passed = command.handler(params)
         if report is not None:
             _emit(report, params, passed, started)
         return PASS if passed in (None, True) else FAIL
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return USAGE
-    except (ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return USAGE
 

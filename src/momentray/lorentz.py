@@ -97,19 +97,6 @@ class StepProfile:
         if any(m <= 0 for m in self.measures):
             raise ValueError("measures must be positive")
 
-    @property
-    def total_measure(self):
-        return float(sum(self.measures))
-
-    def rearrangement_at(self, t):
-        """f*(t): value of the decreasing rearrangement at t >= 0."""
-        t = np.asarray(t, dtype=float)
-        cum = np.cumsum(self.measures)
-        vals = np.append(self.values, 0.0)
-        idx = np.searchsorted(cum, t, side="right")
-        out = vals[idx]
-        return float(out) if t.ndim == 0 else out
-
 
 def distribution(f, thresholds):
     """Measure of {f > t} for each threshold (strict inequality)."""

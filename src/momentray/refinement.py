@@ -23,6 +23,7 @@ from .geometry import (
     jacobian_numeric,
 )
 from .sets import BoxUnionSet, FiberSet, Interval
+from .sharpness import _dual_rhs, _primal_rhs
 from .transform import bilinear_form, fiber_measure_batch, fiber_pieces
 
 
@@ -419,20 +420,9 @@ def tower_report(tower, quad=None):
     image = image_volume_lower_bound(tower)
     d = tower.dim
     delta_top = tower.top.min_kept_fiber
-    if tower.start == "phi":
-        rhs = (
-            delta_top**2
-            * (t_value / tower.F.measure) ** (d - 2)
-            * (t_value / tower.E.measure) ** (d * (d - 1) // 2)
-        )
-        subject = tower.E.measure
-    else:
-        rhs = (
-            delta_top**d
-            * (t_value / tower.F.measure) ** (d - 1)
-            * (t_value / tower.E.measure) ** ((d * d - d + 2) // 2 - d)
-        )
-        subject = tower.F.measure
+    bound = _primal_rhs if tower.start == "phi" else _dual_rhs
+    rhs = bound(d, delta_top, t_value / tower.F.measure, t_value / tower.E.measure)
+    subject = tower.E.measure if tower.start == "phi" else tower.F.measure
     return {
         "t_value": t_value,
         "levels": rows,

@@ -26,17 +26,8 @@ class Interval:
     def length(self):
         return self.hi - self.lo
 
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x, atol=0.0):
         return self.lo - atol <= x <= self.hi + atol
-
-    def intersect(self, other):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if hi >= lo else None
 
 
 class Box:
@@ -71,11 +62,6 @@ class Box:
     def contains(self, point, atol=0.0):
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.los - atol) and np.all(p <= self.his + atol))
-
-    def overlap_volume(self, other):
-        lo = np.maximum(self.los, other.los)
-        hi = np.minimum(self.his, other.his)
-        return float(np.prod(np.clip(hi - lo, 0.0, None)))
 
     def translated(self, shift):
         shift = np.asarray(shift, dtype=float)
@@ -152,9 +138,6 @@ class BoxUnionSet:
     def first_axis_span(self):
         return Interval(float(self.los[:, 0].min()), float(self.his[:, 0].max()))
 
-    def bounding_box(self):
-        return Box(np.stack([self.los.min(axis=0), self.his.max(axis=0)], axis=1))
-
     def translated(self, shift):
         return BoxUnionSet([b.translated(shift) for b in self.boxes], validate=False)
 
@@ -216,10 +199,6 @@ class FiberSet:
     @property
     def measure(self):
         return float((self.his - self.los).sum())
-
-    @property
-    def intervals(self):
-        return [Interval(lo, hi) for lo, hi in zip(self.los, self.his)]
 
     def contains(self, x, atol=0.0):
         return bool(np.any((self.los - atol <= x) & (x <= self.his + atol)))

@@ -453,13 +453,21 @@ class Lemma2Report:
     kind: str
     ratio: float
     subset_measure: float
-    pairing: float
-    delta: float
     rhs: float
     hypothesis_min: float
     theta: float
     region_measure: float
     printed_variant: bool = False
+
+
+def _primal_rhs(d, delta, a, b):
+    """Primal two-slice bound delta^2 a^(d-2) b^(d(d-1)/2) on |E|."""
+    return delta**2 * a ** (d - 2) * b ** (d * (d - 1) // 2)
+
+
+def _dual_rhs(d, delta, a, b):
+    """Dual two-slice bound delta^d a^(d-1) b^((d^2-d+2)/2-d) on |F|."""
+    return delta**d * a ** (d - 1) * b ** ((d * d - d + 2) // 2 - d)
 
 
 def _grid_vals_vols(source, region, interval, grid_n, dual):
@@ -471,33 +479,16 @@ def _grid_vals_vols(source, region, interval, grid_n, dual):
     return vals, vols
 
 
-def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
-    """Grid-aligned primal check with the superlevel region as the rich set.
-
-    The rich region collects cells whose center value clears theta_frac
-    times the F-average; the pairing over it and the fiber floor both come
-    from the same grid, so the accounting is internally consistent.
-    """
-    d = E.dim
-    vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
-    t_grid = float((vals * vols).sum())
-    if t_grid <= 0.0:
-        raise ValueError("pairing vanished on the grid")
-    theta = theta_frac * t_grid / F.measure
+def _primal_report(E, vals, vols, theta, kind):
+    """Score the rich region {vals >= theta} against the primal bound on |E|."""
     mask = vals >= theta
     g_measure = float(vols[mask].sum())
     t_over_g = float((vals[mask] * vols[mask]).sum())
-    rhs = (
-        theta**2
-        * (t_over_g / g_measure) ** (d - 2)
-        * (t_over_g / E.measure) ** (d * (d - 1) // 2)
-    )
+    rhs = _primal_rhs(E.dim, theta, t_over_g / g_measure, t_over_g / E.measure)
     return Lemma2Report(
-        kind="primal-grid",
+        kind=kind,
         ratio=math.inf if rhs == 0.0 else E.measure / rhs,
         subset_measure=E.measure,
-        pairing=t_over_g,
-        delta=theta,
         rhs=rhs,
         hypothesis_min=float(vals[mask].min()),
         theta=theta,
@@ -505,9 +496,22 @@ def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     )
 
 
+def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
+    """Grid-aligned primal check with the superlevel region as the rich set.
+
+    The rich region collects cells whose center value clears theta_frac
+    times the F-average; the pairing over it and the fiber floor both come
+    from the same grid, so the accounting is internally consistent.
+    """
+    vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
+    t_grid = float((vals * vols).sum())
+    if t_grid <= 0.0:
+        raise ValueError("pairing vanished on the grid")
+    return _primal_report(E, vals, vols, theta_frac * t_grid / F.measure, "primal-grid")
+
+
 def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=False):
     """Grid-aligned dual check over the rich region on the source side."""
-    d = E.dim
     vals, vols = _grid_vals_vols(F, E, window, grid_n, dual=True)
     t_grid = float((vals * vols).sum())
     if t_grid <= 0.0:
@@ -517,17 +521,11 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=Fa
     h_measure = float(vols[mask].sum())
     t_over_h = float((vals[mask] * vols[mask]).sum())
     second = F.measure if printed_variant else h_measure
-    rhs = (
-        theta**d
-        * (t_over_h / F.measure) ** (d - 1)
-        * (t_over_h / second) ** ((d * d - d + 2) // 2 - d)
-    )
+    rhs = _dual_rhs(E.dim, theta, t_over_h / F.measure, t_over_h / second)
     return Lemma2Report(
         kind="dual-grid",
         ratio=math.inf if rhs == 0.0 else F.measure / rhs,
         subset_measure=F.measure,
-        pairing=t_over_h,
-        delta=theta,
         rhs=rhs,
         hypothesis_min=float(vals[mask].min()),
         theta=theta,
@@ -542,36 +540,11 @@ def lemma2_shrinking_sweep(E, F, interval, fracs=(0.3, 0.45, 0.6, 0.75, 0.9), gr
     Thresholds are fractions of the maximum grid value, so each region
     contains the next; the ratios should hold a common positive floor.
     """
-    d = E.dim
     vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
     vmax = float(vals.max())
     if vmax <= 0.0:
         raise ValueError("transform vanishes on the grid")
-    reports = []
-    for frac in fracs:
-        theta = frac * vmax
-        mask = vals >= theta
-        g_measure = float(vols[mask].sum())
-        t_over_g = float((vals[mask] * vols[mask]).sum())
-        rhs = (
-            theta**2
-            * (t_over_g / g_measure) ** (d - 2)
-            * (t_over_g / E.measure) ** (d * (d - 1) // 2)
-        )
-        reports.append(
-            Lemma2Report(
-                kind="primal-sweep",
-                ratio=math.inf if rhs == 0.0 else E.measure / rhs,
-                subset_measure=E.measure,
-                pairing=t_over_g,
-                delta=theta,
-                rhs=rhs,
-                hypothesis_min=float(vals[mask].min()),
-                theta=theta,
-                region_measure=g_measure,
-            )
-        )
-    return reports
+    return [_primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in fracs]
 
 
 # ---------------------------------------------------------------------------

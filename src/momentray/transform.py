@@ -185,49 +185,22 @@ def _is_simple_function(f):
     return hasattr(f, "weights") and hasattr(f, "supports")
 
 
-def _line_integral(f, points, interval, dual):
-    lo, hi = _interval_pair(interval)
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(f, BoxUnionSet):
-        return fiber_measure_batch(f, X, (lo, hi), dual=dual)
-    if _is_simple_function(f):
-        out = np.zeros(X.shape[0])
-        for w, support in zip(f.weights, f.supports):
-            out += w * fiber_measure_batch(support, X, (lo, hi), dual=dual)
-        return out
-    raise TypeError(f"unsupported integrand type: {type(f).__name__}")
-
-
 def apply_x(f, interval, x):
     """Line transform of f at x: integral of f(gamma(x, s)) over s in I.
 
     Exact for box unions and simple functions.  Accepts a single point (d,)
     or a batch (n, d).
     """
-    out = _line_integral(f, x, interval, dual=False)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
-def apply_x_star(g, window, x):
-    """Dual transform of g at x over the parameter window.
-
-    Errors when g's first-axis support is not covered by the window, since
-    the window would silently truncate the integral.
-    """
-    lo, hi = _interval_pair(window)
-    if isinstance(g, BoxUnionSet):
-        span = g.first_axis_span()
-    elif _is_simple_function(g):
-        spans = [s.first_axis_span() for s in g.supports]
-        span = Interval(min(s.lo for s in spans), max(s.hi for s in spans))
+    lo, hi = _interval_pair(interval)
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    if isinstance(f, BoxUnionSet):
+        out = fiber_measure_batch(f, X, (lo, hi))
+    elif _is_simple_function(f):
+        out = np.zeros(X.shape[0])
+        for w, support in zip(f.weights, f.supports):
+            out += w * fiber_measure_batch(support, X, (lo, hi))
     else:
-        raise TypeError(f"unsupported integrand type: {type(g).__name__}")
-    if span.lo < lo - 1e-12 or span.hi > hi + 1e-12:
-        raise ValueError(
-            f"window [{lo}, {hi}] does not cover the support's first-axis span "
-            f"[{span.lo}, {span.hi}]"
-        )
-    out = _line_integral(g, x, window, dual=True)
+        raise TypeError(f"unsupported integrand type: {type(f).__name__}")
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 

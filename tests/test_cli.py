@@ -67,6 +67,90 @@ def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
     assert run(["rwt", "--config", str(cfg), "--corpus", mini_corpus_path]) == USAGE
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("region", {"boundary": "false"}),
+        ("lemma2", {"sweep": "no"}),
+        ("superlevel", {"grid_n": 8.5}),
+        ("jacobian", {"samples": True}),
+        ("refine", {"start": "phi,psi"}),
+        ("scaling", {"n_list": 64}),
+        ("jacobian", {"dims": []}),
+    ],
+)
+def test_bad_config_value_is_usage_error(command, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.csv"
+    assert run([command, "--config", str(cfg), "--output", str(out)]) == USAGE
+    err = capsys.readouterr().err
+    assert "configuration error" in err and next(iter(config)) in err
+    assert not out.exists()
+
+
+def test_config_list_text_matches_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": "2,3"}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["exponents", "--config", str(cfg), "--output", str(a)]) == PASS
+    assert run(["exponents", "--dims", "2,3", "--output", str(b)]) == PASS
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_unused_parameter_is_usage_error(tmp_path):
+    assert run(["exponents", "--seed", "1"]) == USAGE
+    assert run(["acceptance", "--output", str(tmp_path / "suite")]) == USAGE
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert run(["rwt", "--config", str(cfg)]) == USAGE
+
+
+class _ReadRecorder(dict):
+    """The resolved parameters, noting every key looked up."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_subcommand_reads_every_key_it_declares(monkeypatch, mini_corpus_path):
+    recorders = {}
+    resolve = cli._resolve
+
+    def recording_resolve(args, config, params):
+        recorders[args.command] = _ReadRecorder(resolve(args, config, params))
+        return recorders[args.command]
+
+    monkeypatch.setattr(cli, "_resolve", recording_resolve)
+    small = {
+        "exponents": [],
+        "region": [],
+        "jacobian": ["--dims", "2", "--samples", "5"],
+        "duality": ["--dims", "2", "--pairs", "1"],
+        "rwt": ["--corpus", mini_corpus_path],
+        "superlevel": ["--corpus", mini_corpus_path, "--grid-n", "8"],
+        "scaling": ["--dim", "2", "--n-list", "16,32,64"],
+        "necessity": ["--dim", "2", "--n-list", "16,32,64"],
+        "lemma2": ["--corpus", mini_corpus_path, "--grid-n", "8"],
+        "refine": ["--start", "phi", "--max-nodes", "200", "--samples", "10"],
+        "acceptance": ["--profile", "quick"],
+    }
+    assert set(small) == set(cli.COMMANDS)
+    for name, argv in small.items():
+        assert run([name, *argv]) in (PASS, FAIL), name
+        declared = {param.key for param in cli.COMMANDS[name].params}
+        assert recorders[name].read == declared, name
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["jacobian", "--config", str(tmp_path / "nope.json")]) == USAGE
 
@@ -97,7 +181,7 @@ def test_rwt_csv_output_and_manifest(mini_corpus_path, tmp_path):
     header_keys = [
         line[2:].split("=", 1)[0] for line in text.splitlines() if line.startswith("# ")
     ]
-    assert "command" in header_keys and "seed" in header_keys
+    assert "command" in header_keys and "floor" in header_keys
     body = [line for line in text.splitlines() if not line.startswith("# ")]
     assert body[0].split(",")[:3] == ["corpus_id", "d", "t_value"]
     assert len(body) == 4  # header plus three entries
@@ -135,6 +219,7 @@ def test_flag_overrides_config_value(tmp_path):
     )
     assert meta["samples"] == "5"
     assert meta["dims"] == "[2]"
+    assert meta["seed"] == "0"
 
 
 def test_json_format_structure(tmp_path):

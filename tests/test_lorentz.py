@@ -46,9 +46,6 @@ def test_rearrangement_profile():
     prof = rearrangement(TWO_STEP)
     assert prof.values == (2.0, 1.0)
     assert prof.measures == (2.0, 1.0)
-    assert prof.rearrangement_at(0.5) == 2.0
-    assert prof.rearrangement_at(2.5) == 1.0
-    assert prof.rearrangement_at(3.5) == 0.0
 
 
 def test_rearrangement_merges_equal_values():

@@ -17,7 +17,6 @@ from momentray.transform import (
     QuadSpec,
     adjointness_gap,
     apply_x,
-    apply_x_star,
     bilinear_form,
     bilinear_form_dual,
     fiber_measure_batch,
@@ -249,14 +248,6 @@ def test_apply_x_scales_with_simple_function_weight():
     plain = apply_x(UNIT2, (0.0, 1.0), pts)
     assert np.allclose(doubled, 2.0 * plain)
     assert plain[0] == pytest.approx(0.5)
-
-
-def test_apply_x_star_window_requirement():
-    g = SimpleFunction([1.0], [UNIT2])
-    vals = apply_x_star(g, (0.0, 1.0), np.array([[1.0, 0.5]]))
-    assert vals[0] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        apply_x_star(g, (0.2, 1.0), np.array([[1.0, 0.5]]))
 
 
 def test_quadspec_validation():
