@@ -7,7 +7,8 @@ meta object (JSON) and never embed timestamps, so identical configs and seeds
 produce byte-identical files.  A sibling manifest records config hash, seed,
 tool version, output digests, and wall time; wall time lives only there.
 
-Exit codes: 0 all checks pass, 1 a check fails, 2 configuration error.
+Exit codes: 0 all checks pass, 1 a check fails or the input sets have no
+incidence to measure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .sharpness import (
     superlevel_mass_check,
     xf_lower_block_norm,
 )
-from .transform import QuadSpec, adjointness_gap
+from .transform import NoIncidence, QuadSpec, adjointness_gap
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -372,6 +373,8 @@ def cmd_jacobian(params):
 
 
 def cmd_duality(params):
+    if params["pairs"] < 1:
+        raise ValueError(f"pairs must be at least 1, got {params['pairs']}")
     rows = []
     for d in params["dims"]:
         rng = np.random.default_rng(params["seed"] + 100 * d)
@@ -741,6 +744,9 @@ def main(argv=None):
         if report is not None:
             _emit(report, params, passed, started)
         return PASS if passed in (None, True) else FAIL
+    except NoIncidence as exc:
+        sys.stderr.write(f"measured failure: {exc}\n")
+        return FAIL
     except (ConfigError, ValueError, KeyError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return USAGE

@@ -9,7 +9,8 @@ Alternating compositions of the two produce the iterated incidence maps
 (phi starts with gamma_star, psi starts with gamma).  Their Jacobian
 determinants factor into explicit products of parameter differences times
 a dimensional constant; the constant is measured numerically, never
-assumed.
+assumed.  Every function here takes one point or parameter vector, or a
+batch of them stacked along the leading axis.
 """
 
 from __future__ import annotations
@@ -35,74 +36,64 @@ def _as_point(x):
     return p
 
 
-def gamma(x, s):
-    """Forward line through x evaluated at parameter s."""
-    p = _as_point(x)
-    out = np.empty_like(p)
-    out[0] = s
-    out[1:] = p[1:] + s * p[0] ** np.arange(1, p.size)
-    return out
+def line_step(points, values, dual):
+    """Move points along their lines: gamma_star(x, t) if dual, else gamma(x, s).
 
-
-def gamma_star(x, t):
-    """Dual line through x evaluated at parameter t."""
-    p = _as_point(x)
-    out = np.empty_like(p)
-    out[0] = t
-    out[1:] = p[1:] - p[0] * t ** np.arange(1, p.size)
-    return out
-
-
-def incidence_path(base, params, start):
-    """Points visited when the two line maps are applied alternately.
-
-    start "dual" applies gamma_star first (phi ordering t1, s1, t2, ...),
-    start "primal" applies gamma first (psi ordering s1, t2, s2, ...).
-    Returns a list with one point per applied parameter.
+    points is one point (d,) or a batch (n, d); values is one parameter or
+    (n,), one per point, and either side broadcasts against the other.
     """
-    if start not in ("dual", "primal"):
-        raise ValueError("start must be 'dual' or 'primal'")
+    p = np.asarray(points, dtype=float)
+    v = np.asarray(values, dtype=float)[..., None]
+    if p.ndim == 0 or p.shape[-1] < 2:
+        raise ValueError("points need at least 2 coordinates")
+    x1 = p[..., :1]
+    exps = np.arange(1, p.shape[-1])
+    if dual:
+        tail = p[..., 1:] - x1 * v**exps
+    else:
+        tail = p[..., 1:] + v * x1**exps
+    return np.concatenate([np.broadcast_to(v, tail.shape[:-1] + (1,)), tail], axis=-1)
+
+
+def incidence_path(base, params, kind):
+    """Every point visited when the two line steps alternate from base.
+
+    phi applies gamma_star first (params t1, s1, t2, ...), psi applies gamma
+    first (s1, t2, s2, ...).  params is one vector (m,) or a batch (n, m);
+    the result has shape (m, d) or (m, n, d), and entry j is the point after
+    the first j + 1 steps, so entry -1 is the iterated map itself.
+    """
+    _check_kind(kind)
     point = _as_point(base)
-    params = np.atleast_1d(np.asarray(params, dtype=float))
+    params = np.asarray(params, dtype=float)
+    dual = kind == PHI
     path = []
-    use_dual = start == "dual"
-    for value in params:
-        point = gamma_star(point, value) if use_dual else gamma(point, value)
+    for j in range(params.shape[-1]):
+        point = line_step(point, params[..., j], dual)
         path.append(point)
-        use_dual = not use_dual
-    return path
-
-
-def phi_map(base, params):
-    """Iterated incidence map starting with gamma_star; params (t1, s1, t2, ...)."""
-    return incidence_path(base, params, start="dual")[-1]
-
-
-def psi_map(base, params):
-    """Iterated incidence map starting with gamma; params (s1, t2, s2, ...)."""
-    return incidence_path(base, params, start="primal")[-1]
+        dual = not dual
+    return np.stack(path)
 
 
 def split_params(kind, base_first, params):
-    """Split an interleaved parameter vector into (t_chain, s_chain).
+    """Split interleaved parameter vectors into (t_chain, s_chain).
 
     For phi the s chain is prefixed with s0 = x1 of the base point; for psi
-    the t chain is prefixed with the dummy t1 = x1.  Full-depth vectors only
-    (len(params) == d).
+    the t chain is prefixed with the dummy t1 = x1.  Full-depth vectors only:
+    params is (d,) or (n, d), and base_first a number or (n,).
     """
     _check_kind(kind)
     params = np.asarray(params, dtype=float)
+    first = np.asarray(base_first, dtype=float)[..., None]
+    first = np.broadcast_to(first, params.shape[:-1] + (1,))
+    chain = np.concatenate([first, params[..., 1::2]], axis=-1)
     if kind == PHI:
-        t = params[0::2]
-        s = np.concatenate([[base_first], params[1::2]])
-    else:
-        s = params[0::2]
-        t = np.concatenate([[base_first], params[1::2]])
-    return t, s
+        return params[..., 0::2], chain
+    return chain, params[..., 0::2]
 
 
 def psi_map_closed(base, params):
-    """Non-recursive form of psi_map, used to cross-check the recursion.
+    """Non-recursive form of the psi map, used to cross-check the recursion.
 
     With t1 = x1 and exponent e = coordinate index - 1:
 
@@ -146,41 +137,39 @@ def jacobian_closed_form(kind, base_first, params):
     psi, d = 2k+1: prod_{j=1..k} (s_{j+1} - s_j) * prod_{2<=j<l<=k+1} (t_j - t_l)^4
                    * prod_{j=2..k+1} (t_j - t_1)^2
 
-    Chains use s0 = x1 (phi) and t1 = x1 (psi).
+    Chains use s0 = x1 (phi) and t1 = x1 (psi).  One parameter vector (d,)
+    gives a float; a batch (n, d), with base_first a number or (n,), gives
+    an (n,) array.
     """
     _check_kind(kind)
     params = np.asarray(params, dtype=float)
-    d = params.size
+    d = params.shape[-1]
     if d < 2:
         raise ValueError("need at least two parameters")
     k = d // 2
     t, s = split_params(kind, base_first, params)
-    result = 1.0
+    # s here is (s0, s1, ..., sk) for phi and (s1, ..., s_k or s_{k+1}) for
+    # psi; t is (t1, ..., t_k or t_{k+1}) for phi and (t1, ..., t_{k+1}) for psi
+    result = np.prod(np.diff(s), axis=-1)
     if kind == PHI:
-        # s here is (s0, s1, ..., sk); t is (t1, ..., t_k) or (..., t_{k+1})
-        result *= np.prod(np.diff(s))
         for j in range(k):
             for l in range(j + 1, k):
-                result *= (t[j] - t[l]) ** 4
+                result = result * (t[..., j] - t[..., l]) ** 4
         if d % 2 == 1:
-            result *= np.prod((t[:k] - t[k]) ** 2)
+            result = result * np.prod((t[..., :k] - t[..., k, None]) ** 2, axis=-1)
+    elif d % 2 == 0:
+        result = result * (t[..., k] - t[..., 0])
+        for j in range(1, k):
+            for l in range(j + 1, k):
+                result = result * (t[..., j] - t[..., l]) ** 4
+        result = result * np.prod((t[..., 1:k] - t[..., k, None]) ** 2, axis=-1)
+        result = result * np.prod((t[..., 1:k] - t[..., 0, None]) ** 2, axis=-1)
     else:
-        # s is (s1, ..., s_k or s_{k+1}); t is (t1, t2, ..., t_{k+1})
-        if d % 2 == 0:
-            result *= t[k] - t[0]
-            result *= np.prod(np.diff(s))
-            for j in range(1, k):
-                for l in range(j + 1, k):
-                    result *= (t[j] - t[l]) ** 4
-            result *= np.prod((t[1:k] - t[k]) ** 2)
-            result *= np.prod((t[1:k] - t[0]) ** 2)
-        else:
-            result *= np.prod(np.diff(s))
-            for j in range(1, k + 1):
-                for l in range(j + 1, k + 1):
-                    result *= (t[j] - t[l]) ** 4
-            result *= np.prod((t[1 : k + 1] - t[0]) ** 2)
-    return float(result)
+        for j in range(1, k + 1):
+            for l in range(j + 1, k + 1):
+                result = result * (t[..., j] - t[..., l]) ** 4
+        result = result * np.prod((t[..., 1 : k + 1] - t[..., 0, None]) ** 2, axis=-1)
+    return float(result) if params.ndim == 1 else result
 
 
 def jacobian_numeric(kind, base, params, rel_step=1e-4, match_tol=1e-5):
@@ -196,19 +185,16 @@ def jacobian_numeric(kind, base, params, rel_step=1e-4, match_tol=1e-5):
     d = p.size
     if base.size != d:
         raise ValueError("base point and parameter vector must share length d")
-    start = "dual" if kind == PHI else "primal"
+    diag = np.arange(d)
 
     def det_at(h):
-        cols = np.empty((d, d))
-        for j in range(d):
-            hi = p.copy()
-            lo = p.copy()
-            hi[j] += h[j]
-            lo[j] -= h[j]
-            fwd = incidence_path(base, hi, start)[-1]
-            bwd = incidence_path(base, lo, start)[-1]
-            cols[:, j] = (fwd - bwd) / (2.0 * h[j])
-        return float(np.linalg.det(cols))
+        # rows 0..d-1 move p_j up by h_j, rows d..2d-1 move it down
+        shifted = np.tile(p, (2 * d, 1))
+        shifted[diag, diag] += h
+        shifted[d + diag, diag] -= h
+        ends = incidence_path(base, shifted, kind)[-1]
+        cols = (ends[:d] - ends[d:]) / (2.0 * h[:, None])
+        return float(np.linalg.det(cols.T))
 
     h = rel_step * (1.0 + np.abs(p))
     det_full = det_at(h)
@@ -297,8 +283,11 @@ def estimate_c_d(kind, d, samples=100, seed=0, span=(-2.0, 2.0), min_sep=1e-3):
 
     Draws well-separated random parameter tuples and returns the mean ratio
     together with its relative dispersion; a tiny dispersion certifies that
-    the factored form captures the full parameter dependence.
+    the factored form captures the full parameter dependence.  At least two
+    samples are needed, since one ratio always has zero dispersion.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     rng = np.random.default_rng(seed)
     ratios = np.empty(samples)
     for i in range(samples):

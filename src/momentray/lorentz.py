@@ -98,15 +98,6 @@ class StepProfile:
             raise ValueError("measures must be positive")
 
 
-def distribution(f, thresholds):
-    """Measure of {f > t} for each threshold (strict inequality)."""
-    t = np.asarray(thresholds, dtype=float)
-    w = np.array(f.weights)
-    m = f.support_measures
-    out = (m[None, :] * (w[None, :] > np.atleast_1d(t)[:, None])).sum(axis=1)
-    return float(out[0]) if t.ndim == 0 else out
-
-
 def rearrangement(f):
     """Step profile of the decreasing rearrangement, equal values merged."""
     w = np.array(f.weights)

@@ -14,17 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    PHI,
-    PSI,
-    estimate_c_d,
-    incidence_path,
-    jacobian_closed_form,
-    jacobian_numeric,
-)
+from .geometry import estimate_c_d, incidence_path, jacobian_closed_form, line_step
 from .sets import BoxUnionSet, FiberSet, Interval
 from .sharpness import _dual_rhs, _primal_rhs
-from .transform import bilinear_form, fiber_measure_batch, fiber_pieces
+from .transform import NoIncidence, bilinear_form, fiber_measure_batch, fiber_pieces
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,7 @@ class TowerConfig:
             raise ValueError("base_candidates and max_nodes must be positive")
 
 
-class TowerCollapse(ValueError):
+class TowerCollapse(NoIncidence):
     """A refinement level emptied out; carries the level label."""
 
     def __init__(self, label):
@@ -94,21 +87,6 @@ def _sample_points(region, count, rng):
     lo = region.los[idx]
     hi = region.his[idx]
     return lo + rng.uniform(size=(count, region.dim)) * (hi - lo)
-
-
-def _advance_points(points, values, use_dual):
-    """Apply one line-family step to a batch of points, one value each."""
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    d = points.shape[1]
-    out = np.empty_like(points)
-    out[:, 0] = values
-    exps = np.arange(1, d)[None, :]
-    if use_dual:
-        out[:, 1:] = points[:, 1:] - points[:, 0:1] * values[:, None] ** exps
-    else:
-        out[:, 1:] = points[:, 1:] + values[:, None] * points[:, 0:1] ** exps
-    return out
 
 
 def _level_plan(start, d):
@@ -185,9 +163,7 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
         )
     ]
 
-    points = _advance_points(
-        np.tile(base, (centers.size, 1)), centers, use_dual=fiber_dual
-    )
+    points = line_step(base, centers, fiber_dual)  # (n, d), one per node
 
     for label, kind, target in plan[1:]:
         prev = levels[-1]
@@ -249,12 +225,7 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
                 parent_idx=parent_idx,
             )
         )
-        base_rep = np.tile(base, (params.shape[0], 1))
-        points = base_rep
-        use_dual = start == "phi"
-        for col in range(params.shape[1]):
-            points = _advance_points(points, params[:, col], use_dual=use_dual)
-            use_dual = not use_dual
+        points = line_step(points[parent_idx], params[:, -1], kind == "t")
 
     return Tower(
         dim=d,
@@ -277,35 +248,25 @@ def check_tower_structure(tower, samples=200, seed=0, atol=1e-9):
     (E after forward steps, F after dual steps).  Returns the fraction of
     sampled checks that passed and the number checked.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     checked = passed = 0
-    start_dual = tower.start == "phi"
     for li, level in enumerate(tower.levels):
         n = level.params.shape[0]
-        take = min(n, max(1, samples // len(tower.levels)))
+        take = min(n, max(1, samples // tower.depth))
         idx = rng.choice(n, size=take, replace=False)
-        for i in idx:
-            ok = True
-            if li > 0:
-                parent = tower.levels[li - 1]
-                pi = level.parent_idx[i]
-                if not np.array_equal(
-                    level.params[i, :-1], parent.params[pi]
-                ):
-                    ok = False
-            path = incidence_path(
-                tower.base,
-                level.params[i],
-                start="dual" if start_dual else "primal",
-            )
-            use_dual = start_dual
-            for point in path:
-                target = tower.F if use_dual else tower.E
-                if not target.contains(point, atol=atol):
-                    ok = False
-                use_dual = not use_dual
-            checked += 1
-            passed += ok
+        ok = np.ones(take, dtype=bool)
+        if li > 0:
+            parent = tower.levels[li - 1].params[level.parent_idx[idx]]
+            ok &= (level.params[idx, :-1] == parent).all(axis=1)
+        path = incidence_path(tower.base, level.params[idx], tower.start)
+        # prefix j must land in the target of level j
+        for points, step in zip(path, tower.levels):
+            target = tower.F if step.target == "F" else tower.E
+            ok &= target.contains_batch(points, atol=atol)
+        checked += take
+        passed += int(ok.sum())
     return passed / checked, checked
 
 
@@ -319,48 +280,26 @@ def _measured_constant(kind, d):
     return _C_CACHE[key]
 
 
-def image_volume_lower_bound(tower, use_closed_form=True, constant=None):
+def image_volume_lower_bound(tower):
     """Integral of |Jacobian| over the top-level cells.
 
     Up to the bounded-multiplicity constant of the degree argument, this
     lower-bounds the volume of the image of the top level under the
     iterated incidence map.
     """
-    kind = PHI if tower.start == "phi" else PSI
-    if constant is None and use_closed_form:
-        constant = abs(_measured_constant(kind, tower.dim))
+    constant = abs(_measured_constant(tower.start, tower.dim))
     top = tower.top
     vols = top.widths.prod(axis=1) * top.weights
-    total = 0.0
-    for i in range(top.params.shape[0]):
-        if use_closed_form:
-            j = abs(jacobian_closed_form(kind, tower.base[0], top.params[i]))
-            j *= constant
-        else:
-            j = abs(jacobian_numeric(kind, tower.base, top.params[i]))
-        total += float(vols[i]) * j
-    return total
+    jac = np.abs(jacobian_closed_form(tower.start, tower.base[0], top.params))
+    return float((vols * (jac * constant)).sum())
 
 
 def _map_param_grid(tower, offs):
     """Image points of an offs-grid placed inside every top cell."""
     top = tower.top
-    pts = []
-    for i in range(top.params.shape[0]):
-        p = top.params[i]
-        w = top.widths[i]
-        grid = np.stack(
-            [g.reshape(-1) for g in np.meshgrid(*[p[a] + offs * w[a] for a in range(2)], indexing="ij")],
-            axis=1,
-        )
-        pts.append(grid)
-    pts = np.concatenate(pts)
-    points = np.tile(tower.base, (pts.shape[0], 1))
-    use_dual = tower.start == "phi"
-    for col in range(2):
-        points = _advance_points(points, pts[:, col], use_dual=use_dual)
-        use_dual = not use_dual
-    return points
+    axes = top.params[:, :, None] + offs * top.widths[:, :, None]  # (n, 2, m)
+    grid = np.stack(np.broadcast_arrays(axes[:, 0, :, None], axes[:, 1, None, :]), axis=-1)
+    return incidence_path(tower.base, grid.reshape(-1, 2), tower.start)[-1]
 
 
 def rasterized_image_measure(tower, raster_n=256, sub=None):
@@ -458,7 +397,7 @@ def enumerate_tower_bruteforce(
 
     w1 = rng1.length / grid_n
     c1 = rng1.lo + (np.arange(grid_n) + 0.5) * w1
-    p1 = _advance_points(np.tile(base, (grid_n, 1)), c1, use_dual=dual1)
+    p1 = line_step(base, c1, dual1)
     mask1 = tgt1.contains_batch(p1)
     if not mask1.any():
         raise TowerCollapse(1)
@@ -469,7 +408,7 @@ def enumerate_tower_bruteforce(
     idx1 = np.flatnonzero(mask1)
     rep = np.repeat(p1[idx1], grid_n, axis=0)
     vals = np.tile(c2, idx1.size)
-    p2 = _advance_points(rep, vals, use_dual=dual2)
+    p2 = line_step(rep, vals, dual2)
     inside = tgt2.contains_batch(p2).reshape(idx1.size, grid_n)
     fiber_m = inside.sum(axis=1) * w2
     threshold = keep_fraction * float(fiber_m.mean())

@@ -26,9 +26,6 @@ class Interval:
     def length(self):
         return self.hi - self.lo
 
-    def contains(self, x, atol=0.0):
-        return self.lo - atol <= x <= self.hi + atol
-
 
 class Box:
     """Axis-aligned closed box given as per-axis [lo, hi] bounds."""
@@ -49,23 +46,11 @@ class Box:
         return self.los.size
 
     @property
-    def volume(self):
-        return float(np.prod(self.his - self.los))
-
-    @property
     def bounds(self):
         return np.stack([self.los, self.his], axis=1)
 
     def interval(self, axis):
         return Interval(self.los[axis], self.his[axis])
-
-    def contains(self, point, atol=0.0):
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.los - atol) and np.all(p <= self.his + atol))
-
-    def translated(self, shift):
-        shift = np.asarray(shift, dtype=float)
-        return Box(np.stack([self.los + shift, self.his + shift], axis=1))
 
     def dilated_nonisotropic(self, delta):
         """Scale axis i (0-based) by delta^(i+1); delta must be positive."""
@@ -123,11 +108,6 @@ class BoxUnionSet:
     def box_volumes(self):
         return np.prod(self.his - self.los, axis=1)
 
-    def contains(self, point, atol=0.0):
-        p = np.asarray(point, dtype=float)
-        inside = np.all(p >= self.los - atol, axis=1) & np.all(p <= self.his + atol, axis=1)
-        return bool(inside.any())
-
     def contains_batch(self, points, atol=0.0):
         p = np.asarray(points, dtype=float)
         inside = np.zeros(p.shape[0], dtype=bool)
@@ -137,9 +117,6 @@ class BoxUnionSet:
 
     def first_axis_span(self):
         return Interval(float(self.los[:, 0].min()), float(self.his[:, 0].max()))
-
-    def translated(self, shift):
-        return BoxUnionSet([b.translated(shift) for b in self.boxes], validate=False)
 
     def dilated_nonisotropic(self, delta):
         return BoxUnionSet(
@@ -199,9 +176,6 @@ class FiberSet:
     @property
     def measure(self):
         return float((self.his - self.los).sum())
-
-    def contains(self, x, atol=0.0):
-        return bool(np.any((self.los - atol <= x) & (x <= self.his + atol)))
 
     def cells(self, max_width):
         """Partition into equal cells of width <= max_width per interval.

@@ -17,7 +17,7 @@ from scipy.special import zeta as _hurwitz_zeta
 
 from .lorentz import SimpleFunction, lorentz_norm_from_steps
 from .sets import Box, BoxUnionSet, Interval
-from .transform import apply_x, bilinear_form, region_cell_values
+from .transform import NoIncidence, apply_x, bilinear_form, region_cell_values
 
 MAX_MATERIALIZED_BOXES = 500_000
 
@@ -79,14 +79,6 @@ def region_contains(d, p_inv, q_inv, include_boundary=True):
     if any(s == 0 for s in signs):
         return include_boundary
     return True
-
-
-def nonisotropic_dilate(point, delta):
-    """Coordinate i scales by delta^(i+1): the transform's symmetry group."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    p = np.asarray(point, dtype=float)
-    return p * delta ** np.arange(1, p.size + 1)
 
 
 def dilate_configuration(E, F, interval, delta):
@@ -426,7 +418,7 @@ def check_rwt(E, F, interval, quad=None):
     d = E.dim
     t_value = bilinear_form(E, F, interval, quad)
     if t_value <= 0.0:
-        raise ValueError("pairing vanished; testing ratios are undefined")
+        raise NoIncidence("pairing vanished; testing ratios are undefined")
     alpha = t_value / F.measure
     beta = t_value / E.measure
     ratio_e = E.measure / (alpha**d * beta ** (d * (d - 1) // 2))
@@ -506,7 +498,7 @@ def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
     t_grid = float((vals * vols).sum())
     if t_grid <= 0.0:
-        raise ValueError("pairing vanished on the grid")
+        raise NoIncidence("pairing vanished on the grid")
     return _primal_report(E, vals, vols, theta_frac * t_grid / F.measure, "primal-grid")
 
 
@@ -515,7 +507,7 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=Fa
     vals, vols = _grid_vals_vols(F, E, window, grid_n, dual=True)
     t_grid = float((vals * vols).sum())
     if t_grid <= 0.0:
-        raise ValueError("pairing vanished on the grid")
+        raise NoIncidence("pairing vanished on the grid")
     theta = theta_frac * t_grid / E.measure
     mask = vals >= theta
     h_measure = float(vols[mask].sum())
@@ -543,7 +535,7 @@ def lemma2_shrinking_sweep(E, F, interval, fracs=(0.3, 0.45, 0.6, 0.75, 0.9), gr
     vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
     vmax = float(vals.max())
     if vmax <= 0.0:
-        raise ValueError("transform vanishes on the grid")
+        raise NoIncidence("transform vanishes on the grid")
     return [_primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in fracs]
 
 
@@ -583,7 +575,7 @@ def superlevel_mass_check(E, F, interval, grid_n=48):
     vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
     t_total = float((vals * vols).sum())
     if t_total <= 0.0:
-        raise ValueError("pairing vanished on the grid")
+        raise NoIncidence("pairing vanished on the grid")
     eps = t_total / (E.measure ** (1.0 / float(p)) * F.measure ** (1.0 / q_prime))
     theta_unit = t_total / F.measure  # = eps |E|^(1/p) |F|^(1/q'-1)
 

@@ -18,6 +18,12 @@ from .sets import BoxUnionSet, Interval
 _CHUNK_LIMIT = 1 << 22
 
 
+class NoIncidence(ValueError):
+    """The lines through the given sets never meet the other set: a pairing,
+    a grid transform or a tower level came out empty.  This is a measured
+    outcome of the input, not a malformed request."""
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Outer-integral quadrature for the box-pair pairings.

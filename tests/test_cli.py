@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from momentray import cli
-from momentray.corpus import build_default_corpus, save_corpus
+from momentray.corpus import CorpusEntry, build_default_corpus, save_corpus
+from momentray.sets import BoxUnionSet, Interval
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -77,6 +78,11 @@ def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
         ("refine", {"start": "phi,psi"}),
         ("scaling", {"n_list": 64}),
         ("jacobian", {"dims": []}),
+        ("jacobian", {"samples": 1}),
+        ("duality", {"pairs": 0}),
+        ("duality", {"pairs": -1}),
+        ("refine", {"samples": 0}),
+        ("refine", {"samples": -5}),
     ],
 )
 def test_bad_config_value_is_usage_error(command, config, tmp_path, capsys):
@@ -149,6 +155,28 @@ def test_every_subcommand_reads_every_key_it_declares(monkeypatch, mini_corpus_p
         assert run([name, *argv]) in (PASS, FAIL), name
         declared = {param.key for param in cli.COMMANDS[name].params}
         assert recorders[name].read == declared, name
+
+
+def test_no_incidence_is_measured_failure(tmp_path, capsys):
+    """Lines from E never reach an F at x2 in [50, 51]: exit 1, not a usage error."""
+    far = CorpusEntry(
+        entry_id="far-apart",
+        E=BoxUnionSet([[[0.0, 1.0], [0.0, 1.0]]]),
+        F=BoxUnionSet([[[0.0, 1.0], [50.0, 51.0]]]),
+        interval=Interval(0.0, 1.0),
+        window=Interval(0.0, 1.0),
+    )
+    path = tmp_path / "far.json"
+    save_corpus([far], path)
+    for argv in (
+        ["refine", "--entry", "far-apart"],
+        ["rwt"],
+        ["lemma2"],
+        ["superlevel", "--entry", "far-apart", "--grid-n", "8"],
+    ):
+        assert run([*argv, "--corpus", str(path)]) == FAIL, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("measured failure: ") and "configuration" not in err
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

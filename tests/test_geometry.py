@@ -4,23 +4,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from momentray.geometry import (
     closed_form_degree,
     estimate_c_d,
-    gamma,
-    gamma_star,
     incidence_path,
     jacobian_closed_form,
     jacobian_numeric,
-    phi_map,
-    psi_map,
+    line_step,
     psi_map_closed,
     sample_incidence_params,
     split_params,
 )
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def batches(draw, width=st.integers(2, 6), rows=st.integers(1, 8)):
+    """An (n, width) array of coordinates and an (n,) array of parameters."""
+    n, m = draw(rows), draw(width)
+    return (
+        draw(hnp.arrays(float, (n, m), elements=coord)),
+        draw(hnp.arrays(float, n, elements=coord)),
+    )
+
+
+def gamma(x, s):
+    return line_step(x, s, dual=False)
+
+
+def gamma_star(x, t):
+    return line_step(x, t, dual=True)
 
 
 def test_gamma_hand_value():
@@ -40,8 +56,8 @@ def test_gamma_three_dimensional():
 
 
 def test_phi_psi_hand_values():
-    assert np.allclose(phi_map((1.0, 0.0), (2.0, 3.0)), [3.0, 4.0])
-    assert np.allclose(psi_map((1.0, 0.0), (2.0, 3.0)), [3.0, -4.0])
+    assert np.allclose(incidence_path((1.0, 0.0), (2.0, 3.0), "phi")[-1], [3.0, 4.0])
+    assert np.allclose(incidence_path((1.0, 0.0), (2.0, 3.0), "psi")[-1], [3.0, -4.0])
 
 
 @given(st.lists(coord, min_size=2, max_size=5), coord)
@@ -62,9 +78,29 @@ def test_gamma_inverts_gamma_star(coords, t):
 
 
 def test_incidence_path_lengths():
-    path = incidence_path((0.5, 0.2, -0.1), (1.0, 2.0, 3.0), start="dual")
-    assert len(path) == 3  # one visited point per applied parameter
-    assert path[-1].shape == (3,)
+    path = incidence_path((0.5, 0.2, -0.1), (1.0, 2.0, 3.0), "phi")
+    assert path.shape == (3, 3)  # one visited point per applied parameter
+    batch = incidence_path((0.5, 0.2, -0.1), np.ones((4, 2)), "psi")
+    assert batch.shape == (2, 4, 3)
+    with pytest.raises(ValueError):
+        incidence_path((0.5, 0.2), (1.0, 2.0), "dual")
+
+
+@given(batches(), st.booleans())
+def test_batched_line_step_rows_match_single_calls(batch, dual):
+    points, values = batch
+    out = line_step(points, values, dual)
+    for i in range(values.size):
+        assert out[i].tobytes() == line_step(points[i], values[i], dual).tobytes()
+
+
+@given(batches(), st.lists(coord, min_size=2, max_size=6), st.sampled_from(["phi", "psi"]))
+def test_batched_incidence_path_rows_match_single_calls(batch, base, kind):
+    params, _ = batch
+    path = incidence_path(base, params, kind)
+    for i in range(params.shape[0]):
+        single = incidence_path(base, params[i], kind)
+        assert path[:, i].tobytes() == single.tobytes()
 
 
 def test_psi_closed_form_matches_recursion():
@@ -72,7 +108,7 @@ def test_psi_closed_form_matches_recursion():
     for d in (2, 3, 4, 5):
         base = rng.uniform(-1, 1, d)
         params = rng.uniform(-1, 1, d)
-        rec = psi_map(base, params)
+        rec = incidence_path(base, params, "psi")[-1]
         closed = psi_map_closed(base, params)
         assert np.allclose(rec, closed, atol=1e-10)
 
@@ -84,6 +120,9 @@ def test_split_params_interleaving():
     t, s = split_params("psi", 0.7, [1.0, 2.0, 3.0, 4.0])
     assert np.allclose(t, [0.7, 2.0, 4.0])
     assert np.allclose(s, [1.0, 3.0])
+    t, s = split_params("phi", [0.7, -0.7], [[1.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
+    assert np.allclose(t, [[1.0, 3.0], [5.0, 7.0]])
+    assert np.allclose(s, [[0.7, 2.0], [-0.7, 6.0]])
 
 
 def test_closed_form_degree():
@@ -113,6 +152,21 @@ def test_closed_form_scales_with_degree(d, scale):
     v1 = jacobian_closed_form("phi", base[0] * scale, params * scale)
     v0 = jacobian_closed_form("phi", base[0], params)
     assert v1 == pytest.approx(scale ** closed_form_degree(d) * v0, rel=1e-9)
+
+
+@given(
+    st.integers(2, 7).flatmap(lambda d: batches(width=st.just(d), rows=st.integers(1, 12))),
+    st.sampled_from(["phi", "psi"]),
+)
+@settings(max_examples=50, deadline=None)
+def test_batched_jacobian_matches_rows(batch, kind):
+    """Rows agree to rounding: array and scalar powers may differ in the last bit."""
+    params, firsts = batch
+    rows = [jacobian_closed_form(kind, f, p) for f, p in zip(firsts, params)]
+    got = jacobian_closed_form(kind, firsts, params)
+    np.testing.assert_allclose(got, rows, rtol=1e-13, atol=0.0)
+    shared = jacobian_closed_form(kind, firsts[0], params)
+    assert shared[0] == got[0]
 
 
 def test_closed_form_vanishing_factor():

@@ -9,7 +9,6 @@ from momentray.lorentz import (
     SimpleFunction,
     StepProfile,
     blockwise_lorentz_norm,
-    distribution,
     lorentz_norm,
     lorentz_norm_from_steps,
     lp_norm,
@@ -35,11 +34,6 @@ def test_simple_function_evaluation():
 def test_simple_function_rejects_overlapping_supports():
     with pytest.raises(ValueError):
         SimpleFunction([1.0, 1.0], [A, _box([[0.5, 1.5], [0.0, 1.0]])])
-
-
-def test_distribution_hand_values():
-    # {f > t}: t < 1 -> 3, 1 <= t < 2 -> 2, t >= 2 -> 0
-    assert np.allclose(distribution(TWO_STEP, [0.5, 1.0, 1.5, 2.0]), [3.0, 2.0, 2.0, 0.0])
 
 
 def test_rearrangement_profile():

@@ -23,7 +23,6 @@ from momentray.sharpness import (
     lemma2_grid_primal,
     lemma2_shrinking_sweep,
     necessity_check,
-    nonisotropic_dilate,
     predicted_f_slope,
     predicted_xf_slope,
     region_contains,
@@ -94,13 +93,6 @@ def test_slope_identity_exact():
 
 # ---------------------------------------------------------------------------
 # dilations
-
-
-def test_nonisotropic_dilate_powers():
-    out = nonisotropic_dilate([1.0, 1.0, 1.0], 0.5)
-    assert np.allclose(out, [0.5, 0.25, 0.125])
-    with pytest.raises(ValueError):
-        nonisotropic_dilate([1.0, 1.0], 0.0)
 
 
 def test_rwt_ratios_invariant_under_dilation():
