@@ -400,26 +400,41 @@ def cmd_duality(params):
     return Report("duality", params, rows), _all_pass(rows)
 
 
-def cmd_rwt(params):
+def _entry_rows(entries, columns, rows_of):
+    """Every entry's rows; an entry without incidence gets one FAIL row.
+
+    That row keeps the columns, names the entry, leaves the measured cells
+    empty, and its message goes to stderr.
+    """
     rows = []
-    for entry in _corpus_from(params):
+    for entry in entries:
+        try:
+            rows += rows_of(entry)
+        except NoIncidence as exc:
+            sys.stderr.write(f"measured failure: {entry.entry_id}: {exc}\n")
+            blank = dict.fromkeys(columns, "")
+            rows.append({**blank, "corpus_id": entry.entry_id, "verdict": "FAIL"})
+    return rows
+
+
+_RWT_COLUMNS = (
+    "corpus_id", "d", "t_value", "measure_E", "measure_F",
+    "alpha", "beta", "ratio_E", "ratio_F", "verdict",
+)
+
+
+def cmd_rwt(params):
+    def rows_of(entry):
         interval = (entry.interval.lo, entry.interval.hi)
         rep = check_rwt(entry.E, entry.F, interval, params["quad"])
         ok = max(rep.ratio_e, rep.ratio_f) >= params["floor"]
-        rows.append(
-            {
-                "corpus_id": entry.entry_id,
-                "d": entry.dim,
-                "t_value": rep.value,
-                "measure_E": rep.measure_e,
-                "measure_F": rep.measure_f,
-                "alpha": rep.alpha,
-                "beta": rep.beta,
-                "ratio_E": rep.ratio_e,
-                "ratio_F": rep.ratio_f,
-                "verdict": "PASS" if ok else "FAIL",
-            }
+        values = (
+            entry.entry_id, entry.dim, rep.value, rep.measure_e, rep.measure_f,
+            rep.alpha, rep.beta, rep.ratio_e, rep.ratio_f, "PASS" if ok else "FAIL",
         )
+        return [dict(zip(_RWT_COLUMNS, values))]
+
+    rows = _entry_rows(_corpus_from(params), _RWT_COLUMNS, rows_of)
     return Report("rwt", params, rows), _all_pass(rows)
 
 
@@ -493,10 +508,16 @@ def cmd_necessity(params):
     return Report("necessity", params, rows), None
 
 
+_LEMMA2_COLUMNS = (
+    "corpus_id", "kind", "theta", "region_measure", "subset_measure", "rhs",
+    "ratio", "verdict",
+)
+
+
 def cmd_lemma2(params):
     floor, grid_n, theta_frac = params["floor"], params["grid_n"], params["theta_frac"]
-    rows = []
-    for entry in _corpus_from(params):
+
+    def rows_of(entry):
         interval = (entry.interval.lo, entry.interval.hi)
         window = (entry.window.lo, entry.window.hi)
         primal = lemma2_grid_primal(
@@ -509,20 +530,17 @@ def cmd_lemma2(params):
         if params["sweep"]:
             sweep = lemma2_shrinking_sweep(entry.E, entry.F, interval, grid_n=grid_n)
             reports += [(f"sweep-{i}", rep) for i, rep in enumerate(sweep)]
+        rows = []
         for kind, rep in reports:
-            ok = rep.ratio >= floor
-            rows.append(
-                {
-                    "corpus_id": entry.entry_id,
-                    "kind": kind,
-                    "theta": rep.theta,
-                    "region_measure": rep.region_measure,
-                    "subset_measure": rep.subset_measure,
-                    "rhs": rep.rhs,
-                    "ratio": rep.ratio,
-                    "verdict": "PASS" if ok else "FAIL",
-                }
+            values = (
+                entry.entry_id, kind, rep.theta, rep.region_measure,
+                rep.subset_measure, rep.rhs, rep.ratio,
+                "PASS" if rep.ratio >= floor else "FAIL",
             )
+            rows.append(dict(zip(_LEMMA2_COLUMNS, values)))
+        return rows
+
+    rows = _entry_rows(_corpus_from(params), _LEMMA2_COLUMNS, rows_of)
     return Report("lemma2", params, rows), _all_pass(rows)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import estimate_c_d, incidence_path, jacobian_closed_form, line_step
-from .sets import BoxUnionSet, FiberSet, Interval
+from .sets import BoxUnionSet, Interval, as_interval, fiber_cells
 from .sharpness import _dual_rhs, _primal_rhs
 from .transform import NoIncidence, bilinear_form, fiber_measure_batch, fiber_pieces
 
@@ -111,93 +111,53 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     """Grow a full-depth parameter tower over the pair by greedy refinement.
 
     The base point is drawn from E (phi start) or F (psi start) to maximize
-    the first-level fiber; each level partitions the exact fibers of its
-    nodes into cells, then keeps nodes whose next fiber clears the
-    keep_fraction bar.  Raises TowerCollapse when a level empties.
+    the first-level fiber.  Every level, the first included, takes the exact
+    fibers of the previous level's nodes (of the base alone at first), keeps
+    the nodes whose fiber clears the keep_fraction bar (at level 1 every
+    nonempty fiber), and cuts the kept fibers into cells, which become the
+    level's nodes.  Raises TowerCollapse when a level empties.
     """
     config = config or TowerConfig()
     d = E.dim
     if F.dim != d:
         raise ValueError("E and F must share a dimension")
-    interval = interval if isinstance(interval, Interval) else Interval(*interval)
-    window = window if isinstance(window, Interval) else Interval(*window)
+    interval = as_interval(interval)
+    window = as_interval(window)
     plan = _level_plan(start, d)
     rng = np.random.default_rng(config.seed)
 
-    first_kind = plan[0][1]
-    source = E if first_kind == "t" else F
-    fiber_target = F if first_kind == "t" else E
-    fiber_range = window if first_kind == "t" else interval
-    fiber_dual = first_kind == "t"
-
     if base is None:
-        candidates = _sample_points(source, config.base_candidates, rng)
+        dual = plan[0][1] == "t"
+        candidates = _sample_points(E if dual else F, config.base_candidates, rng)
         measures = fiber_measure_batch(
-            fiber_target, candidates, fiber_range, dual=fiber_dual
+            F if dual else E, candidates, window if dual else interval, dual=dual
         )
         base = candidates[np.argmax(measures)]  # the first maximum
     base = np.asarray(base, dtype=float)
 
-    los, his = fiber_pieces(fiber_target, base, fiber_range, dual=fiber_dual)
-    fiber0 = FiberSet(zip(los[0], his[0]))
-    if fiber0.is_empty:
-        raise TowerCollapse(plan[0][0])
-    centers, widths = fiber0.cells(config.cell_width)
-    params = centers[:, None]
-    widths = widths[:, None]
-    weights = np.ones(centers.size)
-    parent_idx = np.full(centers.size, -1)
-    levels = [
-        TowerLevel(
-            label=plan[0][0],
-            param_kind=plan[0][1],
-            target=plan[0][2],
-            measure=float((widths.prod(axis=1) * weights).sum()),
-            threshold=0.0,
-            min_kept_fiber=float(fiber0.measure),
-            n_nodes=centers.size,
-            params=params,
-            widths=widths,
-            weights=weights,
-            parent_idx=parent_idx,
-        )
-    ]
-
-    points = line_step(base, centers, fiber_dual)  # (n, d), one per node
-
-    for label, kind, target in plan[1:]:
-        prev = levels[-1]
+    # the root node: the base point, with no parameters yet
+    params = widths = np.empty((1, 0))
+    weights = np.ones(1)
+    points = base[None]
+    levels = []
+    for label, kind, target in plan:
+        dual = kind == "t"
         tgt_set = F if target == "F" else E
-        rng_param = window if kind == "t" else interval
-        los, his = fiber_pieces(tgt_set, points, rng_param, dual=(kind == "t"))
+        los, his = fiber_pieces(tgt_set, points, window if dual else interval, dual=dual)
         measures = np.clip(his - los, 0.0, None).sum(axis=1)
-        node_vols = prev.widths.prod(axis=1) * prev.weights
+        node_vols = widths.prod(axis=1) * weights
         mean = float((measures * node_vols).sum() / node_vols.sum())
-        threshold = config.keep_fraction * mean
-        keep = measures >= threshold
-        if threshold == 0.0:
-            keep &= measures > 0.0
+        threshold = config.keep_fraction * mean if levels else 0.0
+        keep = (measures >= threshold) & (measures > 0.0)
         if not keep.any():
             raise TowerCollapse(label)
 
-        child_params, child_widths, child_weights, child_parent = [], [], [], []
-        kept_indices = np.flatnonzero(keep)
-        for i in kept_indices:
-            c, w = FiberSet(zip(los[i], his[i])).cells(config.cell_width)
-            if c.size == 0:
-                continue
-            stem = np.repeat(prev.params[i][None, :], c.size, axis=0)
-            stem_w = np.repeat(prev.widths[i][None, :], c.size, axis=0)
-            child_params.append(np.concatenate([stem, c[:, None]], axis=1))
-            child_widths.append(np.concatenate([stem_w, w[:, None]], axis=1))
-            child_weights.append(np.full(c.size, prev.weights[i]))
-            child_parent.append(np.full(c.size, i))
-        if not child_params:
-            raise TowerCollapse(label)
-        params = np.concatenate(child_params)
-        widths = np.concatenate(child_widths)
-        weights = np.concatenate(child_weights)
-        parent_idx = np.concatenate(child_parent)
+        kept = np.flatnonzero(keep)
+        rows, centers, cell_widths = fiber_cells(los[kept], his[kept], config.cell_width)
+        parent_idx = kept[rows]
+        params = np.concatenate([params[parent_idx], centers[:, None]], axis=1)
+        widths = np.concatenate([widths[parent_idx], cell_widths[:, None]], axis=1)
+        weights = weights[parent_idx]
 
         if params.shape[0] > config.max_nodes:
             sub_rng = np.random.default_rng(config.seed + label)
@@ -225,7 +185,7 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
                 parent_idx=parent_idx,
             )
         )
-        points = line_step(points[parent_idx], params[:, -1], kind == "t")
+        points = line_step(points[parent_idx], params[:, -1], dual)
 
     return Tower(
         dim=d,
@@ -384,8 +344,8 @@ def enumerate_tower_bruteforce(
     """
     if E.dim != 2:
         raise ValueError("brute-force enumeration is for dimension 2 only")
-    interval = interval if isinstance(interval, Interval) else Interval(*interval)
-    window = window if isinstance(window, Interval) else Interval(*window)
+    interval = as_interval(interval)
+    window = as_interval(window)
     base = np.asarray(base, dtype=float)
 
     if start == "phi":

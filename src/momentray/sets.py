@@ -1,7 +1,8 @@
-"""Axis-aligned boxes, finite disjoint unions, and 1-d fiber sets."""
+"""Intervals, axis-aligned boxes, finite disjoint unions, and fiber cells."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if not np.isfinite(self.lo) or not np.isfinite(self.hi):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("interval endpoints must be finite")
         if self.hi < self.lo:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
@@ -138,65 +139,39 @@ class BoxUnionSet:
         return f"BoxUnionSet(dim={self.dim}, n_boxes={self.n_boxes}, measure={self.measure:g})"
 
 
-class FiberSet:
-    """Finite union of disjoint closed intervals on the parameter line.
+def as_interval(value):
+    """An Interval from an Interval or a (lo, hi) pair: finite, lo <= hi."""
+    return value if isinstance(value, Interval) else Interval(*value)
 
-    Overlapping or touching input intervals are merged; empty inputs
-    (hi < lo) are dropped.
+
+def fiber_cells(los, his, max_width):
+    """Cut every row's fiber into equal cells of width at most max_width.
+
+    los and his are (n, k) piece endpoints as transform.fiber_pieces returns
+    them; a piece with his < los or a NaN end is empty.  Each row's pieces
+    are sorted, touching or overlapping ones merged with a running maximum,
+    and every merged interval of positive length is cut into
+    max(1, ceil(length / max_width)) equal cells.  Returns (rows, centers,
+    widths), one entry per cell, ordered by row and then along the line; a
+    row's widths sum to its fiber measure.
     """
-
-    def __init__(self, intervals=()):
-        pairs = []
-        for item in intervals:
-            if isinstance(item, Interval):
-                lo, hi = item.lo, item.hi
-            else:
-                lo, hi = float(item[0]), float(item[1])
-            if hi >= lo:
-                pairs.append((lo, hi))
-        pairs.sort()
-        los, his = [], []
-        for lo, hi in pairs:
-            if los and lo <= his[-1]:
-                his[-1] = max(his[-1], hi)
-            else:
-                los.append(lo)
-                his.append(hi)
-        self.los = np.asarray(los, dtype=float)
-        self.his = np.asarray(his, dtype=float)
-
-    @property
-    def n_intervals(self):
-        return self.los.size
-
-    @property
-    def is_empty(self):
-        return self.los.size == 0
-
-    @property
-    def measure(self):
-        return float((self.his - self.los).sum())
-
-    def cells(self, max_width):
-        """Partition into equal cells of width <= max_width per interval.
-
-        Returns (centers, widths); cell measures sum to the fiber measure.
-        """
-        if max_width <= 0:
-            raise ValueError("max_width must be positive")
-        centers, widths = [], []
-        for lo, hi in zip(self.los, self.his):
-            length = hi - lo
-            if length == 0.0:
-                continue
-            n = max(1, int(np.ceil(length / max_width)))
-            w = length / n
-            centers.append(lo + (np.arange(n) + 0.5) * w)
-            widths.append(np.full(n, w))
-        if not centers:
-            return np.empty(0), np.empty(0)
-        return np.concatenate(centers), np.concatenate(widths)
-
-    def __repr__(self):
-        spans = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.los, self.his))
-        return f"FiberSet({spans})"
+    if max_width <= 0:
+        raise ValueError("max_width must be positive")
+    valid = his >= los
+    los = np.where(valid, los, np.inf)  # empty pieces sort last
+    order = np.lexsort((his, los), axis=1)
+    los, his, valid = (np.take_along_axis(a, order, axis=1) for a in (los, his, valid))
+    reach = np.maximum.accumulate(np.where(valid, his, -np.inf), axis=1)
+    start = valid.copy()
+    start[:, 1:] &= los[:, 1:] > reach[:, :-1]
+    last = valid.copy()
+    last[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
+    rows, cols = np.nonzero(start)
+    lo = los[rows, cols]
+    length = reach[last] - lo
+    positive = length != 0.0
+    rows, lo, length = rows[positive], lo[positive], length[positive]
+    counts = np.maximum(1, np.ceil(length / max_width).astype(int))
+    width = np.repeat(length / counts, counts)
+    index = np.arange(width.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(rows, counts), np.repeat(lo, counts) + (index + 0.5) * width, width

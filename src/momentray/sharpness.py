@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .lorentz import SimpleFunction, lorentz_norm_from_steps
-from .sets import Box, BoxUnionSet, Interval
+from .sets import Box, BoxUnionSet, Interval, as_interval
 from .transform import NoIncidence, apply_x, bilinear_form, region_cell_values
 
 MAX_MATERIALIZED_BOXES = 500_000
@@ -90,12 +90,11 @@ def dilate_configuration(E, F, interval, delta):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lo = interval.lo if isinstance(interval, Interval) else float(interval[0])
-    hi = interval.hi if isinstance(interval, Interval) else float(interval[1])
+    interval = as_interval(interval)
     return (
         E.dilated_nonisotropic(delta),
         F.dilated_nonisotropic(delta),
-        Interval(delta * lo, delta * hi),
+        Interval(delta * interval.lo, delta * interval.hi),
     )
 
 
@@ -255,9 +254,8 @@ def verify_minorant(spec, interval=(-1.0, 1.0), samples_per_piece=8, seed=0):
     are unaffected).  Returns the minimum sampled slack of (transform value
     minus piece weight); nonnegative means the minorant held everywhere.
     """
-    lo = interval.lo if isinstance(interval, Interval) else float(interval[0])
-    hi = interval.hi if isinstance(interval, Interval) else float(interval[1])
-    if lo > -1.0 / spec.n_start or hi < 1.0 / spec.n_start:
+    interval = as_interval(interval)
+    if interval.lo > -1.0 / spec.n_start or interval.hi < 1.0 / spec.n_start:
         raise ValueError(
             "interval must contain [-1/n_start, 1/n_start]; recenter the "
             "configuration first"
@@ -269,7 +267,7 @@ def verify_minorant(spec, interval=(-1.0, 1.0), samples_per_piece=8, seed=0):
     for weight, support in zip(minorant.weights, minorant.supports):
         blo, bhi = support.los[0], support.his[0]
         pts = rng.uniform(blo, bhi, size=(samples_per_piece, spec.dim))
-        vals = apply_x(f, (lo, hi), pts)
+        vals = apply_x(f, interval, pts)
         worst = min(worst, float(np.min(vals - weight)))
     return worst
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import BoxUnionSet, Interval
+from .sets import BoxUnionSet, as_interval
 
 _CHUNK_LIMIT = 1 << 22
 
@@ -45,12 +45,8 @@ class QuadSpec:
 
 
 def _interval_pair(interval):
-    if isinstance(interval, Interval):
-        return interval.lo, interval.hi
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi < lo:
-        raise ValueError("interval upper end below lower end")
-    return lo, hi
+    interval = as_interval(interval)
+    return interval.lo, interval.hi
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +171,8 @@ def fiber_pieces(region, points, interval, dual=False):
 
     Column k is one box's fiber, or one component of it on the dual route,
     for every point; a piece with his < los is empty.  Pieces from touching
-    boxes can touch, so FiberSet(zip(los[i], his[i])) is point i's fiber.
+    boxes can touch, so point i's fiber is the union of row i's pieces, which
+    sets.fiber_cells merges and cuts into cells.
     """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
@@ -197,14 +194,14 @@ def apply_x(f, interval, x):
     Exact for box unions and simple functions.  Accepts a single point (d,)
     or a batch (n, d).
     """
-    lo, hi = _interval_pair(interval)
+    interval = as_interval(interval)
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(f, BoxUnionSet):
-        out = fiber_measure_batch(f, X, (lo, hi))
+        out = fiber_measure_batch(f, X, interval)
     elif _is_simple_function(f):
         out = np.zeros(X.shape[0])
         for w, support in zip(f.weights, f.supports):
-            out += w * fiber_measure_batch(support, X, (lo, hi))
+            out += w * fiber_measure_batch(support, X, interval)
     else:
         raise TypeError(f"unsupported integrand type: {type(f).__name__}")
     return float(out[0]) if np.asarray(x).ndim == 1 else out

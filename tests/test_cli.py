@@ -178,6 +178,24 @@ def test_no_incidence_is_measured_failure(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("measured failure: ") and "configuration" not in err
 
+    # next to an entry with incidence, the far one gets its own FAIL row
+    unit = next(e for e in build_default_corpus() if e.entry_id == "d2-unit")
+    save_corpus([unit, far], path)
+    for command in ("rwt", "lemma2"):
+        out = tmp_path / f"{command}.csv"
+        argv = [command, "--corpus", str(path), "--output", str(out)]
+        assert run(argv) == FAIL, command
+        err = capsys.readouterr().err
+        assert err.startswith("measured failure: far-apart: "), err
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert {row["corpus_id"] for row in rows} == {"d2-unit", "far-apart"}
+        assert all(row["verdict"] == "PASS" for row in rows if row["corpus_id"] == "d2-unit")
+        (failed,) = [row for row in rows if row["corpus_id"] == "far-apart"]
+        assert failed["verdict"] == "FAIL"
+        assert {failed[c] for c in header} == {"far-apart", "FAIL", ""}
+
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["jacobian", "--config", str(tmp_path / "nope.json")]) == USAGE

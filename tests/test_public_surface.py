@@ -23,7 +23,6 @@ EXEMPT = {
     "sharpness.dilate_configuration": "test oracle for dilation invariance of the testing ratios",
     "lorentz.blockwise_lorentz_norm": "test oracle for the exact Lorentz norm",
     "sharpness.xf_lower_exact_lorentz": "test oracle for the blockwise X f lower bound",
-    "sets.FiberSet.n_intervals": "tests check fiber merging with it",
     "sharpness.verify_minorant": "the benchmark's family-minorant entry point",
 }
 

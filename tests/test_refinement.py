@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from momentray.geometry import jacobian_numeric
+from momentray.acceptance import random_box_pair
+from momentray.corpus import build_default_corpus
+from momentray.geometry import incidence_path, jacobian_numeric
 from momentray.refinement import (
     Tower,
     TowerCollapse,
@@ -16,6 +18,7 @@ from momentray.refinement import (
     tower_report,
 )
 from momentray.sets import Box, BoxUnionSet, Interval
+from momentray.transform import fiber_measure_batch
 
 
 def unit_pair(d):
@@ -97,6 +100,69 @@ def test_node_cap_rescales_weights():
     assert capped.top.weights.max() > 1.0
     # the subsample is importance-preserving: total measure barely moves
     assert capped.top.measure == pytest.approx(full.top.measure, rel=0.25)
+
+
+def _parent_fibers(tower, li):
+    """Exact fiber measures and cell volumes of level li's parents.
+
+    The parents of level 1 are the base point alone, with volume 1.
+    """
+    level = tower.levels[li]
+    dual = level.param_kind == "t"
+    target = tower.F if level.target == "F" else tower.E
+    if li == 0:
+        points, vols = tower.base[None], np.ones(1)
+    else:
+        parent = tower.levels[li - 1]
+        points = incidence_path(tower.base, parent.params, tower.start)[-1]
+        vols = parent.widths.prod(axis=1) * parent.weights
+    rng = tower.window if dual else tower.interval
+    return fiber_measure_batch(target, points, rng, dual=dual), vols
+
+
+def _conserved_levels(tower):
+    """Check every level below the node cap; return how many were checked.
+
+    Cells partition the kept parents' fibers, so a level's measure is the
+    sum over kept parents of fiber measure times parent cell volume.
+    """
+    checked = 0
+    for li, level in enumerate(tower.levels):
+        if level.n_nodes >= tower.config.max_nodes:
+            continue  # possibly subsampled
+        measures, vols = _parent_fibers(tower, li)
+        kept = (measures >= level.threshold) & (measures > 0.0)
+        expected = float((measures[kept] * vols[kept]).sum())
+        assert level.measure == pytest.approx(expected, rel=1e-12, abs=0.0), (
+            tower.start, level.label,
+        )
+        checked += 1
+    return checked
+
+
+def test_level_measures_conserve_kept_fiber_mass():
+    """On every corpus tower (d = 2, 3) and a d = 4 random pair."""
+    checked = 0
+    for entry in build_default_corpus():
+        for start in ("phi", "psi"):
+            try:
+                tower = build_tower(
+                    entry.E, entry.F, entry.interval, entry.window, start=start
+                )
+            except TowerCollapse:
+                continue
+            checked += _conserved_levels(tower)
+    assert checked >= 130
+    E, F = random_box_pair(4, np.random.default_rng(0))
+    espan, fspan = E.first_axis_span(), F.first_axis_span()
+    config = TowerConfig(cell_width=1.0 / 8.0, max_nodes=4000)
+    for start in ("phi", "psi"):
+        tower = build_tower(
+            E, F, (espan.lo - 0.1, espan.hi + 0.1), (fspan.lo - 0.1, fspan.hi + 0.1),
+            start=start, config=config,
+        )
+        assert tower.depth == 4
+        assert _conserved_levels(tower) == tower.depth
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Intervals, boxes, disjoint unions, and parameter-line fibers."""
+"""Intervals, boxes, disjoint unions, and fiber cells."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from momentray.sets import Box, BoxUnionSet, FiberSet, Interval
+from momentray.sets import Box, BoxUnionSet, Interval, fiber_cells
 
 
 def test_interval_basics():
@@ -67,23 +67,33 @@ def test_union_dilation_measure_exponent(delta):
     assert scaled.measure == pytest.approx(delta**6 * u.measure, rel=1e-12)
 
 
+def _cells(pieces, max_width):
+    los, his = np.array(pieces, dtype=float).T
+    return fiber_cells(los[None, :], his[None, :], max_width)
+
+
 def test_fiber_merging_and_measure():
-    f = FiberSet([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)])
-    assert f.n_intervals == 2
-    assert f.measure == pytest.approx(3.0)
-    assert f.los.tolist() == [0.0, 3.0] and f.his.tolist() == [2.0, 4.0]
+    # [0, 1] and [0.5, 2] overlap: one interval [0, 2], cut into two cells
+    rows, centers, widths = _cells([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)], 1.0)
+    assert rows.tolist() == [0, 0, 0]
+    assert centers.tolist() == [0.5, 1.5, 3.5]
+    assert widths.sum() == pytest.approx(3.0)
 
 
 def test_fiber_empty_inputs_dropped():
-    f = FiberSet([(1.0, 0.0)])
-    assert f.is_empty
-    assert f.measure == 0.0
+    for pieces in ([(1.0, 0.0)], [(np.nan, 1.0)], [(0.5, 0.5)]):
+        rows, centers, widths = _cells(pieces, 0.25)
+        assert rows.size == centers.size == widths.size == 0
 
 
 def test_fiber_cells_preserve_measure():
-    f = FiberSet([(0.0, 1.0), (2.0, 2.3)])
-    centers, widths = f.cells(max_width=0.25)
+    los = np.array([[0.0, 2.0], [1.0, 0.0]])
+    his = np.array([[1.0, 2.3], [0.0, 0.1]])  # row 1: one empty piece
+    rows, centers, widths = fiber_cells(los, his, max_width=0.25)
     assert np.all(widths <= 0.25 + 1e-12)
-    assert widths.sum() == pytest.approx(f.measure)
-    inside = (f.los[:, None] <= centers) & (centers <= f.his[:, None])
-    assert inside.any(axis=0).all()
+    assert widths[rows == 0].sum() == pytest.approx(1.3)
+    assert widths[rows == 1].sum() == pytest.approx(0.1)
+    inside = (los[rows] <= centers[:, None]) & (centers[:, None] <= his[rows])
+    assert inside.any(axis=1).all()
+    with pytest.raises(ValueError):
+        fiber_cells(los, his, max_width=0.0)

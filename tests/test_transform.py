@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from momentray import transform
 from momentray.acceptance import random_box_pair
 from momentray.lorentz import SimpleFunction
-from momentray.sets import BoxUnionSet, FiberSet
+from momentray.refinement import build_tower
+from momentray.sets import BoxUnionSet, fiber_cells
 from momentray.sharpness import dilate_configuration
 from momentray.transform import (
     QuadSpec,
@@ -93,6 +94,25 @@ def _dual_fiber_box(blo, bhi, x, lo, hi):
     return comps
 
 
+def _merge(pieces):
+    """Reference fiber of one point: (m, 2) disjoint intervals, sorted.
+
+    Empty pieces (hi < lo, or a NaN end) are dropped, the rest sorted and
+    merged one at a time while they touch or overlap.
+    """
+    merged = []
+    for lo, hi in sorted((float(lo), float(hi)) for lo, hi in pieces if hi >= lo):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return np.array(merged, dtype=float).reshape(-1, 2)
+
+
+def _measure(fiber):
+    return float((fiber[:, 1] - fiber[:, 0]).sum())
+
+
 def _line_fiber(region, x, interval, dual=False):
     """Exact parameter set where the line through x meets the box union."""
     lo, hi = interval
@@ -105,44 +125,41 @@ def _line_fiber(region, x, interval, dual=False):
             piece = _primal_fiber_box(blo, bhi, x, lo, hi)
             if piece is not None:
                 pieces.append(piece)
-    return FiberSet(pieces)
+    return _merge(pieces)
 
 
 def _kernel_fibers(region, points, interval, dual=False):
     """Per-point fibers from one fiber_pieces call, touching pieces merged."""
     los, his = fiber_pieces(region, points, interval, dual=dual)
-    return [FiberSet(zip(a, b)) for a, b in zip(los, his)]
+    return [_merge(zip(a, b)) for a, b in zip(los, his)]
 
 
 def _assert_fibers_match_reference(region, points, interval, dual):
     measures = fiber_measure_batch(region, points, interval, dual=dual)
     for x, fib, m in zip(points, _kernel_fibers(region, points, interval, dual), measures):
         ref = _line_fiber(region, x, interval, dual=dual)
-        assert fib.n_intervals == ref.n_intervals
-        assert np.allclose(fib.los, ref.los, rtol=0.0, atol=1e-14)
-        assert np.allclose(fib.his, ref.his, rtol=0.0, atol=1e-14)
-        assert abs(m - ref.measure) <= 1e-14
+        assert fib.shape == ref.shape
+        assert np.allclose(fib, ref, rtol=0.0, atol=1e-14)
+        assert abs(m - _measure(ref)) <= 1e-14
 
 
 def test_primal_fiber_hand_value():
     # x = (1, 0.5): need 0.5 + s in [0,1] and s in [0,1] -> s in [0, 0.5]
     (fib,) = _kernel_fibers(UNIT2, [(1.0, 0.5)], (0.0, 1.0))
-    assert fib.measure == pytest.approx(0.5)
-    assert fib.n_intervals == 1
-    assert (fib.los[0], fib.his[0]) == (0.0, 0.5)
+    assert fib.tolist() == [[0.0, 0.5]]
 
 
 def test_primal_fiber_vertical_line():
     # x1 = 0: the j >= 2 constraints are constant, fiber is all of I
     fib, empty = _kernel_fibers(UNIT2, [(0.0, 0.5), (0.0, 1.5)], (0.0, 1.0))
-    assert fib.measure == pytest.approx(1.0)
-    assert empty.is_empty
+    assert _measure(fib) == pytest.approx(1.0)
+    assert len(empty) == 0
 
 
 def test_dual_fiber_hand_value():
     # x = (1, 0.5): need t in [0,1] and 0.5 - t in [0,1] -> t in [0, 0.5]
     (fib,) = _kernel_fibers(UNIT2, [(1.0, 0.5)], (-1.0, 1.0), dual=True)
-    assert fib.measure == pytest.approx(0.5)
+    assert _measure(fib) == pytest.approx(0.5)
 
 
 def test_dual_fiber_even_power_components():
@@ -151,8 +168,8 @@ def test_dual_fiber_even_power_components():
     # quadratic one -> |t| in [sqrt(0.5), 1], two symmetric components.
     F = BoxUnionSet([np.array([[-2.0, 2.0], [-1.0, 1.0], [0.0, 0.5]])])
     (fib,) = _kernel_fibers(F, [(1.0, 0.0, 1.0)], (-2.0, 2.0), dual=True)
-    assert fib.n_intervals == 2
-    assert fib.measure == pytest.approx(2.0 * (1.0 - np.sqrt(0.5)), rel=1e-12)
+    assert len(fib) == 2
+    assert _measure(fib) == pytest.approx(2.0 * (1.0 - np.sqrt(0.5)), rel=1e-12)
 
 
 def test_fiber_measure_batch_matches_single():
@@ -178,7 +195,7 @@ def test_fiber_pieces_split_and_merge():
     pts = np.column_stack(
         [rng.uniform(0.5, 1.5, 200), rng.uniform(-0.2, 0.2, 200), rng.uniform(0.6, 1.4, 200)]
     )
-    assert sum(f.n_intervals == 2 for f in _kernel_fibers(F, pts, (-2.0, 2.0), dual=True)) > 100
+    assert sum(len(f) == 2 for f in _kernel_fibers(F, pts, (-2.0, 2.0), dual=True)) > 100
     _assert_fibers_match_reference(F, pts, (-2.0, 2.0), dual=True)
     # four boxes tiling [0, 1]^3: a line crossing a shared face gets
     # touching pieces from two boxes, merged into one interval
@@ -194,9 +211,70 @@ def test_fiber_pieces_split_and_merge():
     for dual in (False, True):
         los, his = fiber_pieces(cube, pts, (0.0, 1.0), dual=dual)
         pieces = (his >= los).sum(axis=1)
-        merged = np.array([f.n_intervals for f in _kernel_fibers(cube, pts, (0.0, 1.0), dual)])
+        merged = np.array([len(f) for f in _kernel_fibers(cube, pts, (0.0, 1.0), dual)])
         assert np.all(merged <= pieces) and np.any(merged < pieces)
         _assert_fibers_match_reference(cube, pts, (0.0, 1.0), dual)
+
+
+def _reference_cells(los, his, max_width):
+    """Reference merge of each row, then equal cells of every interval."""
+    rows, centers, widths = [], [], []
+    for i, (a, b) in enumerate(zip(los, his)):
+        for lo, hi in _merge(zip(a, b)):
+            length = hi - lo
+            if length == 0.0:
+                continue
+            n = max(1, int(np.ceil(length / max_width)))
+            w = length / n
+            rows.append(np.full(n, i))
+            centers.append(lo + (np.arange(n) + 0.5) * w)
+            widths.append(np.full(n, w))
+    if not rows:
+        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
+    return np.concatenate(rows), np.concatenate(centers), np.concatenate(widths)
+
+
+# few distinct ends, so pieces often touch, nest, coincide or have length 0
+_PIECE_ENDS = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, math.nan]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def piece_arrays(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ends = draw(st.lists(_PIECE_ENDS, min_size=2 * n * k, max_size=2 * n * k))
+    los, his = np.array(ends).reshape(2, n, k)
+    no_piece = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    his[no_piece] = -np.inf  # every piece of these rows is empty
+    return los, his
+
+
+@given(piece_arrays(), st.sampled_from([0.05, 0.3, 1.0, 4.0]))
+@settings(max_examples=200, deadline=None)
+def test_fiber_cells_match_reference_merge_and_cut(pieces, max_width):
+    got = fiber_cells(*pieces, max_width)
+    ref = _reference_cells(*pieces, max_width)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert g.tobytes() == r.astype(g.dtype).tobytes()
+
+
+@pytest.mark.parametrize("bad", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_unrepresentable_intervals_are_refused(bad):
+    calls = [
+        lambda: fiber_measure_batch(UNIT2, [(0.5, 0.5)], bad),
+        lambda: fiber_pieces(UNIT2, [(0.5, 0.5)], bad),
+        lambda: apply_x(UNIT2, bad, (0.5, 0.5)),
+        lambda: bilinear_form(UNIT2, UNIT2, bad),
+        lambda: bilinear_form_dual(UNIT2, UNIT2, bad),
+        lambda: build_tower(UNIT2, UNIT2, bad, (0.0, 1.0)),
+        lambda: build_tower(UNIT2, UNIT2, (0.0, 1.0), bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_fiber_dilation_covariance():
