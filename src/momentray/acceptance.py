@@ -1,20 +1,22 @@
 """Acceptance suite: one check per shipped guarantee, with pinned gates.
 
 Each criterion is a plain function returning a CriterionResult so tests and
-the CLI share the exact same checks.  run_suite prints one PASS/FAIL line
-per criterion and can write deterministic CSV/JSON reports (no timestamps,
-repr'd floats), which is what the determinism criterion byte-compares.
+the CLI share the exact same checks.  Each bound is stated once, as a Gate
+row; the verdict, the PASS/FAIL line and the deterministic CSV/JSON reports
+(no timestamps, repr'd floats), which the determinism criterion
+byte-compares, are all read from those rows.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import operator
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -39,18 +41,64 @@ from .sharpness import (
 )
 from .transform import QuadSpec, adjointness_gap, bilinear_form
 
+_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One acceptance bound: the gate passes when ``value op bound``.
+
+    headroom is how far the value lies inside the bound, negative outside
+    it; an ``==`` gate has none.
+    """
+
+    metric: str
+    value: object
+    op: str
+    bound: object
+
+    @property
+    def passed(self):
+        return bool(_OPS[self.op](self.value, self.bound))
+
+    @property
+    def headroom(self):
+        if self.op == "==":
+            return None
+        return self.bound - self.value if "<" in self.op else self.value - self.bound
+
 
 @dataclass
 class CriterionResult:
+    """A criterion's gate rows plus the ungated values it reports."""
+
     index: int
     name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+    gates: list
+    info: dict
+
+    @property
+    def passed(self):
+        return all(g.passed for g in self.gates)
+
+    @property
+    def details(self):
+        return {**self.info, **{g.metric: g.value for g in self.gates}}
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
-        parts = ", ".join(f"{k}={_fmt(v)}" for k, v in self.details.items())
-        return f"[{status}] criterion {self.index} ({self.name}): {parts}"
+        parts = [f"{k}={_fmt(v)}" for k, v in self.info.items()]
+        parts += [
+            f"{g.metric}={_fmt(g.value)} ({g.op} {_fmt(g.bound)})"
+            for g in self.gates
+        ]
+        return f"[{status}] criterion {self.index} ({self.name}): {', '.join(parts)}"
 
 
 def _fmt(v):
@@ -89,116 +137,108 @@ def random_box_pair(d, rng, max_boxes=2):
 def criterion_1_jacobian_constancy(seed=0, profile="full"):
     """Numeric/factored determinant ratio is a dimensional constant.
 
-    Gate: relative dispersion < 1e-6 and nonzero mean for both map
-    families; in the plane the constants are -1 (dual-first) and +1
-    (forward-first), an oracle derived by hand from the 2x2 determinants.
+    Gated over both map families and every dimension: the worst relative
+    dispersion, the smallest |mean|, and in the plane each mean's distance
+    from its constant, -1 (dual-first) and +1 (forward-first), an oracle
+    derived by hand from the 2x2 determinants.
     """
     dims = (2, 3, 4, 5, 6, 7) if profile == "full" else (2, 3)
     samples = 100 if profile == "full" else 40
-    details = {}
-    passed = True
-    worst = 0.0
-    for kind in ("phi", "psi"):
-        for d in dims:
-            est = estimate_c_d(kind, d, samples=samples, seed=seed + d)
-            worst = max(worst, est.rel_dispersion)
-            if est.rel_dispersion >= 1e-6 or est.mean == 0.0:
-                passed = False
-                details[f"bad_{kind}_d{d}"] = est.rel_dispersion
-            if d == 2:
-                target = -1.0 if kind == "phi" else 1.0
-                details[f"mean_{kind}_d2"] = est.mean
-                if abs(est.mean - target) > 1e-6:
-                    passed = False
-    details["dims"] = "-".join(str(d) for d in dims)
-    details["max_dispersion"] = worst
-    return CriterionResult(1, "jacobian-constancy", passed, details)
+    ests = {
+        (kind, d): estimate_c_d(kind, d, samples=samples, seed=seed + d)
+        for kind in ("phi", "psi")
+        for d in dims
+    }
+    plane = {"phi": -1.0, "psi": 1.0}
+    info = {f"mean_{kind}_d2": ests[kind, 2].mean for kind in plane}
+    info["dims"] = "-".join(str(d) for d in dims)
+    dispersion = float(np.max([e.rel_dispersion for e in ests.values()]))
+    gates = [
+        Gate("max_dispersion", dispersion, "<", 1e-6),
+        Gate("min_abs_mean", min(abs(e.mean) for e in ests.values()), ">", 0.0),
+    ]
+    gates += [
+        Gate(f"err_mean_{kind}_d2", abs(ests[kind, 2].mean - target), "<=", 1e-6)
+        for kind, target in plane.items()
+    ]
+    return CriterionResult(1, "jacobian-constancy", gates, info)
 
 
 def criterion_2_adjointness(seed=0, profile="full"):
     """Forward and dual pairings agree on random box pairs.
 
-    Gate: relative gap <= 1e-3 with the default quadrature, 50 pairs in
-    each of d = 2, 3.
+    Gated: the worst relative gap, default quadrature, in each of d = 2, 3.
     """
     n_pairs = 50 if profile == "full" else 8
-    details = {}
-    passed = True
+    info = {"pairs": n_pairs}
+    gates = []
     for d in (2, 3):
         rng = np.random.default_rng(seed + 100 * d)
-        worst = 0.0
-        t_min = float("inf")
+        gaps = []
         for _ in range(n_pairs):
             E, F = random_box_pair(d, rng)
-            span = E.first_axis_span()
-            wspan = F.first_axis_span()
-            gap = adjointness_gap(
-                E, F, (span.lo, span.hi), (wspan.lo, wspan.hi)
-            )
-            worst = max(worst, gap["rel_gap"])
-            t_min = min(t_min, gap["primal"])
-        details[f"worst_rel_d{d}"] = worst
-        details[f"min_pairing_d{d}"] = t_min
-        if worst > 1e-3:
-            passed = False
-    details["pairs"] = n_pairs
-    return CriterionResult(2, "adjointness", passed, details)
+            spans = (E.first_axis_span(), F.first_axis_span())
+            gaps.append(adjointness_gap(E, F, *spans))
+        info[f"min_pairing_d{d}"] = min(g["primal"] for g in gaps)
+        worst = float(np.max([g["rel_gap"] for g in gaps]))
+        gates.append(Gate(f"worst_rel_d{d}", worst, "<=", 1e-3))
+    return CriterionResult(2, "adjointness", gates, info)
 
 
 def criterion_3_unit_square_pairing(seed=0, profile="full"):
-    """Unit-square pairing equals the hand value 3/4 within 1e-6.
+    """Unit-square pairing and testing ratios equal their hand values.
 
     For E = F = [0,1]^2 and I = [0,1] the pairing is
     int_0^1 int_0^1 |{s in [0,1] : x2 + s*x1 in [0,1]}| dx = 3/4 by direct
-    integration.  Checked with the default layered quadrature and with the
-    tensor midpoint rule at step 1/2048.
+    integration, so alpha = beta = 3/4 and ratio_E = ratio_F = 64/27.
+    Gated: the pairing's error under the default layered quadrature and the
+    tensor midpoint rule at step 1/2048, and each testing-ratio error.
     """
     unit = BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])])
-    layered = bilinear_form(unit, unit, (0.0, 1.0))
+    rwt = check_rwt(unit, unit, (0.0, 1.0))
     midpoint = bilinear_form(
         unit, unit, (0.0, 1.0), QuadSpec(method="midpoint", step=1.0 / 2048.0)
     )
-    err_layered = abs(layered - 0.75)
-    err_midpoint = abs(midpoint - 0.75)
-    passed = err_layered <= 1e-6 and err_midpoint <= 1e-6
-    return CriterionResult(
-        3,
-        "unit-square-pairing",
-        passed,
-        {
-            "layered": layered,
-            "midpoint_2048": midpoint,
-            "err_layered": err_layered,
-            "err_midpoint": err_midpoint,
-        },
-    )
+    info = {"layered": rwt.value, "midpoint_2048": midpoint}
+    gates = [
+        Gate(f"err_{route}", abs(value - 0.75), "<=", 1e-6)
+        for route, value in (("layered", rwt.value), ("midpoint", midpoint))
+    ]
+    hand = {"alpha": 0.75, "beta": 0.75, "ratio_e": 64 / 27, "ratio_f": 64 / 27}
+    gates += [
+        Gate(f"err_{key}", abs(getattr(rwt, key) - want), "<=", 1e-12)
+        for key, want in hand.items()
+    ]
+    return CriterionResult(3, "unit-square-pairing", gates, info)
 
 
 def criterion_4_family_scaling(seed=0, profile="full"):
     """Norm decay of the shrinking family matches the exact exponents.
 
-    Gates: fitted slopes within 3% of the closed-form predictions for
-    d = 2, 3, 4; at the critical secondary exponent the two slopes agree
-    within 1e-2 absolute; the divergence verdict flips across it.
+    Gated for d = 2, 3, 4: the relative error of both fitted slopes against
+    their closed-form predictions; the absolute gap between the two slopes
+    at the critical secondary exponent; and the necessity verdicts, which
+    must read diverges below that exponent and bounded above it.
     """
-    details = {}
-    passed = True
+    info = {}
+    gates = []
     for d in (2, 3, 4):
         p_d, _ = critical_exponents(d)
         res = scaling_experiment(d, r=float(p_d))
-        rel_f = abs(res.fit_f.slope - res.predicted_f) / abs(res.predicted_f)
-        rel_xf = abs(res.fit_xf.slope - res.predicted_xf) / abs(res.predicted_xf)
+        info[f"slope_f_d{d}"] = res.fit_f.slope
+        for route, fit, predicted in (
+            ("f", res.fit_f, res.predicted_f),
+            ("xf", res.fit_xf, res.predicted_xf),
+        ):
+            rel = abs(fit.slope - predicted) / abs(predicted)
+            gates.append(Gate(f"rel_err_{route}_d{d}", rel, "<=", 0.03))
         gap = abs(res.fit_f.slope - res.fit_xf.slope)
-        details[f"slope_f_d{d}"] = res.fit_f.slope
-        details[f"slope_gap_d{d}"] = gap
-        if rel_f > 0.03 or rel_xf > 0.03 or gap > 1e-2:
-            passed = False
+        gates.append(Gate(f"slope_gap_d{d}", gap, "<=", 1e-2))
         low = necessity_check(d, r=0.9 * float(p_d))
         high = necessity_check(d, r=1.1 * float(p_d))
-        details[f"verdicts_d{d}"] = f"{low.verdict}/{high.verdict}"
-        if low.verdict != "diverges" or high.verdict != "bounded":
-            passed = False
-    return CriterionResult(4, "family-scaling", passed, details)
+        verdicts = f"{low.verdict}/{high.verdict}"
+        gates.append(Gate(f"verdicts_d{d}", verdicts, "==", "diverges/bounded"))
+    return CriterionResult(4, "family-scaling", gates, info)
 
 
 def _random_simple_function(rng, d):
@@ -220,9 +260,9 @@ def _random_simple_function(rng, d):
 def criterion_5_lorentz_identity(seed=0, profile="full"):
     """Lorentz norm at equal exponents reproduces the Lebesgue norm.
 
-    Gate: relative agreement 1e-10 on random simple functions and 1e-12
-    against the indicator closed form (s/r)^(1/r) |A|^(1/s), including the
-    sup-type secondary exponent.
+    Gated: the worst relative disagreement with the Lebesgue norm on random
+    simple functions, and with the indicator closed form
+    (s/r)^(1/r) |A|^(1/s), the sup-type secondary exponent included.
     """
     count = 100 if profile == "full" else 20
     rng = np.random.default_rng(seed + 11)
@@ -237,126 +277,87 @@ def criterion_5_lorentz_identity(seed=0, profile="full"):
     area = BoxUnionSet([np.array([[0.0, 0.5], [0.0, 0.8]])])
     indicator = SimpleFunction([1.0], [area])
     worst_chi = 0.0
-    for s, r in ((1.5, 2.5), (2.0, 1.0), (3.0, 0.7), (1.2, 4.0)):
+    for s, r in ((1.5, 2.5), (2.0, 1.0), (3.0, 0.7), (1.2, 4.0), (2.0, np.inf)):
         got = lorentz_norm(indicator, s, r)
         want = (s / r) ** (1.0 / r) * area.measure ** (1.0 / s)
         worst_chi = max(worst_chi, abs(got - want) / want)
-    got_inf = lorentz_norm(indicator, 2.0, float("inf"))
-    want_inf = area.measure**0.5
-    worst_chi = max(worst_chi, abs(got_inf - want_inf) / want_inf)
-    passed = worst <= 1e-10 and worst_chi <= 1e-12
-    return CriterionResult(
-        5,
-        "lorentz-identity",
-        passed,
-        {"functions": count, "worst_rel": worst, "worst_chi_rel": worst_chi},
-    )
+    gates = [
+        Gate("worst_rel", worst, "<=", 1e-10),
+        Gate("worst_chi_rel", worst_chi, "<=", 1e-12),
+    ]
+    return CriterionResult(5, "lorentz-identity", gates, {"functions": count})
 
 
 def criterion_6_testing_ratio_floor(seed=0, profile="full"):
     """Two-sided testing ratios hold a positive floor over the corpus.
 
-    Gate: max(ratio_E, ratio_F) >= 0.01 for every entry, and the floor
-    moves by less than 2x when the quadrature step is halved.
+    Gated: the corpus floor of max(ratio_E, ratio_F), and the worst factor
+    by which an entry's value moves when the quadrature step is halved.
     """
     corpus = build_default_corpus()
     if profile != "full":
         corpus = corpus[:8]
-    floor = float("inf")
-    floor_halved = float("inf")
-    worst_id = ""
-    worst_drift = 1.0
-    passed = True
+    bases, fines = [], []  # max(ratio_e, ratio_f) at the default and halved step
     for entry in corpus:
-        interval = (entry.interval.lo, entry.interval.hi)
-        base = check_rwt(entry.E, entry.F, interval)
+        base = check_rwt(entry.E, entry.F, entry.interval)
         fine = check_rwt(
-            entry.E, entry.F, interval, QuadSpec(step=QuadSpec().step / 2.0)
+            entry.E, entry.F, entry.interval, QuadSpec(step=QuadSpec().step / 2.0)
         )
-        m_base = max(base.ratio_e, base.ratio_f)
-        m_fine = max(fine.ratio_e, fine.ratio_f)
-        if m_base < floor:
-            floor = m_base
-            worst_id = entry.entry_id
-        floor_halved = min(floor_halved, m_fine)
-        drift = max(m_base, m_fine) / min(m_base, m_fine)
-        worst_drift = max(worst_drift, drift)
-        if m_base < 0.01 or drift > 2.0:
-            passed = False
-    return CriterionResult(
-        6,
-        "testing-ratio-floor",
-        passed,
-        {
-            "entries": len(corpus),
-            "floor": floor,
-            "floor_halved_step": floor_halved,
-            "worst_entry": worst_id,
-            "worst_drift": worst_drift,
-        },
-    )
+        bases.append(max(base.ratio_e, base.ratio_f))
+        fines.append(max(fine.ratio_e, fine.ratio_f))
+    worst = int(np.argmin(bases))
+    drifts = [max(b, f) / min(b, f) for b, f in zip(bases, fines)]
+    gates = [
+        Gate("floor", bases[worst], ">=", 0.01),
+        Gate("worst_drift", max(drifts), "<=", 2.0),
+    ]
+    info = {
+        "entries": len(corpus),
+        "floor_halved_step": min(fines),
+        "worst_entry": corpus[worst].entry_id,
+    }
+    return CriterionResult(6, "testing-ratio-floor", gates, info)
 
 
 def criterion_7_rich_set_floors(seed=0, profile="full"):
     """Rich-subset ratios stay above their measured floors on the corpus.
 
-    Gates (pinned from the measured corpus floors, at roughly half to a
-    quarter of the observed minima): grid-aligned primal and dual ratios
-    >= 1.0; every shrinking-sweep ratio >= 0.5; the corpus floor at the
-    last sweep step at least 0.25x the first step's floor.
+    Gated, with bounds pinned at roughly half to a quarter of the measured
+    corpus minima: the corpus floors of the grid-aligned primal and dual
+    ratios; the smallest shrinking-sweep ratio; and the corpus floor at the
+    last sweep step over the floor at the first.
     """
     corpus = build_default_corpus()
     if profile != "full":
         corpus = corpus[:8]
-    floor_primal = float("inf")
-    floor_dual = float("inf")
-    sweep_step_floors = None
-    passed = True
+    primal, dual, sweeps = [], [], []
     for entry in corpus:
-        interval = (entry.interval.lo, entry.interval.hi)
-        window = (entry.window.lo, entry.window.hi)
-        rep_p = lemma2_grid_primal(entry.E, entry.F, interval)
-        rep_d = lemma2_grid_dual(entry.E, entry.F, window)
-        floor_primal = min(floor_primal, rep_p.ratio)
-        floor_dual = min(floor_dual, rep_d.ratio)
-        sweep = lemma2_shrinking_sweep(entry.E, entry.F, interval)
-        if sweep_step_floors is None:
-            sweep_step_floors = [float("inf")] * len(sweep)
-        for i, rep in enumerate(sweep):
-            sweep_step_floors[i] = min(sweep_step_floors[i], rep.ratio)
-    sweep_min = min(sweep_step_floors)
-    decay = sweep_step_floors[-1] / sweep_step_floors[0]
-    if floor_primal < 1.0 or floor_dual < 1.0:
-        passed = False
-    if sweep_min < 0.5 or decay < 0.25:
-        passed = False
-    return CriterionResult(
-        7,
-        "rich-set-floors",
-        passed,
-        {
-            "entries": len(corpus),
-            "floor_primal": floor_primal,
-            "floor_dual": floor_dual,
-            "sweep_min": sweep_min,
-            "sweep_last_over_first": decay,
-        },
-    )
+        primal.append(lemma2_grid_primal(entry.E, entry.F, entry.interval).ratio)
+        dual.append(lemma2_grid_dual(entry.E, entry.F, entry.window).ratio)
+        sweep = lemma2_shrinking_sweep(entry.E, entry.F, entry.interval)
+        sweeps.append([rep.ratio for rep in sweep])
+    step_floors = np.min(sweeps, axis=0)
+    decay = float(step_floors[-1] / step_floors[0])
+    gates = [
+        Gate("floor_primal", float(np.min(primal)), ">=", 1.0),
+        Gate("floor_dual", float(np.min(dual)), ">=", 1.0),
+        Gate("sweep_min", float(step_floors.min()), ">=", 0.5),
+        Gate("sweep_last_over_first", decay, ">=", 0.25),
+    ]
+    return CriterionResult(7, "rich-set-floors", gates, {"entries": len(corpus)})
 
 
 def criterion_8_tower_oracle(seed=0, profile="full"):
     """Plane towers match exhaustive enumeration and their invariants.
 
-    Gate: every level measure within a factor 2 of the 64^2-grid
-    enumeration (same base point), and the structural check holds on 100%
-    of sampled tuples.
+    Gated: the fraction of sampled tuples passing the structural check, and
+    from below and above, the ratio of each level measure to the 64^2-grid
+    enumeration from the same base point (inf where that level is empty).
     """
-    configs = [
-        (
-            BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])]),
-            BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])]),
-        ),
-        (
+    unit = BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])])
+    configs = {
+        "unit": (unit, unit),
+        "split": (
             BoxUnionSet(
                 [
                     np.array([[-0.6, -0.1], [0.0, 0.8]]),
@@ -365,16 +366,12 @@ def criterion_8_tower_oracle(seed=0, profile="full"):
             ),
             BoxUnionSet([np.array([[-0.4, 0.5], [-0.2, 0.6]])]),
         ),
-    ]
+    }
     samples = 200 if profile == "full" else 60
-    worst_ratio = 1.0
+    ratios = {}
     min_structure = 1.0
-    passed = True
-    for E, F in configs:
-        span = E.first_axis_span()
-        wspan = F.first_axis_span()
-        interval = (span.lo, span.hi)
-        window = (wspan.lo, wspan.hi)
+    for tag, (E, F) in configs.items():
+        interval, window = E.first_axis_span(), F.first_axis_span()
         for start in ("phi", "psi"):
             tower = build_tower(E, F, interval, window, start=start)
             frac, _ = check_tower_structure(tower, samples=samples, seed=seed)
@@ -383,27 +380,20 @@ def criterion_8_tower_oracle(seed=0, profile="full"):
                 E, F, tower.base, interval, window, start=start, grid_n=64
             )
             for level, ref in zip(tower.levels, brute):
-                if ref <= 0.0:
-                    passed = False
-                    continue
-                ratio = level.measure / ref
-                worst_ratio = max(worst_ratio, max(ratio, 1.0 / ratio))
-                if not 0.5 <= ratio <= 2.0:
-                    passed = False
-    if min_structure < 1.0:
-        passed = False
-    return CriterionResult(
-        8,
-        "tower-oracle",
-        passed,
-        {"worst_factor": worst_ratio, "structure_fraction": min_structure},
-    )
+                metric = f"oracle_ratio_{tag}_{start}_l{level.label}"
+                ratios[metric] = level.measure / ref if ref > 0.0 else float("inf")
+    gates = [Gate("structure_fraction", min_structure, ">=", 1.0)]
+    for metric, ratio in ratios.items():
+        gates += [Gate(metric, ratio, ">=", 0.5), Gate(metric, ratio, "<=", 2.0)]
+    factors = [max(r, 1 / r) if r > 0.0 else float("inf") for r in ratios.values()]
+    info = {"worst_factor": max(factors)}
+    return CriterionResult(8, "tower-oracle", gates, info)
 
 
 def criterion_9_determinism(seed=0, profile="full"):
     """Two quick suite runs with one seed produce byte-identical reports."""
-    digests = []
-    for _ in range(2):
+
+    def reports():
         with tempfile.TemporaryDirectory() as tmp:
             run_suite(
                 outdir=tmp,
@@ -412,21 +402,11 @@ def criterion_9_determinism(seed=0, profile="full"):
                 include_determinism=False,
                 stream=None,
             )
-            blob = {}
-            for name in sorted(os.listdir(tmp)):
-                with open(os.path.join(tmp, name), "rb") as fh:
-                    blob[name] = fh.read()
-            digests.append(blob)
-    same_names = sorted(digests[0]) == sorted(digests[1])
-    same_bytes = same_names and all(
-        digests[0][k] == digests[1][k] for k in digests[0]
-    )
-    return CriterionResult(
-        9,
-        "determinism",
-        same_bytes,
-        {"files": len(digests[0]), "identical": same_bytes},
-    )
+            return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+
+    first = reports()
+    gates = [Gate("identical", first == reports(), "==", True)]
+    return CriterionResult(9, "determinism", gates, {"files": len(first)})
 
 
 ALL_CRITERIA = (
@@ -448,30 +428,36 @@ class SuiteResult:
     passed: bool
     profile: str
     seed: int
+    seconds: dict  # criterion index -> wall seconds; never in the reports
+
+
+def _text(value):
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_reports(outdir, suite):
     os.makedirs(outdir, exist_ok=True)
-    csv_path = os.path.join(outdir, "acceptance_results.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(f"# suite=momentray-acceptance\n")
-        fh.write(f"# version={__version__}\n")
-        fh.write(f"# corpus_version={CORPUS_VERSION}\n")
-        fh.write(f"# seed={suite.seed}\n")
-        fh.write(f"# profile={suite.profile}\n")
-        fh.write("criterion,name,status,metric,value\n")
-        for res in suite.results:
-            status = "pass" if res.passed else "fail"
-            for key, value in res.details.items():
-                text = repr(value) if isinstance(value, float) else str(value)
-                fh.write(f"{res.index},{res.name},{status},{key},{text}\n")
-    json_path = os.path.join(outdir, "acceptance_summary.json")
-    payload = {
+    meta = {
         "suite": "momentray-acceptance",
         "version": __version__,
         "corpus_version": CORPUS_VERSION,
         "seed": suite.seed,
         "profile": suite.profile,
+    }
+    with open(os.path.join(outdir, "acceptance_results.csv"), "w") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in meta.items())
+        fh.write("criterion,name,status,metric,value,op,bound,headroom\n")
+        for res in suite.results:
+            head = f"{res.index},{res.name},{'pass' if res.passed else 'fail'}"
+            for key, value in res.info.items():
+                fh.write(f"{head},{key},{_text(value)},,,\n")
+            for g in res.gates:
+                cells = (g.metric, g.value, g.op, g.bound, g.headroom)
+                fh.write(f"{head},{','.join(map(_text, cells))}\n")
+    payload = {
+        **meta,
         "passed": suite.passed,
         "criteria": [
             {
@@ -479,11 +465,12 @@ def _write_reports(outdir, suite):
                 "name": res.name,
                 "passed": res.passed,
                 "details": res.details,
+                "gates": [{**asdict(g), "headroom": g.headroom} for g in res.gates],
             }
             for res in suite.results
         ],
     }
-    with open(json_path, "w") as fh:
+    with open(os.path.join(outdir, "acceptance_summary.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -504,21 +491,23 @@ def run_suite(
     if profile not in ("full", "quick"):
         raise ValueError("profile must be 'full' or 'quick'")
     results = []
+    seconds = {}
     for fn in ALL_CRITERIA:
         if fn is criterion_9_determinism and not include_determinism:
             continue
         start = time.perf_counter()
         res = fn(seed=seed, profile=profile)
-        elapsed = time.perf_counter() - start
+        seconds[res.index] = time.perf_counter() - start
         results.append(res)
         if stream is not None:
-            stream.write(f"{res.line()} [{elapsed:.1f}s]\n")
+            stream.write(f"{res.line()} [{seconds[res.index]:.1f}s]\n")
             stream.flush()
     suite = SuiteResult(
         results=results,
         passed=all(r.passed for r in results),
         profile=profile,
         seed=seed,
+        seconds=seconds,
     )
     if outdir is not None:
         _write_reports(outdir, suite)

@@ -287,7 +287,7 @@ def _emit(report, params, passed, started):
         sys.stdout.write("verdict: " + ("PASS" if passed else "FAIL") + "\n")
 
 
-def _write_manifest(path, command, params, outputs, started):
+def _write_manifest(path, command, params, outputs, started, **timings):
     canon = {k: v for k, v in params.items() if k != "output"}
     blob = json.dumps(canon, sort_keys=True, default=str).encode()
     manifest = {
@@ -297,6 +297,7 @@ def _write_manifest(path, command, params, outputs, started):
         "version": __version__,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
         "wall_time_s": round(time.perf_counter() - started, 3),
+        **timings,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -615,6 +616,7 @@ def cmd_acceptance(params):
             params,
             outputs,
             started,
+            criterion_seconds={str(i): round(s, 3) for i, s in suite.seconds.items()},
         )
         sys.stdout.write(f"wrote reports under {outdir}\n")
     sys.stdout.write("suite: " + ("PASS" if suite.passed else "FAIL") + "\n")

@@ -4,9 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the same checks back the `momentray acceptance` subcommand.
 """
 
-import pytest
+import json
+from dataclasses import replace
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from momentray import acceptance
 from momentray.acceptance import (
+    Gate,
     criterion_1_jacobian_constancy,
     criterion_2_adjointness,
     criterion_3_unit_square_pairing,
@@ -18,6 +25,49 @@ from momentray.acceptance import (
     criterion_9_determinism,
     run_suite,
 )
+
+# Every gate of the quick profile, in suite order: (criterion, metric, op,
+# bound).  A bound loosened or a gate dropped in the package fails here.
+QUICK_GATES = [
+    (1, "max_dispersion", "<", 1e-6),
+    (1, "min_abs_mean", ">", 0.0),
+    (1, "err_mean_phi_d2", "<=", 1e-6),
+    (1, "err_mean_psi_d2", "<=", 1e-6),
+    (2, "worst_rel_d2", "<=", 1e-3),
+    (2, "worst_rel_d3", "<=", 1e-3),
+    (3, "err_layered", "<=", 1e-6),
+    (3, "err_midpoint", "<=", 1e-6),
+    (3, "err_alpha", "<=", 1e-12),
+    (3, "err_beta", "<=", 1e-12),
+    (3, "err_ratio_e", "<=", 1e-12),
+    (3, "err_ratio_f", "<=", 1e-12),
+    *[
+        (4, f"{name}_d{d}", op, bound)
+        for d in (2, 3, 4)
+        for name, op, bound in (
+            ("rel_err_f", "<=", 0.03),
+            ("rel_err_xf", "<=", 0.03),
+            ("slope_gap", "<=", 1e-2),
+            ("verdicts", "==", "diverges/bounded"),
+        )
+    ],
+    (5, "worst_rel", "<=", 1e-10),
+    (5, "worst_chi_rel", "<=", 1e-12),
+    (6, "floor", ">=", 0.01),
+    (6, "worst_drift", "<=", 2.0),
+    (7, "floor_primal", ">=", 1.0),
+    (7, "floor_dual", ">=", 1.0),
+    (7, "sweep_min", ">=", 0.5),
+    (7, "sweep_last_over_first", ">=", 0.25),
+    (8, "structure_fraction", ">=", 1.0),
+    *[
+        (8, f"oracle_ratio_{config}_{level}", op, bound)
+        for config in ("unit", "split")
+        for level in ("phi_l1", "phi_l2", "psi_l2", "psi_l3")
+        for op, bound in ((">=", 0.5), ("<=", 2.0))
+    ],
+    (9, "identical", "==", True),
+]
 
 
 def _check(criterion):
@@ -88,3 +138,62 @@ def test_quick_suite_end_to_end(tmp_path, capsys):
     assert out.count("[PASS]") == 9
     assert (tmp_path / "acceptance_results.csv").exists()
     assert (tmp_path / "acceptance_summary.json").exists()
+    rows = [(r.index, g.metric, g.op, g.bound) for r in suite.results for g in r.gates]
+    assert rows == QUICK_GATES
+    summary = json.loads((tmp_path / "acceptance_summary.json").read_text())
+    reported = [
+        (c["index"], g["metric"], g["op"], g["bound"])
+        for c in summary["criteria"]
+        for g in c["gates"]
+    ]
+    assert reported == QUICK_GATES
+    for crit in summary["criteria"]:
+        for g in crit["gates"]:
+            assert crit["details"][g["metric"]] == g["value"]
+            if g["op"] != "==":
+                assert g["headroom"] >= 0.0
+    csv_lines = (tmp_path / "acceptance_results.csv").read_text().splitlines()
+    gate_cells = [line.split(",")[5] for line in csv_lines if line[0].isdigit()]
+    assert len([op for op in gate_cells if op]) == len(QUICK_GATES)
+
+
+def test_strict_gate_fails_at_its_bound():
+    assert not Gate("m", 1e-6, "<", 1e-6).passed
+    assert Gate("m", 1e-6, "<=", 1e-6).passed
+    assert not Gate("m", 0.0, ">", 0.0).passed
+    assert Gate("m", 0.0, ">=", 0.0).passed
+
+
+@given(
+    op=st.sampled_from(["<", "<=", ">", ">="]),
+    value=st.floats(allow_nan=False),
+    bound=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_gate_headroom_sign_agrees_with_verdict(op, value, bound):
+    gate = Gate("m", value, op, bound)
+    inside = gate.headroom > 0.0 if op in ("<", ">") else gate.headroom >= 0.0
+    assert gate.passed == inside
+
+
+def test_equality_gate_has_no_headroom():
+    assert Gate("identical", True, "==", True).headroom is None
+    wrong = Gate("verdicts_d2", "bounded/bounded", "==", "diverges/bounded")
+    assert not wrong.passed and wrong.headroom is None
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda rep: replace(rep, ratio_e=rep.ratio_e * 0.05),
+        # the exponent of beta in ratio_e raised by 1
+        lambda rep: replace(rep, ratio_e=rep.ratio_e / rep.beta),
+    ],
+    ids=["ratio_e-scaled", "beta-exponent"],
+)
+def test_seeded_check_rwt_defects_fail_criterion_3(monkeypatch, defect):
+    real = acceptance.check_rwt
+    monkeypatch.setattr(
+        acceptance, "check_rwt", lambda *args, **kw: defect(real(*args, **kw))
+    )
+    res = criterion_3_unit_square_pairing()
+    assert not res.passed, res.line()

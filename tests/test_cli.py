@@ -333,6 +333,12 @@ def test_acceptance_quick_suite(tmp_path, capsys):
     assert (outdir / "manifest.json").exists()
     summary = json.loads((outdir / "acceptance_summary.json").read_text())
     assert summary["passed"] is True
+    # per-criterion wall time goes to the manifest only, never the reports
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert sorted(manifest["criterion_seconds"], key=int) == [
+        str(i) for i in range(1, 10)
+    ]
+    assert "criterion_seconds" not in json.dumps(summary)
 
 
 def test_console_script_entry_point():
