@@ -9,6 +9,7 @@ fitted against exact evaluations rather than truncated sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,6 +103,10 @@ def dilate_configuration(E, F, interval, delta):
 # the sharp example family
 
 
+def _is_count(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CounterexampleSpec:
     """Index range for the multi-scale example family.
@@ -117,6 +122,10 @@ class CounterexampleSpec:
     tail_rel_tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("dim", "n_start", "k_max"):
+            value = getattr(self, name)
+            if value is not None and not _is_count(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if self.n_start < 2:
@@ -260,16 +269,20 @@ def verify_minorant(spec, interval=(-1.0, 1.0), samples_per_piece=8, seed=0):
             "interval must contain [-1/n_start, 1/n_start]; recenter the "
             "configuration first"
         )
+    if not _is_count(samples_per_piece) or samples_per_piece < 1:
+        raise ValueError("samples_per_piece must be an integer of at least 1")
     f = build_counterexample_f(spec)
     minorant = build_xf_lower_bound(spec)
+    blo = np.stack([s.los[0] for s in minorant.supports])
+    bhi = np.stack([s.his[0] for s in minorant.supports])
+    # one draw for every piece, in the order the per-piece draws would take
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    for weight, support in zip(minorant.weights, minorant.supports):
-        blo, bhi = support.los[0], support.his[0]
-        pts = rng.uniform(blo, bhi, size=(samples_per_piece, spec.dim))
-        vals = apply_x(f, interval, pts)
-        worst = min(worst, float(np.min(vals - weight)))
-    return worst
+    pts = rng.uniform(
+        blo[:, None, :], bhi[:, None, :], size=(blo.shape[0], samples_per_piece, spec.dim)
+    )
+    vals = apply_x(f, interval, pts.reshape(-1, spec.dim))
+    weights = np.repeat(minorant.weights, samples_per_piece)
+    return float(np.min(vals - weights))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def _interval_pair(interval):
 
 
 def _primal_pieces(region, X, lo, hi):
-    """Per box, the fiber endpoints (slo, shi) of every row of X.
+    """Per box i, (i, slo, shi): the fiber endpoints of every row of X.
 
     The line through x meets a box where s lies in its first-axis range
     and x_j + s * x1**j in its j-th range, each constraint linear in s.
@@ -63,7 +63,7 @@ def _primal_pieces(region, X, lo, hi):
     n, d = X.shape
     x1 = X[:, 0]
     powers = x1[:, None] ** np.arange(1, d)[None, :]
-    for blo, bhi in zip(region.los, region.his):
+    for i, (blo, bhi) in enumerate(zip(region.los, region.his)):
         slo = np.full(n, max(lo, blo[0]))
         shi = np.full(n, min(hi, bhi[0]))
         for j in range(1, d):
@@ -81,11 +81,11 @@ def _primal_pieces(region, X, lo, hi):
                 hi_j = np.where(zero, np.where(ok, np.inf, -np.inf), hi_j)
             slo = np.maximum(slo, lo_j)
             shi = np.minimum(shi, hi_j)
-        yield slo, shi
+        yield i, slo, shi
 
 
 def _dual_pieces(region, X, lo, hi):
-    """Per box, the component endpoints (clo, chi) of every row of X.
+    """Per box i, (i, clo, chi) for each component of every row's fiber.
 
     The dual line meets a box where t lies in its first-axis range and
     x1 * t**j in x_j minus its j-th range.  For even j that is a range of
@@ -95,7 +95,7 @@ def _dual_pieces(region, X, lo, hi):
     n, d = X.shape
     x1 = X[:, 0]
     zero = x1 == 0.0
-    for blo, bhi in zip(region.los, region.his):
+    for i, (blo, bhi) in enumerate(zip(region.los, region.his)):
         comp_lo = [np.full(n, max(lo, blo[0]))]
         comp_hi = [np.full(n, min(hi, bhi[0]))]
         for j in range(1, d):
@@ -136,18 +136,20 @@ def _dual_pieces(region, X, lo, hi):
                     new_lo.append(np.maximum(clo, s2_lo))
                     new_hi.append(np.minimum(chi, s2_hi))
             comp_lo, comp_hi = new_lo, new_hi
-        yield from zip(comp_lo, comp_hi)
+        for clo, chi in zip(comp_lo, comp_hi):
+            yield i, clo, chi
 
 
 def _pieces(region, X, lo, hi, dual):
     return (_dual_pieces if dual else _primal_pieces)(region, X, lo, hi)
 
 
-def _fiber_measures(region, X, lo, hi, dual):
+def _fiber_measures(region, X, lo, hi, dual, weights=None):
     # one box at a time, so no (n, pieces) array is ever held
     total = np.zeros(X.shape[0])
-    for plo, phi in _pieces(region, X, lo, hi, dual):
-        total += np.clip(phi - plo, 0.0, None)
+    for i, plo, phi in _pieces(region, X, lo, hi, dual):
+        length = np.clip(phi - plo, 0.0, None)
+        total += length if weights is None else weights[i] * length
     return total
 
 
@@ -158,11 +160,17 @@ def _fiber_points(region, points):
     return X
 
 
-def fiber_measure_batch(region, points, interval, dual=False):
-    """Exact fiber measures for a batch of points, shape (n, d) -> (n,)."""
+def fiber_measure_batch(region, points, interval, dual=False, weights=None):
+    """Exact fiber measures for a batch of points, shape (n, d) -> (n,).
+
+    With weights (one per box), box i's fiber length counts weights[i]
+    times: the transform of the step function sum_i w_i 1_{box i}.
+    """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
-    out = _fiber_measures(region, X, lo, hi, dual)
+    if weights is not None and len(weights) != region.n_boxes:
+        raise ValueError("need one weight per box")
+    out = _fiber_measures(region, X, lo, hi, dual, weights)
     return float(out[0]) if np.ndim(points) == 1 else out
 
 
@@ -176,7 +184,7 @@ def fiber_pieces(region, points, interval, dual=False):
     """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
-    los, his = zip(*_pieces(region, X, lo, hi, dual))
+    _, los, his = zip(*_pieces(region, X, lo, hi, dual))
     return np.stack(los, axis=1), np.stack(his, axis=1)
 
 
@@ -199,9 +207,12 @@ def apply_x(f, interval, x):
     if isinstance(f, BoxUnionSet):
         out = fiber_measure_batch(f, X, interval)
     elif _is_simple_function(f):
-        out = np.zeros(X.shape[0])
-        for w, support in zip(f.weights, f.supports):
-            out += w * fiber_measure_batch(support, X, interval)
+        # every support's boxes in one region, each box carrying its weight
+        stacked = BoxUnionSet(
+            [box for s in f.supports for box in s.boxes], validate=False
+        )
+        weights = np.repeat(f.weights, [s.n_boxes for s in f.supports])
+        out = fiber_measure_batch(stacked, X, interval, weights=weights)
     else:
         raise TypeError(f"unsupported integrand type: {type(f).__name__}")
     return float(out[0]) if np.asarray(x).ndim == 1 else out

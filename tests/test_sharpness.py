@@ -7,6 +7,7 @@ import pytest
 
 from momentray.lorentz import lorentz_norm, lp_norm
 from momentray.sets import Box, BoxUnionSet, Interval
+from momentray.transform import fiber_measure_batch
 from momentray.sharpness import (
     CounterexampleSpec,
     build_counterexample_f,
@@ -132,6 +133,24 @@ def test_spec_validation():
         CounterexampleSpec(dim=2, n_start=4, k_max=3)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"dim": 2.0, "n_start": 4},
+        {"dim": 2, "n_start": 4.5},
+        {"dim": 2, "n_start": 4, "k_max": 10.0},
+        {"dim": True, "n_start": 4},
+        {"dim": 2, "n_start": True},
+        {"dim": 2, "n_start": 4, "k_max": "9"},
+    ],
+)
+def test_spec_refuses_non_integer_indices(fields):
+    with pytest.raises(ValueError, match="must be an integer"):
+        CounterexampleSpec(**fields)
+    # numpy integers are integers
+    assert CounterexampleSpec(dim=np.int64(2), n_start=np.int32(4), k_max=np.int64(9)).k_max == 9
+
+
 def test_family_piece_geometry():
     spec = CounterexampleSpec(dim=3, n_start=2, k_max=5)
     f = build_counterexample_f(spec)
@@ -183,6 +202,67 @@ def test_verify_minorant_nonnegative_slack():
     assert verify_minorant(spec) >= 0.0
     with pytest.raises(ValueError):
         verify_minorant(spec, interval=(-0.01, 0.01))
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+def test_verify_minorant_refuses_bad_sample_counts(samples):
+    spec = CounterexampleSpec(dim=2, n_start=4, k_max=8)
+    with pytest.raises(ValueError, match="samples_per_piece"):
+        verify_minorant(spec, samples_per_piece=samples)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_minorant_slack_at_benchmark_size(d, seed):
+    """The benchmark's family size: the minimum slack is 0.005 exactly,
+    reached at the last piece (weight 1/200 against a transform of 2/200)."""
+    spec = CounterexampleSpec(dim=d, n_start=4, k_max=200)
+    assert verify_minorant(spec, seed=seed) == 0.005
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="from k = 108 on, a d = 4 piece's last side (about k^-4 wide) is "
+    "below one ulp of its center k^4 and rounds to zero width, so the "
+    "transform reads 0 there and the slack is -1/108; evaluating each piece "
+    "in local coordinates would fix it",
+)
+def test_verify_minorant_d4_slack_nonnegative():
+    spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)
+    assert verify_minorant(spec) >= 0.0
+
+
+def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
+    """One draw for every piece gives the per-piece draws bit for bit, and
+    the slack equals the per-piece, per-support evaluation exactly."""
+    from momentray import sharpness
+
+    spec = CounterexampleSpec(dim=3, n_start=4, k_max=40)
+    seen = []
+    real_apply_x = sharpness.apply_x
+
+    def recording_apply_x(f, interval, x):
+        seen.append(np.array(x))
+        return real_apply_x(f, interval, x)
+
+    monkeypatch.setattr(sharpness, "apply_x", recording_apply_x)
+    slack = verify_minorant(spec, samples_per_piece=5, seed=11)
+    assert len(seen) == 1
+
+    f = build_counterexample_f(spec)
+    minorant = build_xf_lower_bound(spec)
+    rng = np.random.default_rng(11)
+    worst = np.inf
+    draws = []
+    for weight, support in zip(minorant.weights, minorant.supports):
+        pts = rng.uniform(support.los[0], support.his[0], size=(5, 3))
+        draws.append(pts)
+        vals = np.zeros(5)
+        for w, s in zip(f.weights, f.supports):
+            vals += w * fiber_measure_batch(s, pts, (-1.0, 1.0))
+        worst = min(worst, float(np.min(vals - weight)))
+    assert np.array_equal(seen[0], np.concatenate(draws))
+    assert slack == worst
 
 
 # ---------------------------------------------------------------------------

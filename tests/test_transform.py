@@ -328,6 +328,71 @@ def test_apply_x_scales_with_simple_function_weight():
     assert plain[0] == pytest.approx(0.5)
 
 
+def _per_support_sum(f, interval, pts):
+    """The transform of f one support at a time, summed in support order."""
+    out = np.zeros(pts.shape[0])
+    for w, support in zip(f.weights, f.supports):
+        out += w * fiber_measure_batch(support, pts, interval)
+    return out
+
+
+def _sample_points(seed, d, n=64):
+    rng = np.random.default_rng(seed)
+    return rng.uniform([-1.5] + [-1.0] * (d - 1), [1.5] + [1.0] * (d - 1), size=(n, d))
+
+
+def test_apply_x_single_box_supports_bit_identical():
+    """One stacked pass adds w * |fiber| box by box in support order, which
+    for single-box supports is exactly the per-support sum."""
+    for d in (2, 3, 4):
+        boxes = [np.array([[k / 4.0 - 1.0, k / 4.0 - 0.75]] + [[-0.5, 0.5]] * (d - 1)) for k in range(8)]
+        f = SimpleFunction(np.linspace(0.3, 2.9, 8), [BoxUnionSet([b]) for b in boxes])
+        pts = _sample_points(d, d, n=256)
+        assert np.array_equal(apply_x(f, (-1.0, 1.0), pts), _per_support_sum(f, (-1.0, 1.0), pts))
+
+
+@st.composite
+def simple_functions(draw):
+    """Several terms with multi-box supports, cut from one union of disjoint
+    slabs, with weights spanning two orders of magnitude."""
+    d = draw(st.integers(2, 4))
+    region = draw(box_unions(d, max_boxes=6))
+    n_terms = draw(st.integers(1, region.n_boxes))
+    inner = st.integers(1, region.n_boxes - 1) if region.n_boxes > 1 else st.nothing()
+    cuts = sorted(draw(st.lists(inner, min_size=n_terms - 1, max_size=n_terms - 1, unique=True)))
+    bounds = [np.stack([lo, hi], axis=1) for lo, hi in zip(region.los, region.his)]
+    groups = [bounds[a:b] for a, b in zip([0] + cuts, cuts + [len(bounds)])]
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(groups), max_size=len(groups)))
+    return SimpleFunction(weights, [BoxUnionSet(g) for g in groups])
+
+
+@given(simple_functions(), st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_apply_x_stacked_matches_per_support_sum(f, seed):
+    pts = _sample_points(seed, f.dim)
+    interval = (-1.25, 1.25)
+    np.testing.assert_allclose(apply_x(f, interval, pts), _per_support_sum(f, interval, pts), rtol=1e-12, atol=0.0)
+    # per-box weights on the dual route, whose boxes can yield two components
+    region = BoxUnionSet([b for s in f.supports for b in s.boxes])
+    weights = np.repeat(f.weights, [s.n_boxes for s in f.supports])
+    singles = sum(
+        w * fiber_measure_batch(BoxUnionSet([b]), pts, interval, dual=True) for w, b in zip(weights, region.boxes)
+    )
+    weighted = fiber_measure_batch(region, pts, interval, dual=True, weights=weights)
+    np.testing.assert_allclose(weighted, singles, rtol=1e-12, atol=0.0)
+
+
+def test_apply_x_stacked_shapes_and_refusals():
+    pair = BoxUnionSet([np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[2.0, 3.0], [0.0, 1.0]])])
+    f = SimpleFunction([1.0, 0.5], [UNIT2, pair])
+    assert apply_x(f, (0.0, 1.0), np.empty((0, 2))).shape == (0,)
+    assert isinstance(apply_x(f, (0.0, 1.0), np.array([0.5, 0.5])), float)
+    with pytest.raises(ValueError, match="dimension"):
+        apply_x(f, (0.0, 1.0), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="one weight per box"):
+        fiber_measure_batch(UNIT2, np.zeros((4, 2)), (0.0, 1.0), weights=[1.0, 2.0])
+
+
 def test_quadspec_validation():
     with pytest.raises(ValueError):
         QuadSpec(method="simpson")
