@@ -297,14 +297,14 @@ def criterion_6_testing_ratio_floor(seed=0, profile="full"):
     corpus = build_default_corpus()
     if profile != "full":
         corpus = corpus[:8]
-    bases, fines = [], []  # max(ratio_e, ratio_f) at the default and halved step
+    bases, fines = [], []  # RwtReport.verdict at the default and halved step
     for entry in corpus:
         base = check_rwt(entry.E, entry.F, entry.interval)
         fine = check_rwt(
             entry.E, entry.F, entry.interval, QuadSpec(step=QuadSpec().step / 2.0)
         )
-        bases.append(max(base.ratio_e, base.ratio_f))
-        fines.append(max(fine.ratio_e, fine.ratio_f))
+        bases.append(base.verdict)
+        fines.append(fine.verdict)
     worst = int(np.argmin(bases))
     drifts = [max(b, f) / min(b, f) for b, f in zip(bases, fines)]
     gates = [

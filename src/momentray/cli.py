@@ -184,7 +184,7 @@ def _corpus_from(params):
     if path:
         try:
             return load_corpus(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load corpus {path}: {exc}") from exc
     return build_default_corpus()
 
@@ -428,7 +428,7 @@ def cmd_rwt(params):
     def rows_of(entry):
         interval = (entry.interval.lo, entry.interval.hi)
         rep = check_rwt(entry.E, entry.F, interval, params["quad"])
-        ok = max(rep.ratio_e, rep.ratio_f) >= params["floor"]
+        ok = rep.verdict >= params["floor"]
         values = (
             entry.entry_id, entry.dim, rep.value, rep.measure_e, rep.measure_f,
             rep.alpha, rep.beta, rep.ratio_e, rep.ratio_f, "PASS" if ok else "FAIL",

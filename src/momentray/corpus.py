@@ -244,8 +244,8 @@ def entry_to_jsonable(entry):
 def entry_from_jsonable(data):
     return CorpusEntry(
         entry_id=data["id"],
-        E=BoxUnionSet.from_jsonable(data["E"]),
-        F=BoxUnionSet.from_jsonable(data["F"]),
+        E=BoxUnionSet(data["E"]),
+        F=BoxUnionSet(data["F"]),
         interval=Interval(*data["interval"]),
         window=Interval(*data["window"]),
         tags=tuple(data.get("tags", ())),

@@ -21,8 +21,7 @@ class SimpleFunction:
     def __init__(self, weights, supports, validate=True):
         weights = tuple(float(w) for w in weights)
         supports = tuple(
-            s if isinstance(s, BoxUnionSet) else BoxUnionSet.from_box(s)
-            for s in supports
+            s if isinstance(s, BoxUnionSet) else BoxUnionSet([s]) for s in supports
         )
         if len(weights) != len(supports):
             raise ValueError("need one weight per support")
@@ -33,10 +32,13 @@ class SimpleFunction:
         dims = {s.dim for s in supports}
         if len(dims) != 1:
             raise ValueError("supports must share a dimension")
-        if validate:
-            _check_supports_disjoint(supports)
         self.weights = weights
         self.supports = supports
+        # every support's boxes in support order, each carrying its weight
+        self.region = BoxUnionSet(
+            np.concatenate([s.bounds for s in supports]), validate=validate
+        )
+        self.box_weights = np.repeat(weights, [s.n_boxes for s in supports])
 
     @property
     def dim(self):
@@ -57,28 +59,6 @@ class SimpleFunction:
 
     def __repr__(self):
         return f"SimpleFunction({len(self.weights)} terms, dim={self.dim})"
-
-
-def _check_supports_disjoint(supports, block=256):
-    los = np.concatenate([s.los for s in supports])
-    his = np.concatenate([s.his for s in supports])
-    owner = np.concatenate(
-        [np.full(s.n_boxes, i) for i, s in enumerate(supports)]
-    )
-    n = los.shape[0]
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        lo_i = np.maximum(los[start:stop, None, :], los[None, :, :])
-        hi_i = np.minimum(his[start:stop, None, :], his[None, :, :])
-        overlap = np.prod(np.clip(hi_i - lo_i, 0.0, None), axis=2)
-        bad = np.argwhere(overlap > 0.0)
-        for a, b in bad:
-            ia, ib = start + a, b
-            if owner[ia] != owner[ib]:
-                raise ValueError(
-                    f"supports {owner[ia]} and {owner[ib]} overlap with "
-                    "positive measure"
-                )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Intervals, axis-aligned boxes, finite disjoint unions, and fiber cells."""
+"""Intervals, finite disjoint unions of axis-aligned boxes, and fiber cells."""
 
 from __future__ import annotations
 
@@ -28,65 +28,44 @@ class Interval:
         return self.hi - self.lo
 
 
-class Box:
-    """Axis-aligned closed box given as per-axis [lo, hi] bounds."""
-
-    def __init__(self, bounds):
-        b = np.asarray(bounds, dtype=float)
-        if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] < 1:
-            raise ValueError("bounds must have shape (d, 2)")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("box bounds must be finite")
-        if np.any(b[:, 1] < b[:, 0]):
-            raise ValueError("box has an upper bound below its lower bound")
-        self.los = b[:, 0].copy()
-        self.his = b[:, 1].copy()
-
-    @property
-    def dim(self):
-        return self.los.size
-
-    @property
-    def bounds(self):
-        return np.stack([self.los, self.his], axis=1)
-
-    def interval(self, axis):
-        return Interval(self.los[axis], self.his[axis])
-
-    def dilated_nonisotropic(self, delta):
-        """Scale axis i (0-based) by delta^(i+1); delta must be positive."""
-        if delta <= 0:
-            raise ValueError("dilation factor must be positive")
-        powers = float(delta) ** np.arange(1, self.dim + 1)
-        return Box(np.stack([self.los * powers, self.his * powers], axis=1))
-
-    def __repr__(self):
-        spans = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in self.bounds)
-        return f"Box({spans})"
+# rows of the blocked all-pairs disjointness check: each block holds
+# (rows, boxes, d) arrays, and a set of more boxes needs several blocks
+_DISJOINT_BLOCK = 256
 
 
 class BoxUnionSet:
-    """Finite union of pairwise measure-disjoint axis-aligned boxes."""
+    """Finite union of pairwise measure-disjoint axis-aligned closed boxes.
+
+    Built from (d, 2) per-axis [lo, hi] bounds, one per box (or one
+    (n, d, 2) array); los and his hold them as (n, d) arrays.
+    """
 
     def __init__(self, boxes, validate=True):
-        boxes = [b if isinstance(b, Box) else Box(b) for b in boxes]
-        if not boxes:
+        bounds = np.asarray(boxes, dtype=float)
+        if bounds.size == 0:
             raise ValueError("need at least one box")
-        dim = boxes[0].dim
-        if any(b.dim != dim for b in boxes):
-            raise ValueError("all boxes must share the same dimension")
-        self.los = np.stack([b.los for b in boxes])
-        self.his = np.stack([b.his for b in boxes])
+        if bounds.ndim != 3 or bounds.shape[2] != 2:
+            raise ValueError("box bounds must have shape (d, 2), the same d for every box")
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError("box bounds must be finite")
+        self.los = bounds[:, :, 0].copy()
+        self.his = bounds[:, :, 1].copy()
+        if np.any(self.his < self.los):
+            raise ValueError("box has an upper bound below its lower bound")
         if validate:
             self._check_disjoint()
 
     def _check_disjoint(self):
-        for i in range(self.n_boxes - 1):
-            lo = np.maximum(self.los[i], self.los[i + 1 :])
-            hi = np.minimum(self.his[i], self.his[i + 1 :])
-            overlaps = np.prod(np.clip(hi - lo, 0.0, None), axis=1)
-            if np.any(overlaps > 0.0):
-                j = i + 1 + int(np.argmax(overlaps > 0.0))
+        # box i against boxes j >= start, so each pair is met once, row-major
+        n = self.n_boxes
+        for start in range(0, n - 1, _DISJOINT_BLOCK):
+            stop = min(start + _DISJOINT_BLOCK, n)
+            lo = np.maximum(self.los[start:stop, None, :], self.los[None, start:, :])
+            hi = np.minimum(self.his[start:stop, None, :], self.his[None, start:, :])
+            overlap = np.prod(np.clip(hi - lo, 0.0, None), axis=2)
+            bad = np.argwhere(np.triu(overlap > 0.0, k=1))
+            if bad.size:
+                i, j = start + bad[0]
                 raise ValueError(f"boxes {i} and {j} overlap with positive measure")
 
     @property
@@ -98,8 +77,8 @@ class BoxUnionSet:
         return self.los.shape[0]
 
     @property
-    def boxes(self):
-        return [Box(np.stack([lo, hi], axis=1)) for lo, hi in zip(self.los, self.his)]
+    def bounds(self):
+        return np.stack([self.los, self.his], axis=2)
 
     @property
     def measure(self):
@@ -120,20 +99,14 @@ class BoxUnionSet:
         return Interval(float(self.los[:, 0].min()), float(self.his[:, 0].max()))
 
     def dilated_nonisotropic(self, delta):
-        return BoxUnionSet(
-            [b.dilated_nonisotropic(delta) for b in self.boxes], validate=False
-        )
-
-    @classmethod
-    def from_box(cls, bounds):
-        return cls([Box(bounds)], validate=False)
+        """Scale axis i (0-based) by delta^(i+1); delta must be positive."""
+        if delta <= 0:
+            raise ValueError("dilation factor must be positive")
+        powers = float(delta) ** np.arange(1, self.dim + 1)
+        return BoxUnionSet(self.bounds * powers[:, None], validate=False)
 
     def to_jsonable(self):
-        return [b.bounds.tolist() for b in self.boxes]
-
-    @classmethod
-    def from_jsonable(cls, data, validate=True):
-        return cls([Box(b) for b in data], validate=validate)
+        return self.bounds.tolist()
 
     def __repr__(self):
         return f"BoxUnionSet(dim={self.dim}, n_boxes={self.n_boxes}, measure={self.measure:g})"

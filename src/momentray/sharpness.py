@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .lorentz import SimpleFunction, lorentz_norm_from_steps
-from .sets import Box, BoxUnionSet, Interval, as_interval
+from .sets import BoxUnionSet, Interval, as_interval
 from .transform import NoIncidence, apply_x, bilinear_form, region_cell_values
 
 MAX_MATERIALIZED_BOXES = 500_000
@@ -161,9 +161,10 @@ def resolve_k_max(spec):
 
 
 def _piece_box(d, k, half_sides):
+    """(d, 2) bounds of the box with the given half-sides at (0, k^2, ..., k^d)."""
     center = np.zeros(d)
     center[1:] = float(k) ** np.arange(2, d + 1)
-    return Box(np.stack([center - half_sides, center + half_sides], axis=1))
+    return np.stack([center - half_sides, center + half_sides], axis=1)
 
 
 def build_counterexample_f(spec):
@@ -273,8 +274,7 @@ def verify_minorant(spec, interval=(-1.0, 1.0), samples_per_piece=8, seed=0):
         raise ValueError("samples_per_piece must be an integer of at least 1")
     f = build_counterexample_f(spec)
     minorant = build_xf_lower_bound(spec)
-    blo = np.stack([s.los[0] for s in minorant.supports])
-    bhi = np.stack([s.his[0] for s in minorant.supports])
+    blo, bhi = minorant.region.los, minorant.region.his
     # one draw for every piece, in the order the per-piece draws would take
     rng = np.random.default_rng(seed)
     pts = rng.uniform(
@@ -416,6 +416,7 @@ class RwtReport:
 
     @property
     def verdict(self):
+        """The larger testing ratio: the number a positive floor is checked on."""
         return max(self.ratio_e, self.ratio_f)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lorentz import SimpleFunction
 from .sets import BoxUnionSet, as_interval
 
 _CHUNK_LIMIT = 1 << 22
@@ -192,10 +193,6 @@ def fiber_pieces(region, points, interval, dual=False):
 # the transform and its dual on points
 
 
-def _is_simple_function(f):
-    return hasattr(f, "weights") and hasattr(f, "supports")
-
-
 def apply_x(f, interval, x):
     """Line transform of f at x: integral of f(gamma(x, s)) over s in I.
 
@@ -206,13 +203,8 @@ def apply_x(f, interval, x):
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(f, BoxUnionSet):
         out = fiber_measure_batch(f, X, interval)
-    elif _is_simple_function(f):
-        # every support's boxes in one region, each box carrying its weight
-        stacked = BoxUnionSet(
-            [box for s in f.supports for box in s.boxes], validate=False
-        )
-        weights = np.repeat(f.weights, [s.n_boxes for s in f.supports])
-        out = fiber_measure_batch(stacked, X, interval, weights=weights)
+    elif isinstance(f, SimpleFunction):
+        out = fiber_measure_batch(f.region, X, interval, weights=f.box_weights)
     else:
         raise TypeError(f"unsupported integrand type: {type(f).__name__}")
     return float(out[0]) if np.asarray(x).ndim == 1 else out
@@ -347,6 +339,15 @@ def _outer_integral(values_fn, region, step):
     )
 
 
+def _check_covers(lo, hi, region, what, name):
+    span = region.first_axis_span()
+    if span.lo < lo - 1e-12 or span.hi > hi + 1e-12:
+        raise ValueError(
+            f"{what} [{lo}, {hi}] does not cover {name}'s first-axis span "
+            f"[{span.lo}, {span.hi}]"
+        )
+
+
 def bilinear_form(E, F, interval, quad=None):
     """Pairing <X chi_E, chi_F> with exact inner fibers over the interval."""
     if E.dim != F.dim:
@@ -370,12 +371,7 @@ def bilinear_form_dual(E, F, window, quad=None):
         raise ValueError("E and F must share a dimension")
     quad = quad or QuadSpec()
     lo, hi = _interval_pair(window)
-    span = F.first_axis_span()
-    if span.lo < lo - 1e-12 or span.hi > hi + 1e-12:
-        raise ValueError(
-            f"window [{lo}, {hi}] does not cover F's first-axis span "
-            f"[{span.lo}, {span.hi}]"
-        )
+    _check_covers(lo, hi, F, "window", "F")
     if quad.method == "layered":
         return _pairing_layered(E, F, lo, hi, quad.step, dual=True)
     return _outer_integral(
@@ -391,12 +387,7 @@ def adjointness_gap(E, F, interval, window, quad=None):
     both conditions are enforced.
     """
     lo, hi = _interval_pair(interval)
-    span = E.first_axis_span()
-    if span.lo < lo - 1e-12 or span.hi > hi + 1e-12:
-        raise ValueError(
-            f"interval [{lo}, {hi}] does not cover E's first-axis span "
-            f"[{span.lo}, {span.hi}]"
-        )
+    _check_covers(lo, hi, E, "interval", "E")
     primal = bilinear_form(E, F, (lo, hi), quad)
     dual = bilinear_form_dual(E, F, window, quad)
     denom = max(abs(primal), abs(dual))

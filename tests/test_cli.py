@@ -205,6 +205,34 @@ def test_missing_corpus_file_is_usage_error(tmp_path):
     assert run(["rwt", "--corpus", str(tmp_path / "nope.json")]) == USAGE
 
 
+_GOOD_ENTRY = {
+    "id": "d2-square", "dim": 2, "E": [[[0.0, 1.0], [0.0, 1.0]]], "F": [[[0.0, 1.0], [0.0, 1.0]]],
+    "interval": [0.0, 1.0], "window": [0.0, 1.0], "tags": [],
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "interval": [1]}]},
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "interval": 5}]},
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "interval": [{"a": 1}, 2]}]},
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "E": [[{"x": 1}, {"y": 2}]]}]},
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "tags": 5}]},
+        {"version": 1, "entries": 5},
+    ],
+    ids=["interval-one-end", "interval-number", "interval-object", "box-objects", "tags-number", "entries-number"],
+)
+def test_malformed_corpus_is_usage_error(payload, tmp_path, capsys):
+    """Corpus input that is the wrong type anywhere exits 2, as a bad value does."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "rwt.csv"
+    assert run(["rwt", "--corpus", str(path), "--output", str(out)]) == USAGE
+    assert "cannot load corpus" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_failing_gate_returns_fail(mini_corpus_path, tmp_path):
     out = tmp_path / "rwt.csv"
     argv = [

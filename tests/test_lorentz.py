@@ -36,6 +36,25 @@ def test_simple_function_rejects_overlapping_supports():
         SimpleFunction([1.0, 1.0], [A, _box([[0.5, 1.5], [0.0, 1.0]])])
 
 
+def test_simple_function_region_stacks_supports_in_order():
+    pair = BoxUnionSet([[[5.0, 6.0], [0.0, 1.0]], [[6.0, 7.0], [0.0, 1.0]]])
+    f = SimpleFunction([2.0, 1.0, 0.5], [A, pair, B])
+    assert np.array_equal(f.region.bounds, np.concatenate([A.bounds, pair.bounds, B.bounds]))
+    assert f.box_weights.tolist() == [2.0, 1.0, 1.0, 0.5]
+    # bounds given for a support become a one-box support
+    g = SimpleFunction([3.0], [[[0.0, 1.0], [0.0, 2.0]]])
+    assert np.array_equal(g.region.bounds, A.bounds)
+
+
+def test_simple_function_overlap_across_supports():
+    # each support is disjoint in itself; the overlap is between A and C
+    C = BoxUnionSet([[[3.0, 4.0], [1.0, 2.0]], [[0.5, 1.5], [1.5, 2.5]]])
+    with pytest.raises(ValueError, match="boxes 0 and 2 overlap"):
+        SimpleFunction([1.0, 1.0], [A, C])
+    unchecked = SimpleFunction([1.0, 1.0], [A, C], validate=False)
+    assert unchecked.region.n_boxes == 3
+
+
 def test_rearrangement_profile():
     prof = rearrangement(TWO_STEP)
     assert prof.values == (2.0, 1.0)

@@ -17,13 +17,13 @@ from momentray.refinement import (
     rasterized_image_measure,
     tower_report,
 )
-from momentray.sets import Box, BoxUnionSet, Interval
+from momentray.sets import BoxUnionSet, Interval
 from momentray.transform import fiber_measure_batch
 
 
 def unit_pair(d):
-    E = BoxUnionSet([Box(np.array([[0.0, 1.0]] * d))])
-    F = BoxUnionSet([Box(np.array([[0.0, 1.0]] * d))])
+    E = BoxUnionSet([[[0.0, 1.0]] * d])
+    F = BoxUnionSet([[[0.0, 1.0]] * d])
     return E, F
 
 
@@ -82,7 +82,7 @@ def test_structure_audit_clean_in_3d():
 
 def test_non_incident_pair_collapses():
     E, _ = unit_pair(2)
-    far = BoxUnionSet([Box(np.array([[0.0, 1.0], [50.0, 51.0]]))])
+    far = BoxUnionSet([[[0.0, 1.0], [50.0, 51.0]]])
     with pytest.raises(TowerCollapse) as exc:
         build_tower(E, far, (0.0, 1.0), (0.0, 1.0), start="phi", base=(0.5, 0.5))
     assert exc.value.label == 1

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentray.sets import Box, BoxUnionSet, Interval, fiber_cells
+from momentray.sets import BoxUnionSet, Interval, fiber_cells
 
 
 def test_interval_basics():
@@ -20,18 +20,35 @@ def test_interval_rejects_reversed():
 
 
 def test_box_volume_and_overlap():
-    b = Box([[0, 2], [1, 4]])
-    assert b.dim == 2
-    u = BoxUnionSet([b])
+    u = BoxUnionSet([[[0, 2], [1, 4]]])
+    assert (u.dim, u.n_boxes) == (2, 1)
     assert u.measure == 6.0
     assert u.contains_batch(np.array([[1.0, 2.0], [2.5, 2.0]])).tolist() == [True, False]
 
 
 def test_box_nonisotropic_dilation_volume():
-    b = Box([[0, 1], [0, 1], [0, 1]])
-    scaled = b.dilated_nonisotropic(0.5)
+    scaled = BoxUnionSet([[[0, 1], [0, 1], [0, 1]]]).dilated_nonisotropic(0.5)
     # axis j scales by delta^j: volume multiplies by delta^(1+2+3)
-    assert BoxUnionSet([scaled]).measure == pytest.approx(0.5**6)
+    assert scaled.measure == pytest.approx(0.5**6)
+    assert scaled.bounds.tolist() == [[[0.0, 0.5], [0.0, 0.25], [0.0, 0.125]]]
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        [],
+        [[[0, 1, 2], [0, 1, 2]]],
+        [[[0, 1], [0, 1]], [[2, 3], [0, 1], [0, 1]]],
+        [[[0, np.nan], [0, 1]]],
+        [[[0, 1], [0, np.inf]]],
+        [[[0, 1], [1, 0]]],
+        [[[0, "one"], [0, 1]]],
+    ],
+    ids=["no-boxes", "d-by-3", "mixed-dims", "nan", "inf", "reversed", "string"],
+)
+def test_union_refuses_malformed_bounds(boxes):
+    with pytest.raises(ValueError):
+        BoxUnionSet(boxes)
 
 
 def test_union_measure_and_containment():
@@ -47,6 +64,52 @@ def test_union_rejects_overlap():
         BoxUnionSet([np.array([[0, 2], [0, 2]]), np.array([[1, 3], [1, 3]])])
 
 
+@st.composite
+def grid_boxes(draw):
+    """Small boxes on an integer grid, so touching and overlapping are exact."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    boxes = []
+    for _ in range(n):
+        lo = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+        width = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+        boxes.append([[a, a + w] for a, w in zip(lo, width)])
+    return np.array(boxes, dtype=float)
+
+
+def _first_overlap(bounds):
+    """Brute-force reference: the first pair (i, j), i < j, of positive
+    overlap measure, or None."""
+    for i in range(len(bounds)):
+        for j in range(i + 1, len(bounds)):
+            sides = np.minimum(bounds[i, :, 1], bounds[j, :, 1]) - np.maximum(bounds[i, :, 0], bounds[j, :, 0])
+            if np.all(sides > 0):
+                return i, j
+    return None
+
+
+@given(grid_boxes())
+@settings(max_examples=200)
+def test_disjointness_check_matches_pairwise_reference(bounds):
+    pair = _first_overlap(bounds)
+    if pair is None:
+        assert BoxUnionSet(bounds).n_boxes == len(bounds)
+    else:
+        with pytest.raises(ValueError, match=f"boxes {pair[0]} and {pair[1]} overlap"):
+            BoxUnionSet(bounds)
+    assert BoxUnionSet(bounds, validate=False).n_boxes == len(bounds)
+
+
+def test_disjointness_check_spans_blocks():
+    """300 touching unit cells in a row need a second block of rows; there
+    a box's index is its block offset plus its row in the block."""
+    chain = np.array([[[k, k + 1], [0, 1]] for k in range(300)], dtype=float)
+    assert BoxUnionSet(chain).measure == 300.0
+    chain[-1] = [[270.5, 271.5], [0.5, 1.5]]  # overlaps cell 270 and cell 271
+    with pytest.raises(ValueError, match="boxes 270 and 299 overlap"):
+        BoxUnionSet(chain)
+
+
 def test_union_first_axis_span():
     u = BoxUnionSet([np.array([[-1, 0], [0, 1]]), np.array([[2, 5], [0, 1]])])
     span = u.first_axis_span()
@@ -55,7 +118,7 @@ def test_union_first_axis_span():
 
 def test_union_json_round_trip():
     u = BoxUnionSet([np.array([[0, 1], [2, 3.5]]), np.array([[4, 5], [0, 1]])])
-    back = BoxUnionSet.from_jsonable(u.to_jsonable())
+    back = BoxUnionSet(u.to_jsonable())
     assert np.array_equal(back.los, u.los)
     assert np.array_equal(back.his, u.his)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from momentray.lorentz import lorentz_norm, lp_norm
-from momentray.sets import Box, BoxUnionSet, Interval
+from momentray.sets import BoxUnionSet, Interval
 from momentray.transform import fiber_measure_batch
 from momentray.sharpness import (
     CounterexampleSpec,
@@ -37,11 +37,11 @@ from momentray.sharpness import (
 
 
 def unit_box(d):
-    return BoxUnionSet([Box(np.array([[0.0, 1.0]] * d))])
+    return BoxUnionSet([[[0.0, 1.0]] * d])
 
 
 def box_from(lo, hi):
-    return BoxUnionSet([Box(np.stack([np.asarray(lo, float), np.asarray(hi, float)], axis=1))])
+    return BoxUnionSet([np.stack([np.asarray(lo, float), np.asarray(hi, float)], axis=1)])
 
 
 # ---------------------------------------------------------------------------

@@ -373,10 +373,10 @@ def test_apply_x_stacked_matches_per_support_sum(f, seed):
     interval = (-1.25, 1.25)
     np.testing.assert_allclose(apply_x(f, interval, pts), _per_support_sum(f, interval, pts), rtol=1e-12, atol=0.0)
     # per-box weights on the dual route, whose boxes can yield two components
-    region = BoxUnionSet([b for s in f.supports for b in s.boxes])
+    region = BoxUnionSet(np.concatenate([s.bounds for s in f.supports]))
     weights = np.repeat(f.weights, [s.n_boxes for s in f.supports])
     singles = sum(
-        w * fiber_measure_batch(BoxUnionSet([b]), pts, interval, dual=True) for w, b in zip(weights, region.boxes)
+        w * fiber_measure_batch(BoxUnionSet([b]), pts, interval, dual=True) for w, b in zip(weights, region.bounds)
     )
     weighted = fiber_measure_batch(region, pts, interval, dual=True, weights=weights)
     np.testing.assert_allclose(weighted, singles, rtol=1e-12, atol=0.0)
@@ -665,7 +665,7 @@ def test_pairing_monotone_in_source(pair, width, low, high):
     d = E.dim
     cut = E.his[:, 0].max()
     extra = np.array([[cut, cut + width / 16.0]] + [[low / 16.0, high / 16.0]] * (d - 1))
-    bigger = BoxUnionSet(list(E.boxes) + [extra])
+    bigger = BoxUnionSet(list(E.bounds) + [extra])
     interval = bigger.first_axis_span()
     window = F.first_axis_span()
     assert bilinear_form(bigger, F, interval) >= bilinear_form(E, F, interval)
