@@ -483,6 +483,13 @@ def _grid_vals_vols(source, region, interval, grid_n, dual):
     return vals, vols
 
 
+def _check_theta_frac(theta_frac):
+    # a fraction of the average in (0, 1] keeps the rich region non-empty
+    # (the largest cell value is at least the average) and the bound real
+    if not 0.0 < theta_frac <= 1.0:
+        raise ValueError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
+
+
 def _primal_report(E, vals, vols, theta, kind):
     """Score the rich region {vals >= theta} against the primal bound on |E|."""
     mask = vals >= theta
@@ -507,6 +514,7 @@ def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     times the F-average; the pairing over it and the fiber floor both come
     from the same grid, so the accounting is internally consistent.
     """
+    _check_theta_frac(theta_frac)
     vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
     t_grid = float((vals * vols).sum())
     if t_grid <= 0.0:
@@ -516,6 +524,7 @@ def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
 
 def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=False):
     """Grid-aligned dual check over the rich region on the source side."""
+    _check_theta_frac(theta_frac)
     vals, vols = _grid_vals_vols(F, E, window, grid_n, dual=True)
     t_grid = float((vals * vols).sum())
     if t_grid <= 0.0:

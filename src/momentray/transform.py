@@ -17,6 +17,10 @@ from .lorentz import SimpleFunction
 from .sets import BoxUnionSet, as_interval
 
 _CHUNK_LIMIT = 1 << 22
+# rows per pass of the exact-fiber kernel: its 64 KiB temporaries stay under
+# the allocator's mmap threshold and are reused, where one 4M-row pass maps
+# and page-faults a fresh 32 MiB array for each of them
+_BLOCK_ROWS = 8192
 
 
 class NoIncidence(ValueError):
@@ -146,11 +150,13 @@ def _pieces(region, X, lo, hi, dual):
 
 
 def _fiber_measures(region, X, lo, hi, dual, weights=None):
-    # one box at a time, so no (n, pieces) array is ever held
+    # one box at a time over one row block, so no (n, pieces) array is held
     total = np.zeros(X.shape[0])
-    for i, plo, phi in _pieces(region, X, lo, hi, dual):
-        length = np.clip(phi - plo, 0.0, None)
-        total += length if weights is None else weights[i] * length
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        for i, plo, phi in _pieces(region, X[rows], lo, hi, dual):
+            length = np.clip(phi - plo, 0.0, None)
+            total[rows] += length if weights is None else weights[i] * length
     return total
 
 
@@ -233,10 +239,17 @@ def _midpoint_box_sum(values_fn, blo, bhi, step):
     block = max(1, _CHUNK_LIMIT // max(rest, 1))
     total = 0.0
     for i0 in range(0, counts[0], block):
+        # one summation group of whole first-axis rows, its points built
+        # _BLOCK_ROWS at a time in the same (row-major) order
         sub = [axes[0][i0 : i0 + block]] + axes[1:]
-        mesh = np.meshgrid(*sub, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        total += float(values_fn(pts).sum()) * cellvol
+        shape = [a.size for a in sub]
+        vals = np.empty(int(np.prod(shape)))
+        for start in range(0, vals.size, _BLOCK_ROWS):
+            flat = np.arange(start, min(start + _BLOCK_ROWS, vals.size))
+            idx = np.unravel_index(flat, shape)
+            pts = np.stack([a[k] for a, k in zip(sub, idx)], axis=1)
+            vals[start : start + flat.size] = values_fn(pts)
+        total += float(vals.sum()) * cellvol
     return total
 
 
@@ -420,6 +433,8 @@ class CellBlock:
 
 def region_cell_values(source, region, interval, grid_n, dual=False):
     """Evaluate the transform of chi_source on per-box grids over region."""
+    if not grid_n >= 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n!r}")
     lo, hi = _interval_pair(interval)
     blocks = []
     for blo, bhi in zip(region.los, region.his):

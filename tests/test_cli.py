@@ -83,6 +83,12 @@ def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
         ("duality", {"pairs": -1}),
         ("refine", {"samples": 0}),
         ("refine", {"samples": -5}),
+        ("lemma2", {"grid_n": 0}),
+        ("lemma2", {"grid_n": -3}),
+        ("superlevel", {"grid_n": 0}),
+        ("lemma2", {"theta_frac": 0}),
+        ("lemma2", {"theta_frac": -0.5}),
+        ("lemma2", {"theta_frac": 1.5}),
     ],
 )
 def test_bad_config_value_is_usage_error(command, config, tmp_path, capsys):

@@ -188,6 +188,66 @@ def test_fiber_measure_batch_matches_single():
             assert hits[pts[:, 0] == 0.0].any()
 
 
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
+    """Seven-row blocks give the one-block measures exactly.  Rows with
+    x1 = 0 sit in blocks 0 and 7 only, so the blocks disagree on whether
+    the vertical-line branch runs."""
+    rng = np.random.default_rng(d)
+    E, F = random_box_pair(d, rng, max_boxes=3)
+    region = F if dual else E
+    pts = rng.uniform(-1.2, 1.2, size=(300, d))
+    pts[[3, 50, 51], 0] = 0.0
+    weights = rng.uniform(0.5, 2.0, region.n_boxes)
+
+    def measures(rows):
+        monkeypatch.setattr(transform, "_BLOCK_ROWS", rows)
+        return [
+            fiber_measure_batch(region, pts, (-1.1, 1.1), dual=dual, weights=w)
+            for w in (None, weights)
+        ]
+
+    one_block, blocked = measures(1 << 30), measures(7)
+    assert np.count_nonzero(one_block[0]) > 30
+    for got, want in zip(blocked, one_block):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_midpoint_box_sum_same_at_every_block_size(monkeypatch, d):
+    """The tensor midpoint sum is bit-identical whether its points are built
+    7, 64 or all at once per summation group, here 12 first-axis rows of a
+    40-per-axis grid; a linear integrand makes the rule exact."""
+    monkeypatch.setattr(transform, "_CHUNK_LIMIT", 500 * 40 ** (d - 2))
+    blo, bhi = np.full(d, -0.3), np.full(d, 0.6)
+    coef = np.arange(1.0, d + 1.0)
+
+    def values_fn(pts):
+        return 1.0 + pts @ coef
+
+    sums = []
+    for rows in (7, 64, 1 << 30):
+        monkeypatch.setattr(transform, "_BLOCK_ROWS", rows)
+        sums.append(transform._midpoint_box_sum(values_fn, blo, bhi, (bhi[0] - blo[0]) / 40))
+    assert sums[0] == sums[1] == sums[2]
+    vol = np.prod(bhi - blo)
+    assert sums[0] == pytest.approx(vol * (1.0 + coef @ (0.5 * (blo + bhi))), rel=1e-12)
+
+
+def test_midpoint_pairing_bounds_memory():
+    """Criterion 3's 2048 x 2048 midpoint grid is never held as one point
+    array: the pass peaks near 35 MB (one 32 MiB value array), not 474 MB."""
+    tracemalloc.start()
+    try:
+        val = bilinear_form(UNIT2, UNIT2, (0.0, 1.0), QuadSpec("midpoint", 1.0 / 2048.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(0.75, abs=1e-6)
+    assert peak < 48_000_000
+
+
 def test_fiber_pieces_split_and_merge():
     # dual, t**2 constraint bounded away from 0: two components per box
     F = BoxUnionSet([np.array([[-2.0, 2.0], [-1.0, 1.0], [0.0, 0.5]])])
