@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -73,14 +74,23 @@ def _integer(value):
 
 
 def _number(value):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+    """A float, infinities included; NaN is refused."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
-        except ValueError:
-            pass
+            number = float(value)
+        except (ValueError, OverflowError):  # OverflowError: an int past float range
+            number = math.nan
+        if not math.isnan(number):
+            return number
     raise ValueError(f"expected a number, got {value!r}")
+
+
+def _finite(value):
+    """A finite float: the converter of every threshold and width."""
+    number = _number(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _boolean(value):
@@ -137,7 +147,7 @@ def _quad(value):
     base = QuadSpec()
     return QuadSpec(
         method=value.get("method", base.method),
-        step=_number(value.get("step", base.step)),
+        step=_finite(value.get("step", base.step)),
     )
 
 
@@ -652,7 +662,7 @@ _REPORT = (
 _DIM = Param("dim", 3, _integer, ("--dim",), "dimension d")
 _CORPUS = Param("corpus", None, _text, ("--corpus",), "JSON corpus file (default: built-in)")
 _ENTRY = Param("entry", "d2-unit", _text, ("--entry",), "corpus entry id")
-_FLOOR = Param("floor", 0.01, _number, ("--floor",), "smallest passing ratio")
+_FLOOR = Param("floor", 0.01, _finite, ("--floor",), "smallest passing ratio")
 _QUAD = Param("quad", None, _quad, (), "pairing quadrature (config only)")
 _N_LIST = Param(
     "n_list", [16, 32, 64, 128, 256, 512, 1024, 2048, 4096], _INTS, ("--n-list",),
@@ -680,13 +690,13 @@ COMMANDS = {
         _dims([2, 3, 4, 5, 6, 7]),
         Param("kind", "both", _choice("phi", "psi", "both"), ("--kind",), "incidence map"),
         Param("samples", 100, _integer, ("--samples",), "parameter samples per dimension"),
-        Param("tol", 1e-6, _number, ("--tol",), "largest passing relative dispersion"),
+        Param("tol", 1e-6, _finite, ("--tol",), "largest passing relative dispersion"),
         _SEED, *_REPORT,
     )),
     "duality": Command("forward/dual pairing agreement on random pairs", cmd_duality, (
         _dims([2, 3]),
         Param("pairs", 50, _integer, ("--pairs",), "random box pairs per dimension"),
-        Param("tol", 1e-3, _number, ("--tol",), "largest passing relative gap"),
+        Param("tol", 1e-3, _finite, ("--tol",), "largest passing relative gap"),
         _QUAD, _SEED, *_REPORT,
     )),
     "rwt": Command("two-sided testing ratios over the corpus", cmd_rwt, (
@@ -711,15 +721,15 @@ COMMANDS = {
     "lemma2": Command("rich-subset ratios over the corpus", cmd_lemma2, (
         _CORPUS, _FLOOR,
         Param("grid_n", 32, _integer, ("--grid-n",), "grid cells per axis"),
-        Param("theta_frac", 0.5, _number, ("--theta-frac",), "threshold over the average"),
+        Param("theta_frac", 0.5, _finite, ("--theta-frac",), "threshold over the average"),
         Param("sweep", False, _boolean, ("--sweep",), "include the shrinking-region sweep"),
         *_REPORT,
     )),
     "refine": Command("build a refinement tower for one corpus entry", cmd_refine, (
         _CORPUS, _ENTRY,
         Param("start", "both", _choice("phi", "psi", "both"), ("--start",), "first map of the tower"),
-        Param("cell_width", 1.0 / 32.0, _number, ("--cell-width",), "tower cell width"),
-        Param("keep_fraction", 0.5, _number, ("--keep-fraction",), "keep bar over the mean"),
+        Param("cell_width", 1.0 / 32.0, _finite, ("--cell-width",), "tower cell width"),
+        Param("keep_fraction", 0.5, _finite, ("--keep-fraction",), "keep bar over the mean"),
         Param("max_nodes", 20000, _integer, ("--max-nodes",), "nodes sampled per level"),
         Param("samples", 200, _integer, ("--samples",), "structure audit samples"),
         _SEED, *_REPORT,

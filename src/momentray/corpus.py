@@ -59,8 +59,8 @@ def _box(*sides):
 
 def _family_piece_entry(d, k):
     spec = CounterexampleSpec(dim=d, n_start=k, k_max=k)
-    E = build_counterexample_f(spec).supports[0]
-    F = build_xf_lower_bound(spec).supports[0]
+    E = build_counterexample_f(spec).region
+    F = build_xf_lower_bound(spec).region
     return CorpusEntry(
         entry_id=f"d{d}-family-k{k}",
         E=E,

@@ -7,90 +7,53 @@ and all norm integrals reduce to finite sums.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sets import BoxUnionSet
 
 
 class SimpleFunction:
-    """Nonnegative simple function: weighted sum of disjoint box unions."""
+    """Nonnegative simple function: weighted sum of disjoint box unions.
+
+    Each support is a BoxUnionSet or the (d, 2) bounds of one box.  The
+    supports' boxes are stacked in support order into region, box i carrying
+    box_weights[i]; support_measures holds one measure per support.
+    """
 
     def __init__(self, weights, supports, validate=True):
-        weights = tuple(float(w) for w in weights)
-        supports = tuple(
-            s if isinstance(s, BoxUnionSet) else BoxUnionSet([s]) for s in supports
-        )
-        if len(weights) != len(supports):
+        weights = np.array([float(w) for w in weights])
+        bounds = [
+            s.bounds if isinstance(s, BoxUnionSet) else np.asarray(s, dtype=float)[None]
+            for s in supports
+        ]
+        if len(weights) != len(bounds):
             raise ValueError("need one weight per support")
-        if not weights:
+        if not bounds:
             raise ValueError("need at least one term")
-        if any(w <= 0 or not math.isfinite(w) for w in weights):
+        if not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("weights must be positive and finite")
-        dims = {s.dim for s in supports}
-        if len(dims) != 1:
+        if len({b.shape[1:] for b in bounds}) != 1:
             raise ValueError("supports must share a dimension")
+        counts = [b.shape[0] for b in bounds]
         self.weights = weights
-        self.supports = supports
-        # every support's boxes in support order, each carrying its weight
-        self.region = BoxUnionSet(
-            np.concatenate([s.bounds for s in supports]), validate=validate
-        )
-        self.box_weights = np.repeat(weights, [s.n_boxes for s in supports])
-
-    @property
-    def dim(self):
-        return self.supports[0].dim
-
-    @property
-    def support_measures(self):
-        return np.array([s.measure for s in self.supports])
+        self.region = BoxUnionSet(np.concatenate(bounds), validate=validate)
+        self.box_weights = np.repeat(weights, counts)
+        self._starts = np.cumsum(counts) - counts  # each support's first box
+        self.support_measures = np.add.reduceat(self.region.box_volumes, self._starts)
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for w, s in zip(self.weights, self.supports):
-            out += w * s.contains_batch(pts)
+        r = self.region
+        in_box = np.all((pts[:, None, :] >= r.los) & (pts[:, None, :] <= r.his), axis=2)
+        # a point on a face two boxes of one support share counts once
+        in_support = np.logical_or.reduceat(in_box, self._starts, axis=1)
+        out = (in_support * self.weights).sum(axis=1)
         if np.asarray(points).ndim == 1:
             return float(out[0])
         return out
 
     def __repr__(self):
-        return f"SimpleFunction({len(self.weights)} terms, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """Decreasing rearrangement of a simple function as value/measure steps."""
-
-    values: tuple
-    measures: tuple
-
-    def __post_init__(self):
-        if len(self.values) != len(self.measures):
-            raise ValueError("values and measures must pair up")
-        vals = np.array(self.values)
-        if vals.size and np.any(np.diff(vals) >= 0):
-            raise ValueError("values must be strictly decreasing")
-        if any(m <= 0 for m in self.measures):
-            raise ValueError("measures must be positive")
-
-
-def rearrangement(f):
-    """Step profile of the decreasing rearrangement, equal values merged."""
-    w = np.array(f.weights)
-    m = f.support_measures
-    order = np.argsort(-w)
-    values, measures = [], []
-    for i in order:
-        if values and w[i] == values[-1]:
-            measures[-1] += m[i]
-        else:
-            values.append(float(w[i]))
-            measures.append(float(m[i]))
-    return StepProfile(tuple(values), tuple(measures))
+        return f"SimpleFunction({len(self.weights)} terms, dim={self.region.dim})"
 
 
 def lorentz_norm_from_steps(values, measures, s, r):
@@ -154,19 +117,16 @@ def blockwise_lorentz_norm(values, measures, s, r):
 
 def lorentz_norm(f, s, r):
     """Lorentz norm of a simple function, exact via its step profile."""
-    profile = rearrangement(f)
-    return lorentz_norm_from_steps(
-        np.array(profile.values), np.array(profile.measures), s, r
-    )
+    if np.any(f.support_measures <= 0):
+        raise ValueError("every support needs positive measure")
+    return lorentz_norm_from_steps(f.weights, f.support_measures, s, r)
 
 
 def lp_norm(f, p):
     """Lebesgue p-norm of a simple function with disjoint supports."""
     p = float(p)
     if np.isinf(p):
-        return float(max(f.weights))
+        return float(f.weights.max())
     if not p > 0:
         raise ValueError("p must be positive")
-    w = np.array(f.weights)
-    m = f.support_measures
-    return float((w**p * m).sum() ** (1.0 / p))
+    return float((f.weights**p * f.support_measures).sum() ** (1.0 / p))

@@ -31,7 +31,7 @@ class TowerConfig:
     def __post_init__(self):
         if not 0 < self.keep_fraction <= 1:
             raise ValueError("keep_fraction must be in (0, 1]")
-        if self.cell_width <= 0:
+        if not self.cell_width > 0:
             raise ValueError("cell_width must be positive")
         if self.base_candidates < 1 or self.max_nodes < 1:
             raise ValueError("base_candidates and max_nodes must be positive")

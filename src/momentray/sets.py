@@ -128,7 +128,7 @@ def fiber_cells(los, his, max_width):
     widths), one entry per cell, ordered by row and then along the line; a
     row's widths sum to its fiber measure.
     """
-    if max_width <= 0:
+    if not max_width > 0:
         raise ValueError("max_width must be positive")
     valid = his >= los
     los = np.where(valid, los, np.inf)  # empty pieces sort last

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .lorentz import SimpleFunction, lorentz_norm_from_steps
-from .sets import BoxUnionSet, Interval, as_interval
+from .sets import Interval, as_interval
 from .transform import NoIncidence, apply_x, bilinear_form, region_cell_values
 
 MAX_MATERIALIZED_BOXES = 500_000
@@ -160,11 +160,16 @@ def resolve_k_max(spec):
     return k
 
 
-def _piece_box(d, k, half_sides):
-    """(d, 2) bounds of the box with the given half-sides at (0, k^2, ..., k^d)."""
-    center = np.zeros(d)
-    center[1:] = float(k) ** np.arange(2, d + 1)
-    return np.stack([center - half_sides, center + half_sides], axis=1)
+def _family(spec, half_scale, weight_of):
+    """Pieces k = n_start..k_max: weight_of(k) on the box with half-sides
+    half_scale k^-i centered at (0, k^2, ..., k^d), as one (n, d, 2) stack."""
+    d = spec.dim
+    ks = np.arange(spec.n_start, resolve_k_max(spec) + 1).astype(float)
+    center = np.zeros((ks.size, d))
+    center[:, 1:] = ks[:, None] ** np.arange(2, d + 1)
+    half = half_scale / ks[:, None] ** np.arange(1, d + 1)
+    bounds = np.stack([center - half, center + half], axis=2)
+    return SimpleFunction(weight_of(ks), bounds, validate=ks.size <= 256)
 
 
 def build_counterexample_f(spec):
@@ -174,16 +179,7 @@ def build_counterexample_f(spec):
     2k+1 apart along the second axis while the boxes are O(k^-2) thin there,
     so the supports are disjoint for every k >= 2.
     """
-    d = spec.dim
-    k_hi = resolve_k_max(spec)
-    ks = np.arange(spec.n_start, k_hi + 1)
-    supports = []
-    for k in ks:
-        half = 1.0 / (float(k) ** np.arange(1, d + 1))
-        supports.append(BoxUnionSet([_piece_box(d, k, half)], validate=False))
-    return SimpleFunction(
-        np.ones(ks.size), supports, validate=ks.size <= 256
-    )
+    return _family(spec, 1.0, np.ones_like)
 
 
 def build_xf_lower_bound(spec):
@@ -193,16 +189,7 @@ def build_xf_lower_bound(spec):
     least k^-1 of parameter mass, so the sum minorizes the transform of the
     unit-weight family whenever the parameter interval contains [-1/k, 1/k].
     """
-    d = spec.dim
-    k_hi = resolve_k_max(spec)
-    ks = np.arange(spec.n_start, k_hi + 1)
-    supports = []
-    for k in ks:
-        half = 0.5 / (float(k) ** np.arange(1, d + 1))
-        supports.append(BoxUnionSet([_piece_box(d, k, half)], validate=False))
-    return SimpleFunction(
-        1.0 / ks.astype(float), supports, validate=ks.size <= 256
-    )
+    return _family(spec, 0.5, lambda ks: 1.0 / ks)
 
 
 def counterexample_f_lp(d, n_start):
@@ -474,13 +461,27 @@ def _dual_rhs(d, delta, a, b):
     return delta**d * a ** (d - 1) * b ** ((d * d - d + 2) // 2 - d)
 
 
-def _grid_vals_vols(source, region, interval, grid_n, dual):
+def _grid(source, region, interval, grid_n, dual):
+    """Midpoint-grid cell values and volumes over region, and their pairing."""
     blocks = region_cell_values(source, region, interval, grid_n, dual=dual)
     vals = np.concatenate([b.center_values.reshape(-1) for b in blocks])
     vols = np.concatenate(
         [np.full(b.center_values.size, b.cell_volume) for b in blocks]
     )
-    return vals, vols
+    t_grid = float((vals * vols).sum())
+    if t_grid <= 0.0:
+        raise NoIncidence("no incidence on the grid")
+    return vals, vols, t_grid
+
+
+def _rich(vals, vols, theta):
+    """Measure, pairing and smallest value of the rich set {vals >= theta}."""
+    mask = vals >= theta
+    return (
+        float(vols[mask].sum()),
+        float((vals[mask] * vols[mask]).sum()),
+        float(vals[mask].min()),
+    )
 
 
 def _check_theta_frac(theta_frac):
@@ -492,16 +493,14 @@ def _check_theta_frac(theta_frac):
 
 def _primal_report(E, vals, vols, theta, kind):
     """Score the rich region {vals >= theta} against the primal bound on |E|."""
-    mask = vals >= theta
-    g_measure = float(vols[mask].sum())
-    t_over_g = float((vals[mask] * vols[mask]).sum())
+    g_measure, t_over_g, hypothesis_min = _rich(vals, vols, theta)
     rhs = _primal_rhs(E.dim, theta, t_over_g / g_measure, t_over_g / E.measure)
     return Lemma2Report(
         kind=kind,
         ratio=math.inf if rhs == 0.0 else E.measure / rhs,
         subset_measure=E.measure,
         rhs=rhs,
-        hypothesis_min=float(vals[mask].min()),
+        hypothesis_min=hypothesis_min,
         theta=theta,
         region_measure=g_measure,
     )
@@ -515,24 +514,16 @@ def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     from the same grid, so the accounting is internally consistent.
     """
     _check_theta_frac(theta_frac)
-    vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
-    t_grid = float((vals * vols).sum())
-    if t_grid <= 0.0:
-        raise NoIncidence("pairing vanished on the grid")
+    vals, vols, t_grid = _grid(E, F, interval, grid_n, dual=False)
     return _primal_report(E, vals, vols, theta_frac * t_grid / F.measure, "primal-grid")
 
 
 def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=False):
     """Grid-aligned dual check over the rich region on the source side."""
     _check_theta_frac(theta_frac)
-    vals, vols = _grid_vals_vols(F, E, window, grid_n, dual=True)
-    t_grid = float((vals * vols).sum())
-    if t_grid <= 0.0:
-        raise NoIncidence("pairing vanished on the grid")
+    vals, vols, t_grid = _grid(F, E, window, grid_n, dual=True)
     theta = theta_frac * t_grid / E.measure
-    mask = vals >= theta
-    h_measure = float(vols[mask].sum())
-    t_over_h = float((vals[mask] * vols[mask]).sum())
+    h_measure, t_over_h, hypothesis_min = _rich(vals, vols, theta)
     second = F.measure if printed_variant else h_measure
     rhs = _dual_rhs(E.dim, theta, t_over_h / F.measure, t_over_h / second)
     return Lemma2Report(
@@ -540,7 +531,7 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=Fa
         ratio=math.inf if rhs == 0.0 else F.measure / rhs,
         subset_measure=F.measure,
         rhs=rhs,
-        hypothesis_min=float(vals[mask].min()),
+        hypothesis_min=hypothesis_min,
         theta=theta,
         region_measure=h_measure,
         printed_variant=printed_variant,
@@ -553,10 +544,8 @@ def lemma2_shrinking_sweep(E, F, interval, fracs=(0.3, 0.45, 0.6, 0.75, 0.9), gr
     Thresholds are fractions of the maximum grid value, so each region
     contains the next; the ratios should hold a common positive floor.
     """
-    vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
+    vals, vols, _ = _grid(E, F, interval, grid_n, dual=False)
     vmax = float(vals.max())
-    if vmax <= 0.0:
-        raise NoIncidence("transform vanishes on the grid")
     return [_primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in fracs]
 
 
@@ -566,7 +555,7 @@ def lemma2_shrinking_sweep(E, F, interval, fracs=(0.3, 0.45, 0.6, 0.75, 0.9), gr
 
 @dataclass(frozen=True)
 class SuperlevelMassReport:
-    """Mass captured by the superlevel region at the bisected threshold."""
+    """Mass captured by the superlevel region at the half-pairing threshold."""
 
     epsilon: float
     c0: float
@@ -582,43 +571,29 @@ class SuperlevelMassReport:
 
 
 def superlevel_mass_check(E, F, interval, grid_n=48):
-    """Find the threshold scale keeping most of the pairing, then score it.
+    """Find the threshold keeping at least half the pairing, then score it.
 
-    epsilon normalizes the pairing by |E|^(1/p) |F|^(1/q'); the threshold is
-    c0 * epsilon * |E|^(1/p) |F|^(1/q'-1) with c0 bisected to the largest
-    value for which the superlevel region keeps at least half the pairing.
+    epsilon normalizes the pairing by |E|^(1/p) |F|^(1/q'); the threshold
+    theta = c0 * epsilon * |E|^(1/p) |F|^(1/q'-1) is the largest grid value
+    whose superlevel region {vals >= theta} keeps at least half the pairing.
     The returned constant is |G| / (epsilon^q' |F|), which the theory bounds
     below uniformly.
     """
     d = E.dim
     p, q = critical_exponents(d)
     q_prime = float(dual_exponent(q))
-    vals, vols = _grid_vals_vols(E, F, interval, grid_n, dual=False)
-    t_total = float((vals * vols).sum())
-    if t_total <= 0.0:
-        raise NoIncidence("pairing vanished on the grid")
+    vals, vols, t_total = _grid(E, F, interval, grid_n, dual=False)
     eps = t_total / (E.measure ** (1.0 / float(p)) * F.measure ** (1.0 / q_prime))
     theta_unit = t_total / F.measure  # = eps |E|^(1/p) |F|^(1/q'-1)
-
-    def outside_mass(c0):
-        below = vals < c0 * theta_unit
-        return float((vals[below] * vols[below]).sum())
-
-    c_lo, c_hi = 0.0, float(vals.max()) / theta_unit
-    for _ in range(60):
-        mid = 0.5 * (c_lo + c_hi)
-        if outside_mass(mid) <= 0.5 * t_total:
-            c_lo = mid
-        else:
-            c_hi = mid
-    c0 = c_lo
-    theta = c0 * theta_unit
-    mask = vals >= theta
-    g_measure = float(vols[mask].sum())
-    t_inside = float((vals[mask] * vols[mask]).sum())
+    # values in decreasing order with the pairing they hold so far: the
+    # first that reaches half the pairing is the largest such threshold
+    order = np.argsort(-vals)
+    held = np.cumsum(vals[order] * vols[order])
+    theta = float(vals[order[np.searchsorted(held, 0.5 * t_total)]])
+    g_measure, t_inside, _ = _rich(vals, vols, theta)
     return SuperlevelMassReport(
         epsilon=eps,
-        c0=c0,
+        c0=theta / theta_unit,
         theta=theta,
         g_measure=g_measure,
         f_measure=F.measure,

@@ -420,9 +420,7 @@ def adjointness_gap(E, F, interval, window, quad=None):
 class CellBlock:
     """Midpoint grid over one region box with transform values attached."""
 
-    lows: np.ndarray
     widths: np.ndarray
-    counts: tuple
     center_values: np.ndarray
     corner_values: np.ndarray | None = None  # no longer filled; bench/ reads it
 
@@ -436,23 +434,13 @@ def region_cell_values(source, region, interval, grid_n, dual=False):
     if not grid_n >= 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n!r}")
     lo, hi = _interval_pair(interval)
+    n = int(grid_n)
     blocks = []
     for blo, bhi in zip(region.los, region.his):
-        counts = tuple(int(grid_n) for _ in range(region.dim))
-        widths = (bhi - blo) / np.array(counts)
-        axes = [
-            blo[a] + (np.arange(counts[a]) + 0.5) * widths[a]
-            for a in range(region.dim)
-        ]
+        widths = (bhi - blo) / n
+        axes = [lo_a + (np.arange(n) + 0.5) * w for lo_a, w in zip(blo, widths)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
         vals = _fiber_measures(source, pts, lo, hi, dual)
-        blocks.append(
-            CellBlock(
-                lows=blo.copy(),
-                widths=widths,
-                counts=counts,
-                center_values=vals.reshape(counts),
-            )
-        )
+        blocks.append(CellBlock(widths=widths, center_values=vals.reshape((n,) * region.dim)))
     return blocks

@@ -89,6 +89,15 @@ def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
         ("lemma2", {"theta_frac": 0}),
         ("lemma2", {"theta_frac": -0.5}),
         ("lemma2", {"theta_frac": 1.5}),
+        ("rwt", {"floor": float("nan")}),
+        ("lemma2", {"floor": "nan"}),
+        ("duality", {"tol": float("nan")}),
+        ("refine", {"cell_width": "nan"}),
+        ("refine", {"keep_fraction": float("nan")}),
+        ("jacobian", {"tol": float("inf")}),
+        ("duality", {"quad": {"step": float("nan")}}),
+        ("scaling", {"r": float("nan")}),
+        ("rwt", {"floor": 10**400}),
     ],
 )
 def test_bad_config_value_is_usage_error(command, config, tmp_path, capsys):
@@ -328,6 +337,7 @@ def test_scaling_and_necessity_quick(tmp_path):
         if line.startswith("# ")
     )
     assert float(meta["slope_f"]) < 0
+    assert run(["scaling", "--dim", "2", "--r", "inf", "--n-list", "16,32,64,128"]) == PASS
     assert run(["necessity", "--dim", "2", "--n-list", "16,32,64,128"]) == PASS
 
 

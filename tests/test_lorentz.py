@@ -1,4 +1,4 @@
-"""Simple functions, rearrangements, and the two-exponent norms."""
+"""Simple functions, their step profiles, and the two-exponent norms."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from momentray.lorentz import (
     SimpleFunction,
-    StepProfile,
     blockwise_lorentz_norm,
     lorentz_norm,
     lorentz_norm_from_steps,
     lp_norm,
-    rearrangement,
 )
 from momentray.sets import BoxUnionSet
 
@@ -55,22 +53,29 @@ def test_simple_function_overlap_across_supports():
     assert unchecked.region.n_boxes == 3
 
 
-def test_rearrangement_profile():
-    prof = rearrangement(TWO_STEP)
-    assert prof.values == (2.0, 1.0)
-    assert prof.measures == (2.0, 1.0)
+def test_simple_function_counts_a_support_once_on_a_shared_face():
+    pair = BoxUnionSet([[[5.0, 6.0], [0.0, 1.0]], [[6.0, 7.0], [0.0, 1.0]]])
+    beside = _box([[7.0, 8.0], [0.0, 1.0]])
+    f = SimpleFunction([2.0, 0.5], [pair, beside])
+    # x = 6 is a face of both boxes of pair; x = 7 is shared with beside
+    pts = np.array([[6.0, 0.5], [6.0, 1.0], [5.5, 0.5], [7.0, 0.5], [7.5, 1.0]])
+    assert f(pts).tolist() == [2.0, 2.0, 2.0, 2.5, 0.5]
+    assert f(np.array([6.0, 0.0])) == 2.0
 
 
-def test_rearrangement_merges_equal_values():
-    f = SimpleFunction([1.0, 1.0], [A, B])
-    prof = rearrangement(f)
-    assert prof.values == (1.0,)
-    assert prof.measures == (3.0,)
+def test_simple_function_steps():
+    assert TWO_STEP.weights.tolist() == [2.0, 1.0]
+    assert TWO_STEP.support_measures.tolist() == [2.0, 1.0]
+    pair = BoxUnionSet([[[5.0, 6.0], [0.0, 1.0]], [[6.0, 7.0], [0.0, 0.5]]])
+    assert SimpleFunction([1.0, 3.0], [pair, A]).support_measures.tolist() == [1.5, 2.0]
 
 
-def test_step_profile_requires_decreasing():
-    with pytest.raises(ValueError):
-        StepProfile((1.0, 2.0), (1.0, 1.0))
+def test_lorentz_norm_refuses_zero_measure_support():
+    flat = SimpleFunction([1.0, 2.0], [A, [[5.0, 5.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="positive measure"):
+        lorentz_norm(flat, 2.0, 2.0)
+    # the Lebesgue norm is an integral, which the empty support leaves alone
+    assert lp_norm(flat, 2.0) == lp_norm(SimpleFunction([1.0], [A]), 2.0)
 
 
 def test_lp_norm_hand_value():
@@ -136,3 +141,38 @@ def test_blockwise_aggregate_between_min_and_sum():
     assert agg == pytest.approx(
         sum(sc**r for sc in scores) ** (1.0 / r), rel=1e-12
     )
+
+
+@st.composite
+def split_and_permuted(draw):
+    """A simple function on separated boxes (weights may repeat), the same
+    function with one support split in two of equal weight, and its terms
+    in another order."""
+    n = draw(st.integers(1, 6))
+    pick = st.sampled_from([0.5, 1.0, 2.5]) | st.floats(0.1, 10.0)
+    weights = draw(st.lists(pick, min_size=n, max_size=n))
+    sides = draw(st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 2.0)), min_size=n, max_size=n))
+    boxes = [[[2.0 * i, 2.0 * i + w], [0.0, h]] for i, (w, h) in enumerate(sides)]
+    k = draw(st.integers(0, n - 1))
+    (lo, hi), rest = boxes[k]
+    cut = lo + draw(st.floats(0.1, 0.9)) * (hi - lo)
+    split_boxes = boxes[:k] + [[[lo, cut], rest]] + boxes[k + 1 :] + [[[cut, hi], rest]]
+    order = draw(st.permutations(range(n)))
+    return (
+        SimpleFunction(weights, boxes),
+        SimpleFunction(weights + [weights[k]], split_boxes),
+        SimpleFunction([weights[i] for i in order], [boxes[i] for i in order]),
+    )
+
+
+@given(split_and_permuted(), st.floats(0.6, 4.0), st.sampled_from([0.7, 1.0, 2.5, np.inf]))
+@settings(max_examples=80, deadline=None)
+def test_norms_unchanged_by_split_and_permutation(functions, s, r):
+    """The norms depend on the distribution of values only: neither
+    splitting a support into two of equal weight nor reordering the terms
+    moves them."""
+    f, split, permuted = functions
+    for g in (split, permuted):
+        assert lorentz_norm(g, s, r) == pytest.approx(lorentz_norm(f, s, r), rel=1e-12)
+        assert lp_norm(g, s) == pytest.approx(lp_norm(f, s), rel=1e-12)
+        assert lp_norm(g, np.inf) == lp_norm(f, np.inf)

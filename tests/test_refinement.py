@@ -32,6 +32,8 @@ def test_config_validation():
         TowerConfig(keep_fraction=0.0)
     with pytest.raises(ValueError):
         TowerConfig(cell_width=-1.0)
+    with pytest.raises(ValueError, match="cell_width"):
+        TowerConfig(cell_width=float("nan"))
     with pytest.raises(ValueError):
         TowerConfig(max_nodes=0)
 

@@ -160,3 +160,5 @@ def test_fiber_cells_preserve_measure():
     assert inside.any(axis=1).all()
     with pytest.raises(ValueError):
         fiber_cells(los, his, max_width=0.0)
+    with pytest.raises(ValueError, match="max_width"):
+        fiber_cells(los, his, max_width=float("nan"))

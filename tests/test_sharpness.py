@@ -7,7 +7,8 @@ import pytest
 
 from momentray.lorentz import lorentz_norm, lp_norm
 from momentray.sets import BoxUnionSet, Interval
-from momentray.transform import fiber_measure_batch
+from momentray.corpus import build_default_corpus
+from momentray.transform import fiber_measure_batch, region_cell_values
 from momentray.sharpness import (
     CounterexampleSpec,
     build_counterexample_f,
@@ -155,13 +156,16 @@ def test_family_piece_geometry():
     spec = CounterexampleSpec(dim=3, n_start=2, k_max=5)
     f = build_counterexample_f(spec)
     m = homogeneous_dimension(3)
-    for k, support in zip(range(2, 6), f.supports):
-        assert support.measure == pytest.approx(2.0**3 * float(k) ** -m, rel=1e-12)
-        center = np.array([0.0, k**2, k**3])
-        assert f(center[None, :])[0] == pytest.approx(1.0)
+    ks = np.arange(2, 6, dtype=float)
+    assert f.region.n_boxes == f.support_measures.size == 4
+    assert f.support_measures == pytest.approx(2.0**3 * ks**-m, rel=1e-12)
+    centers = np.stack([np.zeros(4), ks**2, ks**3], axis=1)
+    np.testing.assert_allclose(0.5 * (f.region.los + f.region.his), centers, rtol=1e-12)
+    assert f(centers).tolist() == [1.0] * 4
     g = build_xf_lower_bound(spec)
-    for k, support in zip(range(2, 6), g.supports):
-        assert support.measure == pytest.approx(float(k) ** -m, rel=1e-12)
+    assert g.region.n_boxes == g.support_measures.size == 4
+    assert g.support_measures == pytest.approx(ks**-m, rel=1e-12)
+    np.testing.assert_array_equal(g.weights, 1.0 / ks)
 
 
 def test_truncated_lp_matches_closed_form_tail():
@@ -254,12 +258,13 @@ def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
     rng = np.random.default_rng(11)
     worst = np.inf
     draws = []
-    for weight, support in zip(minorant.weights, minorant.supports):
-        pts = rng.uniform(support.los[0], support.his[0], size=(5, 3))
+    # every support of both families is one box
+    for weight, lo, hi in zip(minorant.weights, minorant.region.los, minorant.region.his):
+        pts = rng.uniform(lo, hi, size=(5, 3))
         draws.append(pts)
         vals = np.zeros(5)
-        for w, s in zip(f.weights, f.supports):
-            vals += w * fiber_measure_batch(s, pts, (-1.0, 1.0))
+        for w, box in zip(f.weights, f.region.bounds):
+            vals += w * fiber_measure_batch(BoxUnionSet([box]), pts, (-1.0, 1.0))
         worst = min(worst, float(np.min(vals - weight)))
     assert np.array_equal(seen[0], np.concatenate(draws))
     assert slack == worst
@@ -378,3 +383,29 @@ def test_superlevel_mass_unit_pair():
     # unit measures make the normalizer equal the pairing itself
     assert rep.epsilon == pytest.approx(rep.t_total, rel=1e-12)
     assert rep.q_prime == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("grid_n", [8, 16])
+def test_superlevel_theta_is_largest_half_pairing_grid_value(grid_n):
+    """Brute force over every grid value: theta is the largest one with at
+    most half the pairing strictly below it."""
+    for entry in build_default_corpus()[::3]:
+        interval = (entry.interval.lo, entry.interval.hi)
+        rep = superlevel_mass_check(entry.E, entry.F, interval, grid_n=grid_n)
+        blocks = region_cell_values(entry.E, entry.F, interval, grid_n)
+        vals = np.concatenate([b.center_values.reshape(-1) for b in blocks])
+        mass = np.concatenate([b.center_values.reshape(-1) * b.cell_volume for b in blocks])
+        below = np.array([mass[vals < v].sum() for v in np.unique(vals)])
+        brute = np.unique(vals)[below <= 0.5 * mass.sum()].max()
+        assert rep.theta == brute, entry.entry_id
+        assert rep.t_inside >= 0.5 * rep.t_total
+        assert rep.c0 == pytest.approx(rep.theta * entry.F.measure / rep.t_total, rel=1e-14)
+
+
+def test_collapsed_d4_minorant_lorentz_norm_is_refused():
+    """From k = 91 on, a d = 4 minorant box rounds to zero width; a norm
+    over a zero-measure support is refused, not computed without it."""
+    g = build_xf_lower_bound(CounterexampleSpec(dim=4, n_start=4, k_max=200))
+    assert np.count_nonzero(g.support_measures == 0.0) > 0
+    with pytest.raises(ValueError, match="positive measure"):
+        lorentz_norm(g, 2.0, 2.0)

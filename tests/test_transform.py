@@ -388,10 +388,11 @@ def test_apply_x_scales_with_simple_function_weight():
     assert plain[0] == pytest.approx(0.5)
 
 
-def _per_support_sum(f, interval, pts):
-    """The transform of f one support at a time, summed in support order."""
+def _per_support_sum(weights, supports, interval, pts):
+    """The transform of sum_k w_k 1_{support k}, one support at a time,
+    summed in support order."""
     out = np.zeros(pts.shape[0])
-    for w, support in zip(f.weights, f.supports):
+    for w, support in zip(weights, supports):
         out += w * fiber_measure_batch(support, pts, interval)
     return out
 
@@ -406,15 +407,17 @@ def test_apply_x_single_box_supports_bit_identical():
     for single-box supports is exactly the per-support sum."""
     for d in (2, 3, 4):
         boxes = [np.array([[k / 4.0 - 1.0, k / 4.0 - 0.75]] + [[-0.5, 0.5]] * (d - 1)) for k in range(8)]
-        f = SimpleFunction(np.linspace(0.3, 2.9, 8), [BoxUnionSet([b]) for b in boxes])
+        weights, supports = np.linspace(0.3, 2.9, 8), [BoxUnionSet([b]) for b in boxes]
+        f = SimpleFunction(weights, supports)
         pts = _sample_points(d, d, n=256)
-        assert np.array_equal(apply_x(f, (-1.0, 1.0), pts), _per_support_sum(f, (-1.0, 1.0), pts))
+        want = _per_support_sum(weights, supports, (-1.0, 1.0), pts)
+        assert np.array_equal(apply_x(f, (-1.0, 1.0), pts), want)
 
 
 @st.composite
 def simple_functions(draw):
-    """Several terms with multi-box supports, cut from one union of disjoint
-    slabs, with weights spanning two orders of magnitude."""
+    """(weights, supports) of several terms with multi-box supports, cut from
+    one union of disjoint slabs, with weights spanning two orders of magnitude."""
     d = draw(st.integers(2, 4))
     region = draw(box_unions(d, max_boxes=6))
     n_terms = draw(st.integers(1, region.n_boxes))
@@ -423,22 +426,26 @@ def simple_functions(draw):
     bounds = [np.stack([lo, hi], axis=1) for lo, hi in zip(region.los, region.his)]
     groups = [bounds[a:b] for a, b in zip([0] + cuts, cuts + [len(bounds)])]
     weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(groups), max_size=len(groups)))
-    return SimpleFunction(weights, [BoxUnionSet(g) for g in groups])
+    return weights, [BoxUnionSet(g) for g in groups]
 
 
 @given(simple_functions(), st.integers(0, 2**16))
 @settings(max_examples=50, deadline=None)
-def test_apply_x_stacked_matches_per_support_sum(f, seed):
-    pts = _sample_points(seed, f.dim)
+def test_apply_x_stacked_matches_per_support_sum(terms, seed):
+    weights, supports = terms
+    f = SimpleFunction(weights, supports)
+    pts = _sample_points(seed, f.region.dim)
     interval = (-1.25, 1.25)
-    np.testing.assert_allclose(apply_x(f, interval, pts), _per_support_sum(f, interval, pts), rtol=1e-12, atol=0.0)
+    want = _per_support_sum(weights, supports, interval, pts)
+    np.testing.assert_allclose(apply_x(f, interval, pts), want, rtol=1e-12, atol=0.0)
     # per-box weights on the dual route, whose boxes can yield two components
-    region = BoxUnionSet(np.concatenate([s.bounds for s in f.supports]))
-    weights = np.repeat(f.weights, [s.n_boxes for s in f.supports])
+    bounds = np.concatenate([s.bounds for s in supports])
+    box_weights = np.repeat(weights, [s.n_boxes for s in supports])
+    assert np.array_equal(f.region.bounds, bounds) and np.array_equal(f.box_weights, box_weights)
     singles = sum(
-        w * fiber_measure_batch(BoxUnionSet([b]), pts, interval, dual=True) for w, b in zip(weights, region.bounds)
+        w * fiber_measure_batch(BoxUnionSet([b]), pts, interval, dual=True) for w, b in zip(box_weights, bounds)
     )
-    weighted = fiber_measure_batch(region, pts, interval, dual=True, weights=weights)
+    weighted = fiber_measure_batch(f.region, pts, interval, dual=True, weights=f.box_weights)
     np.testing.assert_allclose(weighted, singles, rtol=1e-12, atol=0.0)
 
 
