@@ -31,11 +31,10 @@ from .refinement import (
 )
 from .sets import BoxUnionSet
 from .sharpness import (
+    _lemma2_primal,
     check_rwt,
     critical_exponents,
     lemma2_grid_dual,
-    lemma2_grid_primal,
-    lemma2_shrinking_sweep,
     necessity_check,
     scaling_experiment,
 )
@@ -332,9 +331,9 @@ def criterion_7_rich_set_floors(seed=0, profile="full"):
         corpus = corpus[:8]
     primal, dual, sweeps = [], [], []
     for entry in corpus:
-        primal.append(lemma2_grid_primal(entry.E, entry.F, entry.interval).ratio)
+        grid_report, sweep = _lemma2_primal(entry.E, entry.F, entry.interval)
+        primal.append(grid_report.ratio)
         dual.append(lemma2_grid_dual(entry.E, entry.F, entry.window).ratio)
-        sweep = lemma2_shrinking_sweep(entry.E, entry.F, entry.interval)
         sweeps.append([rep.ratio for rep in sweep])
     step_floors = np.min(sweeps, axis=0)
     decay = float(step_floors[-1] / step_floors[0])
@@ -390,22 +389,23 @@ def criterion_8_tower_oracle(seed=0, profile="full"):
     return CriterionResult(8, "tower-oracle", gates, info)
 
 
-def criterion_9_determinism(seed=0, profile="full"):
-    """Two quick suite runs with one seed produce byte-identical reports."""
+def criterion_9_determinism(seed=0, profile="full", results=None):
+    """Two quick suite runs with one seed produce byte-identical reports.
 
-    def reports():
-        with tempfile.TemporaryDirectory() as tmp:
-            run_suite(
-                outdir=tmp,
-                seed=seed,
-                profile="quick",
-                include_determinism=False,
-                stream=None,
-            )
-            return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+    results, when given, are criteria 1-8 of the quick run this criterion
+    belongs to: their reports are one side and one fresh quick rerun the
+    other, so the run's first calls are compared too.  Without them, two
+    fresh quick reruns are compared.
+    """
 
-    first = reports()
-    gates = [Gate("identical", first == reports(), "==", True)]
+    def rerun():
+        return run_suite(
+            seed=seed, profile="quick", include_determinism=False, stream=None
+        ).results
+
+    first = _quick_report_bytes(rerun() if results is None else results, seed)
+    identical = first == _quick_report_bytes(rerun(), seed)
+    gates = [Gate("identical", identical, "==", True)]
     return CriterionResult(9, "determinism", gates, {"files": len(first)})
 
 
@@ -475,6 +475,15 @@ def _write_reports(outdir, suite):
         fh.write("\n")
 
 
+def _quick_report_bytes(results, seed):
+    """The bytes of each report file a quick run with these results writes."""
+    passed = all(r.passed for r in results)
+    suite = SuiteResult(results, passed, "quick", seed, seconds={})
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_reports(tmp, suite)
+        return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+
+
 _STDOUT = object()  # late-binding default so output respects redirected stdout
 
 
@@ -493,10 +502,14 @@ def run_suite(
     results = []
     seconds = {}
     for fn in ALL_CRITERIA:
-        if fn is criterion_9_determinism and not include_determinism:
-            continue
+        kwargs = {}
+        if fn is criterion_9_determinism:
+            if not include_determinism:
+                continue
+            if profile == "quick":  # full-profile results are not quick ones
+                kwargs["results"] = list(results)
         start = time.perf_counter()
-        res = fn(seed=seed, profile=profile)
+        res = fn(seed=seed, profile=profile, **kwargs)
         seconds[res.index] = time.perf_counter() - start
         results.append(res)
         if stream is not None:

@@ -32,14 +32,13 @@ from .corpus import build_default_corpus, load_corpus
 from .geometry import estimate_c_d
 from .refinement import TowerConfig, build_tower, check_tower_structure, tower_report
 from .sharpness import (
+    _lemma2_primal,
     check_rwt,
     counterexample_f_lp,
     critical_exponents,
     delta_region_vertices,
     homogeneous_dimension,
     lemma2_grid_dual,
-    lemma2_grid_primal,
-    lemma2_shrinking_sweep,
     necessity_check,
     region_contains,
     scaling_experiment,
@@ -531,7 +530,7 @@ def cmd_lemma2(params):
     def rows_of(entry):
         interval = (entry.interval.lo, entry.interval.hi)
         window = (entry.window.lo, entry.window.hi)
-        primal = lemma2_grid_primal(
+        primal, sweep = _lemma2_primal(
             entry.E, entry.F, interval, theta_frac=theta_frac, grid_n=grid_n
         )
         dual = lemma2_grid_dual(
@@ -539,7 +538,6 @@ def cmd_lemma2(params):
         )
         reports = [("primal", primal), ("dual", dual)]
         if params["sweep"]:
-            sweep = lemma2_shrinking_sweep(entry.E, entry.F, interval, grid_n=grid_n)
             reports += [(f"sweep-{i}", rep) for i, rep in enumerate(sweep)]
         rows = []
         for kind, rep in reports:

@@ -59,12 +59,15 @@ def incidence_path(base, params, kind):
     """Every point visited when the two line steps alternate from base.
 
     phi applies gamma_star first (params t1, s1, t2, ...), psi applies gamma
-    first (s1, t2, s2, ...).  params is one vector (m,) or a batch (n, m);
-    the result has shape (m, d) or (m, n, d), and entry j is the point after
-    the first j + 1 steps, so entry -1 is the iterated map itself.
+    first (s1, t2, s2, ...).  base is one point (d,) or one per row (n, d),
+    params one vector (m,) or a batch (n, m); the result has shape (m, d)
+    or (m, n, d), and entry j is the point after the first j + 1 steps, so
+    entry -1 is the iterated map itself.
     """
     _check_kind(kind)
-    point = _as_point(base)
+    point = np.asarray(base, dtype=float)
+    if point.ndim not in (1, 2) or point.shape[-1] < 2:
+        raise ValueError("base must be one point (d,) or one per row (n, d), d >= 2")
     params = np.asarray(params, dtype=float)
     dual = kind == PHI
     path = []
@@ -139,10 +142,13 @@ def jacobian_closed_form(kind, base_first, params):
 
     Chains use s0 = x1 (phi) and t1 = x1 (psi).  One parameter vector (d,)
     gives a float; a batch (n, d), with base_first a number or (n,), gives
-    an (n,) array.
+    an (n,) array.  One vector is evaluated as a batch of one, so its value
+    is bit-identical to its row of any batch (numpy's array power and its
+    scalar power may differ in the last bit).
     """
     _check_kind(kind)
-    params = np.asarray(params, dtype=float)
+    single = np.ndim(params) == 1
+    params = np.atleast_2d(np.asarray(params, dtype=float))
     d = params.shape[-1]
     if d < 2:
         raise ValueError("need at least two parameters")
@@ -169,43 +175,46 @@ def jacobian_closed_form(kind, base_first, params):
             for l in range(j + 1, k + 1):
                 result = result * (t[..., j] - t[..., l]) ** 4
         result = result * np.prod((t[..., 1 : k + 1] - t[..., 0, None]) ** 2, axis=-1)
-    return float(result) if params.ndim == 1 else result
+    return float(result[0]) if single else result
 
 
 def jacobian_numeric(kind, base, params, rel_step=1e-4, match_tol=1e-5):
     """Jacobian determinant of the iterated map by central differences.
 
-    Each column uses step h_j = rel_step * (1 + |p_j|); the determinant is
-    recomputed at half step and the Richardson pair must agree to match_tol
-    relative, otherwise the parameters are treated as degenerate.
+    base and params are one point and parameter vector (d,), giving a float,
+    or one of each per row (n, d), giving an (n,) array.  Each column uses
+    step h_j = rel_step * (1 + |p_j|); the determinant is recomputed at half
+    step and each row's Richardson pair must agree to match_tol relative,
+    otherwise its parameters are treated as degenerate.  Both steps of every
+    row go through one incidence pass and one stacked determinant.
     """
     _check_kind(kind)
-    base = _as_point(base)
-    p = np.asarray(params, dtype=float)
-    d = p.size
-    if base.size != d:
-        raise ValueError("base point and parameter vector must share length d")
-    diag = np.arange(d)
-
-    def det_at(h):
-        # rows 0..d-1 move p_j up by h_j, rows d..2d-1 move it down
-        shifted = np.tile(p, (2 * d, 1))
-        shifted[diag, diag] += h
-        shifted[d + diag, diag] -= h
-        ends = incidence_path(base, shifted, kind)[-1]
-        cols = (ends[:d] - ends[d:]) / (2.0 * h[:, None])
-        return float(np.linalg.det(cols.T))
-
+    single = np.ndim(params) == 1
+    p = np.atleast_2d(np.asarray(params, dtype=float))
+    base = np.atleast_2d(np.asarray(base, dtype=float))
+    if p.ndim != 2 or base.shape != p.shape or p.shape[1] < 2:
+        raise ValueError("base and params must both be (d,) or both (n, d), d >= 2")
+    d = p.shape[1]
     h = rel_step * (1.0 + np.abs(p))
-    det_full = det_at(h)
-    det_half = det_at(h / 2.0)
-    scale = max(abs(det_full), abs(det_half), 1e-300)
-    if abs(det_full - det_half) > match_tol * scale:
+    steps = np.stack([h, h / 2.0])  # (2, n, d): full and half step
+    # for each step and row: rows 0..d-1 move p_j up by h_j, rows d..2d-1 down
+    diag = np.arange(d)
+    shifted = np.tile(p[None, :, None, :], (2, 1, 2 * d, 1))
+    shifted[:, :, diag, diag] += steps
+    shifted[:, :, d + diag, diag] -= steps
+    bases = np.broadcast_to(base[None, :, None, :], shifted.shape)
+    ends = incidence_path(bases.reshape(-1, d), shifted.reshape(-1, d), kind)[-1]
+    ends = ends.reshape(shifted.shape)
+    cols = (ends[..., :d, :] - ends[..., d:, :]) / (2.0 * steps[..., None])
+    det_full, det_half = np.linalg.det(np.swapaxes(cols, -1, -2))
+    scale = np.maximum(np.maximum(np.abs(det_full), np.abs(det_half)), 1e-300)
+    if np.any(np.abs(det_full - det_half) > match_tol * scale):
         raise ValueError(
             "finite-difference determinants disagree beyond tolerance; "
             "parameters are likely near-degenerate"
         )
-    return (4.0 * det_half - det_full) / 3.0
+    result = (4.0 * det_half - det_full) / 3.0
+    return float(result[0]) if single else result
 
 
 def _stratified(rng, count, lo, hi, margin=0.2):
@@ -289,14 +298,16 @@ def estimate_c_d(kind, d, samples=100, seed=0, span=(-2.0, 2.0), min_sep=1e-3):
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     rng = np.random.default_rng(seed)
-    ratios = np.empty(samples)
-    for i in range(samples):
-        base, params = sample_incidence_params(kind, d, rng, span=span, min_sep=min_sep)
-        num = jacobian_numeric(kind, base, params)
-        ref = jacobian_closed_form(kind, base[0], params)
-        if ref == 0.0:
-            raise ValueError("degenerate draw: factored determinant vanished")
-        ratios[i] = num / ref
+    draws = [
+        sample_incidence_params(kind, d, rng, span=span, min_sep=min_sep)
+        for _ in range(samples)
+    ]
+    bases, params = (np.array(side) for side in zip(*draws))
+    num = jacobian_numeric(kind, bases, params)
+    ref = jacobian_closed_form(kind, bases[:, 0], params)
+    if np.any(ref == 0.0):
+        raise ValueError("degenerate draw: factored determinant vanished")
+    ratios = num / ref
     mean = float(ratios.mean())
     std = float(ratios.std())
     if mean == 0.0:

@@ -484,6 +484,10 @@ def _rich(vals, vols, theta):
     )
 
 
+# thresholds of the shrinking sweep, as fractions of the largest grid value
+_SWEEP_FRACS = (0.3, 0.45, 0.6, 0.75, 0.9)
+
+
 def _check_theta_frac(theta_frac):
     # a fraction of the average in (0, 1] keeps the rich region non-empty
     # (the largest cell value is at least the average) and the bound real
@@ -506,6 +510,21 @@ def _primal_report(E, vals, vols, theta, kind):
     )
 
 
+def _lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32, fracs=_SWEEP_FRACS):
+    """The primal-grid report and the shrinking-sweep reports of one grid.
+
+    Both score rich regions of the same primal midpoint grid, so a caller
+    that wants both evaluates the grid once.
+    """
+    _check_theta_frac(theta_frac)
+    vals, vols, t_grid = _grid(E, F, interval, grid_n, dual=False)
+    theta = theta_frac * t_grid / F.measure
+    primal = _primal_report(E, vals, vols, theta, "primal-grid")
+    vmax = float(vals.max())
+    sweep = [_primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in fracs]
+    return primal, sweep
+
+
 def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     """Grid-aligned primal check with the superlevel region as the rich set.
 
@@ -513,9 +532,7 @@ def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     times the F-average; the pairing over it and the fiber floor both come
     from the same grid, so the accounting is internally consistent.
     """
-    _check_theta_frac(theta_frac)
-    vals, vols, t_grid = _grid(E, F, interval, grid_n, dual=False)
-    return _primal_report(E, vals, vols, theta_frac * t_grid / F.measure, "primal-grid")
+    return _lemma2_primal(E, F, interval, theta_frac, grid_n, fracs=())[0]
 
 
 def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=False):
@@ -538,15 +555,13 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=Fa
     )
 
 
-def lemma2_shrinking_sweep(E, F, interval, fracs=(0.3, 0.45, 0.6, 0.75, 0.9), grid_n=32):
+def lemma2_shrinking_sweep(E, F, interval, fracs=_SWEEP_FRACS, grid_n=32):
     """Primal ratios over a monotone family of shrinking rich regions.
 
     Thresholds are fractions of the maximum grid value, so each region
     contains the next; the ratios should hold a common positive floor.
     """
-    vals, vols, _ = _grid(E, F, interval, grid_n, dual=False)
-    vmax = float(vals.max())
-    return [_primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in fracs]
+    return _lemma2_primal(E, F, interval, grid_n=grid_n, fracs=fracs)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,53 @@ def test_criterion_9_byte_identical_reruns():
     assert res.details["identical"] is True
 
 
+def test_criterion_9_standalone_quick_passes():
+    res = criterion_9_determinism(seed=0, profile="quick")
+    assert res.passed, res.line()
+    assert res.details == {"files": 2, "identical": True}
+
+
+def _counting_criterion():
+    """A cheap criterion whose reported value is its own call count."""
+    calls = []
+
+    def criterion(seed=0, profile="full"):
+        calls.append(profile)
+        gates = [Gate("calls", len(calls), ">=", 1)]
+        return acceptance.CriterionResult(1, "counter", gates, {})
+
+    return criterion
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_criterion_9_fails_on_seeded_nondeterminism(monkeypatch, profile):
+    criteria = (_counting_criterion(), criterion_9_determinism)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", criteria)
+    suite = run_suite(seed=0, profile=profile, stream=None)
+    assert suite.results[0].passed
+    assert not suite.results[1].passed, suite.results[1].line()
+    assert not suite.passed
+
+
+@pytest.mark.parametrize("profile, reruns", [("quick", 1), ("full", 2)])
+def test_criterion_9_rerun_count(monkeypatch, profile, reruns):
+    def constant(seed=0, profile="full"):
+        return acceptance.CriterionResult(1, "constant", [Gate("value", 1, "==", 1)], {})
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (constant, criterion_9_determinism))
+    real = acceptance.run_suite
+    nested = []
+
+    def counting(*args, **kwargs):
+        nested.append(kwargs.get("profile"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "run_suite", counting)
+    suite = real(seed=0, profile=profile, stream=None)
+    assert suite.passed, [r.line() for r in suite.results]
+    assert nested == ["quick"] * reruns
+
+
 def test_quick_suite_end_to_end(tmp_path, capsys):
     suite = run_suite(outdir=str(tmp_path), seed=0, profile="quick")
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from momentray.geometry import (
+    CdEstimate,
     closed_form_degree,
     estimate_c_d,
     incidence_path,
@@ -103,6 +104,90 @@ def test_batched_incidence_path_rows_match_single_calls(batch, base, kind):
         assert path[:, i].tobytes() == single.tobytes()
 
 
+@given(batches(), batches(), st.sampled_from(["phi", "psi"]))
+def test_per_row_base_incidence_path_rows_match_single_calls(rows, steps, kind):
+    bases, _ = rows
+    params, _ = steps
+    n = min(bases.shape[0], params.shape[0])
+    bases, params = bases[:n], params[:n]
+    m = params.shape[1]
+    path = incidence_path(bases, params, kind)
+    assert path.shape == (m,) + bases.shape
+    for i in range(bases.shape[0]):
+        single = incidence_path(bases[i], params[i], kind)
+        assert path[:, i].tobytes() == single.tobytes()
+
+
+@given(
+    st.integers(2, 7),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["phi", "psi"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_numeric_jacobian_rows_match_single_calls(d, n, seed, kind):
+    rng = np.random.default_rng(seed)
+    draws = [sample_incidence_params(kind, d, rng) for _ in range(n)]
+    bases, params = (np.array(side) for side in zip(*draws))
+    got = jacobian_numeric(kind, bases, params)
+    assert got.shape == (n,)
+    for i in range(n):
+        assert got[i] == jacobian_numeric(kind, bases[i], params[i])
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_batched_numeric_jacobian_raises_on_one_degenerate_row(at):
+    # phi, d = 2: the determinant has the factor s1 - x1, here 1e-9; its
+    # full- and half-step estimates disagree (the single call raises too)
+    rng = np.random.default_rng(5)
+    draws = [sample_incidence_params("phi", 2, rng) for _ in range(4)]
+    bases, params = (np.array(side) for side in zip(*draws))
+    jacobian_numeric("phi", bases, params)  # the well-separated rows pass
+    bad_base, bad_params = np.array([1.0, 0.0]), np.array([2.0, 1.0 + 1e-9])
+    with pytest.raises(ValueError):
+        jacobian_numeric("phi", bad_base, bad_params)
+    with pytest.raises(ValueError, match="near-degenerate"):
+        jacobian_numeric(
+            "phi",
+            np.insert(bases, at, bad_base, axis=0),
+            np.insert(params, at, bad_params, axis=0),
+        )
+
+
+def test_numeric_jacobian_shapes_must_agree():
+    with pytest.raises(ValueError):
+        jacobian_numeric("phi", np.zeros((3, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        jacobian_numeric("phi", (1.0, 0.0, 0.0), (2.0, 3.0))
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_estimate_c_d_matches_per_sample_loop(kind, d):
+    """One batched pass gives the estimate of a loop over single samples."""
+    samples, seed = 25, 7 + d
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(samples):
+        base, params = sample_incidence_params(kind, d, rng)
+        num = jacobian_numeric(kind, base, params)
+        ratios.append(num / jacobian_closed_form(kind, base[0], params))
+    ratios = np.array(ratios)
+    mean, std = float(ratios.mean()), float(ratios.std())
+    want = CdEstimate(
+        kind=kind,
+        dim=d,
+        samples=samples,
+        seed=seed,
+        mean=mean,
+        std=std,
+        rel_dispersion=std / abs(mean),
+        ratio_min=float(ratios.min()),
+        ratio_max=float(ratios.max()),
+    )
+    assert estimate_c_d(kind, d, samples=samples, seed=seed) == want
+
+
 def test_psi_closed_form_matches_recursion():
     rng = np.random.default_rng(3)
     for d in (2, 3, 4, 5):
@@ -160,11 +245,11 @@ def test_closed_form_scales_with_degree(d, scale):
 )
 @settings(max_examples=50, deadline=None)
 def test_batched_jacobian_matches_rows(batch, kind):
-    """Rows agree to rounding: array and scalar powers may differ in the last bit."""
+    """One vector is a batch of one, so rows agree to the last bit."""
     params, firsts = batch
     rows = [jacobian_closed_form(kind, f, p) for f, p in zip(firsts, params)]
     got = jacobian_closed_form(kind, firsts, params)
-    np.testing.assert_allclose(got, rows, rtol=1e-13, atol=0.0)
+    assert got.tolist() == rows
     shared = jacobian_closed_form(kind, firsts[0], params)
     assert shared[0] == got[0]
 

@@ -27,6 +27,8 @@ EXEMPT = {
     "lorentz.blockwise_lorentz_norm": "test oracle for the exact Lorentz norm",
     "sharpness.xf_lower_exact_lorentz": "test oracle for the blockwise X f lower bound",
     "sharpness.verify_minorant": "the benchmark's family-minorant entry point",
+    "sharpness.lemma2_grid_primal": "the benchmark's tower-corpus lemma2 op; the package scores it and the sweep from one grid through _lemma2_primal",
+    "sharpness.lemma2_shrinking_sweep": "the benchmark's tower-corpus lemma2 op; the package scores it and the primal report from one grid through _lemma2_primal",
 }
 
 
