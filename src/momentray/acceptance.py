@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
@@ -31,7 +30,7 @@ from .refinement import (
 )
 from .sets import BoxUnionSet
 from .sharpness import (
-    _lemma2_primal,
+    check_lemma2_primal,
     check_rwt,
     critical_exponents,
     lemma2_grid_dual,
@@ -111,7 +110,10 @@ def random_box_pair(d, rng, max_boxes=2):
 
     First-axis cuts keep every box at least 0.15 wide so fibers are not
     degenerate; the other axes straddle the origin with varied aspect.
+    d = 1 has no line complex and is refused.
     """
+    if d < 2:
+        raise ValueError(f"box pair dims must be at least 2, got {d}")
 
     def union(n):
         while True:
@@ -331,7 +333,7 @@ def criterion_7_rich_set_floors(seed=0, profile="full"):
         corpus = corpus[:8]
     primal, dual, sweeps = [], [], []
     for entry in corpus:
-        grid_report, sweep = _lemma2_primal(entry.E, entry.F, entry.interval)
+        grid_report, sweep = check_lemma2_primal(entry.E, entry.F, entry.interval)
         primal.append(grid_report.ratio)
         dual.append(lemma2_grid_dual(entry.E, entry.F, entry.window).ratio)
         sweeps.append([rep.ratio for rep in sweep])
@@ -399,9 +401,7 @@ def criterion_9_determinism(seed=0, profile="full", results=None):
     """
 
     def rerun():
-        return run_suite(
-            seed=seed, profile="quick", include_determinism=False, stream=None
-        ).results
+        return run_suite(seed=seed, profile="quick", include_determinism=False).results
 
     first = _quick_report_bytes(rerun() if results is None else results, seed)
     identical = first == _quick_report_bytes(rerun(), seed)
@@ -484,19 +484,9 @@ def _quick_report_bytes(results, seed):
         return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
 
 
-_STDOUT = object()  # late-binding default so output respects redirected stdout
-
-
-def run_suite(
-    outdir=None,
-    seed=0,
-    profile="full",
-    include_determinism=True,
-    stream=_STDOUT,
-):
-    """Run the acceptance criteria, print one line each, write reports."""
-    if stream is _STDOUT:
-        stream = sys.stdout
+def run_suite(outdir=None, seed=0, profile="full", include_determinism=True, stream=None):
+    """Run the acceptance criteria, write reports, and print one line per
+    criterion to stream when one is given."""
     if profile not in ("full", "quick"):
         raise ValueError("profile must be 'full' or 'quick'")
     results = []

@@ -32,7 +32,7 @@ from .corpus import build_default_corpus, load_corpus
 from .geometry import estimate_c_d
 from .refinement import TowerConfig, build_tower, check_tower_structure, tower_report
 from .sharpness import (
-    _lemma2_primal,
+    check_lemma2_primal,
     check_rwt,
     counterexample_f_lp,
     critical_exponents,
@@ -530,7 +530,7 @@ def cmd_lemma2(params):
     def rows_of(entry):
         interval = (entry.interval.lo, entry.interval.hi)
         window = (entry.window.lo, entry.window.hi)
-        primal, sweep = _lemma2_primal(
+        primal, sweep = check_lemma2_primal(
             entry.E, entry.F, interval, theta_frac=theta_frac, grid_n=grid_n
         )
         dual = lemma2_grid_dual(

@@ -33,22 +33,28 @@ class CorpusEntry:
     window: Interval
     tags: tuple = ()
 
+    def __post_init__(self):
+        # d = 1 has no line complex
+        if self.E.dim != self.F.dim or self.E.dim < 2:
+            raise ValueError(
+                f"entry {self.entry_id!r}: E and F must share a dimension of at "
+                f"least 2, got {self.E.dim} and {self.F.dim}"
+            )
+
     @property
     def dim(self):
         return self.E.dim
 
 
-def _entry(entry_id, e_bounds, f_bounds, tags=(), pad=0.0):
+def _entry(entry_id, e_bounds, f_bounds, tags):
     E = BoxUnionSet(e_bounds)
     F = BoxUnionSet(f_bounds)
-    espan = E.first_axis_span()
-    fspan = F.first_axis_span()
     return CorpusEntry(
         entry_id=entry_id,
         E=E,
         F=F,
-        interval=Interval(espan.lo - pad, espan.hi + pad),
-        window=Interval(fspan.lo - pad, fspan.hi + pad),
+        interval=E.first_axis_span(),
+        window=F.first_axis_span(),
         tags=tuple(tags),
     )
 
@@ -242,7 +248,7 @@ def entry_to_jsonable(entry):
 
 
 def entry_from_jsonable(data):
-    return CorpusEntry(
+    entry = CorpusEntry(
         entry_id=data["id"],
         E=BoxUnionSet(data["E"]),
         F=BoxUnionSet(data["F"]),
@@ -250,6 +256,12 @@ def entry_from_jsonable(data):
         window=Interval(*data["window"]),
         tags=tuple(data.get("tags", ())),
     )
+    if "dim" in data and data["dim"] != entry.dim:
+        raise ValueError(
+            f"entry {entry.entry_id!r}: dim {data['dim']!r} disagrees with its "
+            f"{entry.dim}-d boxes"
+        )
+    return entry
 
 
 def save_corpus(entries, path):

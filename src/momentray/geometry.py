@@ -178,13 +178,13 @@ def jacobian_closed_form(kind, base_first, params):
     return float(result[0]) if single else result
 
 
-def jacobian_numeric(kind, base, params, rel_step=1e-4, match_tol=1e-5):
+def jacobian_numeric(kind, base, params):
     """Jacobian determinant of the iterated map by central differences.
 
     base and params are one point and parameter vector (d,), giving a float,
     or one of each per row (n, d), giving an (n,) array.  Each column uses
-    step h_j = rel_step * (1 + |p_j|); the determinant is recomputed at half
-    step and each row's Richardson pair must agree to match_tol relative,
+    step h_j = 1e-4 * (1 + |p_j|); the determinant is recomputed at half
+    step and each row's Richardson pair must agree to 1e-5 relative,
     otherwise its parameters are treated as degenerate.  Both steps of every
     row go through one incidence pass and one stacked determinant.
     """
@@ -195,7 +195,7 @@ def jacobian_numeric(kind, base, params, rel_step=1e-4, match_tol=1e-5):
     if p.ndim != 2 or base.shape != p.shape or p.shape[1] < 2:
         raise ValueError("base and params must both be (d,) or both (n, d), d >= 2")
     d = p.shape[1]
-    h = rel_step * (1.0 + np.abs(p))
+    h = 1e-4 * (1.0 + np.abs(p))
     steps = np.stack([h, h / 2.0])  # (2, n, d): full and half step
     # for each step and row: rows 0..d-1 move p_j up by h_j, rows d..2d-1 down
     diag = np.arange(d)
@@ -208,7 +208,7 @@ def jacobian_numeric(kind, base, params, rel_step=1e-4, match_tol=1e-5):
     cols = (ends[..., :d, :] - ends[..., d:, :]) / (2.0 * steps[..., None])
     det_full, det_half = np.linalg.det(np.swapaxes(cols, -1, -2))
     scale = np.maximum(np.maximum(np.abs(det_full), np.abs(det_half)), 1e-300)
-    if np.any(np.abs(det_full - det_half) > match_tol * scale):
+    if np.any(np.abs(det_full - det_half) > 1e-5 * scale):
         raise ValueError(
             "finite-difference determinants disagree beyond tolerance; "
             "parameters are likely near-degenerate"
@@ -217,59 +217,51 @@ def jacobian_numeric(kind, base, params, rel_step=1e-4, match_tol=1e-5):
     return float(result[0]) if single else result
 
 
-def _stratified(rng, count, lo, hi, margin=0.2):
-    """One jittered draw per equal bin of [lo, hi], in random order.
+def _stratified(rng, count):
+    """One jittered draw per equal bin of [-2, 2], in random order.
 
-    Guarantees pairwise separation of at least 2 * margin * bin width.
+    Each draw lies at least 0.2 bin widths inside its own bin, so any two
+    are at least 0.4 bin widths apart.
     """
-    width = (hi - lo) / count
-    offsets = rng.uniform(margin, 1.0 - margin, size=count)
-    vals = lo + (np.arange(count) + offsets) * width
+    width = 4.0 / count
+    offsets = rng.uniform(0.2, 0.8, size=count)
+    vals = -2.0 + (np.arange(count) + offsets) * width
     return rng.permutation(vals)
 
 
-def sample_incidence_params(kind, d, rng, span=(-2.0, 2.0), min_sep=1e-3):
+def sample_incidence_params(kind, d, rng):
     """Draw a base point and a well-separated parameter vector.
 
-    t values are pairwise separated and consecutive s-chain values (with the
-    base coordinate prepended per the map kind) are separated; tuples closer
-    than min_sep anywhere are rejected and redrawn.
+    The t chain and the s chain (each with its base coordinate prepended
+    per the map kind) are each stratified over [-2, 2] in at most
+    d // 2 + 1 bins, so any two values of one chain lie at least
+    1.6 / (d // 2 + 1) apart, which is at least 1e-3 for every d <= 3198.
     """
     _check_kind(kind)
     if d < 2:
         raise ValueError("d must be at least 2")
     k = d // 2
-    lo, hi = span
     if kind == PHI:
         n_t = k + (d % 2)
         n_s_chain = k + 1
     else:
         n_t = k + 1  # includes the dummy t1 = x1
         n_s_chain = k + (d % 2)
-    for _ in range(1000):
-        ts = _stratified(rng, n_t, lo, hi)
-        ss = _stratified(rng, n_s_chain, lo, hi)
-        base = rng.uniform(-1.0, 1.0, size=d)
-        params = np.empty(d)
-        if kind == PHI:
-            # ss is the chain (s0, s1, ..., sk) with s0 living on the base point
-            base[0] = ss[0]
-            params[0::2] = ts
-            params[1::2] = ss[1:]
-        else:
-            # ts is the chain (t1, t2, ...) with the dummy t1 on the base point
-            base[0] = ts[0]
-            params[0::2] = ss
-            params[1::2] = ts[1:]
-        t_seps = (
-            np.abs(ts[:, None] - ts[None, :])[np.triu_indices(ts.size, 1)]
-            if ts.size > 1
-            else np.array([np.inf])
-        )
-        s_seps = np.abs(np.diff(ss)) if ss.size > 1 else np.array([np.inf])
-        if t_seps.min() >= min_sep and s_seps.min() >= min_sep:
-            return base, params
-    raise RuntimeError("could not draw a non-degenerate parameter tuple")
+    ts = _stratified(rng, n_t)
+    ss = _stratified(rng, n_s_chain)
+    base = rng.uniform(-1.0, 1.0, size=d)
+    params = np.empty(d)
+    if kind == PHI:
+        # ss is the chain (s0, s1, ..., sk) with s0 living on the base point
+        base[0] = ss[0]
+        params[0::2] = ts
+        params[1::2] = ss[1:]
+    else:
+        # ts is the chain (t1, t2, ...) with the dummy t1 on the base point
+        base[0] = ts[0]
+        params[0::2] = ss
+        params[1::2] = ts[1:]
+    return base, params
 
 
 @dataclass(frozen=True)
@@ -287,7 +279,7 @@ class CdEstimate:
     ratio_max: float
 
 
-def estimate_c_d(kind, d, samples=100, seed=0, span=(-2.0, 2.0), min_sep=1e-3):
+def estimate_c_d(kind, d, samples=100, seed=0):
     """Measure the constant relating the numeric and factored determinants.
 
     Draws well-separated random parameter tuples and returns the mean ratio
@@ -298,10 +290,7 @@ def estimate_c_d(kind, d, samples=100, seed=0, span=(-2.0, 2.0), min_sep=1e-3):
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     rng = np.random.default_rng(seed)
-    draws = [
-        sample_incidence_params(kind, d, rng, span=span, min_sep=min_sep)
-        for _ in range(samples)
-    ]
+    draws = [sample_incidence_params(kind, d, rng) for _ in range(samples)]
     bases, params = (np.array(side) for side in zip(*draws))
     num = jacobian_numeric(kind, bases, params)
     ref = jacobian_closed_form(kind, bases[:, 0], params)

@@ -24,7 +24,6 @@ from .transform import NoIncidence, bilinear_form, fiber_measure_batch, fiber_pi
 class TowerConfig:
     cell_width: float = 1.0 / 32.0
     keep_fraction: float = 0.5
-    base_candidates: int = 64
     max_nodes: int = 20000
     seed: int = 0
 
@@ -33,8 +32,8 @@ class TowerConfig:
             raise ValueError("keep_fraction must be in (0, 1]")
         if not self.cell_width > 0:
             raise ValueError("cell_width must be positive")
-        if self.base_candidates < 1 or self.max_nodes < 1:
-            raise ValueError("base_candidates and max_nodes must be positive")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be positive")
 
 
 class TowerCollapse(NoIncidence):
@@ -110,12 +109,13 @@ def _level_plan(start, d):
 def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     """Grow a full-depth parameter tower over the pair by greedy refinement.
 
-    The base point is drawn from E (phi start) or F (psi start) to maximize
-    the first-level fiber.  Every level, the first included, takes the exact
-    fibers of the previous level's nodes (of the base alone at first), keeps
-    the nodes whose fiber clears the keep_fraction bar (at level 1 every
-    nonempty fiber), and cuts the kept fibers into cells, which become the
-    level's nodes.  Raises TowerCollapse when a level empties.
+    Unless given, the base point is the one of 64 points drawn from E (phi
+    start) or F (psi start) with the largest first-level fiber.  Every
+    level, the first included, takes the exact fibers of the previous
+    level's nodes (of the base alone at first), keeps the nodes whose fiber
+    clears the keep_fraction bar (at level 1 every nonempty fiber), and cuts
+    the kept fibers into cells, which become the level's nodes.  Raises
+    TowerCollapse when a level empties.
     """
     config = config or TowerConfig()
     d = E.dim
@@ -128,7 +128,7 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
 
     if base is None:
         dual = plan[0][1] == "t"
-        candidates = _sample_points(E if dual else F, config.base_candidates, rng)
+        candidates = _sample_points(E if dual else F, 64, rng)
         measures = fiber_measure_batch(
             F if dual else E, candidates, window if dual else interval, dual=dual
         )
@@ -200,12 +200,13 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     )
 
 
-def check_tower_structure(tower, samples=200, seed=0, atol=1e-9):
+def check_tower_structure(tower, samples=200, seed=0):
     """Sampled audit of the tower's structural guarantees.
 
     Checks that node tuples extend their parents coordinate-for-coordinate
     and that every prefix of the incidence path lands in the prescribed set
-    (E after forward steps, F after dual steps).  Returns the fraction of
+    (E after forward steps, F after dual steps), to within 1e-9 of its
+    boundary.  Returns the fraction of
     sampled checks that passed and the number checked.
     """
     if samples < 1:
@@ -224,7 +225,7 @@ def check_tower_structure(tower, samples=200, seed=0, atol=1e-9):
         # prefix j must land in the target of level j
         for points, step in zip(path, tower.levels):
             target = tower.F if step.target == "F" else tower.E
-            ok &= target.contains_batch(points, atol=atol)
+            ok &= target.contains_batch(points, atol=1e-9)
         checked += take
         passed += int(ok.sum())
     return passed / checked, checked
@@ -262,14 +263,17 @@ def _map_param_grid(tower, offs):
     return incidence_path(tower.base, grid.reshape(-1, 2), tower.start)[-1]
 
 
-def rasterized_image_measure(tower, raster_n=256, sub=None):
+_RASTER_N = 256
+
+
+def rasterized_image_measure(tower):
     """Direct image-volume estimate for plane towers by rasterization.
 
     Maps a grid inside every top cell through the incidence map and counts
-    hit cells of a raster over the image bounding box.  The grid density is
-    chosen so neighbouring image points land within one raster cell of each
-    other (estimated from cell-corner displacements), otherwise the count
-    undershoots through coverage gaps.
+    hit cells of a 256 x 256 raster over the image bounding box.  The grid
+    density is chosen so neighbouring image points land within one raster
+    cell of each other (estimated from cell-corner displacements), otherwise
+    the count undershoots through coverage gaps.
     """
     if tower.dim != 2:
         raise ValueError("rasterization oracle is for dimension 2 only")
@@ -277,23 +281,22 @@ def rasterized_image_measure(tower, raster_n=256, sub=None):
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
     span = np.where(hi - lo > 0, hi - lo, 1.0)
-    cell = span / raster_n
-    if sub is None:
-        quad = corners.reshape(-1, 2, 2, 2)
-        step_a = np.abs(quad[:, 1, :, :] - quad[:, 0, :, :]) / cell
-        step_b = np.abs(quad[:, :, 1, :] - quad[:, :, 0, :]) / cell
-        needed = max(step_a.max(), step_b.max())
-        sub = int(np.clip(np.ceil(1.5 * needed), 3, 64))
+    cell = span / _RASTER_N
+    quad = corners.reshape(-1, 2, 2, 2)
+    step_a = np.abs(quad[:, 1, :, :] - quad[:, 0, :, :]) / cell
+    step_b = np.abs(quad[:, :, 1, :] - quad[:, :, 0, :]) / cell
+    needed = max(step_a.max(), step_b.max())
+    sub = int(np.clip(np.ceil(1.5 * needed), 3, 64))
     offs = (np.arange(sub) + 0.5) / sub - 0.5
     points = _map_param_grid(tower, offs)
-    ij = np.clip(((points - lo) / cell).astype(int), 0, raster_n - 1)
-    flat = np.unique(ij[:, 0] * raster_n + ij[:, 1])
+    ij = np.clip(((points - lo) / cell).astype(int), 0, _RASTER_N - 1)
+    flat = np.unique(ij[:, 0] * _RASTER_N + ij[:, 1])
     return flat.size * float(cell.prod())
 
 
-def tower_report(tower, quad=None):
+def tower_report(tower):
     """Pairing value, per-level predicted averages, and the image integral."""
-    t_value = bilinear_form(tower.E, tower.F, tower.interval, quad)
+    t_value = bilinear_form(tower.E, tower.F, tower.interval)
     rows = []
     for level in tower.levels:
         predicted = (
@@ -333,14 +336,12 @@ def tower_report(tower, quad=None):
     }
 
 
-def enumerate_tower_bruteforce(
-    E, F, base, interval, window, start="phi", keep_fraction=0.5, grid_n=64
-):
+def enumerate_tower_bruteforce(E, F, base, interval, window, start="phi", grid_n=64):
     """Plane-only dense-grid tower enumeration used as an oracle.
 
     Replaces exact fiber arithmetic with point-membership counting on a
-    grid_n discretization of the parameter ranges and applies the same
-    keep rule, returning the two level measures.
+    grid_n discretization of the parameter ranges and applies the default
+    keep rule (half the mean fiber), returning the two level measures.
     """
     if E.dim != 2:
         raise ValueError("brute-force enumeration is for dimension 2 only")
@@ -371,10 +372,8 @@ def enumerate_tower_bruteforce(
     p2 = line_step(rep, vals, dual2)
     inside = tgt2.contains_batch(p2).reshape(idx1.size, grid_n)
     fiber_m = inside.sum(axis=1) * w2
-    threshold = keep_fraction * float(fiber_m.mean())
-    keep = fiber_m >= threshold
-    if threshold == 0.0:
-        keep &= fiber_m > 0.0
+    threshold = 0.5 * float(fiber_m.mean())
+    keep = (fiber_m >= threshold) & (fiber_m > 0.0)
     if not keep.any():
         raise TowerCollapse(2)
     level2 = float((fiber_m[keep]).sum()) * w1

@@ -111,53 +111,34 @@ def _is_count(value):
 class CounterexampleSpec:
     """Index range for the multi-scale example family.
 
-    Pieces are indexed k = n_start, n_start+1, ..., k_max; when k_max is
-    None it is resolved so the integral-test tail bound on the measure sum
-    falls below tail_rel_tol relative to the total.
+    Pieces are indexed k = n_start, n_start+1, ..., k_max.
     """
 
     dim: int
     n_start: int
-    k_max: int | None = None
-    tail_rel_tol: float = 1e-9
+    k_max: int
 
     def __post_init__(self):
         for name in ("dim", "n_start", "k_max"):
             value = getattr(self, name)
-            if value is not None and not _is_count(value):
+            if not _is_count(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if self.n_start < 2:
             raise ValueError("n_start must be at least 2")
-        if self.k_max is not None and self.k_max < self.n_start:
+        if self.k_max < self.n_start:
             raise ValueError("k_max must be at least n_start")
-        if not self.tail_rel_tol > 0:
-            raise ValueError("tail_rel_tol must be positive")
 
 
 def resolve_k_max(spec):
-    """Truncation index honouring the spec's tail rule and the box budget."""
-    if spec.k_max is not None:
-        count = spec.k_max - spec.n_start + 1
-        if count > MAX_MATERIALIZED_BOXES:
-            raise ValueError(
-                f"k_max materializes {count} boxes; limit is "
-                f"{MAX_MATERIALIZED_BOXES}"
-            )
-        return spec.k_max
-    m = homogeneous_dimension(spec.dim)
-    total = float(_hurwitz_zeta(m, spec.n_start))
-    # tail sum beyond K is at most K^(1-m)/(m-1)
-    k = math.ceil((spec.tail_rel_tol * total * (m - 1)) ** (-1.0 / (m - 1)))
-    k = max(k, spec.n_start)
-    count = k - spec.n_start + 1
+    """The spec's truncation index, refused past the box budget."""
+    count = spec.k_max - spec.n_start + 1
     if count > MAX_MATERIALIZED_BOXES:
         raise ValueError(
-            f"tail rule needs {count} boxes (limit {MAX_MATERIALIZED_BOXES}); "
-            "pass an explicit k_max or loosen tail_rel_tol"
+            f"k_max materializes {count} boxes; limit is {MAX_MATERIALIZED_BOXES}"
         )
-    return k
+    return spec.k_max
 
 
 def _family(spec, half_scale, weight_of):
@@ -230,45 +211,35 @@ def xf_lower_block_norm(d, r, n_start):
     return float(((float(q) / r) * _hurwitz_zeta(a * r, n_start)) ** (1.0 / r))
 
 
-def xf_lower_exact_lorentz(d, r, n_start, k_max=None):
+def xf_lower_exact_lorentz(d, r, n_start, k_max):
     """Literal Lorentz norm of the truncated minorant via its step profile."""
     _, q = critical_exponents(d)
     m = homogeneous_dimension(d)
-    if k_max is None:
-        k_max = resolve_k_max(
-            CounterexampleSpec(dim=d, n_start=n_start, tail_rel_tol=1e-9)
-        )
     ks = np.arange(n_start, k_max + 1, dtype=float)
     return lorentz_norm_from_steps(1.0 / ks, ks**-m, float(q), r)
 
 
-def verify_minorant(spec, interval=(-1.0, 1.0), samples_per_piece=8, seed=0):
+_MINORANT_SAMPLES = 8  # sample points per minorant piece
+
+
+def verify_minorant(spec, seed=0):
     """Sampled check that the transform of the family dominates the minorant.
 
-    Requires the parameter interval to contain [-1/n_start, 1/n_start]; an
-    interval away from the origin must first be reduced to this frame by the
-    shear that recenters the line parameter (measure preserving, so norms
-    are unaffected).  Returns the minimum sampled slack of (transform value
-    minus piece weight); nonnegative means the minorant held everywhere.
+    The parameter interval is (-1, 1), which contains [-1/n_start, 1/n_start]
+    as the minorant requires.  Returns the minimum slack of (transform value
+    minus piece weight) over 8 sample points per piece; nonnegative means the
+    minorant held everywhere.
     """
-    interval = as_interval(interval)
-    if interval.lo > -1.0 / spec.n_start or interval.hi < 1.0 / spec.n_start:
-        raise ValueError(
-            "interval must contain [-1/n_start, 1/n_start]; recenter the "
-            "configuration first"
-        )
-    if not _is_count(samples_per_piece) or samples_per_piece < 1:
-        raise ValueError("samples_per_piece must be an integer of at least 1")
     f = build_counterexample_f(spec)
     minorant = build_xf_lower_bound(spec)
     blo, bhi = minorant.region.los, minorant.region.his
     # one draw for every piece, in the order the per-piece draws would take
     rng = np.random.default_rng(seed)
     pts = rng.uniform(
-        blo[:, None, :], bhi[:, None, :], size=(blo.shape[0], samples_per_piece, spec.dim)
+        blo[:, None, :], bhi[:, None, :], size=(blo.shape[0], _MINORANT_SAMPLES, spec.dim)
     )
-    vals = apply_x(f, interval, pts.reshape(-1, spec.dim))
-    weights = np.repeat(minorant.weights, samples_per_piece)
+    vals = apply_x(f, (-1.0, 1.0), pts.reshape(-1, spec.dim))
+    weights = np.repeat(minorant.weights, _MINORANT_SAMPLES)
     return float(np.min(vals - weights))
 
 
@@ -360,18 +331,19 @@ class NecessityReport:
     verdict: str
 
 
-def necessity_check(d, r, n_list=DEFAULT_N_LIST, tol=1e-2):
+def necessity_check(d, r, n_list=DEFAULT_N_LIST):
     """Compare fitted decay rates of the minorant norm and the input norm.
 
     A positive gap means the norm ratio grows without bound as the family
     index increases (the secondary exponent is too small); the verdict flips
-    from "diverges" to "bounded" across the critical secondary exponent.
+    from "diverges" to "bounded" across the critical secondary exponent, and
+    a gap within 1e-2 of zero reads "critical".
     """
     result = scaling_experiment(d, r, n_list)
     gap = result.fit_xf.slope - result.fit_f.slope
-    if gap > tol:
+    if gap > 1e-2:
         verdict = "diverges"
-    elif gap < -tol:
+    elif gap < -1e-2:
         verdict = "bounded"
     else:
         verdict = "critical"
@@ -448,7 +420,6 @@ class Lemma2Report:
     hypothesis_min: float
     theta: float
     region_measure: float
-    printed_variant: bool = False
 
 
 def _primal_rhs(d, delta, a, b):
@@ -510,39 +481,52 @@ def _primal_report(E, vals, vols, theta, kind):
     )
 
 
-def _lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32, fracs=_SWEEP_FRACS):
-    """The primal-grid report and the shrinking-sweep reports of one grid.
-
-    Both score rich regions of the same primal midpoint grid, so a caller
-    that wants both evaluates the grid once.
-    """
-    _check_theta_frac(theta_frac)
-    vals, vols, t_grid = _grid(E, F, interval, grid_n, dual=False)
-    theta = theta_frac * t_grid / F.measure
-    primal = _primal_report(E, vals, vols, theta, "primal-grid")
-    vmax = float(vals.max())
-    sweep = [_primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in fracs]
-    return primal, sweep
-
-
-def lemma2_grid_primal(E, F, interval, theta_frac=0.5, grid_n=32):
-    """Grid-aligned primal check with the superlevel region as the rich set.
+def _primal_grid(E, F, interval, theta_frac, grid_n):
+    """The primal midpoint grid's cell values and volumes, and its report.
 
     The rich region collects cells whose center value clears theta_frac
     times the F-average; the pairing over it and the fiber floor both come
     from the same grid, so the accounting is internally consistent.
     """
-    return _lemma2_primal(E, F, interval, theta_frac, grid_n, fracs=())[0]
+    _check_theta_frac(theta_frac)
+    vals, vols, t_grid = _grid(E, F, interval, grid_n, dual=False)
+    theta = theta_frac * t_grid / F.measure
+    return vals, vols, _primal_report(E, vals, vols, theta, "primal-grid")
 
 
-def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=False):
+def check_lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32):
+    """The primal-grid report and the shrinking-sweep reports of one grid.
+
+    The sweep's thresholds are fractions of the maximum grid value, so each
+    rich region contains the next; its ratios should hold a common positive
+    floor.  Both score rich regions of the same primal midpoint grid, which
+    is evaluated once.
+    """
+    vals, vols, primal = _primal_grid(E, F, interval, theta_frac, grid_n)
+    vmax = float(vals.max())
+    sweep = [
+        _primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in _SWEEP_FRACS
+    ]
+    return primal, sweep
+
+
+def lemma2_grid_primal(E, F, interval):
+    """The primal-grid report of check_lemma2_primal, without the sweep."""
+    return _primal_grid(E, F, interval, 0.5, 32)[2]
+
+
+def lemma2_shrinking_sweep(E, F, interval):
+    """The shrinking-sweep reports of check_lemma2_primal."""
+    return check_lemma2_primal(E, F, interval)[1]
+
+
+def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32):
     """Grid-aligned dual check over the rich region on the source side."""
     _check_theta_frac(theta_frac)
     vals, vols, t_grid = _grid(F, E, window, grid_n, dual=True)
     theta = theta_frac * t_grid / E.measure
     h_measure, t_over_h, hypothesis_min = _rich(vals, vols, theta)
-    second = F.measure if printed_variant else h_measure
-    rhs = _dual_rhs(E.dim, theta, t_over_h / F.measure, t_over_h / second)
+    rhs = _dual_rhs(E.dim, theta, t_over_h / F.measure, t_over_h / h_measure)
     return Lemma2Report(
         kind="dual-grid",
         ratio=math.inf if rhs == 0.0 else F.measure / rhs,
@@ -551,17 +535,7 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32, printed_variant=Fa
         hypothesis_min=hypothesis_min,
         theta=theta,
         region_measure=h_measure,
-        printed_variant=printed_variant,
     )
-
-
-def lemma2_shrinking_sweep(E, F, interval, fracs=_SWEEP_FRACS, grid_n=32):
-    """Primal ratios over a monotone family of shrinking rich regions.
-
-    Thresholds are fractions of the maximum grid value, so each region
-    contains the next; the ratios should hold a common positive floor.
-    """
-    return _lemma2_primal(E, F, interval, grid_n=grid_n, fracs=fracs)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ lines; the same checks back the `momentray acceptance` subcommand.
 """
 
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -179,7 +180,7 @@ def test_criterion_9_rerun_count(monkeypatch, profile, reruns):
 
 
 def test_quick_suite_end_to_end(tmp_path, capsys):
-    suite = run_suite(outdir=str(tmp_path), seed=0, profile="quick")
+    suite = run_suite(outdir=str(tmp_path), seed=0, profile="quick", stream=sys.stdout)
     out = capsys.readouterr().out
     assert suite.passed
     assert out.count("[PASS]") == 9

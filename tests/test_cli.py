@@ -98,6 +98,8 @@ def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
         ("duality", {"quad": {"step": float("nan")}}),
         ("scaling", {"r": float("nan")}),
         ("rwt", {"floor": 10**400}),
+        ("duality", {"dims": [0]}),
+        ("duality", {"dims": [1]}),
     ],
 )
 def test_bad_config_value_is_usage_error(command, config, tmp_path, capsys):
@@ -235,16 +237,25 @@ _GOOD_ENTRY = {
         {"version": 1, "entries": [{**_GOOD_ENTRY, "E": [[{"x": 1}, {"y": 2}]]}]},
         {"version": 1, "entries": [{**_GOOD_ENTRY, "tags": 5}]},
         {"version": 1, "entries": 5},
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "dim": 1, "E": [[[0.0, 1.0]]], "F": [[[0.0, 1.0]]]}]},
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "F": [[[0.0, 1.0]]]}]},
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "dim": 3}]},
     ],
-    ids=["interval-one-end", "interval-number", "interval-object", "box-objects", "tags-number", "entries-number"],
+    ids=[
+        "interval-one-end", "interval-number", "interval-object", "box-objects", "tags-number",
+        "entries-number", "one-d", "mixed-dims", "dim-disagrees",
+    ],
 )
 def test_malformed_corpus_is_usage_error(payload, tmp_path, capsys):
-    """Corpus input that is the wrong type anywhere exits 2, as a bad value does."""
+    """Corpus input that is the wrong type anywhere, or an entry without a
+    line complex (d = 1, or E and F of different dimensions), exits 2, as a
+    bad value does."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    out = tmp_path / "rwt.csv"
-    assert run(["rwt", "--corpus", str(path), "--output", str(out)]) == USAGE
-    assert "cannot load corpus" in capsys.readouterr().err
+    out = tmp_path / "report.csv"
+    for argv in (["rwt"], ["lemma2"], ["superlevel", "--entry", "d2-square"]):
+        assert run([*argv, "--corpus", str(path), "--output", str(out)]) == USAGE, argv[0]
+        assert "cannot load corpus" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -27,8 +27,8 @@ EXEMPT = {
     "lorentz.blockwise_lorentz_norm": "test oracle for the exact Lorentz norm",
     "sharpness.xf_lower_exact_lorentz": "test oracle for the blockwise X f lower bound",
     "sharpness.verify_minorant": "the benchmark's family-minorant entry point",
-    "sharpness.lemma2_grid_primal": "the benchmark's tower-corpus lemma2 op; the package scores it and the sweep from one grid through _lemma2_primal",
-    "sharpness.lemma2_shrinking_sweep": "the benchmark's tower-corpus lemma2 op; the package scores it and the primal report from one grid through _lemma2_primal",
+    "sharpness.lemma2_grid_primal": "the benchmark's tower-corpus lemma2 op; the package scores it and the sweep from one grid through check_lemma2_primal",
+    "sharpness.lemma2_shrinking_sweep": "the benchmark's tower-corpus lemma2 op; the package scores it and the primal report from one grid through check_lemma2_primal",
 }
 
 
@@ -115,3 +115,165 @@ def test_exemptions_name_existing_unreached_functions():
 def test_shadowed_table_names_exactly_the_shadowed_methods():
     public, _ = _public_defs_and_references()
     assert set(SHADOWED) == _shadowed(public)
+
+
+# ---------------------------------------------------------------------------
+# every default has a caller
+
+REPO = PACKAGE.parents[1]
+
+# Defaults no call in src/ or bench/ sets, kept on purpose.
+DEFAULT_EXEMPT = {
+    "refinement.build_tower.base": "tests pin a hand-placed base point with it",
+    "acceptance.random_box_pair.max_boxes": "tests draw 3-box unions with it",
+    "transform.CellBlock.corner_values": "bench/layers.py reads the field",
+    **{
+        f"acceptance.{name}.{param}": "run_suite sets it through ALL_CRITERIA"
+        for name, params in (
+            ("criterion_1_jacobian_constancy", ("seed", "profile")),
+            ("criterion_2_adjointness", ("seed", "profile")),
+            ("criterion_3_unit_square_pairing", ("seed", "profile")),
+            ("criterion_4_family_scaling", ("seed", "profile")),
+            ("criterion_5_lorentz_identity", ("seed", "profile")),
+            ("criterion_6_testing_ratio_floor", ("seed", "profile")),
+            ("criterion_7_rich_set_floors", ("seed", "profile")),
+            ("criterion_8_tower_oracle", ("seed", "profile")),
+            ("criterion_9_determinism", ("seed", "profile", "results")),
+        )
+        for param in params
+    },
+}
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _has_default(value):
+    """A field's value is a default unless it is field(...) without one."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _parameter_defaults(fn, qualified, call_name, skip):
+    """(setting, call name, position or None, keyword, fn) per defaulted parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield f"{qualified}.{arg.arg}", call_name, i - skip, arg.arg, fn
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualified}.{arg.arg}", call_name, None, arg.arg, fn
+
+
+def _public_defaults(trees):
+    """Every defaulted parameter of a public function or method and every
+    defaulted public field of a dataclass in the package."""
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield from _parameter_defaults(node, f"{stem}.{node.name}", node.name, 0)
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            owner = f"{stem}.{node.name}"
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield from _parameter_defaults(item, owner, node.name, 1)
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield from _parameter_defaults(item, f"{owner}.{item.name}", item.name, 1)
+            if _is_dataclass(node):
+                fields = [
+                    item
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+                for i, item in enumerate(fields):
+                    name = item.target.id
+                    if not name.startswith("_") and _has_default(item.value):
+                        yield f"{owner}.{name}", node.name, i, name, None
+
+
+def _calls(trees, scopes):
+    """Call name -> [(position, keyword, source)] for every argument passed
+    by a call in src/ or bench/.
+
+    source is the setting whose value the argument passes on unchanged (a
+    bare name of a defaulted parameter of the enclosing public function),
+    else None.  A starred argument stands for every position (-1), a **
+    argument for every keyword (None).
+    """
+    calls = {}
+    for tree in trees:
+        enclosing = {}
+        for fn in ast.walk(tree):  # outer functions first; a nested one adds its own
+            if isinstance(fn, ast.FunctionDef):
+                scope = {**enclosing.get(id(fn), {}), **scopes.get(id(fn), {})}
+                for node in ast.walk(fn):
+                    enclosing[id(node)] = scope
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            scope = enclosing.get(id(node), {})
+
+            def source(value):
+                return scope.get(value.id) if isinstance(value, ast.Name) else None
+
+            passed = calls.setdefault(name, [])
+            for i, value in enumerate(node.args):
+                starred = isinstance(value, ast.Starred)
+                passed.append((-1 if starred else i, "", None if starred else source(value)))
+            passed += [(None, k.arg, source(k.value)) for k in node.keywords]
+    return calls
+
+
+def _unset_defaults():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    defaults = list(_public_defaults(trees))
+    scopes = {}
+    for setting, _, _, keyword, fn in defaults:
+        if fn is not None:
+            scopes.setdefault(id(fn), {})[keyword] = setting
+    bench = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((REPO / "bench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    calls = _calls([*trees.values(), *bench], scopes)
+    # a setting is set by a call that passes it a value of its own, or that
+    # passes on a setting which is itself set
+    settled = set()
+    while True:
+        now = {
+            setting
+            for setting, call_name, position, keyword, _ in defaults
+            if any(
+                (kw is None or kw == keyword or (position is not None and pos in (-1, position)))
+                and (source is None or source in settled)
+                for pos, kw, source in calls.get(call_name, ())
+            )
+        }
+        if now == settled:
+            return {setting for setting, *_ in defaults} - now
+        settled = now
+
+
+def test_every_default_is_set_by_a_caller_in_src_or_bench():
+    """A default no package or benchmark call sets is a constant in disguise."""
+    assert sorted(_unset_defaults() - set(DEFAULT_EXEMPT)) == []
+
+
+def test_default_exemptions_name_existing_unset_defaults():
+    assert set(DEFAULT_EXEMPT) <= _unset_defaults()

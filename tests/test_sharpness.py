@@ -13,6 +13,7 @@ from momentray.sharpness import (
     CounterexampleSpec,
     build_counterexample_f,
     build_xf_lower_bound,
+    check_lemma2_primal,
     check_rwt,
     counterexample_f_lp,
     critical_exponents,
@@ -118,18 +119,15 @@ def test_rwt_ratios_invariant_under_dilation():
 
 def test_resolve_k_max_rules():
     assert resolve_k_max(CounterexampleSpec(dim=2, n_start=4, k_max=9)) == 9
-    loose = resolve_k_max(CounterexampleSpec(dim=2, n_start=4, tail_rel_tol=1e-3))
-    tight = resolve_k_max(CounterexampleSpec(dim=2, n_start=4, tail_rel_tol=1e-6))
-    assert tight > loose >= 4
     with pytest.raises(ValueError):
         resolve_k_max(CounterexampleSpec(dim=2, n_start=2, k_max=10_000_000))
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        CounterexampleSpec(dim=1, n_start=4)
+        CounterexampleSpec(dim=1, n_start=4, k_max=9)
     with pytest.raises(ValueError):
-        CounterexampleSpec(dim=2, n_start=1)
+        CounterexampleSpec(dim=2, n_start=1, k_max=9)
     with pytest.raises(ValueError):
         CounterexampleSpec(dim=2, n_start=4, k_max=3)
 
@@ -137,11 +135,11 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "fields",
     [
-        {"dim": 2.0, "n_start": 4},
-        {"dim": 2, "n_start": 4.5},
+        {"dim": 2.0, "n_start": 4, "k_max": 9},
+        {"dim": 2, "n_start": 4.5, "k_max": 9},
         {"dim": 2, "n_start": 4, "k_max": 10.0},
-        {"dim": True, "n_start": 4},
-        {"dim": 2, "n_start": True},
+        {"dim": True, "n_start": 4, "k_max": 9},
+        {"dim": 2, "n_start": True, "k_max": 9},
         {"dim": 2, "n_start": 4, "k_max": "9"},
     ],
 )
@@ -204,15 +202,6 @@ def test_block_norm_values_and_validation():
 def test_verify_minorant_nonnegative_slack():
     spec = CounterexampleSpec(dim=2, n_start=4, k_max=8)
     assert verify_minorant(spec) >= 0.0
-    with pytest.raises(ValueError):
-        verify_minorant(spec, interval=(-0.01, 0.01))
-
-
-@pytest.mark.parametrize("samples", [0, -3, 2.5, True])
-def test_verify_minorant_refuses_bad_sample_counts(samples):
-    spec = CounterexampleSpec(dim=2, n_start=4, k_max=8)
-    with pytest.raises(ValueError, match="samples_per_piece"):
-        verify_minorant(spec, samples_per_piece=samples)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -250,7 +239,7 @@ def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
         return real_apply_x(f, interval, x)
 
     monkeypatch.setattr(sharpness, "apply_x", recording_apply_x)
-    slack = verify_minorant(spec, samples_per_piece=5, seed=11)
+    slack = verify_minorant(spec, seed=11)
     assert len(seen) == 1
 
     f = build_counterexample_f(spec)
@@ -260,9 +249,9 @@ def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
     draws = []
     # every support of both families is one box
     for weight, lo, hi in zip(minorant.weights, minorant.region.los, minorant.region.his):
-        pts = rng.uniform(lo, hi, size=(5, 3))
+        pts = rng.uniform(lo, hi, size=(8, 3))
         draws.append(pts)
-        vals = np.zeros(5)
+        vals = np.zeros(8)
         for w, box in zip(f.weights, f.region.bounds):
             vals += w * fiber_measure_batch(BoxUnionSet([box]), pts, (-1.0, 1.0))
         worst = min(worst, float(np.min(vals - weight)))
@@ -325,7 +314,7 @@ def test_lemma2_primal_hand_config():
     E = unit_box(2)
     G = box_from([0.4, 0.4], [0.6, 0.6])
     # every start in G keeps its line inside E for parameters up to 2/3
-    rep = lemma2_grid_primal(E, G, Interval(0.0, 1.0), grid_n=8)
+    rep, _ = check_lemma2_primal(E, G, Interval(0.0, 1.0), grid_n=8)
     assert rep.kind == "primal-grid"
     assert rep.hypothesis_min >= 0.6
     assert rep.region_measure == pytest.approx(G.measure)  # every cell is rich
@@ -341,26 +330,11 @@ def test_lemma2_dual_hand_config():
     assert rep.kind == "dual-grid"
     assert rep.hypothesis_min >= 0.5
     assert rep.ratio > 0.0
-    printed = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8, printed_variant=True)
-    assert printed.printed_variant
-    # at d=2 the variant exponent (d^2-d+2)/2 - d vanishes, so both agree
-    assert printed.rhs == rep.rhs
-
-
-def test_lemma2_dual_variants_differ_in_3d():
-    F = unit_box(3)
-    H = box_from([0.4, 0.4, 0.4], [0.6, 0.6, 0.6])
-    rep = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8)
-    printed = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8, printed_variant=True)
-    assert rep.hypothesis_min >= 0.5
-    # the variants normalize by different measures once the exponent is nonzero
-    assert printed.rhs != pytest.approx(rep.rhs, rel=1e-3)
-    assert rep.ratio > 0.0 and printed.ratio > 0.0
 
 
 def test_lemma2_grid_checks_positive():
     E = F = unit_box(2)
-    primal = lemma2_grid_primal(E, F, Interval(0.0, 1.0), grid_n=24)
+    primal, _ = check_lemma2_primal(E, F, Interval(0.0, 1.0), grid_n=24)
     dual = lemma2_grid_dual(E, F, Interval(0.0, 1.0), grid_n=24)
     assert primal.ratio > 0.5
     assert dual.ratio > 0.5
@@ -369,9 +343,16 @@ def test_lemma2_grid_checks_positive():
 
 
 def test_lemma2_shrinking_sweep_shape():
-    reports = lemma2_shrinking_sweep(unit_box(2), unit_box(2), Interval(0.0, 1.0), grid_n=24)
+    _, reports = check_lemma2_primal(unit_box(2), unit_box(2), Interval(0.0, 1.0), grid_n=24)
     assert len(reports) == 5
     assert all(rep.ratio > 0.1 for rep in reports)
+
+
+def test_lemma2_wrappers_are_check_lemma2_primal_at_its_defaults():
+    for entry in build_default_corpus()[::5]:
+        primal, sweep = check_lemma2_primal(entry.E, entry.F, entry.interval)
+        assert lemma2_grid_primal(entry.E, entry.F, entry.interval) == primal
+        assert lemma2_shrinking_sweep(entry.E, entry.F, entry.interval) == sweep
 
 
 def test_superlevel_mass_unit_pair():
