@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,10 @@ class BoxUnionSet:
 
     def __repr__(self):
         return f"BoxUnionSet(dim={self.dim}, n_boxes={self.n_boxes}, measure={self.measure:g})"
+
+
+def _is_count(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_interval(value):

@@ -9,7 +9,6 @@ fitted against exact evaluations rather than truncated sums.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .lorentz import SimpleFunction, lorentz_norm_from_steps
-from .sets import Interval, as_interval
+from .sets import Interval, _is_count, as_interval
 from .transform import NoIncidence, apply_x, bilinear_form, region_cell_values
 
 MAX_MATERIALIZED_BOXES = 500_000
@@ -101,10 +100,6 @@ def dilate_configuration(E, F, interval, delta):
 
 # ---------------------------------------------------------------------------
 # the sharp example family
-
-
-def _is_count(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

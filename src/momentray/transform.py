@@ -4,22 +4,27 @@ For a union of boxes E the fiber {s in I : gamma(x, s) in E} is solved in
 closed form: each box contributes an intersection of per-coordinate
 constraints that are linear in s (forward family) or monomial in t (dual
 family), so fiber measures are exact and the only quadrature happens in
-outer integrals.
+outer integrals.  Coordinate j's constraint depends on (x1, x_j) alone, so
+one kernel takes per-axis coordinate arrays that broadcast: the columns of
+a point list, or a grid's axes.  A grid is evaluated as a tensor product,
+its constraints on x1-by-x_j tables, and its points are never listed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lorentz import SimpleFunction
-from .sets import BoxUnionSet, as_interval
+from .sets import BoxUnionSet, _is_count, as_interval
 
 _CHUNK_LIMIT = 1 << 22
-# rows per pass of the exact-fiber kernel: its 64 KiB temporaries stay under
-# the allocator's mmap threshold and are reused, where one 4M-row pass maps
-# and page-faults a fresh 32 MiB array for each of them
+# points per pass of the exact-fiber kernel, whole first-axis rows on a grid:
+# its 64 KiB temporaries stay under the allocator's mmap threshold and are
+# reused, where one 4M-point pass maps and page-faults a fresh 32 MiB array
+# for each of them
 _BLOCK_ROWS = 8192
 
 
@@ -58,22 +63,23 @@ def _interval_pair(interval):
 # exact fibers
 
 
-def _primal_pieces(region, X, lo, hi):
-    """Per box i, (i, slo, shi): the fiber endpoints of every row of X.
+def _primal_pieces(region, coords, lo, hi):
+    """Per box i, (i, slo, shi): the fiber endpoints at every point.
 
-    The line through x meets a box where s lies in its first-axis range
-    and x_j + s * x1**j in its j-th range, each constraint linear in s.
-    A piece with shi < slo is empty.
+    coords holds one array per coordinate; they broadcast to the points'
+    shape (the columns of a point list, or a grid's axes as an open mesh).
+    The line through x meets a box where s lies in its first-axis range and
+    x_j + s * x1**j in its j-th range, each constraint linear in s and a
+    function of (x1, x_j) alone.  A piece with shi < slo is empty.
     """
-    n, d = X.shape
-    x1 = X[:, 0]
-    powers = x1[:, None] ** np.arange(1, d)[None, :]
+    d, x1 = len(coords), coords[0]
+    powers = x1[..., None] ** np.arange(1, d)
     for i, (blo, bhi) in enumerate(zip(region.los, region.his)):
-        slo = np.full(n, max(lo, blo[0]))
-        shi = np.full(n, min(hi, bhi[0]))
+        slo = np.full(x1.shape, max(lo, blo[0]))
+        shi = np.full(x1.shape, min(hi, bhi[0]))
         for j in range(1, d):
-            coef = powers[:, j - 1]
-            cj = X[:, j]
+            coef = powers[..., j - 1]
+            cj = coords[j]
             with np.errstate(divide="ignore", invalid="ignore"):
                 a = (blo[j] - cj) / coef
                 b = (bhi[j] - cj) / coef
@@ -89,41 +95,37 @@ def _primal_pieces(region, X, lo, hi):
         yield i, slo, shi
 
 
-def _dual_pieces(region, X, lo, hi):
-    """Per box i, (i, clo, chi) for each component of every row's fiber.
+def _dual_pieces(region, coords, lo, hi):
+    """Per box i, (i, clo, chi) for each component of the fiber at every point.
 
-    The dual line meets a box where t lies in its first-axis range and
-    x1 * t**j in x_j minus its j-th range.  For even j that is a range of
-    |t|, which splits a component in two when it excludes 0; a column is
-    added only when some row splits.  A piece with chi < clo is empty.
+    coords as for _primal_pieces.  The dual line meets a box where t lies in
+    its first-axis range and x1 * t**j in x_j minus its j-th range, again a
+    function of (x1, x_j) alone.  For even j that is a range of |t|, which
+    splits a component in two when it excludes 0; a component is added only
+    when some point splits.  A piece with chi < clo is empty.
     """
-    n, d = X.shape
-    x1 = X[:, 0]
+    d, x1 = len(coords), coords[0]
     zero = x1 == 0.0
+    any_zero = np.any(zero)
     for i, (blo, bhi) in enumerate(zip(region.los, region.his)):
-        comp_lo = [np.full(n, max(lo, blo[0]))]
-        comp_hi = [np.full(n, min(hi, bhi[0]))]
+        comps = [(np.full(x1.shape, max(lo, blo[0])), np.full(x1.shape, min(hi, bhi[0])))]
         for j in range(1, d):
-            tlo = X[:, j] - bhi[j]
-            thi = X[:, j] - blo[j]
+            tlo = coords[j] - bhi[j]
+            thi = coords[j] - blo[j]
             with np.errstate(divide="ignore", invalid="ignore"):
                 r1 = tlo / x1
                 r2 = thi / x1
             mlo = np.minimum(r1, r2)
             mhi = np.maximum(r1, r2)
-            if np.any(zero):
+            if any_zero:
                 ok = (tlo <= 0.0) & (0.0 <= thi)
                 mlo = np.where(zero, np.where(ok, -np.inf, np.inf), mlo)
                 mhi = np.where(zero, np.where(ok, np.inf, -np.inf), mhi)
             inv = 1.0 / j
-            if j % 2 == 1:
-                if j == 1:
-                    s1_lo, s1_hi = mlo, mhi
-                else:
-                    s1_lo = np.sign(mlo) * np.abs(mlo) ** inv
-                    s1_hi = np.sign(mhi) * np.abs(mhi) ** inv
-                s2_lo = np.full(n, np.inf)
-                s2_hi = np.full(n, -np.inf)
+            if j == 1:
+                halves = [(mlo, mhi)]
+            elif j % 2 == 1:
+                halves = [(np.sign(mlo) * np.abs(mlo) ** inv, np.sign(mhi) * np.abs(mhi) ** inv)]
             else:
                 hi_root = np.maximum(mhi, 0.0) ** inv
                 lo_root = np.maximum(mlo, 0.0) ** inv
@@ -133,28 +135,36 @@ def _dual_pieces(region, X, lo, hi):
                 s1_hi = np.where(feasible, hi_root, -np.inf)
                 s2_lo = np.where(split, -hi_root, np.inf)
                 s2_hi = np.where(split, -lo_root, -np.inf)
-            new_lo, new_hi = [], []
-            for clo, chi in zip(comp_lo, comp_hi):
-                new_lo.append(np.maximum(clo, s1_lo))
-                new_hi.append(np.minimum(chi, s1_hi))
+                halves = [(s1_lo, s1_hi)]
                 if np.any(s2_lo <= s2_hi):
-                    new_lo.append(np.maximum(clo, s2_lo))
-                    new_hi.append(np.minimum(chi, s2_hi))
-            comp_lo, comp_hi = new_lo, new_hi
-        for clo, chi in zip(comp_lo, comp_hi):
+                    halves.append((s2_lo, s2_hi))
+            comps = [
+                (np.maximum(clo, h_lo), np.minimum(chi, h_hi))
+                for clo, chi in comps
+                for h_lo, h_hi in halves
+            ]
+        for clo, chi in comps:
             yield i, clo, chi
 
 
-def _pieces(region, X, lo, hi, dual):
-    return (_dual_pieces if dual else _primal_pieces)(region, X, lo, hi)
+def _pieces(region, coords, lo, hi, dual):
+    return (_dual_pieces if dual else _primal_pieces)(region, coords, lo, hi)
 
 
-def _fiber_measures(region, X, lo, hi, dual, weights=None):
-    # one box at a time over one row block, so no (n, pieces) array is held
-    total = np.zeros(X.shape[0])
-    for start in range(0, X.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        for i, plo, phi in _pieces(region, X[rows], lo, hi, dual):
+def _fiber_measures(region, coords, lo, hi, dual, weights=None):
+    """Fiber measures at the points coords spans, in their broadcast shape.
+
+    The kernel runs one box at a time over blocks of whole first-axis rows
+    of about _BLOCK_ROWS points, so no (points, pieces) array is held; an
+    array that is constant along the first axis is shared by every block.
+    """
+    shape = np.broadcast(*coords).shape
+    total = np.zeros(shape)
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        block = [c[rows] if c.shape[0] > 1 else c for c in coords]
+        for i, plo, phi in _pieces(region, block, lo, hi, dual):
             length = np.clip(phi - plo, 0.0, None)
             total[rows] += length if weights is None else weights[i] * length
     return total
@@ -177,7 +187,7 @@ def fiber_measure_batch(region, points, interval, dual=False, weights=None):
     X = _fiber_points(region, points)
     if weights is not None and len(weights) != region.n_boxes:
         raise ValueError("need one weight per box")
-    out = _fiber_measures(region, X, lo, hi, dual, weights)
+    out = _fiber_measures(region, X.T, lo, hi, dual, weights)
     return float(out[0]) if np.ndim(points) == 1 else out
 
 
@@ -191,7 +201,7 @@ def fiber_pieces(region, points, interval, dual=False):
     """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
-    _, los, his = zip(*_pieces(region, X, lo, hi, dual))
+    _, los, his = zip(*_pieces(region, X.T, lo, hi, dual))
     return np.stack(los, axis=1), np.stack(his, axis=1)
 
 
@@ -227,29 +237,24 @@ def _grid_axes(lo, hi, step):
     return centers, w
 
 
-def _midpoint_box_sum(values_fn, blo, bhi, step):
-    axes, widths = [], []
-    for lo_a, hi_a in zip(blo, bhi):
-        centers, w = _grid_axes(lo_a, hi_a, step)
-        axes.append(centers)
-        widths.append(w)
-    cellvol = float(np.prod(widths))
-    counts = [a.size for a in axes]
-    rest = int(np.prod(counts[1:])) if len(counts) > 1 else 1
-    block = max(1, _CHUNK_LIMIT // max(rest, 1))
+def _midpoint_pairing(source, region, lo, hi, step, dual):
+    """Full tensor midpoint rule over region's boxes of source's fiber measures.
+
+    Each box's grid is summed in groups of whole first-axis rows of at most
+    _CHUNK_LIMIT points (or one row); a group is evaluated as a tensor
+    product of its axes, so no point array is built.
+    """
     total = 0.0
-    for i0 in range(0, counts[0], block):
-        # one summation group of whole first-axis rows, its points built
-        # _BLOCK_ROWS at a time in the same (row-major) order
-        sub = [axes[0][i0 : i0 + block]] + axes[1:]
-        shape = [a.size for a in sub]
-        vals = np.empty(int(np.prod(shape)))
-        for start in range(0, vals.size, _BLOCK_ROWS):
-            flat = np.arange(start, min(start + _BLOCK_ROWS, vals.size))
-            idx = np.unravel_index(flat, shape)
-            pts = np.stack([a[k] for a, k in zip(sub, idx)], axis=1)
-            vals[start : start + flat.size] = values_fn(pts)
-        total += float(vals.sum()) * cellvol
+    for blo, bhi in zip(region.los, region.his):
+        axes, widths = zip(*(_grid_axes(a, b, step) for a, b in zip(blo, bhi)))
+        cellvol = float(np.prod(widths))
+        group = max(1, _CHUNK_LIMIT // math.prod(a.size for a in axes[1:]))
+        box_total = 0.0
+        for i0 in range(0, axes[0].size, group):
+            mesh = np.ix_(axes[0][i0 : i0 + group], *axes[1:])
+            vals = _fiber_measures(source, mesh, lo, hi, dual)
+            box_total += float(vals.sum()) * cellvol
+        total += box_total
     return total
 
 
@@ -345,13 +350,6 @@ def _pairing_layered(E, F, lo, hi, step, dual):
     return float(total)
 
 
-def _outer_integral(values_fn, region, step):
-    return sum(
-        _midpoint_box_sum(values_fn, blo, bhi, step)
-        for blo, bhi in zip(region.los, region.his)
-    )
-
-
 def _check_covers(lo, hi, region, what, name):
     span = region.first_axis_span()
     if span.lo < lo - 1e-12 or span.hi > hi + 1e-12:
@@ -369,9 +367,7 @@ def bilinear_form(E, F, interval, quad=None):
     lo, hi = _interval_pair(interval)
     if quad.method == "layered":
         return _pairing_layered(E, F, lo, hi, quad.step, dual=False)
-    return _outer_integral(
-        lambda pts: _fiber_measures(E, pts, lo, hi, False), F, quad.step
-    )
+    return _midpoint_pairing(E, F, lo, hi, quad.step, dual=False)
 
 
 def bilinear_form_dual(E, F, window, quad=None):
@@ -387,9 +383,7 @@ def bilinear_form_dual(E, F, window, quad=None):
     _check_covers(lo, hi, F, "window", "F")
     if quad.method == "layered":
         return _pairing_layered(E, F, lo, hi, quad.step, dual=True)
-    return _outer_integral(
-        lambda pts: _fiber_measures(F, pts, lo, hi, True), E, quad.step
-    )
+    return _midpoint_pairing(F, E, lo, hi, quad.step, dual=True)
 
 
 def adjointness_gap(E, F, interval, window, quad=None):
@@ -431,16 +425,15 @@ class CellBlock:
 
 def region_cell_values(source, region, interval, grid_n, dual=False):
     """Evaluate the transform of chi_source on per-box grids over region."""
-    if not grid_n >= 1:
+    if not _is_count(grid_n):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
+    if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n!r}")
     lo, hi = _interval_pair(interval)
-    n = int(grid_n)
     blocks = []
     for blo, bhi in zip(region.los, region.his):
-        widths = (bhi - blo) / n
-        axes = [lo_a + (np.arange(n) + 0.5) * w for lo_a, w in zip(blo, widths)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        vals = _fiber_measures(source, pts, lo, hi, dual)
-        blocks.append(CellBlock(widths=widths, center_values=vals.reshape((n,) * region.dim)))
+        widths = (bhi - blo) / grid_n
+        axes = [lo_a + (np.arange(grid_n) + 0.5) * w for lo_a, w in zip(blo, widths)]
+        vals = _fiber_measures(source, np.ix_(*axes), lo, hi, dual)
+        blocks.append(CellBlock(widths=widths, center_values=vals))
     return blocks

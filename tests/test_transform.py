@@ -22,6 +22,7 @@ from momentray.transform import (
     bilinear_form_dual,
     fiber_measure_batch,
     fiber_pieces,
+    region_cell_values,
 )
 
 UNIT2 = BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])])
@@ -214,25 +215,97 @@ def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
         assert np.array_equal(got, want)
 
 
+def _grid_points(axes):
+    """The points of a grid, one row each, in row-major order."""
+    return np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _grid_region(d, case, n, rng):
+    """One box whose first axis is negative, straddles 0, or (case "zero")
+    is [-n/16, n/16]: n cells of width 1/8, so for odd n the middle cell's
+    center is exactly x1 = 0."""
+    lo, hi = rng.uniform(-0.8, -0.1, d), rng.uniform(0.1, 0.8, d)
+    first = {"negative": (-1.0, -0.25), "straddle": (-0.6, 0.35), "zero": (-n / 16, n / 16)}
+    lo[0], hi[0] = first[case]
+    return BoxUnionSet([np.stack([lo, hi], axis=1)])
+
+
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.booleans(),
+    st.sampled_from(["negative", "straddle", "zero"]),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_values_equal_point_batch(d, dual, case, k, seed):
+    """Grids evaluated as tensor products of their axes give, bit for bit,
+    fiber_measure_batch's values on the same points listed row by row:
+    region_cell_values' cell values and the midpoint route's sum, primal
+    (over F's grid) and dual (over E's)."""
+    rng = np.random.default_rng(seed)
+    n = 2 * k + 1 if case == "zero" else k + 2
+    E, F = random_box_pair(d, rng, max_boxes=3)
+    source = F if dual else E
+    grid = _grid_region(d, case, n, rng)
+    interval = (-1.1, 1.1)
+
+    (block,) = region_cell_values(source, grid, interval, n, dual=dual)
+    axes = [lo + (np.arange(n) + 0.5) * w for lo, w in zip(grid.los[0], block.widths)]
+    pts = _grid_points(axes)
+    assert block.center_values.shape == (n,) * d
+    assert np.array_equal(
+        block.center_values.reshape(-1), fiber_measure_batch(source, pts, interval, dual=dual)
+    )
+    assert (case == "zero") == np.any(pts[:, 0] == 0.0)
+
+    step = 1.0 / 8.0
+    axes, widths = zip(*(transform._grid_axes(a, b, step) for a, b in zip(*grid.bounds[0].T)))
+    vals = fiber_measure_batch(source, _grid_points(axes), interval, dual=dual)
+    quad = QuadSpec("midpoint", step)
+    if dual:
+        got = bilinear_form_dual(grid, F, interval, quad)
+    else:
+        got = bilinear_form(E, grid, interval, quad)
+    assert got == float(vals.sum()) * float(np.prod(widths))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_midpoint_box_sum_same_at_every_block_size(monkeypatch, d):
-    """The tensor midpoint sum is bit-identical whether its points are built
-    7, 64 or all at once per summation group, here 12 first-axis rows of a
-    40-per-axis grid; a linear integrand makes the rule exact."""
+    """region_cell_values and both midpoint routes are bit-identical whether
+    the kernel takes one first-axis row (a block of 5 points, smaller than a
+    row), 100 points, 7 rows or a whole grid per pass.  The 40-per-axis grid
+    has x1 = 0 in row 12 only, and the midpoint route sums it in groups of
+    12 first-axis rows."""
     monkeypatch.setattr(transform, "_CHUNK_LIMIT", 500 * 40 ** (d - 2))
-    blo, bhi = np.full(d, -0.3), np.full(d, 0.6)
-    coef = np.arange(1.0, d + 1.0)
+    rng = np.random.default_rng(d)
+    E, F = random_box_pair(d, rng, max_boxes=3)
+    grid = BoxUnionSet([np.tile([-12.5 / 32, 27.5 / 32], (d, 1))])
+    interval, quad = (-1.1, 1.1), QuadSpec("midpoint", 1.0 / 32.0)
 
-    def values_fn(pts):
-        return 1.0 + pts @ coef
-
-    sums = []
-    for rows in (7, 64, 1 << 30):
+    def values(rows):
         monkeypatch.setattr(transform, "_BLOCK_ROWS", rows)
-        sums.append(transform._midpoint_box_sum(values_fn, blo, bhi, (bhi[0] - blo[0]) / 40))
-    assert sums[0] == sums[1] == sums[2]
-    vol = np.prod(bhi - blo)
-    assert sums[0] == pytest.approx(vol * (1.0 + coef @ (0.5 * (blo + bhi))), rel=1e-12)
+        (primal,) = region_cell_values(E, grid, interval, 40)
+        (dual,) = region_cell_values(F, grid, interval, 40, dual=True)
+        return (
+            primal.center_values,
+            dual.center_values,
+            bilinear_form(E, grid, interval, quad),
+            bilinear_form_dual(grid, F, interval, quad),
+        )
+
+    assert transform._grid_axes(grid.los[0][0], grid.his[0][0], quad.step)[0][12] == 0.0
+    runs = [values(rows) for rows in (5, 100, 7 * 40 ** (d - 1), 1 << 30)]
+    assert all(np.count_nonzero(v) > 40 for v in runs[0][:2]) and min(runs[0][2:]) > 0.0
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid_n", [2.5, 2.0, True, "4"])
+def test_region_cell_values_refuses_non_integer_grid_n(grid_n):
+    with pytest.raises(ValueError, match="grid_n must be an integer"):
+        region_cell_values(UNIT2, UNIT2, (0.0, 1.0), grid_n)
 
 
 def test_midpoint_pairing_bounds_memory():
