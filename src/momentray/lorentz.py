@@ -126,7 +126,8 @@ def lp_norm(f, p):
     """Lebesgue p-norm of a simple function with disjoint supports."""
     p = float(p)
     if np.isinf(p):
-        return float(f.weights.max())
+        # the essential supremum: a support of zero measure does not count
+        return float(f.weights[f.support_measures > 0].max(initial=0.0))
     if not p > 0:
         raise ValueError("p must be positive")
     return float((f.weights**p * f.support_measures).sum() ** (1.0 / p))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import estimate_c_d, incidence_path, jacobian_closed_form, line_step
-from .sets import BoxUnionSet, Interval, as_interval, fiber_cells
+from .sets import BoxUnionSet, Interval, _is_count, as_interval, fiber_cells
 from .sharpness import _dual_rhs, _primal_rhs
 from .transform import NoIncidence, bilinear_form, fiber_measure_batch, fiber_pieces
 
@@ -32,6 +32,8 @@ class TowerConfig:
             raise ValueError("keep_fraction must be in (0, 1]")
         if not self.cell_width > 0:
             raise ValueError("cell_width must be positive")
+        if not (_is_count(self.max_nodes) and _is_count(self.seed)):
+            raise ValueError("max_nodes and seed must be integers")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be positive")
 
@@ -114,8 +116,12 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     level, the first included, takes the exact fibers of the previous
     level's nodes (of the base alone at first), keeps the nodes whose fiber
     clears the keep_fraction bar (at level 1 every nonempty fiber), and cuts
-    the kept fibers into cells, which become the level's nodes.  Raises
-    TowerCollapse when a level empties.
+    the kept fibers into cells, which become the level's nodes.  When the n
+    cells exceed config.max_nodes, a sorted draw of max_nodes cell indices
+    (default_rng(seed + label), without replacement) picks the nodes before
+    any node row is built, and their weights carry the factor
+    n / max_nodes.  The top level's nodes are not stepped to points, since
+    no level reads them.  Raises TowerCollapse when a level empties.
     """
     config = config or TowerConfig()
     d = E.dim
@@ -137,15 +143,14 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
 
     # the root node: the base point, with no parameters yet
     params = widths = np.empty((1, 0))
-    weights = np.ones(1)
+    weights = node_vols = np.ones(1)
     points = base[None]
     levels = []
-    for label, kind, target in plan:
+    for i, (label, kind, target) in enumerate(plan):
         dual = kind == "t"
         tgt_set = F if target == "F" else E
         los, his = fiber_pieces(tgt_set, points, window if dual else interval, dual=dual)
         measures = np.clip(his - los, 0.0, None).sum(axis=1)
-        node_vols = widths.prod(axis=1) * weights
         mean = float((measures * node_vols).sum() / node_vols.sum())
         threshold = config.keep_fraction * mean if levels else 0.0
         keep = (measures >= threshold) & (measures > 0.0)
@@ -155,27 +160,24 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
         kept = np.flatnonzero(keep)
         rows, centers, cell_widths = fiber_cells(los[kept], his[kept], config.cell_width)
         parent_idx = kept[rows]
+        weights = weights[parent_idx]
+        n = parent_idx.size
+        if n > config.max_nodes:
+            sub_rng = np.random.default_rng(config.seed + label)
+            pick = np.sort(sub_rng.choice(n, size=config.max_nodes, replace=False))
+            parent_idx, centers = parent_idx[pick], centers[pick]
+            cell_widths = cell_widths[pick]
+            weights = weights[pick] * (n / config.max_nodes)
         params = np.concatenate([params[parent_idx], centers[:, None]], axis=1)
         widths = np.concatenate([widths[parent_idx], cell_widths[:, None]], axis=1)
-        weights = weights[parent_idx]
-
-        if params.shape[0] > config.max_nodes:
-            sub_rng = np.random.default_rng(config.seed + label)
-            pick = np.sort(
-                sub_rng.choice(params.shape[0], size=config.max_nodes, replace=False)
-            )
-            factor = params.shape[0] / config.max_nodes
-            params = params[pick]
-            widths = widths[pick]
-            weights = weights[pick] * factor
-            parent_idx = parent_idx[pick]
+        node_vols = widths.prod(axis=1) * weights
 
         levels.append(
             TowerLevel(
                 label=label,
                 param_kind=kind,
                 target=target,
-                measure=float((widths.prod(axis=1) * weights).sum()),
+                measure=float(node_vols.sum()),
                 threshold=threshold,
                 min_kept_fiber=float(measures[keep].min()),
                 n_nodes=params.shape[0],
@@ -185,7 +187,8 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
                 parent_idx=parent_idx,
             )
         )
-        points = line_step(points[parent_idx], params[:, -1], dual)
+        if i + 1 < len(plan):
+            points = line_step(points[parent_idx], centers, dual)
 
     return Tower(
         dim=d,

@@ -76,6 +76,10 @@ def test_lorentz_norm_refuses_zero_measure_support():
         lorentz_norm(flat, 2.0, 2.0)
     # the Lebesgue norm is an integral, which the empty support leaves alone
     assert lp_norm(flat, 2.0) == lp_norm(SimpleFunction([1.0], [A]), 2.0)
+    # and so is the essential supremum: the null support's weight 2 does not count
+    assert lp_norm(flat, float("inf")) == 1.0
+    null_only = SimpleFunction([2.0], [[[5.0, 5.0], [0.0, 1.0]]])
+    assert lp_norm(null_only, float("inf")) == 0.0
 
 
 def test_lp_norm_hand_value():

@@ -1,15 +1,19 @@
 """Tests for the greedy refinement towers and their oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from momentray import refinement
 from momentray.acceptance import random_box_pair
 from momentray.corpus import build_default_corpus
-from momentray.geometry import incidence_path, jacobian_numeric
+from momentray.geometry import incidence_path, jacobian_numeric, line_step
 from momentray.refinement import (
     Tower,
     TowerCollapse,
     TowerConfig,
+    TowerLevel,
     build_tower,
     check_tower_structure,
     enumerate_tower_bruteforce,
@@ -17,8 +21,8 @@ from momentray.refinement import (
     rasterized_image_measure,
     tower_report,
 )
-from momentray.sets import BoxUnionSet, Interval
-from momentray.transform import fiber_measure_batch
+from momentray.sets import BoxUnionSet, Interval, fiber_cells
+from momentray.transform import fiber_measure_batch, fiber_pieces
 
 
 def unit_pair(d):
@@ -36,6 +40,15 @@ def test_config_validation():
         TowerConfig(cell_width=float("nan"))
     with pytest.raises(ValueError):
         TowerConfig(max_nodes=0)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "20000"])
+def test_config_refuses_non_integer_counts(value):
+    # refused at construction, not later inside numpy's choice
+    with pytest.raises(ValueError, match="integers"):
+        TowerConfig(max_nodes=value)
+    with pytest.raises(ValueError, match="integers"):
+        TowerConfig(seed=value)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +115,106 @@ def test_node_cap_rescales_weights():
     assert capped.top.weights.max() > 1.0
     # the subsample is importance-preserving: total measure barely moves
     assert capped.top.measure == pytest.approx(full.top.measure, rel=0.25)
+
+
+def _reference_tower(E, F, interval, window, start, config):
+    """The level loop that cuts every cell, then subsamples the node rows.
+
+    Returns (base, levels); raises TowerCollapse like build_tower.
+    """
+    plan = refinement._level_plan(start, E.dim)
+    rng = np.random.default_rng(config.seed)
+    dual = plan[0][1] == "t"
+    candidates = refinement._sample_points(E if dual else F, 64, rng)
+    measures = fiber_measure_batch(
+        F if dual else E, candidates, window if dual else interval, dual=dual
+    )
+    base = candidates[np.argmax(measures)]
+    params = widths = np.empty((1, 0))
+    weights = np.ones(1)
+    points = base[None]
+    levels = []
+    for label, kind, target in plan:
+        dual = kind == "t"
+        tgt_set = F if target == "F" else E
+        los, his = fiber_pieces(tgt_set, points, window if dual else interval, dual=dual)
+        measures = np.clip(his - los, 0.0, None).sum(axis=1)
+        node_vols = widths.prod(axis=1) * weights
+        mean = float((measures * node_vols).sum() / node_vols.sum())
+        threshold = config.keep_fraction * mean if levels else 0.0
+        keep = (measures >= threshold) & (measures > 0.0)
+        if not keep.any():
+            raise TowerCollapse(label)
+        kept = np.flatnonzero(keep)
+        rows, centers, cell_widths = fiber_cells(los[kept], his[kept], config.cell_width)
+        parent_idx = kept[rows]
+        params = np.concatenate([params[parent_idx], centers[:, None]], axis=1)
+        widths = np.concatenate([widths[parent_idx], cell_widths[:, None]], axis=1)
+        weights = weights[parent_idx]
+        if params.shape[0] > config.max_nodes:
+            sub_rng = np.random.default_rng(config.seed + label)
+            pick = np.sort(
+                sub_rng.choice(params.shape[0], size=config.max_nodes, replace=False)
+            )
+            factor = params.shape[0] / config.max_nodes
+            params, widths, parent_idx = params[pick], widths[pick], parent_idx[pick]
+            weights = weights[pick] * factor
+        levels.append(
+            TowerLevel(
+                label=label,
+                param_kind=kind,
+                target=target,
+                measure=float((widths.prod(axis=1) * weights).sum()),
+                threshold=threshold,
+                min_kept_fiber=float(measures[keep].min()),
+                n_nodes=params.shape[0],
+                params=params,
+                widths=widths,
+                weights=weights,
+                parent_idx=parent_idx,
+            )
+        )
+        points = line_step(points[parent_idx], params[:, -1], dual)
+    return base, levels
+
+
+@pytest.mark.parametrize("max_nodes", [20000, 500, 37])
+def test_capped_levels_bit_identical_to_full_cut(max_nodes):
+    """build_tower draws the cap over cell indices before building node rows;
+    every level and the base equal the cut-everything-then-subsample loop."""
+    config = TowerConfig(max_nodes=max_nodes)
+    entries = {e.entry_id: e for e in build_default_corpus()}
+    capped = collapsed = 0
+    for entry_id in ("d2-thin-source-x", "d2-nested", "d3-nested", "d3-thin-source-z",
+                     "d3-random-2"):
+        e = entries[entry_id]
+        for start in ("phi", "psi"):
+            try:
+                base, ref_levels = _reference_tower(
+                    e.E, e.F, e.interval, e.window, start, config
+                )
+            except TowerCollapse as exc:
+                with pytest.raises(TowerCollapse) as got:
+                    build_tower(e.E, e.F, e.interval, e.window, start=start, config=config)
+                assert got.value.label == exc.label == 2
+                collapsed += 1
+                continue
+            tower = build_tower(e.E, e.F, e.interval, e.window, start=start, config=config)
+            assert np.array_equal(tower.base, base)
+            assert len(tower.levels) == len(ref_levels)
+            for got, want in zip(tower.levels, ref_levels):
+                for f in dataclasses.fields(TowerLevel):
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    if isinstance(b, np.ndarray):
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (
+                            entry_id, start, got.label, f.name,
+                        )
+                    else:
+                        assert a == b, (entry_id, start, got.label, f.name)
+                capped += want.n_nodes == max_nodes
+    assert collapsed == 1  # d3-random-2 psi
+    # levels the cap binds: the d = 3 tops at every size, lower levels when small
+    assert capped == {20000: 4, 500: 10, 37: 19}[max_nodes]
 
 
 def _parent_fibers(tower, li):
