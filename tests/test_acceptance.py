@@ -50,6 +50,7 @@ QUICK_GATES = [
             ("rel_err_xf", "<=", 0.03),
             ("slope_gap", "<=", 1e-2),
             ("verdicts", "==", "diverges/bounded"),
+            ("zeta_route_rel", "<=", 1e-12),
         )
     ],
     (5, "worst_rel", "<=", 1e-10),

@@ -404,3 +404,36 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == PASS
     assert "10/7" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# a numpy-only runtime: scipy is a test dependency
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing the CLI imports every module of the package and no scipy."""
+    code = (
+        "import sys, momentray.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_zeta_commands_run_with_scipy_blocked(tmp_path):
+    """scaling and necessity evaluate the Hurwitz zeta; with scipy made
+    unimportable before the package loads, both still exit 0."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from momentray.cli import main\n"
+        "codes = [main([c, '--output', f'{sys.argv[1]}/{c}.csv']) for c in ('scaling', 'necessity')]\n"
+        "print(codes)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0]"
+    assert (tmp_path / "scaling.csv").exists() and (tmp_path / "necessity.csv").exists()

@@ -25,7 +25,6 @@ EXEMPT = {
     "corpus.save_corpus": "tests write corpus files for the CLI with it",
     "sharpness.dilate_configuration": "test oracle for dilation invariance of the testing ratios",
     "lorentz.blockwise_lorentz_norm": "test oracle for the exact Lorentz norm",
-    "sharpness.xf_lower_exact_lorentz": "test oracle for the blockwise X f lower bound",
     "sharpness.verify_minorant": "the benchmark's family-minorant entry point",
     "sharpness.lemma2_grid_primal": "the benchmark's tower-corpus lemma2 op; the package scores it and the sweep from one grid through check_lemma2_primal",
     "sharpness.lemma2_shrinking_sweep": "the benchmark's tower-corpus lemma2 op; the package scores it and the primal report from one grid through check_lemma2_primal",

@@ -1,16 +1,22 @@
 """Tests for exponent arithmetic, the sharp example family, and ratio checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
+from scipy.special import zeta as scipy_zeta
 
 from momentray.lorentz import lorentz_norm, lp_norm
 from momentray.sets import BoxUnionSet, Interval
 from momentray.corpus import build_default_corpus
 from momentray.transform import fiber_measure_batch, region_cell_values
+from momentray import sharpness
 from momentray.sharpness import (
+    DEFAULT_N_LIST,
     CounterexampleSpec,
+    _hurwitz_zeta,
     build_counterexample_f,
     build_xf_lower_bound,
     check_lemma2_primal,
@@ -197,6 +203,92 @@ def test_block_norm_values_and_validation():
         xf_lower_block_norm(2, -1.0, 4)
     with pytest.raises(ValueError):
         xf_lower_block_norm(2, 0.25, 4)  # a*r = 0.5 <= 1 diverges
+
+
+# ---------------------------------------------------------------------------
+# the Hurwitz zeta, with scipy as the oracle
+
+
+def _zeta_arguments():
+    """Every (s, a) the package evaluates: s = d(d+1)/2 and (d^2-d+2)/2 r
+    for r in {p, 0.9 p, 1.1 p, q}, d = 2..7, at each default n_start and 4, 8."""
+    args = []
+    for d in range(2, 8):
+        p, q = (float(e) for e in critical_exponents(d))
+        block = (d * d - d + 2) / 2.0
+        exps = [homogeneous_dimension(d)] + [block * r for r in (p, 0.9 * p, 1.1 * p, q)]
+        args += [(s, n) for s in exps for n in sorted({*DEFAULT_N_LIST, 4, 8})]
+    return args
+
+
+def _ulps(got, want):
+    return abs(got - want) / np.spacing(want)
+
+
+def test_hurwitz_zeta_matches_scipy_within_8_ulps():
+    args = _zeta_arguments()
+    assert len(args) == 330
+    far = [(s, a) for s, a in args if _ulps(_hurwitz_zeta(s, a), scipy_zeta(s, a)) > 8]
+    assert far == []
+
+
+def test_hurwitz_zeta_cut_points_agree(monkeypatch):
+    """12 and 24 direct terms before the Euler-Maclaurin tail agree to a few
+    ulps: the tail is exact to rounding either way."""
+    args = _zeta_arguments()
+    at_12 = [_hurwitz_zeta(s, a) for s, a in args]
+    monkeypatch.setattr(sharpness, "_ZETA_DIRECT", 24)
+    at_24 = [_hurwitz_zeta(s, a) for s, a in args]
+    assert max(_ulps(x, y) for x, y in zip(at_12, at_24)) <= 4
+
+
+def test_hurwitz_zeta_truncation_bound_below_one_ulp():
+    """The docstring's remainder bound relative to a^-s,
+    4 (s)_(2M-1) x^(1-2M) (a/x)^s / (2 pi)^(2M) at x = a + N, stays under its
+    stated supremum and so under 2^-53 for s > 1 and a >= 1."""
+    n, m = sharpness._ZETA_DIRECT, len(sharpness._BERNOULLI_TERMS)
+    s = np.geomspace(1.0 + 1e-9, 1e7, 2000)[:, None]
+    a = np.geomspace(1.0, 1e7, 2000)[None, :]
+    x = a + n
+    log_rel = (
+        math.log(4.0)
+        + gammaln(s + 2 * m - 1)
+        - gammaln(s)
+        + (1 - 2 * m) * np.log(x)
+        + s * np.log(a / x)
+        - 2 * m * math.log(2 * math.pi)
+    )
+    sup = 4.0 * ((2 * m - 1) / n) ** (2 * m - 1) * math.exp(1 - 2 * m) / (2 * math.pi) ** (2 * m)
+    assert sup < 2.0**-53
+    assert np.exp(log_rel.max()) <= sup
+    assert np.exp(log_rel.max()) > 0.99 * sup  # the supremum is approached
+
+
+def test_hurwitz_zeta_special_values():
+    # zeta(2, 1) = pi^2 / 6, and a huge s leaves only the first term
+    assert _ulps(_hurwitz_zeta(2.0, 1.0), math.pi**2 / 6.0) <= 2
+    assert _hurwitz_zeta(1e300, 1.0) == 1.0
+    assert _hurwitz_zeta(1e300, 2.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "s, a",
+    [
+        (1.0, 4.0),
+        (0.5, 4.0),
+        (-2.0, 4.0),
+        (3.0, 0.0),
+        (3.0, -1.5),
+        (math.nan, 4.0),
+        (math.inf, 4.0),
+        (3.0, math.inf),
+        (3.0, math.nan),
+    ],
+)
+def test_hurwitz_zeta_refuses_outside_its_domain(s, a):
+    """scipy returns inf or nan here without a word; the package refuses."""
+    with pytest.raises(ValueError, match="Hurwitz zeta needs"):
+        _hurwitz_zeta(s, a)
 
 
 def test_verify_minorant_nonnegative_slack():

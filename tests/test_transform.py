@@ -797,6 +797,46 @@ def test_pairing_nonisotropic_dilation(pair, delta):
     assert dual == pytest.approx(factor * bilinear_form_dual(E, F, window, quad), rel=1e-12)
 
 
+def _reflected(S, axes=slice(0, None, 2)):
+    """The image of S when the coordinates axes change sign; by default
+    0, 2, ... (0-based), which is S(y) = ((-1)^j y_j), j = 1..d."""
+    bounds = S.bounds.copy()
+    bounds[:, axes] = -bounds[:, axes, ::-1]
+    return BoxUnionSet(bounds)
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_pairing_invariant_under_reflection(d, seed):
+    """The line through (0, x_2, ..., x_d) with direction
+    (1, x_1, ..., x_1^(d-1)), its parameter t replaced by -t, is the line
+    with parameters S(x), S(y) = ((-1)^j y_j): so reflecting both sets and
+    negating the parameter interval leaves both pairing routes unchanged."""
+    E, F = random_box_pair(d, np.random.default_rng(seed), max_boxes=3)
+    interval, window = E.first_axis_span(), F.first_axis_span()
+    SE, SF = _reflected(E), _reflected(F)
+    primal = bilinear_form(SE, SF, (-interval.hi, -interval.lo))
+    dual = bilinear_form_dual(SE, SF, (-window.hi, -window.lo))
+    assert primal == pytest.approx(bilinear_form(E, F, interval), rel=1e-12)
+    assert dual == pytest.approx(bilinear_form_dual(E, F, window), rel=1e-12)
+
+
+def test_flipping_the_first_axis_alone_moves_the_pairing():
+    """The negative control for the reflection property: x_1 -> -x_1 alone
+    (which is S itself in the plane) is no symmetry for d >= 3, and moves
+    the pairing by more than 1% on a fixed pair."""
+    moved = []
+    for d in (3, 4):
+        E, F = random_box_pair(d, np.random.default_rng(d), max_boxes=3)
+        interval = E.first_axis_span()
+        base = bilinear_form(E, F, interval)
+        flipped = bilinear_form(
+            _reflected(E, [0]), _reflected(F, [0]), (-interval.hi, -interval.lo)
+        )
+        moved.append(abs(flipped - base) / base)
+    assert max(moved) > 0.01
+
+
 @given(box_union_pairs(), st.integers(1, 8), st.integers(-12, -2), st.integers(2, 12))
 @settings(max_examples=25, deadline=None)
 def test_pairing_monotone_in_source(pair, width, low, high):
