@@ -7,7 +7,8 @@ family), so fiber measures are exact and the only quadrature happens in
 outer integrals.  Coordinate j's constraint depends on (x1, x_j) alone, so
 one kernel takes per-axis coordinate arrays that broadcast: the columns of
 a point list, or a grid's axes.  A grid is evaluated as a tensor product,
-its constraints on x1-by-x_j tables, and its points are never listed.
+its constraints on x1-by-x_j tables, and its points are never listed.  The
+boxes are one more leading broadcast axis, taken a chunk at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .lorentz import SimpleFunction
 from .sets import BoxUnionSet, _is_count, as_interval
 
 _CHUNK_LIMIT = 1 << 22
-# points per pass of the exact-fiber kernel, whole first-axis rows on a grid:
-# its 64 KiB temporaries stay under the allocator's mmap threshold and are
-# reused, where one 4M-point pass maps and page-faults a fresh 32 MiB array
-# for each of them
+# points x boxes per pass of the exact-fiber kernel, whole first-axis rows on
+# a grid: its 64 KiB temporaries stay under the allocator's mmap threshold and
+# are reused, where one 4M-point pass maps and page-faults a fresh 32 MiB
+# array for each of them
 _BLOCK_ROWS = 8192
 
 
@@ -63,52 +64,86 @@ def _interval_pair(interval):
 # exact fibers
 
 
+def _box_chunks(region, coords, lo, hi):
+    """(boxes, blo, bhi, first_lo, first_hi) per slice of at most _BLOCK_ROWS
+    points x boxes: the bounds, blo[j] shaped (boxes, 1, ...) or a scalar
+    for a lone box (numpy adds about 0.5 us to each operation on a 2-d
+    array), and fresh (boxes, *points) first-axis ranges clipped as
+    max(lo, .), min(hi, .)."""
+    shape = np.broadcast(*coords).shape
+    size = max(1, _BLOCK_ROWS // max(1, math.prod(shape)))
+    tail = (...,) + (None,) * len(shape)
+    los, his = region.los.T[tail], region.his.T[tail]
+    ends = zip(region.los[:, 0].tolist(), region.his[:, 0].tolist())
+    first = np.array([(max(lo, a), min(hi, b)) for a, b in ends]).T[tail]
+    for start in range(0, region.n_boxes, size):
+        boxes = slice(start, min(start + size, region.n_boxes))
+        block = np.empty((2, boxes.stop - start, *shape))
+        block[...] = first[:, boxes]
+        blo, bhi = (region.los[start], region.his[start]) if size == 1 else (los[:, boxes], his[:, boxes])
+        yield boxes, blo, bhi, block[0], block[1]
+
+
 def _primal_pieces(region, coords, lo, hi):
-    """Per box i, (i, slo, shi): the fiber endpoints at every point.
+    """Per chunk of boxes, (boxes, [(slo, shi, every)]): the fiber endpoints,
+    of shape (boxes, *points).
 
     coords holds one array per coordinate; they broadcast to the points'
     shape (the columns of a point list, or a grid's axes as an open mesh).
     The line through x meets a box where s lies in its first-axis range and
     x_j + s * x1**j in its j-th range, each constraint linear in s and a
-    function of (x1, x_j) alone.  A piece with shi < slo is empty.
+    function of (x1, x_j) alone.  The sign of x1**j does not depend on the
+    box, so each constraint's orientation is resolved once per call, point
+    by point only where x1**j changes sign or vanishes.  A piece with
+    shi < slo is empty.
     """
     d, x1 = len(coords), coords[0]
     powers = x1[..., None] ** np.arange(1, d)
-    for i, (blo, bhi) in enumerate(zip(region.los, region.his)):
-        slo = np.full(x1.shape, max(lo, blo[0]))
-        shi = np.full(x1.shape, min(hi, bhi[0]))
-        for j in range(1, d):
-            coef = powers[..., j - 1]
+    sides = []
+    for j in range(1, d):
+        coef = powers[..., j - 1]
+        pos = coef > 0.0
+        if (all_pos := pos.all()) or (coef < 0.0).all():
+            sides.append((coef, bool(all_pos), None))
+        else:
+            zero = coef == 0.0
+            sides.append((coef, pos, zero if zero.any() else None))
+    for boxes, blo, bhi, slo, shi in _box_chunks(region, coords, lo, hi):
+        for j, (coef, pos, zero) in enumerate(sides, start=1):
             cj = coords[j]
             with np.errstate(divide="ignore", invalid="ignore"):
                 a = (blo[j] - cj) / coef
                 b = (bhi[j] - cj) / coef
-            lo_j = np.where(coef > 0, a, b)
-            hi_j = np.where(coef > 0, b, a)
-            zero = coef == 0.0
-            if np.any(zero):
+            if isinstance(pos, bool):
+                lo_j, hi_j = (a, b) if pos else (b, a)
+            else:
+                lo_j, hi_j = np.where(pos, a, b), np.where(pos, b, a)
+            if zero is not None:
                 ok = (cj >= blo[j]) & (cj <= bhi[j])
                 lo_j = np.where(zero, np.where(ok, -np.inf, np.inf), lo_j)
                 hi_j = np.where(zero, np.where(ok, np.inf, -np.inf), hi_j)
-            slo = np.maximum(slo, lo_j)
-            shi = np.minimum(shi, hi_j)
-        yield i, slo, shi
+            np.maximum(slo, lo_j, out=slo)
+            np.minimum(shi, hi_j, out=shi)
+        yield boxes, [(slo, shi, np.ones(len(slo), dtype=bool))]
 
 
 def _dual_pieces(region, coords, lo, hi):
-    """Per box i, (i, clo, chi) for each component of the fiber at every point.
+    """Per chunk of boxes, (boxes, comps): each fiber component as (clo, chi,
+    present), clo and chi of shape (boxes, *points).
 
     coords as for _primal_pieces.  The dual line meets a box where t lies in
     its first-axis range and x1 * t**j in x_j minus its j-th range, again a
     function of (x1, x_j) alone.  For even j that is a range of |t|, which
-    splits a component in two when it excludes 0; a component is added only
-    when some point splits.  A piece with chi < clo is empty.
+    splits a component in two when it excludes 0; a box has the second
+    component only when some point splits, which the per-box mask present
+    records.  A piece with chi < clo is empty.
     """
     d, x1 = len(coords), coords[0]
     zero = x1 == 0.0
     any_zero = np.any(zero)
-    for i, (blo, bhi) in enumerate(zip(region.los, region.his)):
-        comps = [(np.full(x1.shape, max(lo, blo[0])), np.full(x1.shape, min(hi, bhi[0])))]
+    for boxes, blo, bhi, first_lo, first_hi in _box_chunks(region, coords, lo, hi):
+        every = np.ones(len(first_lo), dtype=bool)
+        comps = [(first_lo, first_hi, every)]
         for j in range(1, d):
             tlo = coords[j] - bhi[j]
             thi = coords[j] - blo[j]
@@ -123,9 +158,9 @@ def _dual_pieces(region, coords, lo, hi):
                 mhi = np.where(zero, np.where(ok, np.inf, -np.inf), mhi)
             inv = 1.0 / j
             if j == 1:
-                halves = [(mlo, mhi)]
+                halves = [(mlo, mhi, every)]
             elif j % 2 == 1:
-                halves = [(np.sign(mlo) * np.abs(mlo) ** inv, np.sign(mhi) * np.abs(mhi) ** inv)]
+                halves = [(np.sign(mlo) * np.abs(mlo) ** inv, np.sign(mhi) * np.abs(mhi) ** inv, every)]
             else:
                 hi_root = np.maximum(mhi, 0.0) ** inv
                 lo_root = np.maximum(mlo, 0.0) ** inv
@@ -135,28 +170,36 @@ def _dual_pieces(region, coords, lo, hi):
                 s1_hi = np.where(feasible, hi_root, -np.inf)
                 s2_lo = np.where(split, -hi_root, np.inf)
                 s2_hi = np.where(split, -lo_root, -np.inf)
-                halves = [(s1_lo, s1_hi)]
-                if np.any(s2_lo <= s2_hi):
-                    halves.append((s2_lo, s2_hi))
+                present = (s2_lo <= s2_hi).reshape(len(first_lo), -1).any(axis=1)
+                halves = [(s1_lo, s1_hi, every)]
+                if present.any():
+                    halves.append((s2_lo, s2_hi, present))
             comps = [
-                (np.maximum(clo, h_lo), np.minimum(chi, h_hi))
-                for clo, chi in comps
-                for h_lo, h_hi in halves
+                (np.maximum(clo, h_lo), np.minimum(chi, h_hi), p if q is every else p & q)
+                for clo, chi, p in comps
+                for h_lo, h_hi, q in halves
             ]
-        for clo, chi in comps:
-            yield i, clo, chi
+        yield boxes, comps
 
 
-def _pieces(region, coords, lo, hi, dual):
-    return (_dual_pieces if dual else _primal_pieces)(region, coords, lo, hi)
+def _box_order(comps):
+    """(plo, phi) for each box of a chunk and each component it has, box after
+    box, as the pieces of one box at a time would come."""
+    for k in range(len(comps[0][0])):
+        for plo, phi, present in comps:
+            if present[k]:
+                yield plo[k], phi[k]
 
 
 def _fiber_measures(region, coords, lo, hi, dual, weights=None):
     """Fiber measures at the points coords spans, in their broadcast shape.
 
-    The kernel runs one box at a time over blocks of whole first-axis rows
-    of about _BLOCK_ROWS points, so no (points, pieces) array is held; an
-    array that is constant along the first axis is shared by every block.
+    The kernel runs over blocks of whole first-axis rows of about
+    _BLOCK_ROWS points, and within a block over chunks of boxes as one more
+    leading broadcast axis, at most _BLOCK_ROWS points x boxes a pass, so no
+    (points, boxes) array is held whole; an array that is constant along the
+    first axis is shared by every block.  Box i's lengths are added to the
+    total after box i - 1's, as one box at a time would add them.
     """
     shape = np.broadcast(*coords).shape
     total = np.zeros(shape)
@@ -164,9 +207,14 @@ def _fiber_measures(region, coords, lo, hi, dual, weights=None):
     for start in range(0, shape[0], step):
         rows = slice(start, start + step)
         block = [c[rows] if c.shape[0] > 1 else c for c in coords]
-        for i, plo, phi in _pieces(region, block, lo, hi, dual):
-            length = np.clip(phi - plo, 0.0, None)
-            total[rows] += length if weights is None else weights[i] * length
+        acc = total[rows]
+        for boxes, comps in (_dual_pieces if dual else _primal_pieces)(region, block, lo, hi):
+            for plo, phi, _ in comps:
+                length = np.maximum(np.subtract(phi, plo, out=phi), 0.0, out=phi)
+                if weights is not None:
+                    length *= np.reshape(weights[boxes], (-1,) + (1,) * len(shape))
+            for _, length in _box_order(comps):
+                acc += length
     return total
 
 
@@ -174,6 +222,8 @@ def _fiber_points(region, points):
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != region.dim:
         raise ValueError("point dimension does not match the set")
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite")
     return X
 
 
@@ -201,7 +251,8 @@ def fiber_pieces(region, points, interval, dual=False):
     """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
-    _, los, his = zip(*_pieces(region, X.T, lo, hi, dual))
+    chunks = (_dual_pieces if dual else _primal_pieces)(region, X.T, lo, hi)
+    los, his = zip(*(piece for _, comps in chunks for piece in _box_order(comps)))
     return np.stack(los, axis=1), np.stack(his, axis=1)
 
 
@@ -215,15 +266,11 @@ def apply_x(f, interval, x):
     Exact for box unions and simple functions.  Accepts a single point (d,)
     or a batch (n, d).
     """
-    interval = as_interval(interval)
-    X = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(f, BoxUnionSet):
-        out = fiber_measure_batch(f, X, interval)
-    elif isinstance(f, SimpleFunction):
-        out = fiber_measure_batch(f.region, X, interval, weights=f.box_weights)
-    else:
-        raise TypeError(f"unsupported integrand type: {type(f).__name__}")
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+        return fiber_measure_batch(f, x, interval)
+    if isinstance(f, SimpleFunction):
+        return fiber_measure_batch(f.region, x, interval, weights=f.box_weights)
+    raise TypeError(f"unsupported integrand type: {type(f).__name__}")
 
 
 # ---------------------------------------------------------------------------

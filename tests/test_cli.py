@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from momentray import cli
+from momentray import cli, refinement
 from momentray.corpus import CorpusEntry, build_default_corpus, save_corpus
 from momentray.sets import BoxUnionSet, Interval
 
@@ -212,6 +213,21 @@ def test_no_incidence_is_measured_failure(tmp_path, capsys):
         (failed,) = [row for row in rows if row["corpus_id"] == "far-apart"]
         assert failed["verdict"] == "FAIL"
         assert {failed[c] for c in header} == {"far-apart", "FAIL", ""}
+
+
+def test_non_finite_point_is_usage_error(monkeypatch, tmp_path, capsys):
+    """A tower whose base candidates are not finite is refused with exit 2,
+    not built from fibers of measure 0."""
+
+    def sample_with_inf(region, count, rng):
+        pts = real_sample(region, count, rng)
+        pts[:, 1] = np.inf
+        return pts
+
+    real_sample = refinement._sample_points
+    monkeypatch.setattr(refinement, "_sample_points", sample_with_inf)
+    assert run(["refine", "--entry", "d2-unit", "--output", str(tmp_path / "t.csv")]) == USAGE
+    assert "points must be finite" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

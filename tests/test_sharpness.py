@@ -1,6 +1,7 @@
 """Tests for exponent arithmetic, the sharp example family, and ratio checks."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,23 @@ def test_verify_minorant_slack_at_benchmark_size(d, seed):
 def test_verify_minorant_d4_slack_nonnegative():
     spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)
     assert verify_minorant(spec) >= 0.0
+
+
+def test_verify_minorant_d4_bounds_memory():
+    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 5.1 MB under
+    tracemalloc, most of it the family's disjointness check; the kernel's
+    box chunks add about 0.7 MB.  Holding the (boxes, points) arrays whole
+    peaks near 20 MB."""
+    spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)
+    verify_minorant(spec)
+    tracemalloc.start()
+    try:
+        slack = verify_minorant(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slack == -0.009259259259259259
+    assert peak < 8_000_000
 
 
 def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):

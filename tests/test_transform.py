@@ -13,7 +13,12 @@ from momentray.acceptance import random_box_pair
 from momentray.lorentz import SimpleFunction
 from momentray.refinement import build_tower
 from momentray.sets import BoxUnionSet, fiber_cells
-from momentray.sharpness import dilate_configuration
+from momentray.sharpness import (
+    CounterexampleSpec,
+    build_counterexample_f,
+    build_xf_lower_bound,
+    dilate_configuration,
+)
 from momentray.transform import (
     QuadSpec,
     adjointness_gap,
@@ -189,30 +194,205 @@ def test_fiber_measure_batch_matches_single():
             assert hits[pts[:, 0] == 0.0].any()
 
 
+# ---------------------------------------------------------------------------
+# the kernel's box axis: chunk sizes, a per-box reference, box splits
+
+
+def _reference_fiber_pieces(region, points, interval, dual):
+    """fiber_pieces computed one box at a time: each box's columns in turn,
+    and on the dual route a box's second component only when some point
+    splits."""
+    lo, hi = interval
+    coords = np.asarray(points, dtype=float).T
+    d, x1 = len(coords), coords[0]
+    los, his = [], []
+    for blo, bhi in zip(region.los, region.his):
+        comps = [(np.full(x1.shape, max(lo, blo[0])), np.full(x1.shape, min(hi, bhi[0])))]
+        for j in range(1, d):
+            cj = coords[j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if dual:
+                    tlo, thi = cj - bhi[j], cj - blo[j]
+                    r1, r2 = tlo / x1, thi / x1
+                    mlo, mhi = np.minimum(r1, r2), np.maximum(r1, r2)
+                    zero, ok = x1 == 0.0, (tlo <= 0.0) & (0.0 <= thi)
+                else:
+                    coef = (x1[:, None] ** np.arange(1, d))[:, j - 1]
+                    a, b = (blo[j] - cj) / coef, (bhi[j] - cj) / coef
+                    mlo, mhi = np.where(coef > 0, a, b), np.where(coef > 0, b, a)
+                    zero, ok = coef == 0.0, (cj >= blo[j]) & (cj <= bhi[j])
+            if np.any(zero):
+                mlo = np.where(zero, np.where(ok, -np.inf, np.inf), mlo)
+                mhi = np.where(zero, np.where(ok, np.inf, -np.inf), mhi)
+            inv = 1.0 / j
+            if not dual or j == 1:
+                halves = [(mlo, mhi)]
+            elif j % 2 == 1:
+                halves = [(np.sign(mlo) * np.abs(mlo) ** inv, np.sign(mhi) * np.abs(mhi) ** inv)]
+            else:
+                hi_root, lo_root = np.maximum(mhi, 0.0) ** inv, np.maximum(mlo, 0.0) ** inv
+                feasible = mhi >= 0.0
+                split = feasible & (mlo > 0.0)
+                s1_lo = np.where(feasible, np.where(split, lo_root, -hi_root), np.inf)
+                halves = [(s1_lo, np.where(feasible, hi_root, -np.inf))]
+                s2 = (np.where(split, -hi_root, np.inf), np.where(split, -lo_root, -np.inf))
+                if np.any(s2[0] <= s2[1]):
+                    halves.append(s2)
+            comps = [(np.maximum(c, h), np.minimum(e, g)) for c, e in comps for h, g in halves]
+        los += [c for c, _ in comps]
+        his += [e for _, e in comps]
+    return np.stack(los, axis=1), np.stack(his, axis=1)
+
+
+_DEFAULT_BLOCK_ROWS = transform._BLOCK_ROWS
+
+
+def _at_every_chunk_size(monkeypatch, compute):
+    """compute() with passes of 1, 7, the default and unbounded points x boxes."""
+    runs = []
+    for rows in (1, 7, _DEFAULT_BLOCK_ROWS, 1 << 30):
+        monkeypatch.setattr(transform, "_BLOCK_ROWS", rows)
+        runs.append(compute())
+    return runs
+
+
+def _assert_runs_equal(runs):
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_values_same_at_every_chunk_size(monkeypatch, d):
+    """Weighted fiber measures on the 197-box family (the route
+    verify_minorant takes) are bit for bit the same at every chunk size.
+    One point in every third minorant piece (66 points) keeps the one-box,
+    one-point passes few, and the default splits the boxes into two chunks.
+    At d = 4 the pieces from k = 91 on round to zero width, so about half
+    of the points see no fiber (ROADMAP item 4)."""
+    spec = CounterexampleSpec(dim=d, n_start=4, k_max=200)
+    f, pieces = build_counterexample_f(spec), build_xf_lower_bound(spec).region
+    pts = np.random.default_rng(d).uniform(pieces.los[::3], pieces.his[::3])
+    assert f.region.n_boxes == 197 and 1 < math.ceil(197 / (_DEFAULT_BLOCK_ROWS // len(pts))) < 197
+
+    def compute():
+        return [fiber_measure_batch(f.region, pts, (-1.0, 1.0), weights=f.box_weights)]
+
+    runs = _at_every_chunk_size(monkeypatch, compute)
+    assert np.count_nonzero(runs[0][0]) > 30
+    _assert_runs_equal(runs)
+
+
+def test_dual_second_component_is_per_box(monkeypatch):
+    """In one chunk, a box whose x3 range excludes every point's x3 splits
+    in two and a box whose range contains them does not: three columns, not
+    four, at every chunk size, as the per-box reference has them."""
+    F = BoxUnionSet(
+        [np.array([[-2.0, 0.0], [-1.0, 1.0], [0.0, 0.5]]), np.array([[0.0, 2.0], [-1.0, 1.0], [-3.0, 3.0]])]
+    )
+    rng = np.random.default_rng(5)
+    pts = np.column_stack(
+        [rng.uniform(0.5, 1.5, 60), rng.uniform(-0.2, 0.2, 60), rng.uniform(0.6, 1.4, 60)]
+    )
+    runs = _at_every_chunk_size(monkeypatch, lambda: fiber_pieces(F, pts, (-2.0, 2.0), dual=True))
+    _assert_runs_equal(runs)
+    for got, want in zip(runs[0], _reference_fiber_pieces(F, pts, (-2.0, 2.0), dual=True)):
+        assert got.shape == (60, 3) and got.tobytes() == want.tobytes()
+
+
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(1, 63),
+    st.sampled_from([1, 7, 64, _DEFAULT_BLOCK_ROWS]),
+)
+@settings(max_examples=40, deadline=None)
+def test_fiber_measures_additive_under_box_split(d, seed, which, axis, k, rows):
+    """Splitting one box of a random union at an interior dyadic point, along
+    any axis, leaves both routes' fiber measures unchanged to rel 1e-12, with
+    passes of `rows` points x boxes so the halves can land in different
+    chunks."""
+    rng = np.random.default_rng(seed)
+    E, F = random_box_pair(d, rng, max_boxes=3)
+    pts = rng.uniform(-1.2, 1.2, size=(40, d))
+    pts[::7, 0] = 0.0
+    interval = (-1.1, 1.1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_BLOCK_ROWS", rows)
+        for dual, region in ((False, E), (True, F)):
+            i, a = which % region.n_boxes, axis % d
+            lo, hi = region.los[i], region.his[i]
+            dyadic = np.arange(math.floor(lo[a] * 64) + 1, math.ceil(hi[a] * 64)) / 64.0
+            cut = dyadic[k % len(dyadic)]
+            left_hi, right_lo = hi.copy(), lo.copy()
+            left_hi[a] = right_lo[a] = cut
+            boxes = [np.stack(b, axis=1) for n, b in enumerate(zip(region.los, region.his)) if n != i]
+            split = BoxUnionSet(boxes + [np.stack([lo, left_hi], axis=1), np.stack([right_lo, hi], axis=1)])
+            base = fiber_measure_batch(region, pts, interval, dual=dual)
+            got = fiber_measure_batch(split, pts, interval, dual=dual)
+            np.testing.assert_allclose(got, base, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_non_finite_points_are_refused(bad, axis):
+    """A point the arithmetic cannot represent is refused on every entry
+    point and route, not given fiber measure 0 or NaN."""
+    pts = np.array([[0.5, 0.5], [0.25, 0.75]])
+    pts[1, axis] = bad
+    f = SimpleFunction([2.0], [UNIT2])
+    calls = [
+        lambda: apply_x(UNIT2, (0.0, 1.0), pts),
+        lambda: apply_x(f, (0.0, 1.0), pts),
+        lambda: apply_x(UNIT2, (0.0, 1.0), pts[1]),
+    ]
+    for dual in (False, True):
+        calls += [
+            lambda: fiber_measure_batch(UNIT2, pts, (0.0, 1.0), dual=dual),
+            lambda: fiber_measure_batch(UNIT2, pts, (0.0, 1.0), dual=dual, weights=[2.0]),
+            lambda: fiber_pieces(UNIT2, pts, (0.0, 1.0), dual=dual),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="points must be finite"):
+                call()
+
+
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
-    """Seven-row blocks give the one-block measures exactly.  Rows with
-    x1 = 0 sit in blocks 0 and 7 only, so the blocks disagree on whether
-    the vertical-line branch runs."""
+    """On a union of at least three boxes, fiber measures (plain and
+    weighted) and fiber_pieces are bit for bit the same at every chunk size,
+    and fiber_pieces returns the per-box reference loop's arrays, shape and
+    column order included.  The points have both signs of x1 and rows with
+    x1 = 0 (so chunks disagree on whether the vertical-line branch runs),
+    and on the dual route for d > 2 some box splits in two."""
     rng = np.random.default_rng(d)
-    E, F = random_box_pair(d, rng, max_boxes=3)
+    E, F = random_box_pair(d, rng, max_boxes=4)
+    while min(E.n_boxes, F.n_boxes) < 3:
+        E, F = random_box_pair(d, rng, max_boxes=4)
     region = F if dual else E
-    pts = rng.uniform(-1.2, 1.2, size=(300, d))
-    pts[[3, 50, 51], 0] = 0.0
+    pts = rng.uniform(-1.2, 1.2, size=(150, d))
+    pts[[3, 50, 51, 120], 0] = 0.0
     weights = rng.uniform(0.5, 2.0, region.n_boxes)
+    interval = (-1.1, 1.1)
 
-    def measures(rows):
-        monkeypatch.setattr(transform, "_BLOCK_ROWS", rows)
+    def compute():
         return [
-            fiber_measure_batch(region, pts, (-1.1, 1.1), dual=dual, weights=w)
-            for w in (None, weights)
+            fiber_measure_batch(region, pts, interval, dual=dual),
+            fiber_measure_batch(region, pts, interval, dual=dual, weights=weights),
+            *fiber_pieces(region, pts, interval, dual=dual),
         ]
 
-    one_block, blocked = measures(1 << 30), measures(7)
-    assert np.count_nonzero(one_block[0]) > 30
-    for got, want in zip(blocked, one_block):
-        assert np.array_equal(got, want)
+    runs = _at_every_chunk_size(monkeypatch, compute)
+    assert np.count_nonzero(runs[0][0]) > 30 and np.count_nonzero(runs[0][0][pts[:, 0] == 0.0])
+    _assert_runs_equal(runs)
+    reference = _reference_fiber_pieces(region, pts, interval, dual)
+    for got, want in zip(runs[0][2:], reference):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if dual and d > 2:
+        assert reference[0].shape[1] > region.n_boxes
 
 
 def _grid_points(axes):
@@ -273,8 +453,9 @@ def test_grid_values_equal_point_batch(d, dual, case, k, seed):
 @pytest.mark.parametrize("d", [2, 3])
 def test_midpoint_box_sum_same_at_every_block_size(monkeypatch, d):
     """region_cell_values and both midpoint routes are bit-identical whether
-    the kernel takes one first-axis row (a block of 5 points, smaller than a
-    row), 100 points, 7 rows or a whole grid per pass.  The 40-per-axis grid
+    the kernel takes one first-axis row and one box (a block of 1, 5 or 7
+    points, smaller than a row), 100 points, 7 rows, the default (several
+    boxes a pass) or a whole grid per pass.  The 40-per-axis grid
     has x1 = 0 in row 12 only, and the midpoint route sums it in groups of
     12 first-axis rows."""
     monkeypatch.setattr(transform, "_CHUNK_LIMIT", 500 * 40 ** (d - 2))
@@ -295,7 +476,7 @@ def test_midpoint_box_sum_same_at_every_block_size(monkeypatch, d):
         )
 
     assert transform._grid_axes(grid.los[0][0], grid.his[0][0], quad.step)[0][12] == 0.0
-    runs = [values(rows) for rows in (5, 100, 7 * 40 ** (d - 1), 1 << 30)]
+    runs = [values(rows) for rows in (1, 5, 7, 100, 7 * 40 ** (d - 1), _DEFAULT_BLOCK_ROWS, 1 << 30)]
     assert all(np.count_nonzero(v) > 40 for v in runs[0][:2]) and min(runs[0][2:]) > 0.0
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
@@ -526,6 +707,8 @@ def test_apply_x_stacked_shapes_and_refusals():
     pair = BoxUnionSet([np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[2.0, 3.0], [0.0, 1.0]])])
     f = SimpleFunction([1.0, 0.5], [UNIT2, pair])
     assert apply_x(f, (0.0, 1.0), np.empty((0, 2))).shape == (0,)
+    for dual in (False, True):
+        assert all(a.shape == (0, 3) for a in fiber_pieces(f.region, np.empty((0, 2)), (0.0, 1.0), dual=dual))
     assert isinstance(apply_x(f, (0.0, 1.0), np.array([0.5, 0.5])), float)
     with pytest.raises(ValueError, match="dimension"):
         apply_x(f, (0.0, 1.0), np.zeros((4, 3)))
