@@ -70,7 +70,6 @@ from .transform import (
     NoIncidence,
     QuadSpec,
     adjointness_gap,
-    apply_x,
     bilinear_form,
     bilinear_form_dual,
     fiber_measure_batch,

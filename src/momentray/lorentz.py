@@ -16,11 +16,11 @@ class SimpleFunction:
     """Nonnegative simple function: weighted sum of disjoint box unions.
 
     Each support is a BoxUnionSet or the (d, 2) bounds of one box.  The
-    supports' boxes are stacked in support order into region, box i carrying
-    box_weights[i]; support_measures holds one measure per support.
+    supports' boxes are stacked in support order into region, which checks
+    that they are disjoint; support_measures holds one measure per support.
     """
 
-    def __init__(self, weights, supports, validate=True):
+    def __init__(self, weights, supports):
         weights = np.array([float(w) for w in weights])
         bounds = [
             s.bounds if isinstance(s, BoxUnionSet) else np.asarray(s, dtype=float)[None]
@@ -36,21 +36,8 @@ class SimpleFunction:
             raise ValueError("supports must share a dimension")
         counts = [b.shape[0] for b in bounds]
         self.weights = weights
-        self.region = BoxUnionSet(np.concatenate(bounds), validate=validate)
-        self.box_weights = np.repeat(weights, counts)
-        self._starts = np.cumsum(counts) - counts  # each support's first box
-        self.support_measures = np.add.reduceat(self.region.box_volumes, self._starts)
-
-    def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = self.region
-        in_box = np.all((pts[:, None, :] >= r.los) & (pts[:, None, :] <= r.his), axis=2)
-        # a point on a face two boxes of one support share counts once
-        in_support = np.logical_or.reduceat(in_box, self._starts, axis=1)
-        out = (in_support * self.weights).sum(axis=1)
-        if np.asarray(points).ndim == 1:
-            return float(out[0])
-        return out
+        self.region = BoxUnionSet(np.concatenate(bounds))
+        self.support_measures = np.add.reduceat(self.region.box_volumes, np.cumsum(counts) - counts)
 
     def __repr__(self):
         return f"SimpleFunction({len(self.weights)} terms, dim={self.region.dim})"

@@ -29,11 +29,6 @@ class Interval:
         return self.hi - self.lo
 
 
-# rows of the blocked all-pairs disjointness check: each block holds
-# (rows, boxes, d) arrays, and a set of more boxes needs several blocks
-_DISJOINT_BLOCK = 256
-
-
 class BoxUnionSet:
     """Finite union of pairwise measure-disjoint axis-aligned closed boxes.
 
@@ -41,7 +36,7 @@ class BoxUnionSet:
     (n, d, 2) array); los and his hold them as (n, d) arrays.
     """
 
-    def __init__(self, boxes, validate=True):
+    def __init__(self, boxes):
         bounds = np.asarray(boxes, dtype=float)
         if bounds.size == 0:
             raise ValueError("need at least one box")
@@ -53,21 +48,32 @@ class BoxUnionSet:
         self.his = bounds[:, :, 1].copy()
         if np.any(self.his < self.los):
             raise ValueError("box has an upper bound below its lower bound")
-        if validate:
-            self._check_disjoint()
+        self._check_disjoint()
 
     def _check_disjoint(self):
-        # box i against boxes j >= start, so each pair is met once, row-major
-        n = self.n_boxes
-        for start in range(0, n - 1, _DISJOINT_BLOCK):
-            stop = min(start + _DISJOINT_BLOCK, n)
-            lo = np.maximum(self.los[start:stop, None, :], self.los[None, start:, :])
-            hi = np.minimum(self.his[start:stop, None, :], self.his[None, start:, :])
-            overlap = np.prod(np.clip(hi - lo, 0.0, None), axis=2)
-            bad = np.argwhere(np.triu(overlap > 0.0, k=1))
-            if bad.size:
-                i, j = start + bad[0]
-                raise ValueError(f"boxes {i} and {j} overlap with positive measure")
+        """Sweep the axis with the fewest candidates: sorted by lower bound, box p can
+        overlap only later boxes q with lo[q] < hi[p], tested as min(hi) - max(lo) > 0."""
+        if self.n_boxes < 2:  # no pair to test
+            return
+        position = np.arange(self.n_boxes)
+        orders = np.argsort(self.los, axis=0, kind="stable")
+        los, his = (b[orders, np.arange(self.dim)].T for b in (self.los, self.his))
+        stops = np.array([np.searchsorted(lo, hi) for lo, hi in zip(los, his)])
+        counts = np.maximum(stops - position - 1, 0)
+        axis = np.argmin(counts.sum(axis=1))
+        if not counts[axis].any():
+            return
+        order, counts = orders[:, axis], counts[axis]
+        first = np.repeat(position, counts)
+        second = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts) + first + 1
+        i, j = order[first], order[second]
+        overlap = np.ones(first.size, dtype=bool)
+        for lo, hi in zip(self.los.T, self.his.T):
+            overlap &= np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 0.0
+        if overlap.any():
+            pair = (np.minimum(i, j) * self.n_boxes + np.maximum(i, j))[overlap].min()
+            i, j = divmod(int(pair), self.n_boxes)
+            raise ValueError(f"boxes {i} and {j} overlap with positive measure")
 
     @property
     def dim(self):
@@ -104,7 +110,7 @@ class BoxUnionSet:
         if delta <= 0:
             raise ValueError("dilation factor must be positive")
         powers = float(delta) ** np.arange(1, self.dim + 1)
-        return BoxUnionSet(self.bounds * powers[:, None], validate=False)
+        return BoxUnionSet(self.bounds * powers[:, None])
 
     def to_jsonable(self):
         return self.bounds.tolist()
@@ -129,9 +135,9 @@ def fiber_cells(los, his, max_width):
     them; a piece with his < los or a NaN end is empty.  Each row's pieces
     are sorted, touching or overlapping ones merged with a running maximum,
     and every merged interval of positive length is cut into
-    max(1, ceil(length / max_width)) equal cells.  Returns (rows, centers,
-    widths), one entry per cell, ordered by row and then along the line; a
-    row's widths sum to its fiber measure.
+    max(1, ceil(length / max_width)) equal cells; a count of 2^63 or more
+    is refused.  Returns (rows, centers, widths), one entry per cell, ordered
+    by row and then along the line; a row's widths sum to its fiber measure.
     """
     if not max_width > 0:
         raise ValueError("max_width must be positive")
@@ -149,7 +155,11 @@ def fiber_cells(los, his, max_width):
     length = reach[last] - lo
     positive = length != 0.0
     rows, lo, length = rows[positive], lo[positive], length[positive]
-    counts = np.maximum(1, np.ceil(length / max_width).astype(int))
+    with np.errstate(over="ignore"):
+        cells = np.ceil(length / max_width)
+    if not np.all(cells < 2.0**63):
+        raise ValueError(f"a fiber needs 2^63 or more cells of width {max_width}")
+    counts = np.maximum(1, cells.astype(int))
     width = np.repeat(length / counts, counts)
     index = np.arange(width.size) - np.repeat(np.cumsum(counts) - counts, counts)
     return np.repeat(rows, counts), np.repeat(lo, counts) + (index + 0.5) * width, width

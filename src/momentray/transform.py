@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import SimpleFunction
-from .sets import BoxUnionSet, _is_count, as_interval
+from .sets import _is_count, as_interval
 
 _CHUNK_LIMIT = 1 << 22
 # points x boxes per pass of the exact-fiber kernel, whole first-axis rows on
@@ -65,7 +64,7 @@ def _interval_pair(interval):
 
 
 def _box_chunks(region, coords, lo, hi):
-    """(boxes, blo, bhi, first_lo, first_hi) per slice of at most _BLOCK_ROWS
+    """(blo, bhi, first_lo, first_hi) per slice of at most _BLOCK_ROWS
     points x boxes: the bounds, blo[j] shaped (boxes, 1, ...) or a scalar
     for a lone box (numpy adds about 0.5 us to each operation on a 2-d
     array), and fresh (boxes, *points) first-axis ranges clipped as
@@ -81,12 +80,12 @@ def _box_chunks(region, coords, lo, hi):
         block = np.empty((2, boxes.stop - start, *shape))
         block[...] = first[:, boxes]
         blo, bhi = (region.los[start], region.his[start]) if size == 1 else (los[:, boxes], his[:, boxes])
-        yield boxes, blo, bhi, block[0], block[1]
+        yield blo, bhi, block[0], block[1]
 
 
 def _primal_pieces(region, coords, lo, hi):
-    """Per chunk of boxes, (boxes, [(slo, shi, every)]): the fiber endpoints,
-    of shape (boxes, *points).
+    """Per chunk of boxes, [(slo, shi, every)]: the fiber endpoints, of shape
+    (boxes, *points).
 
     coords holds one array per coordinate; they broadcast to the points'
     shape (the columns of a point list, or a grid's axes as an open mesh).
@@ -108,7 +107,7 @@ def _primal_pieces(region, coords, lo, hi):
         else:
             zero = coef == 0.0
             sides.append((coef, pos, zero if zero.any() else None))
-    for boxes, blo, bhi, slo, shi in _box_chunks(region, coords, lo, hi):
+    for blo, bhi, slo, shi in _box_chunks(region, coords, lo, hi):
         for j, (coef, pos, zero) in enumerate(sides, start=1):
             cj = coords[j]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -124,12 +123,12 @@ def _primal_pieces(region, coords, lo, hi):
                 hi_j = np.where(zero, np.where(ok, np.inf, -np.inf), hi_j)
             np.maximum(slo, lo_j, out=slo)
             np.minimum(shi, hi_j, out=shi)
-        yield boxes, [(slo, shi, np.ones(len(slo), dtype=bool))]
+        yield [(slo, shi, np.ones(len(slo), dtype=bool))]
 
 
 def _dual_pieces(region, coords, lo, hi):
-    """Per chunk of boxes, (boxes, comps): each fiber component as (clo, chi,
-    present), clo and chi of shape (boxes, *points).
+    """Per chunk of boxes, comps: each fiber component as (clo, chi, present),
+    clo and chi of shape (boxes, *points).
 
     coords as for _primal_pieces.  The dual line meets a box where t lies in
     its first-axis range and x1 * t**j in x_j minus its j-th range, again a
@@ -141,7 +140,7 @@ def _dual_pieces(region, coords, lo, hi):
     d, x1 = len(coords), coords[0]
     zero = x1 == 0.0
     any_zero = np.any(zero)
-    for boxes, blo, bhi, first_lo, first_hi in _box_chunks(region, coords, lo, hi):
+    for blo, bhi, first_lo, first_hi in _box_chunks(region, coords, lo, hi):
         every = np.ones(len(first_lo), dtype=bool)
         comps = [(first_lo, first_hi, every)]
         for j in range(1, d):
@@ -179,7 +178,7 @@ def _dual_pieces(region, coords, lo, hi):
                 for clo, chi, p in comps
                 for h_lo, h_hi, q in halves
             ]
-        yield boxes, comps
+        yield comps
 
 
 def _box_order(comps):
@@ -191,7 +190,7 @@ def _box_order(comps):
                 yield plo[k], phi[k]
 
 
-def _fiber_measures(region, coords, lo, hi, dual, weights=None):
+def _fiber_measures(region, coords, lo, hi, dual):
     """Fiber measures at the points coords spans, in their broadcast shape.
 
     The kernel runs over blocks of whole first-axis rows of about
@@ -208,11 +207,9 @@ def _fiber_measures(region, coords, lo, hi, dual, weights=None):
         rows = slice(start, start + step)
         block = [c[rows] if c.shape[0] > 1 else c for c in coords]
         acc = total[rows]
-        for boxes, comps in (_dual_pieces if dual else _primal_pieces)(region, block, lo, hi):
+        for comps in (_dual_pieces if dual else _primal_pieces)(region, block, lo, hi):
             for plo, phi, _ in comps:
-                length = np.maximum(np.subtract(phi, plo, out=phi), 0.0, out=phi)
-                if weights is not None:
-                    length *= np.reshape(weights[boxes], (-1,) + (1,) * len(shape))
+                np.maximum(np.subtract(phi, plo, out=phi), 0.0, out=phi)
             for _, length in _box_order(comps):
                 acc += length
     return total
@@ -227,17 +224,11 @@ def _fiber_points(region, points):
     return X
 
 
-def fiber_measure_batch(region, points, interval, dual=False, weights=None):
-    """Exact fiber measures for a batch of points, shape (n, d) -> (n,).
-
-    With weights (one per box), box i's fiber length counts weights[i]
-    times: the transform of the step function sum_i w_i 1_{box i}.
-    """
+def fiber_measure_batch(region, points, interval, dual=False):
+    """Exact fiber measures for a batch of points, (n, d) -> (n,); a point (d,) -> float."""
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
-    if weights is not None and len(weights) != region.n_boxes:
-        raise ValueError("need one weight per box")
-    out = _fiber_measures(region, X.T, lo, hi, dual, weights)
+    out = _fiber_measures(region, X.T, lo, hi, dual)
     return float(out[0]) if np.ndim(points) == 1 else out
 
 
@@ -252,25 +243,8 @@ def fiber_pieces(region, points, interval, dual=False):
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
     chunks = (_dual_pieces if dual else _primal_pieces)(region, X.T, lo, hi)
-    los, his = zip(*(piece for _, comps in chunks for piece in _box_order(comps)))
+    los, his = zip(*(piece for comps in chunks for piece in _box_order(comps)))
     return np.stack(los, axis=1), np.stack(his, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# the transform and its dual on points
-
-
-def apply_x(f, interval, x):
-    """Line transform of f at x: integral of f(gamma(x, s)) over s in I.
-
-    Exact for box unions and simple functions.  Accepts a single point (d,)
-    or a batch (n, d).
-    """
-    if isinstance(f, BoxUnionSet):
-        return fiber_measure_batch(f, x, interval)
-    if isinstance(f, SimpleFunction):
-        return fiber_measure_batch(f.region, x, interval, weights=f.box_weights)
-    raise TypeError(f"unsupported integrand type: {type(f).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,15 @@ def test_non_finite_point_is_usage_error(monkeypatch, tmp_path, capsys):
     assert "points must be finite" in capsys.readouterr().err
 
 
+def test_unrepresentable_cell_count_is_usage_error(tmp_path, capsys):
+    """A cell width that cuts a fiber into 2^63 or more cells is refused
+    with exit 2 and no report, not cast to a wrapped count and passed."""
+    out = tmp_path / "t.csv"
+    assert run(["refine", "--cell-width", "1e-300", "--output", str(out)]) == USAGE
+    assert "2^63 or more cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["jacobian", "--config", str(tmp_path / "nope.json")]) == USAGE
 

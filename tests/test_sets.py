@@ -66,14 +66,18 @@ def test_union_rejects_overlap():
 
 @st.composite
 def grid_boxes(draw):
-    """Small boxes on an integer grid, so touching and overlapping are exact."""
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 8))
-    boxes = []
-    for _ in range(n):
-        lo = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+    """Up to about 40 boxes on an integer grid, so touching and overlapping
+    are exact: distinct unit cells, which touch but never overlap, with up
+    to three boxes of integer sides (0 included) put in among them."""
+    d = draw(st.integers(1, 4))
+    corner = st.lists(st.integers(0, 5), min_size=d, max_size=d)
+    n = draw(st.integers(0, min(40, 6**d)))
+    cells = draw(st.lists(st.integers(0, 6**d - 1), min_size=n, max_size=n, unique=True))
+    boxes = [[[a, a + 1] for a in np.unravel_index(c, (6,) * d)] for c in cells]
+    for _ in range(draw(st.integers(0 if boxes else 1, 3))):
+        lo = draw(corner)
         width = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
-        boxes.append([[a, a + w] for a, w in zip(lo, width)])
+        boxes.insert(draw(st.integers(0, len(boxes))), [[a, a + w] for a, w in zip(lo, width)])
     return np.array(boxes, dtype=float)
 
 
@@ -97,17 +101,24 @@ def test_disjointness_check_matches_pairwise_reference(bounds):
     else:
         with pytest.raises(ValueError, match=f"boxes {pair[0]} and {pair[1]} overlap"):
             BoxUnionSet(bounds)
-    assert BoxUnionSet(bounds, validate=False).n_boxes == len(bounds)
 
 
 def test_disjointness_check_spans_blocks():
-    """300 touching unit cells in a row need a second block of rows; there
-    a box's index is its block offset plus its row in the block."""
+    """300 touching unit cells in a row: touching cells are no candidates
+    of the sweep, and a late box overlapping two cells is reported with the
+    lower one, by its index in the input, not its sorted position."""
     chain = np.array([[[k, k + 1], [0, 1]] for k in range(300)], dtype=float)
     assert BoxUnionSet(chain).measure == 300.0
     chain[-1] = [[270.5, 271.5], [0.5, 1.5]]  # overlaps cell 270 and cell 271
     with pytest.raises(ValueError, match="boxes 270 and 299 overlap"):
         BoxUnionSet(chain)
+
+
+def test_disjointness_check_does_not_underflow():
+    """Two equal [0, 1e-100]^4 boxes overlap although the volume of their
+    overlap, 1e-400, underflows to 0: each side is tested, not the product."""
+    with pytest.raises(ValueError, match="boxes 0 and 1 overlap"):
+        BoxUnionSet(np.array([[[0.0, 1e-100]] * 4] * 2))
 
 
 def test_union_first_axis_span():
@@ -147,6 +158,15 @@ def test_fiber_empty_inputs_dropped():
     for pieces in ([(1.0, 0.0)], [(np.nan, 1.0)], [(0.5, 0.5)]):
         rows, centers, widths = _cells(pieces, 0.25)
         assert rows.size == centers.size == widths.size == 0
+
+
+def test_fiber_cells_refuse_a_count_past_int64():
+    """A fiber that needs 2^63 or more cells is refused, not given a count
+    that wraps around on the cast to int64."""
+    for length, max_width in ((1.0, 1e-300), (2.0**63, 1.0), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match="2\\^63 or more cells"):
+            _cells([(0.0, length)], max_width)
+    assert _cells([(0.0, 2.0**62)], 2.0**60)[2].tolist() == [2.0**60] * 4
 
 
 def test_fiber_cells_preserve_measure():

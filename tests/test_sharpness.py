@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.special import zeta as scipy_zeta
 
-from momentray.lorentz import lorentz_norm, lp_norm
+from momentray.lorentz import SimpleFunction, lorentz_norm, lp_norm
 from momentray.sets import BoxUnionSet, Interval
 from momentray.corpus import build_default_corpus
 from momentray.transform import fiber_measure_batch, region_cell_values
@@ -166,11 +166,42 @@ def test_family_piece_geometry():
     assert f.support_measures == pytest.approx(2.0**3 * ks**-m, rel=1e-12)
     centers = np.stack([np.zeros(4), ks**2, ks**3], axis=1)
     np.testing.assert_allclose(0.5 * (f.region.los + f.region.his), centers, rtol=1e-12)
-    assert f(centers).tolist() == [1.0] * 4
+    assert f.region.contains_batch(centers).all() and f.weights.tolist() == [1.0] * 4
     g = build_xf_lower_bound(spec)
     assert g.region.n_boxes == g.support_measures.size == 4
     assert g.support_measures == pytest.approx(ks**-m, rel=1e-12)
     np.testing.assert_array_equal(g.weights, 1.0 / ks)
+
+
+def test_family_past_256_pieces_is_checked(monkeypatch):
+    """A 300-piece family is checked for disjointness like any other: with
+    piece 280 moved onto the center of piece 281 before the family is
+    built, it is refused, and the message names both."""
+
+    def moved(weights, bounds, **kwargs):
+        assert bounds.shape[0] == 300
+        bounds[280] += (bounds[281] - bounds[280]).mean(axis=1, keepdims=True)
+        return SimpleFunction(weights, bounds, **kwargs)
+
+    monkeypatch.setattr(sharpness, "SimpleFunction", moved)
+    with pytest.raises(ValueError, match="boxes 280 and 281 overlap"):
+        build_counterexample_f(CounterexampleSpec(dim=3, n_start=2, k_max=301))
+
+
+def test_large_family_check_bounds_memory():
+    """Building a 20,000-piece d = 3 family, its disjointness check
+    included, peaks near 9 MB under tracemalloc.  The bound leaves no room
+    for all-pairs tests: 256 rows of them against 20,000 boxes in d = 3 are
+    123 MB of floats."""
+    spec = CounterexampleSpec(dim=3, n_start=2, k_max=20_001)
+    tracemalloc.start()
+    try:
+        f = build_counterexample_f(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.region.n_boxes == 20_000
+    assert peak < 30_000_000
 
 
 def test_truncated_lp_matches_closed_form_tail():
@@ -319,10 +350,10 @@ def test_verify_minorant_d4_slack_nonnegative():
 
 
 def test_verify_minorant_d4_bounds_memory():
-    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 5.1 MB under
-    tracemalloc, most of it the family's disjointness check; the kernel's
-    box chunks add about 0.7 MB.  Holding the (boxes, points) arrays whole
-    peaks near 20 MB."""
+    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 0.85 MB
+    under tracemalloc, most of it the kernel's box chunks; the family's
+    disjointness check, a sweep, adds about 0.1 MB.  Holding the
+    (boxes, points) arrays whole peaks near 20 MB."""
     spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)
     verify_minorant(spec)
     tracemalloc.start()
@@ -332,7 +363,7 @@ def test_verify_minorant_d4_bounds_memory():
     finally:
         tracemalloc.stop()
     assert slack == -0.009259259259259259
-    assert peak < 8_000_000
+    assert peak < 2_000_000
 
 
 def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
@@ -342,13 +373,13 @@ def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
 
     spec = CounterexampleSpec(dim=3, n_start=4, k_max=40)
     seen = []
-    real_apply_x = sharpness.apply_x
+    real_fiber_measure_batch = sharpness.fiber_measure_batch
 
-    def recording_apply_x(f, interval, x):
-        seen.append(np.array(x))
-        return real_apply_x(f, interval, x)
+    def recording_fiber_measure_batch(region, points, interval):
+        seen.append(np.array(points))
+        return real_fiber_measure_batch(region, points, interval)
 
-    monkeypatch.setattr(sharpness, "apply_x", recording_apply_x)
+    monkeypatch.setattr(sharpness, "fiber_measure_batch", recording_fiber_measure_batch)
     slack = verify_minorant(spec, seed=11)
     assert len(seen) == 1
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from momentray import transform
 from momentray.acceptance import random_box_pair
-from momentray.lorentz import SimpleFunction
 from momentray.refinement import build_tower
 from momentray.sets import BoxUnionSet, fiber_cells
 from momentray.sharpness import (
@@ -22,7 +21,6 @@ from momentray.sharpness import (
 from momentray.transform import (
     QuadSpec,
     adjointness_gap,
-    apply_x,
     bilinear_form,
     bilinear_form_dual,
     fiber_measure_batch,
@@ -264,8 +262,8 @@ def _assert_runs_equal(runs):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_family_values_same_at_every_chunk_size(monkeypatch, d):
-    """Weighted fiber measures on the 197-box family (the route
-    verify_minorant takes) are bit for bit the same at every chunk size.
+    """Fiber measures on the 197-box family (the route verify_minorant
+    takes) are bit for bit the same at every chunk size.
     One point in every third minorant piece (66 points) keeps the one-box,
     one-point passes few, and the default splits the boxes into two chunks.
     At d = 4 the pieces from k = 91 on round to zero width, so about half
@@ -276,7 +274,7 @@ def test_family_values_same_at_every_chunk_size(monkeypatch, d):
     assert f.region.n_boxes == 197 and 1 < math.ceil(197 / (_DEFAULT_BLOCK_ROWS // len(pts))) < 197
 
     def compute():
-        return [fiber_measure_batch(f.region, pts, (-1.0, 1.0), weights=f.box_weights)]
+        return [fiber_measure_batch(f.region, pts, (-1.0, 1.0))]
 
     runs = _at_every_chunk_size(monkeypatch, compute)
     assert np.count_nonzero(runs[0][0]) > 30
@@ -342,16 +340,11 @@ def test_non_finite_points_are_refused(bad, axis):
     point and route, not given fiber measure 0 or NaN."""
     pts = np.array([[0.5, 0.5], [0.25, 0.75]])
     pts[1, axis] = bad
-    f = SimpleFunction([2.0], [UNIT2])
-    calls = [
-        lambda: apply_x(UNIT2, (0.0, 1.0), pts),
-        lambda: apply_x(f, (0.0, 1.0), pts),
-        lambda: apply_x(UNIT2, (0.0, 1.0), pts[1]),
-    ]
+    calls = []
     for dual in (False, True):
         calls += [
             lambda: fiber_measure_batch(UNIT2, pts, (0.0, 1.0), dual=dual),
-            lambda: fiber_measure_batch(UNIT2, pts, (0.0, 1.0), dual=dual, weights=[2.0]),
+            lambda: fiber_measure_batch(UNIT2, pts[1], (0.0, 1.0), dual=dual),
             lambda: fiber_pieces(UNIT2, pts, (0.0, 1.0), dual=dual),
         ]
         for call in calls:
@@ -362,8 +355,8 @@ def test_non_finite_points_are_refused(bad, axis):
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
-    """On a union of at least three boxes, fiber measures (plain and
-    weighted) and fiber_pieces are bit for bit the same at every chunk size,
+    """On a union of at least three boxes, fiber measures and fiber_pieces
+    are bit for bit the same at every chunk size,
     and fiber_pieces returns the per-box reference loop's arrays, shape and
     column order included.  The points have both signs of x1 and rows with
     x1 = 0 (so chunks disagree on whether the vertical-line branch runs),
@@ -375,13 +368,11 @@ def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
     region = F if dual else E
     pts = rng.uniform(-1.2, 1.2, size=(150, d))
     pts[[3, 50, 51, 120], 0] = 0.0
-    weights = rng.uniform(0.5, 2.0, region.n_boxes)
     interval = (-1.1, 1.1)
 
     def compute():
         return [
             fiber_measure_batch(region, pts, interval, dual=dual),
-            fiber_measure_batch(region, pts, interval, dual=dual, weights=weights),
             *fiber_pieces(region, pts, interval, dual=dual),
         ]
 
@@ -389,7 +380,7 @@ def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
     assert np.count_nonzero(runs[0][0]) > 30 and np.count_nonzero(runs[0][0][pts[:, 0] == 0.0])
     _assert_runs_equal(runs)
     reference = _reference_fiber_pieces(region, pts, interval, dual)
-    for got, want in zip(runs[0][2:], reference):
+    for got, want in zip(runs[0][1:], reference):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if dual and d > 2:
         assert reference[0].shape[1] > region.n_boxes
@@ -580,7 +571,6 @@ def test_unrepresentable_intervals_are_refused(bad):
     calls = [
         lambda: fiber_measure_batch(UNIT2, [(0.5, 0.5)], bad),
         lambda: fiber_pieces(UNIT2, [(0.5, 0.5)], bad),
-        lambda: apply_x(UNIT2, bad, (0.5, 0.5)),
         lambda: bilinear_form(UNIT2, UNIT2, bad),
         lambda: bilinear_form_dual(UNIT2, UNIT2, bad),
         lambda: build_tower(UNIT2, UNIT2, bad, (0.0, 1.0)),
@@ -633,87 +623,14 @@ def test_adjointness_small_gap_and_coverage_errors():
         bilinear_form_dual(E, F, (0.0, 0.8))  # window misses F
 
 
-def test_apply_x_scales_with_simple_function_weight():
-    f = SimpleFunction([2.0], [UNIT2])
-    pts = np.array([[1.0, 0.5], [0.0, 0.5], [0.5, 0.2]])
-    doubled = apply_x(f, (0.0, 1.0), pts)
-    plain = apply_x(UNIT2, (0.0, 1.0), pts)
-    assert np.allclose(doubled, 2.0 * plain)
-    assert plain[0] == pytest.approx(0.5)
-
-
-def _per_support_sum(weights, supports, interval, pts):
-    """The transform of sum_k w_k 1_{support k}, one support at a time,
-    summed in support order."""
-    out = np.zeros(pts.shape[0])
-    for w, support in zip(weights, supports):
-        out += w * fiber_measure_batch(support, pts, interval)
-    return out
-
-
-def _sample_points(seed, d, n=64):
-    rng = np.random.default_rng(seed)
-    return rng.uniform([-1.5] + [-1.0] * (d - 1), [1.5] + [1.0] * (d - 1), size=(n, d))
-
-
-def test_apply_x_single_box_supports_bit_identical():
-    """One stacked pass adds w * |fiber| box by box in support order, which
-    for single-box supports is exactly the per-support sum."""
-    for d in (2, 3, 4):
-        boxes = [np.array([[k / 4.0 - 1.0, k / 4.0 - 0.75]] + [[-0.5, 0.5]] * (d - 1)) for k in range(8)]
-        weights, supports = np.linspace(0.3, 2.9, 8), [BoxUnionSet([b]) for b in boxes]
-        f = SimpleFunction(weights, supports)
-        pts = _sample_points(d, d, n=256)
-        want = _per_support_sum(weights, supports, (-1.0, 1.0), pts)
-        assert np.array_equal(apply_x(f, (-1.0, 1.0), pts), want)
-
-
-@st.composite
-def simple_functions(draw):
-    """(weights, supports) of several terms with multi-box supports, cut from
-    one union of disjoint slabs, with weights spanning two orders of magnitude."""
-    d = draw(st.integers(2, 4))
-    region = draw(box_unions(d, max_boxes=6))
-    n_terms = draw(st.integers(1, region.n_boxes))
-    inner = st.integers(1, region.n_boxes - 1) if region.n_boxes > 1 else st.nothing()
-    cuts = sorted(draw(st.lists(inner, min_size=n_terms - 1, max_size=n_terms - 1, unique=True)))
-    bounds = [np.stack([lo, hi], axis=1) for lo, hi in zip(region.los, region.his)]
-    groups = [bounds[a:b] for a, b in zip([0] + cuts, cuts + [len(bounds)])]
-    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(groups), max_size=len(groups)))
-    return weights, [BoxUnionSet(g) for g in groups]
-
-
-@given(simple_functions(), st.integers(0, 2**16))
-@settings(max_examples=50, deadline=None)
-def test_apply_x_stacked_matches_per_support_sum(terms, seed):
-    weights, supports = terms
-    f = SimpleFunction(weights, supports)
-    pts = _sample_points(seed, f.region.dim)
-    interval = (-1.25, 1.25)
-    want = _per_support_sum(weights, supports, interval, pts)
-    np.testing.assert_allclose(apply_x(f, interval, pts), want, rtol=1e-12, atol=0.0)
-    # per-box weights on the dual route, whose boxes can yield two components
-    bounds = np.concatenate([s.bounds for s in supports])
-    box_weights = np.repeat(weights, [s.n_boxes for s in supports])
-    assert np.array_equal(f.region.bounds, bounds) and np.array_equal(f.box_weights, box_weights)
-    singles = sum(
-        w * fiber_measure_batch(BoxUnionSet([b]), pts, interval, dual=True) for w, b in zip(box_weights, bounds)
-    )
-    weighted = fiber_measure_batch(f.region, pts, interval, dual=True, weights=f.box_weights)
-    np.testing.assert_allclose(weighted, singles, rtol=1e-12, atol=0.0)
-
-
-def test_apply_x_stacked_shapes_and_refusals():
+def test_fiber_shapes_and_refusals():
     pair = BoxUnionSet([np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[2.0, 3.0], [0.0, 1.0]])])
-    f = SimpleFunction([1.0, 0.5], [UNIT2, pair])
-    assert apply_x(f, (0.0, 1.0), np.empty((0, 2))).shape == (0,)
     for dual in (False, True):
-        assert all(a.shape == (0, 3) for a in fiber_pieces(f.region, np.empty((0, 2)), (0.0, 1.0), dual=dual))
-    assert isinstance(apply_x(f, (0.0, 1.0), np.array([0.5, 0.5])), float)
-    with pytest.raises(ValueError, match="dimension"):
-        apply_x(f, (0.0, 1.0), np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="one weight per box"):
-        fiber_measure_batch(UNIT2, np.zeros((4, 2)), (0.0, 1.0), weights=[1.0, 2.0])
+        assert fiber_measure_batch(pair, np.empty((0, 2)), (0.0, 1.0), dual=dual).shape == (0,)
+        assert all(a.shape == (0, 2) for a in fiber_pieces(pair, np.empty((0, 2)), (0.0, 1.0), dual=dual))
+        assert isinstance(fiber_measure_batch(pair, np.array([0.5, 0.5]), (0.0, 1.0), dual=dual), float)
+        with pytest.raises(ValueError, match="dimension"):
+            fiber_measure_batch(pair, np.zeros((4, 3)), (0.0, 1.0), dual=dual)
 
 
 def test_quadspec_validation():
