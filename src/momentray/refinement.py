@@ -118,8 +118,8 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     clears the keep_fraction bar (at level 1 every nonempty fiber), and cuts
     the kept fibers into cells, which become the level's nodes.  When the n
     cells exceed config.max_nodes, a sorted draw of max_nodes cell indices
-    (default_rng(seed + label), without replacement) picks the nodes before
-    any node row is built, and their weights carry the factor
+    (default_rng(seed + label), without replacement) picks the nodes, and
+    fiber_cells cuts only those cells; their weights carry the factor
     n / max_nodes.  The top level's nodes are not stepped to points, since
     no level reads them.  Raises TowerCollapse when a level empties.
     """
@@ -158,16 +158,13 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
             raise TowerCollapse(label)
 
         kept = np.flatnonzero(keep)
-        rows, centers, cell_widths = fiber_cells(los[kept], his[kept], config.cell_width)
+        rows, centers, cell_widths, n = fiber_cells(
+            los[kept], his[kept], config.cell_width, config.max_nodes, config.seed + label
+        )
         parent_idx = kept[rows]
         weights = weights[parent_idx]
-        n = parent_idx.size
         if n > config.max_nodes:
-            sub_rng = np.random.default_rng(config.seed + label)
-            pick = np.sort(sub_rng.choice(n, size=config.max_nodes, replace=False))
-            parent_idx, centers = parent_idx[pick], centers[pick]
-            cell_widths = cell_widths[pick]
-            weights = weights[pick] * (n / config.max_nodes)
+            weights *= n / config.max_nodes
         params = np.concatenate([params[parent_idx], centers[:, None]], axis=1)
         widths = np.concatenate([widths[parent_idx], cell_widths[:, None]], axis=1)
         node_vols = widths.prod(axis=1) * weights

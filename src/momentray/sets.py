@@ -128,16 +128,21 @@ def as_interval(value):
     return value if isinstance(value, Interval) else Interval(*value)
 
 
-def fiber_cells(los, his, max_width):
+def fiber_cells(los, his, max_width, max_cells=None, seed=0):
     """Cut every row's fiber into equal cells of width at most max_width.
 
     los and his are (n, k) piece endpoints as transform.fiber_pieces returns
     them; a piece with his < los or a NaN end is empty.  Each row's pieces
     are sorted, touching or overlapping ones merged with a running maximum,
     and every merged interval of positive length is cut into
-    max(1, ceil(length / max_width)) equal cells; a count of 2^63 or more
-    is refused.  Returns (rows, centers, widths), one entry per cell, ordered
-    by row and then along the line; a row's widths sum to its fiber measure.
+    max(1, ceil(length / max_width)) equal cells; a count, or a total over
+    all rows, of 2^63 or more is refused.  When the total n exceeds
+    max_cells, only a sorted draw of max_cells cell indices
+    (default_rng(seed), without replacement) is built, each found in its
+    merged interval by a search in the running counts.  Returns (rows,
+    centers, widths, n), one entry per built cell, ordered by row and then
+    along the line; a row's widths sum to its fiber measure when every cell
+    is built.
     """
     if not max_width > 0:
         raise ValueError("max_width must be positive")
@@ -160,6 +165,17 @@ def fiber_cells(los, his, max_width):
     if not np.all(cells < 2.0**63):
         raise ValueError(f"a fiber needs 2^63 or more cells of width {max_width}")
     counts = np.maximum(1, cells.astype(int))
-    width = np.repeat(length / counts, counts)
-    index = np.arange(width.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(rows, counts), np.repeat(lo, counts) + (index + 0.5) * width, width
+    ends = np.cumsum(counts)
+    # counts are below 2^63, so a total past it wraps to a smaller running sum
+    if np.any(ends[1:] <= ends[:-1]):
+        raise ValueError(f"the fibers need 2^63 or more cells of width {max_width} in all")
+    n = int(counts.sum())
+    if max_cells is None or n <= max_cells:
+        segment = np.repeat(np.arange(counts.size), counts)
+        cell = np.arange(n)
+    else:
+        cell = np.sort(np.random.default_rng(seed).choice(n, size=max_cells, replace=False))
+        segment = np.searchsorted(ends, cell, side="right")
+    index = cell - (ends - counts)[segment]
+    width = (length / counts)[segment]
+    return rows[segment], lo[segment] + (index + 0.5) * width, width, n

@@ -239,6 +239,15 @@ def test_unrepresentable_cell_count_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fine_cell_width_cuts_only_the_kept_cells(tmp_path):
+    """At width 1e-12 every level holds about 1e12 cells or more; only the
+    max_nodes drawn ones are cut, so the run passes instead of asking for
+    all of them at once."""
+    out = tmp_path / "t.csv"
+    assert run(["refine", "--cell-width", "1e-12", "--output", str(out)]) == 0
+    assert out.exists()
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["jacobian", "--config", str(tmp_path / "nope.json")]) == USAGE
 

@@ -1,6 +1,9 @@
 """Tests for the deterministic configuration corpus."""
 
+import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,9 @@ from momentray.corpus import (
 from momentray.transform import QuadSpec, bilinear_form
 
 PROBE = QuadSpec(step=1.0 / 64.0)
+
+# per CORPUS_VERSION, the SHA-256 of the sorted-key JSON of every entry in order
+CORPUS_SHA256 = {1: "6be75fd84240d918a5694d0459c9744ec1f30ca324299598a9b3fa4e48207f55"}
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +40,33 @@ def test_corpus_dimensions_covered(corpus):
     assert "family" in tags and "random" in tags
 
 
+def test_corpus_is_pinned(corpus):
+    text = json.dumps([entry_to_jsonable(e) for e in corpus], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256.get(CORPUS_VERSION), (
+        "the default corpus changed: bump CORPUS_VERSION and record the new hash"
+    )
+
+
 def test_every_entry_is_incident(corpus):
+    """Every entry pairs above 1e-5 at step 1/64; the frozen random unions,
+    kept by a draw-and-probe loop at that bar, above 1e-4."""
     for entry in corpus:
         t = bilinear_form(entry.E, entry.F, entry.interval, PROBE)
-        assert t > 1e-5, entry.entry_id
+        assert t > (1e-4 if "random" in entry.tags else 1e-5), entry.entry_id
+
+
+def test_build_imports_no_random_or_polynomial():
+    """A corpus build in a fresh interpreter draws nothing and pairs nothing,
+    so it loads neither numpy.random nor numpy.polynomial."""
+    code = (
+        "import sys\n"
+        "from momentray.corpus import build_default_corpus\n"
+        "build_default_corpus()\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'numpy.polynomial'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_intervals_cover_first_axis_spans(corpus):

@@ -143,7 +143,7 @@ def test_union_dilation_measure_exponent(delta):
 
 def _cells(pieces, max_width):
     los, his = np.array(pieces, dtype=float).T
-    return fiber_cells(los[None, :], his[None, :], max_width)
+    return fiber_cells(los[None, :], his[None, :], max_width)[:3]
 
 
 def test_fiber_merging_and_measure():
@@ -167,12 +167,18 @@ def test_fiber_cells_refuse_a_count_past_int64():
         with pytest.raises(ValueError, match="2\\^63 or more cells"):
             _cells([(0.0, length)], max_width)
     assert _cells([(0.0, 2.0**62)], 2.0**60)[2].tolist() == [2.0**60] * 4
+    # each row fits, the total does not: refused before any cell is drawn
+    los, his = np.zeros((2, 1)), np.full((2, 1), 2.0**62)
+    with pytest.raises(ValueError, match="2\\^63 or more cells .* in all"):
+        fiber_cells(los, his, 1.0, max_cells=10)
+    assert fiber_cells(los[:1], his[:1], 1.0, max_cells=10)[3] == 2**62
 
 
 def test_fiber_cells_preserve_measure():
     los = np.array([[0.0, 2.0], [1.0, 0.0]])
     his = np.array([[1.0, 2.3], [0.0, 0.1]])  # row 1: one empty piece
-    rows, centers, widths = fiber_cells(los, his, max_width=0.25)
+    rows, centers, widths, n = fiber_cells(los, his, max_width=0.25)
+    assert n == rows.size
     assert np.all(widths <= 0.25 + 1e-12)
     assert widths[rows == 0].sum() == pytest.approx(1.3)
     assert widths[rows == 1].sum() == pytest.approx(0.1)

@@ -559,11 +559,22 @@ def piece_arrays(draw):
 @given(piece_arrays(), st.sampled_from([0.05, 0.3, 1.0, 4.0]))
 @settings(max_examples=200, deadline=None)
 def test_fiber_cells_match_reference_merge_and_cut(pieces, max_width):
-    got = fiber_cells(*pieces, max_width)
+    """The full cut equals the reference; a capped cut builds exactly the
+    drawn cells of it, bit for bit."""
+    *got, n = fiber_cells(*pieces, max_width)
     ref = _reference_cells(*pieces, max_width)
+    assert n == ref[0].size
     for g, r in zip(got, ref):
         assert g.shape == r.shape
         assert g.tobytes() == r.astype(g.dtype).tobytes()
+    max_cells = max(1, n // 3)
+    *capped, capped_n = fiber_cells(*pieces, max_width, max_cells, seed=5)
+    assert capped_n == n
+    pick = np.arange(n)
+    if n > max_cells:
+        pick = np.sort(np.random.default_rng(5).choice(n, size=max_cells, replace=False))
+    for c, g in zip(capped, got):
+        assert c.tobytes() == g[pick].tobytes()
 
 
 @pytest.mark.parametrize("bad", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
