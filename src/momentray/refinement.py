@@ -116,11 +116,10 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     level, the first included, takes the exact fibers of the previous
     level's nodes (of the base alone at first), keeps the nodes whose fiber
     clears the keep_fraction bar (at level 1 every nonempty fiber), and cuts
-    the kept fibers into cells, which become the level's nodes.  When the n
-    cells exceed config.max_nodes, a sorted draw of max_nodes cell indices
-    (default_rng(seed + label), without replacement) picks the nodes, and
-    fiber_cells cuts only those cells; their weights carry the factor
-    n / max_nodes.  The top level's nodes are not stepped to points, since
+    the kept fibers into cells, which become the level's nodes.  Past
+    config.max_nodes cells, fiber_cells (seeded seed + label) cuts only a
+    draw of max_nodes of them, and the nodes' weights carry the factor it
+    returns.  The top level's nodes are not stepped to points, since
     no level reads them.  Raises TowerCollapse when a level empties.
     """
     config = config or TowerConfig()
@@ -158,13 +157,11 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
             raise TowerCollapse(label)
 
         kept = np.flatnonzero(keep)
-        rows, centers, cell_widths, n = fiber_cells(
+        rows, centers, cell_widths, scale = fiber_cells(
             los[kept], his[kept], config.cell_width, config.max_nodes, config.seed + label
         )
         parent_idx = kept[rows]
-        weights = weights[parent_idx]
-        if n > config.max_nodes:
-            weights *= n / config.max_nodes
+        weights = weights[parent_idx] * scale
         params = np.concatenate([params[parent_idx], centers[:, None]], axis=1)
         widths = np.concatenate([widths[parent_idx], cell_widths[:, None]], axis=1)
         node_vols = widths.prod(axis=1) * weights

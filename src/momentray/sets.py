@@ -128,7 +128,7 @@ def as_interval(value):
     return value if isinstance(value, Interval) else Interval(*value)
 
 
-def fiber_cells(los, his, max_width, max_cells=None, seed=0):
+def fiber_cells(los, his, max_width, max_cells, seed):
     """Cut every row's fiber into equal cells of width at most max_width.
 
     los and his are (n, k) piece endpoints as transform.fiber_pieces returns
@@ -138,10 +138,11 @@ def fiber_cells(los, his, max_width, max_cells=None, seed=0):
     max(1, ceil(length / max_width)) equal cells; a count, or a total over
     all rows, of 2^63 or more is refused.  When the total n exceeds
     max_cells, only a sorted draw of max_cells cell indices
-    (default_rng(seed), without replacement) is built, each found in its
-    merged interval by a search in the running counts.  Returns (rows,
-    centers, widths, n), one entry per built cell, ordered by row and then
-    along the line; a row's widths sum to its fiber measure when every cell
+    (default_rng(seed), without replacement) is built; each cell is found in
+    its merged interval by a search in the running counts.  Returns (rows,
+    centers, widths, scale), one entry per built cell, ordered by row and
+    then along the line, with scale = n / max_cells when cells were drawn and
+    1.0 otherwise; a row's widths sum to its fiber measure when every cell
     is built.
     """
     if not max_width > 0:
@@ -170,12 +171,12 @@ def fiber_cells(los, his, max_width, max_cells=None, seed=0):
     if np.any(ends[1:] <= ends[:-1]):
         raise ValueError(f"the fibers need 2^63 or more cells of width {max_width} in all")
     n = int(counts.sum())
-    if max_cells is None or n <= max_cells:
-        segment = np.repeat(np.arange(counts.size), counts)
-        cell = np.arange(n)
+    if n <= max_cells:
+        cell, scale = np.arange(n), 1.0
     else:
         cell = np.sort(np.random.default_rng(seed).choice(n, size=max_cells, replace=False))
-        segment = np.searchsorted(ends, cell, side="right")
+        scale = n / max_cells
+    segment = np.searchsorted(ends, cell, side="right")
     index = cell - (ends - counts)[segment]
     width = (length / counts)[segment]
-    return rows[segment], lo[segment] + (index + 0.5) * width, width, n
+    return rows[segment], lo[segment] + (index + 0.5) * width, width, scale

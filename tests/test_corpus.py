@@ -57,12 +57,17 @@ def test_every_entry_is_incident(corpus):
 
 def test_build_imports_no_random_or_polynomial():
     """A corpus build in a fresh interpreter draws nothing and pairs nothing,
-    so it loads neither numpy.random nor numpy.polynomial."""
+    so it loads no numpy.random or numpy.polynomial module that importing
+    numpy and the corpus module had not loaded (numpy 1.x loads them all
+    eagerly, numpy 2.x on first use)."""
     code = (
         "import sys\n"
+        "import numpy\n"
         "from momentray.corpus import build_default_corpus\n"
+        "before = set(sys.modules)\n"
         "build_default_corpus()\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'numpy.polynomial'))))"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new if m.startswith(('numpy.random', 'numpy.polynomial'))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Tests for the greedy refinement towers and their oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -146,7 +147,9 @@ def _reference_tower(E, F, interval, window, start, config):
         if not keep.any():
             raise TowerCollapse(label)
         kept = np.flatnonzero(keep)
-        rows, centers, cell_widths, _ = fiber_cells(los[kept], his[kept], config.cell_width)
+        rows, centers, cell_widths, _ = fiber_cells(
+            los[kept], his[kept], config.cell_width, math.inf, 0
+        )
         parent_idx = kept[rows]
         params = np.concatenate([params[parent_idx], centers[:, None]], axis=1)
         widths = np.concatenate([widths[parent_idx], cell_widths[:, None]], axis=1)

@@ -1,5 +1,7 @@
 """Intervals, boxes, disjoint unions, and fiber cells."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,7 +145,7 @@ def test_union_dilation_measure_exponent(delta):
 
 def _cells(pieces, max_width):
     los, his = np.array(pieces, dtype=float).T
-    return fiber_cells(los[None, :], his[None, :], max_width)[:3]
+    return fiber_cells(los[None, :], his[None, :], max_width, math.inf, 0)[:3]
 
 
 def test_fiber_merging_and_measure():
@@ -170,21 +172,21 @@ def test_fiber_cells_refuse_a_count_past_int64():
     # each row fits, the total does not: refused before any cell is drawn
     los, his = np.zeros((2, 1)), np.full((2, 1), 2.0**62)
     with pytest.raises(ValueError, match="2\\^63 or more cells .* in all"):
-        fiber_cells(los, his, 1.0, max_cells=10)
-    assert fiber_cells(los[:1], his[:1], 1.0, max_cells=10)[3] == 2**62
+        fiber_cells(los, his, 1.0, 10, 0)
+    assert fiber_cells(los[:1], his[:1], 1.0, 10, 0)[3] == 2.0**62 / 10
 
 
 def test_fiber_cells_preserve_measure():
     los = np.array([[0.0, 2.0], [1.0, 0.0]])
     his = np.array([[1.0, 2.3], [0.0, 0.1]])  # row 1: one empty piece
-    rows, centers, widths, n = fiber_cells(los, his, max_width=0.25)
-    assert n == rows.size
+    rows, centers, widths, scale = fiber_cells(los, his, 0.25, math.inf, 0)
+    assert scale == 1.0
     assert np.all(widths <= 0.25 + 1e-12)
     assert widths[rows == 0].sum() == pytest.approx(1.3)
     assert widths[rows == 1].sum() == pytest.approx(0.1)
     inside = (los[rows] <= centers[:, None]) & (centers[:, None] <= his[rows])
     assert inside.any(axis=1).all()
     with pytest.raises(ValueError):
-        fiber_cells(los, his, max_width=0.0)
+        fiber_cells(los, his, 0.0, math.inf, 0)
     with pytest.raises(ValueError, match="max_width"):
-        fiber_cells(los, his, max_width=float("nan"))
+        fiber_cells(los, his, float("nan"), math.inf, 0)

@@ -559,20 +559,22 @@ def piece_arrays(draw):
 @given(piece_arrays(), st.sampled_from([0.05, 0.3, 1.0, 4.0]))
 @settings(max_examples=200, deadline=None)
 def test_fiber_cells_match_reference_merge_and_cut(pieces, max_width):
-    """The full cut equals the reference; a capped cut builds exactly the
-    drawn cells of it, bit for bit."""
-    *got, n = fiber_cells(*pieces, max_width)
+    """The full cut equals the reference; a capped cut builds max_cells
+    distinct cells of it, bit for bit and in order, scaled by n / max_cells."""
+    *got, scale = fiber_cells(*pieces, max_width, math.inf, 0)
     ref = _reference_cells(*pieces, max_width)
-    assert n == ref[0].size
+    assert scale == 1.0
     for g, r in zip(got, ref):
         assert g.shape == r.shape
         assert g.tobytes() == r.astype(g.dtype).tobytes()
+    n = got[0].size
     max_cells = max(1, n // 3)
-    *capped, capped_n = fiber_cells(*pieces, max_width, max_cells, seed=5)
-    assert capped_n == n
-    pick = np.arange(n)
-    if n > max_cells:
-        pick = np.sort(np.random.default_rng(5).choice(n, size=max_cells, replace=False))
+    *capped, capped_scale = fiber_cells(*pieces, max_width, max_cells, 5)
+    assert capped_scale == (n / max_cells if n > max_cells else 1.0)
+    # (row, center) names a cell of the full cut: centers rise along each row
+    position = {(r, c): i for i, (r, c) in enumerate(zip(*got[:2]))}
+    pick = np.array([position[r, c] for r, c in zip(*capped[:2])], dtype=int)
+    assert pick.size == min(n, max_cells) and np.all(np.diff(pick) > 0)
     for c, g in zip(capped, got):
         assert c.tobytes() == g[pick].tobytes()
 
