@@ -3,19 +3,17 @@
 Each criterion is a plain function returning a CriterionResult so tests and
 the CLI share the exact same checks.  Each bound is stated once, as a Gate
 row; the verdict, the PASS/FAIL line and the deterministic CSV/JSON reports
-(no timestamps, repr'd floats), which the determinism criterion
-byte-compares, are all read from those rows.
+(no timestamps, repr'd floats) are all read from those rows.  The reports are
+rendered to bytes in memory: the determinism criterion byte-compares them
+and the CLI writes them.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -137,7 +135,7 @@ def random_box_pair(d, rng, max_boxes=2):
     return union(n_e), union(n_f)
 
 
-def criterion_1_jacobian_constancy(seed=0, profile="full"):
+def criterion_1_jacobian_constancy(seed, profile):
     """Numeric/factored determinant ratio is a dimensional constant.
 
     Gated over both map families and every dimension: the worst relative
@@ -167,7 +165,7 @@ def criterion_1_jacobian_constancy(seed=0, profile="full"):
     return CriterionResult(1, "jacobian-constancy", gates, info)
 
 
-def criterion_2_adjointness(seed=0, profile="full"):
+def criterion_2_adjointness(seed, profile):
     """Forward and dual pairings agree on random box pairs.
 
     Gated: the worst relative gap, default quadrature, in each of d = 2, 3.
@@ -188,7 +186,7 @@ def criterion_2_adjointness(seed=0, profile="full"):
     return CriterionResult(2, "adjointness", gates, info)
 
 
-def criterion_3_unit_square_pairing(seed=0, profile="full"):
+def criterion_3_unit_square_pairing(seed, profile):
     """Unit-square pairing and testing ratios equal their hand values.
 
     For E = F = [0,1]^2 and I = [0,1] the pairing is
@@ -215,7 +213,7 @@ def criterion_3_unit_square_pairing(seed=0, profile="full"):
     return CriterionResult(3, "unit-square-pairing", gates, info)
 
 
-def criterion_4_family_scaling(seed=0, profile="full"):
+def criterion_4_family_scaling(seed, profile):
     """Norm decay of the shrinking family matches the exact exponents.
 
     Gated for d = 2, 3, 4: the relative error of both fitted slopes against
@@ -268,7 +266,7 @@ def _random_simple_function(rng, d):
     return SimpleFunction(weights, supports)
 
 
-def criterion_5_lorentz_identity(seed=0, profile="full"):
+def criterion_5_lorentz_identity(seed, profile):
     """Lorentz norm at equal exponents reproduces the Lebesgue norm.
 
     Gated: the worst relative disagreement with the Lebesgue norm on random
@@ -299,7 +297,7 @@ def criterion_5_lorentz_identity(seed=0, profile="full"):
     return CriterionResult(5, "lorentz-identity", gates, {"functions": count})
 
 
-def criterion_6_testing_ratio_floor(seed=0, profile="full"):
+def criterion_6_testing_ratio_floor(seed, profile):
     """Two-sided testing ratios hold a positive floor over the corpus.
 
     Gated: the corpus floor of max(ratio_E, ratio_F), and the worst factor
@@ -330,7 +328,7 @@ def criterion_6_testing_ratio_floor(seed=0, profile="full"):
     return CriterionResult(6, "testing-ratio-floor", gates, info)
 
 
-def criterion_7_rich_set_floors(seed=0, profile="full"):
+def criterion_7_rich_set_floors(seed, profile):
     """Rich-subset ratios stay above their measured floors on the corpus.
 
     Gated, with bounds pinned at roughly half to a quarter of the measured
@@ -358,7 +356,7 @@ def criterion_7_rich_set_floors(seed=0, profile="full"):
     return CriterionResult(7, "rich-set-floors", gates, {"entries": len(corpus)})
 
 
-def criterion_8_tower_oracle(seed=0, profile="full"):
+def criterion_8_tower_oracle(seed, profile):
     """Plane towers match exhaustive enumeration and their invariants.
 
     Gated: the fraction of sampled tuples passing the structural check, and
@@ -401,8 +399,8 @@ def criterion_8_tower_oracle(seed=0, profile="full"):
     return CriterionResult(8, "tower-oracle", gates, info)
 
 
-def criterion_9_determinism(seed=0, profile="full", results=None):
-    """Two quick suite runs with one seed produce byte-identical reports.
+def criterion_9_determinism(seed, profile, results=None):
+    """Two quick runs of criteria 1-8 with one seed render byte-identical reports.
 
     results, when given, are criteria 1-8 of the quick run this criterion
     belongs to: their reports are one side and one fresh quick rerun the
@@ -411,10 +409,14 @@ def criterion_9_determinism(seed=0, profile="full", results=None):
     """
 
     def rerun():
-        return run_suite(seed=seed, profile="quick", include_determinism=False).results
+        return [
+            fn(seed=seed, profile="quick")
+            for fn in ALL_CRITERIA
+            if fn is not criterion_9_determinism
+        ]
 
-    first = _quick_report_bytes(rerun() if results is None else results, seed)
-    identical = first == _quick_report_bytes(rerun(), seed)
+    first = _render_reports(rerun() if results is None else results, seed, "quick")
+    identical = first == _render_reports(rerun(), seed, "quick")
     gates = [Gate("identical", identical, "==", True)]
     return CriterionResult(9, "determinism", gates, {"files": len(first)})
 
@@ -436,9 +438,8 @@ ALL_CRITERIA = (
 class SuiteResult:
     results: list
     passed: bool
-    profile: str
-    seed: int
     seconds: dict  # criterion index -> wall seconds; never in the reports
+    reports: dict  # report file name -> its bytes
 
 
 def _text(value):
@@ -447,28 +448,27 @@ def _text(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_reports(outdir, suite):
-    os.makedirs(outdir, exist_ok=True)
+def _render_reports(results, seed, profile):
+    """The bytes of each report file of a run with these results, by file name."""
     meta = {
         "suite": "momentray-acceptance",
         "version": __version__,
         "corpus_version": CORPUS_VERSION,
-        "seed": suite.seed,
-        "profile": suite.profile,
+        "seed": seed,
+        "profile": profile,
     }
-    with open(os.path.join(outdir, "acceptance_results.csv"), "w") as fh:
-        fh.writelines(f"# {key}={value}\n" for key, value in meta.items())
-        fh.write("criterion,name,status,metric,value,op,bound,headroom\n")
-        for res in suite.results:
-            head = f"{res.index},{res.name},{'pass' if res.passed else 'fail'}"
-            for key, value in res.info.items():
-                fh.write(f"{head},{key},{_text(value)},,,\n")
-            for g in res.gates:
-                cells = (g.metric, g.value, g.op, g.bound, g.headroom)
-                fh.write(f"{head},{','.join(map(_text, cells))}\n")
+    lines = [f"# {key}={value}\n" for key, value in meta.items()]
+    lines.append("criterion,name,status,metric,value,op,bound,headroom\n")
+    for res in results:
+        head = f"{res.index},{res.name},{'pass' if res.passed else 'fail'}"
+        for key, value in res.info.items():
+            lines.append(f"{head},{key},{_text(value)},,,\n")
+        for g in res.gates:
+            cells = (g.metric, g.value, g.op, g.bound, g.headroom)
+            lines.append(f"{head},{','.join(map(_text, cells))}\n")
     payload = {
         **meta,
-        "passed": suite.passed,
+        "passed": all(r.passed for r in results),
         "criteria": [
             {
                 "index": res.index,
@@ -477,37 +477,27 @@ def _write_reports(outdir, suite):
                 "details": res.details,
                 "gates": [{**asdict(g), "headroom": g.headroom} for g in res.gates],
             }
-            for res in suite.results
+            for res in results
         ],
     }
-    with open(os.path.join(outdir, "acceptance_summary.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return {
+        "acceptance_results.csv": "".join(lines).encode(),
+        "acceptance_summary.json": summary.encode(),
+    }
 
 
-def _quick_report_bytes(results, seed):
-    """The bytes of each report file a quick run with these results writes."""
-    passed = all(r.passed for r in results)
-    suite = SuiteResult(results, passed, "quick", seed, seconds={})
-    with tempfile.TemporaryDirectory() as tmp:
-        _write_reports(tmp, suite)
-        return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
-
-
-def run_suite(outdir=None, seed=0, profile="full", include_determinism=True, stream=None):
-    """Run the acceptance criteria, write reports, and print one line per
-    criterion to stream when one is given."""
+def run_suite(seed=0, profile="full", stream=None):
+    """Run the acceptance criteria, render their reports, and print one line
+    per criterion to stream when one is given."""
     if profile not in ("full", "quick"):
         raise ValueError("profile must be 'full' or 'quick'")
     results = []
     seconds = {}
     for fn in ALL_CRITERIA:
         kwargs = {}
-        if fn is criterion_9_determinism:
-            if not include_determinism:
-                continue
-            if profile == "quick":  # full-profile results are not quick ones
-                kwargs["results"] = list(results)
+        if fn is criterion_9_determinism and profile == "quick":
+            kwargs["results"] = list(results)  # full-profile results are not quick ones
         start = time.perf_counter()
         res = fn(seed=seed, profile=profile, **kwargs)
         seconds[res.index] = time.perf_counter() - start
@@ -515,13 +505,9 @@ def run_suite(outdir=None, seed=0, profile="full", include_determinism=True, str
         if stream is not None:
             stream.write(f"{res.line()} [{seconds[res.index]:.1f}s]\n")
             stream.flush()
-    suite = SuiteResult(
+    return SuiteResult(
         results=results,
         passed=all(r.passed for r in results),
-        profile=profile,
-        seed=seed,
         seconds=seconds,
+        reports=_render_reports(results, seed, profile),
     )
-    if outdir is not None:
-        _write_reports(outdir, suite)
-    return suite

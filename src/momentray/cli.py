@@ -8,7 +8,8 @@ produce byte-identical files.  A sibling manifest records config hash, seed,
 tool version, output digests, and wall time; wall time lives only there.
 
 Exit codes: 0 all checks pass, 1 a check fails or the input sets have no
-incidence to measure, 2 configuration error.
+incidence to measure, 2 configuration error (a size that cannot be allocated
+included).
 """
 
 from __future__ import annotations
@@ -603,21 +604,17 @@ def cmd_refine(params):
 
 
 def cmd_acceptance(params):
-    """Runs the suite and writes its own reports; returns no Report."""
+    """Runs the suite and writes its report bytes; returns no Report."""
     outdir = params["outdir"]
     started = time.perf_counter()
-    suite = run_suite(
-        outdir=outdir,
-        seed=params["seed"],
-        profile=params["profile"],
-        include_determinism=True,
-        stream=sys.stdout,
-    )
+    suite = run_suite(seed=params["seed"], profile=params["profile"], stream=sys.stdout)
     if outdir:
-        outputs = [
-            os.path.join(outdir, name)
-            for name in ("acceptance_results.csv", "acceptance_summary.json")
-        ]
+        os.makedirs(outdir, exist_ok=True)
+        outputs = []
+        for name, data in suite.reports.items():
+            outputs.append(os.path.join(outdir, name))
+            with open(outputs[-1], "wb") as fh:
+                fh.write(data)
         _write_manifest(
             os.path.join(outdir, "manifest.json"),
             "acceptance",
@@ -775,7 +772,7 @@ def main(argv=None):
     except NoIncidence as exc:
         sys.stderr.write(f"measured failure: {exc}\n")
         return FAIL
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return USAGE
 

@@ -124,11 +124,6 @@ def psi_map_closed(base, params):
     return out
 
 
-def closed_form_degree(d):
-    """Polynomial degree of the factored Jacobian determinant."""
-    return d * (d - 1) // 2
-
-
 def jacobian_closed_form(kind, base_first, params):
     """Factored Jacobian determinant with the dimensional constant set to 1.
 

@@ -105,7 +105,8 @@ def dilate_configuration(E, F, interval, delta):
 class CounterexampleSpec:
     """Index range for the multi-scale example family.
 
-    Pieces are indexed k = n_start, n_start+1, ..., k_max.
+    Pieces are indexed k = n_start, n_start+1, ..., k_max; a range of more
+    than MAX_MATERIALIZED_BOXES pieces is refused here.
     """
 
     dim: int
@@ -123,23 +124,18 @@ class CounterexampleSpec:
             raise ValueError("n_start must be at least 2")
         if self.k_max < self.n_start:
             raise ValueError("k_max must be at least n_start")
-
-
-def resolve_k_max(spec):
-    """The spec's truncation index, refused past the box budget."""
-    count = spec.k_max - spec.n_start + 1
-    if count > MAX_MATERIALIZED_BOXES:
-        raise ValueError(
-            f"k_max materializes {count} boxes; limit is {MAX_MATERIALIZED_BOXES}"
-        )
-    return spec.k_max
+        count = self.k_max - self.n_start + 1
+        if count > MAX_MATERIALIZED_BOXES:
+            raise ValueError(
+                f"k_max materializes {count} boxes; limit is {MAX_MATERIALIZED_BOXES}"
+            )
 
 
 def _family(spec, half_scale, weight_of):
     """Pieces k = n_start..k_max: weight_of(k) on the box with half-sides
     half_scale k^-i centered at (0, k^2, ..., k^d), as one (n, d, 2) stack."""
     d = spec.dim
-    ks = np.arange(spec.n_start, resolve_k_max(spec) + 1).astype(float)
+    ks = np.arange(spec.n_start, spec.k_max + 1).astype(float)
     center = np.zeros((ks.size, d))
     center[:, 1:] = ks[:, None] ** np.arange(2, d + 1)
     half = half_scale / ks[:, None] ** np.arange(1, d + 1)

@@ -163,33 +163,39 @@ def test_criterion_9_fails_on_seeded_nondeterminism(monkeypatch, profile):
 
 @pytest.mark.parametrize("profile, reruns", [("quick", 1), ("full", 2)])
 def test_criterion_9_rerun_count(monkeypatch, profile, reruns):
-    def constant(seed=0, profile="full"):
+    """The quick run is compared with one fresh quick rerun, the full run
+    renders two; each rerun calls criteria 1-8 once, inside one suite run."""
+    calls = []
+
+    def constant(seed, profile):
+        calls.append(profile)
         return acceptance.CriterionResult(1, "constant", [Gate("value", 1, "==", 1)], {})
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", (constant, criterion_9_determinism))
     real = acceptance.run_suite
-    nested = []
+    entries = []
 
     def counting(*args, **kwargs):
-        nested.append(kwargs.get("profile"))
+        entries.append(kwargs.get("profile"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(acceptance, "run_suite", counting)
-    suite = real(seed=0, profile=profile, stream=None)
+    suite = acceptance.run_suite(seed=0, profile=profile, stream=None)
     assert suite.passed, [r.line() for r in suite.results]
-    assert nested == ["quick"] * reruns
+    assert calls == [profile] + ["quick"] * reruns
+    assert entries == [profile]
 
 
-def test_quick_suite_end_to_end(tmp_path, capsys):
-    suite = run_suite(outdir=str(tmp_path), seed=0, profile="quick", stream=sys.stdout)
+def test_quick_suite_end_to_end(capsys):
+    suite = run_suite(seed=0, profile="quick", stream=sys.stdout)
     out = capsys.readouterr().out
     assert suite.passed
     assert out.count("[PASS]") == 9
-    assert (tmp_path / "acceptance_results.csv").exists()
-    assert (tmp_path / "acceptance_summary.json").exists()
+    assert sorted(suite.reports) == ["acceptance_results.csv", "acceptance_summary.json"]
     rows = [(r.index, g.metric, g.op, g.bound) for r in suite.results for g in r.gates]
     assert rows == QUICK_GATES
-    summary = json.loads((tmp_path / "acceptance_summary.json").read_text())
+    summary = json.loads(suite.reports["acceptance_summary.json"])
+    assert summary["profile"] == "quick" and summary["seed"] == 0
     reported = [
         (c["index"], g["metric"], g["op"], g["bound"])
         for c in summary["criteria"]
@@ -201,7 +207,7 @@ def test_quick_suite_end_to_end(tmp_path, capsys):
             assert crit["details"][g["metric"]] == g["value"]
             if g["op"] != "==":
                 assert g["headroom"] >= 0.0
-    csv_lines = (tmp_path / "acceptance_results.csv").read_text().splitlines()
+    csv_lines = suite.reports["acceptance_results.csv"].decode().splitlines()
     gate_cells = [line.split(",")[5] for line in csv_lines if line[0].isdigit()]
     assert len([op for op in gate_cells if op]) == len(QUICK_GATES)
 
@@ -244,5 +250,5 @@ def test_seeded_check_rwt_defects_fail_criterion_3(monkeypatch, defect):
     monkeypatch.setattr(
         acceptance, "check_rwt", lambda *args, **kw: defect(real(*args, **kw))
     )
-    res = criterion_3_unit_square_pairing()
+    res = criterion_3_unit_square_pairing(seed=0, profile="full")
     assert not res.passed, res.line()

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from momentray import cli, refinement
+from momentray.acceptance import run_suite
 from momentray.corpus import CorpusEntry, build_default_corpus, save_corpus
 from momentray.sets import BoxUnionSet, Interval
 
@@ -173,6 +175,20 @@ def test_every_subcommand_reads_every_key_it_declares(monkeypatch, mini_corpus_p
         assert run([name, *argv]) in (PASS, FAIL), name
         declared = {param.key for param in cli.COMMANDS[name].params}
         assert recorders[name].read == declared, name
+
+
+def test_unallocatable_size_is_usage_error(monkeypatch, mini_corpus_path, capsys):
+    """A size that needs more memory than the machine has is a configuration
+    error; numpy raises MemoryError for it (a quadrature step of 1e-12 asks
+    for terabytes), simulated here so no real allocation is tried."""
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "check_rwt", refuse)
+    assert run(["rwt", "--corpus", mini_corpus_path]) == USAGE
+    err = capsys.readouterr().err
+    assert err == "configuration error: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_no_incidence_is_measured_failure(tmp_path, capsys):
@@ -411,19 +427,33 @@ def test_refine_json_report(tmp_path):
     assert tower["levels"][0]["n_nodes"] > 0
 
 
-def test_acceptance_quick_suite(tmp_path, capsys):
+def test_acceptance_quick_suite(tmp_path, capsys, monkeypatch):
+    suites = []
+
+    def recording_run_suite(**kwargs):
+        suites.append(run_suite(**kwargs))
+        return suites[-1]
+
+    monkeypatch.setattr(cli, "run_suite", recording_run_suite)
     outdir = tmp_path / "suite"
     assert run(["acceptance", "--profile", "quick", "--outdir", str(outdir)]) == PASS
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 9
     assert "suite: PASS" in out
-    assert (outdir / "acceptance_results.csv").exists()
-    assert (outdir / "acceptance_summary.json").exists()
-    assert (outdir / "manifest.json").exists()
+    # the command writes exactly the report bytes the suite rendered, and the
+    # manifest records their digests
+    (suite,) = suites
+    written = sorted(p.name for p in outdir.iterdir())
+    assert written == sorted([*suite.reports, "manifest.json"])
+    for name, data in suite.reports.items():
+        assert (outdir / name).read_bytes() == data
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["outputs"] == {
+        name: hashlib.sha256(data).hexdigest() for name, data in suite.reports.items()
+    }
     summary = json.loads((outdir / "acceptance_summary.json").read_text())
     assert summary["passed"] is True
     # per-criterion wall time goes to the manifest only, never the reports
-    manifest = json.loads((outdir / "manifest.json").read_text())
     assert sorted(manifest["criterion_seconds"], key=int) == [
         str(i) for i in range(1, 10)
     ]

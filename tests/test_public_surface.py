@@ -11,6 +11,9 @@ caller that reaches it.
 """
 
 import ast
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import momentray
@@ -20,7 +23,6 @@ PACKAGE = Path(momentray.__file__).parent
 # Reached only from tests or the benchmark on purpose.
 EXEMPT = {
     "geometry.psi_map_closed": "test oracle for the psi recursion",
-    "geometry.closed_form_degree": "test oracle for the scaling degree of the factored Jacobian",
     "refinement.rasterized_image_measure": "test oracle for the image-volume lower bound",
     "corpus.save_corpus": "tests write corpus files for the CLI with it",
     "sharpness.dilate_configuration": "test oracle for dilation invariance of the testing ratios",
@@ -126,21 +128,7 @@ DEFAULT_EXEMPT = {
     "refinement.build_tower.base": "tests pin a hand-placed base point with it",
     "acceptance.random_box_pair.max_boxes": "tests draw 3-box unions with it",
     "transform.CellBlock.corner_values": "bench/layers.py reads the field",
-    **{
-        f"acceptance.{name}.{param}": "run_suite sets it through ALL_CRITERIA"
-        for name, params in (
-            ("criterion_1_jacobian_constancy", ("seed", "profile")),
-            ("criterion_2_adjointness", ("seed", "profile")),
-            ("criterion_3_unit_square_pairing", ("seed", "profile")),
-            ("criterion_4_family_scaling", ("seed", "profile")),
-            ("criterion_5_lorentz_identity", ("seed", "profile")),
-            ("criterion_6_testing_ratio_floor", ("seed", "profile")),
-            ("criterion_7_rich_set_floors", ("seed", "profile")),
-            ("criterion_8_tower_oracle", ("seed", "profile")),
-            ("criterion_9_determinism", ("seed", "profile", "results")),
-        )
-        for param in params
-    },
+    "acceptance.criterion_9_determinism.results": "run_suite passes it through ALL_CRITERIA in the quick profile",
 }
 
 
@@ -276,3 +264,27 @@ def test_every_default_is_set_by_a_caller_in_src_or_bench():
 
 def test_default_exemptions_name_existing_unset_defaults():
     assert set(DEFAULT_EXEMPT) <= _unset_defaults()
+
+
+# ---------------------------------------------------------------------------
+# the package itself holds only its version
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    """Callers import each name from its defining submodule, so importing
+    the bare package loads none of them, and no numpy."""
+    code = (
+        "import sys, momentray\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('momentray.') or m.split('.')[0] == 'numpy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_version_matches_pyproject():
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert declared is not None
+    assert momentray.__version__ == declared.group(1)

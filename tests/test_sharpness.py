@@ -36,7 +36,6 @@ from momentray.sharpness import (
     predicted_f_slope,
     predicted_xf_slope,
     region_contains,
-    resolve_k_max,
     scaling_experiment,
     superlevel_mass_check,
     verify_minorant,
@@ -124,10 +123,13 @@ def test_rwt_ratios_invariant_under_dilation():
 # the sharp example family
 
 
-def test_resolve_k_max_rules():
-    assert resolve_k_max(CounterexampleSpec(dim=2, n_start=4, k_max=9)) == 9
-    with pytest.raises(ValueError):
-        resolve_k_max(CounterexampleSpec(dim=2, n_start=2, k_max=10_000_000))
+def test_spec_refuses_more_pieces_than_the_box_budget():
+    limit = sharpness.MAX_MATERIALIZED_BOXES
+    assert CounterexampleSpec(dim=2, n_start=2, k_max=limit + 1).k_max == limit + 1
+    with pytest.raises(ValueError, match="materializes"):
+        CounterexampleSpec(dim=2, n_start=2, k_max=limit + 2)
+    with pytest.raises(ValueError, match="materializes"):
+        CounterexampleSpec(dim=2, n_start=2, k_max=10_000_000)
 
 
 def test_spec_validation():
