@@ -224,8 +224,7 @@ class Report:
     The columns are the keys of the first row, in order.
 
     A command whose JSON form is not its rows passes that document as
-    json_payload; JSON output then writes it, to stdout when no output
-    path is given.
+    json_payload, and JSON output writes it in place of the rows.
     """
 
     def __init__(self, command, params, rows, extra_meta=None, json_payload=None):
@@ -278,6 +277,7 @@ class Report:
 
 def _emit(report, params, passed, started):
     out, fmt = params["output"], params["format"]
+    verdict = sys.stdout
     if out:
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         with open(out, "w") as fh:
@@ -289,16 +289,18 @@ def _emit(report, params, passed, started):
             out + ".manifest.json", report.command, params, [out], started
         )
         sys.stdout.write(f"wrote {out}\n")
-    elif fmt == "json" and report.json_payload:
+    elif fmt == "json":
         report.write_json(sys.stdout)
+        verdict = sys.stderr  # stdout holds the one JSON document alone
     else:
         report.print_table(sys.stdout)
     if passed is not None:
-        sys.stdout.write("verdict: " + ("PASS" if passed else "FAIL") + "\n")
+        verdict.write("verdict: " + ("PASS" if passed else "FAIL") + "\n")
 
 
 def _write_manifest(path, command, params, outputs, started, **timings):
-    canon = {k: v for k, v in params.items() if k != "output"}
+    # where the outputs go is no part of the configuration
+    canon = {k: v for k, v in params.items() if k not in ("output", "outdir")}
     blob = json.dumps(canon, sort_keys=True, default=str).encode()
     manifest = {
         "command": command,

@@ -1,9 +1,9 @@
 """Fixed corpus of set-pair configurations for the inequality sweeps.
 
-The corpus is data written in code (and can be round-tripped through JSON),
-so measured constants are comparable across runs and machines.  Every entry
-keeps the parameter interval over the source set's first-axis span and the
-window over the target's, which the pairing identity requires.
+The corpus is data written in code (load_corpus reads one of the same form
+from JSON), so measured constants are comparable across runs and machines.
+Every entry keeps the parameter interval over the source set's first-axis
+span and the window over the target's, which the pairing identity requires.
 
 The eight ``random`` entries are frozen seed-7 draws: unions of two or three
 cells of a lattice on [-1, 1]^d, held as flat cell indices.  A loop once
@@ -86,15 +86,11 @@ def _box(*sides):
 
 def _family_piece_entry(d, k):
     spec = CounterexampleSpec(dim=d, n_start=k, k_max=k)
-    E = build_counterexample_f(spec).region
-    F = build_xf_lower_bound(spec).region
-    return CorpusEntry(
-        entry_id=f"d{d}-family-k{k}",
-        E=E,
-        F=F,
-        interval=E.first_axis_span(),
-        window=F.first_axis_span(),
-        tags=("family",),
+    return _entry(
+        f"d{d}-family-k{k}",
+        build_counterexample_f(spec).region.bounds,
+        build_xf_lower_bound(spec).region.bounds,
+        ("family",),
     )
 
 
@@ -241,18 +237,6 @@ def build_default_corpus():
     return entries
 
 
-def entry_to_jsonable(entry):
-    return {
-        "id": entry.entry_id,
-        "dim": entry.dim,
-        "E": entry.E.to_jsonable(),
-        "F": entry.F.to_jsonable(),
-        "interval": [entry.interval.lo, entry.interval.hi],
-        "window": [entry.window.lo, entry.window.hi],
-        "tags": list(entry.tags),
-    }
-
-
 def entry_from_jsonable(data):
     entry = CorpusEntry(
         entry_id=data["id"],
@@ -268,16 +252,6 @@ def entry_from_jsonable(data):
             f"{entry.dim}-d boxes"
         )
     return entry
-
-
-def save_corpus(entries, path):
-    payload = {
-        "version": CORPUS_VERSION,
-        "entries": [entry_to_jsonable(e) for e in entries],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_corpus(path):

@@ -9,8 +9,8 @@ Alternating compositions of the two produce the iterated incidence maps
 (phi starts with gamma_star, psi starts with gamma).  Their Jacobian
 determinants factor into explicit products of parameter differences times
 a dimensional constant; the constant is measured numerically, never
-assumed.  Every function here takes one point or parameter vector, or a
-batch of them stacked along the leading axis.
+assumed.  The line steps take one point or a batch stacked along the
+leading axis; the Jacobians take a batch and return one value per row.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ MAP_KINDS = (PHI, PSI)
 def _check_kind(kind):
     if kind not in MAP_KINDS:
         raise ValueError(f"kind must be one of {MAP_KINDS}, got {kind!r}")
-
-
-def _as_point(x):
-    p = np.asarray(x, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("point must be a 1-d sequence with at least 2 coordinates")
-    return p
 
 
 def line_step(points, values, dual):
@@ -95,35 +88,6 @@ def split_params(kind, base_first, params):
     return chain, params[..., 0::2]
 
 
-def psi_map_closed(base, params):
-    """Non-recursive form of the psi map, used to cross-check the recursion.
-
-    With t1 = x1 and exponent e = coordinate index - 1:
-
-        even d: (t_{k+1}, ..., x_i + sum_j (t_j^e - t_{j+1}^e) s_j, ...)
-        odd d:  (s_{k+1}, ..., same sum + s_{k+1} t_{k+1}^e, ...)
-    """
-    p = _as_point(base)
-    params = np.asarray(params, dtype=float)
-    d = p.size
-    if params.size != d:
-        raise ValueError("closed form needs a full parameter vector (length d)")
-    k = d // 2
-    t, s = split_params(PSI, p[0], params)
-    exps = np.arange(1, d)
-    tp = t[:, None] ** exps[None, :]
-    out = np.empty_like(p)
-    # pairs (t_j, t_{j+1}) for j = 1..k multiply s_1..s_k
-    acc = p[1:] + ((tp[:k] - tp[1 : k + 1]) * s[:k, None]).sum(axis=0)
-    if d % 2 == 0:
-        out[0] = t[k]
-        out[1:] = acc
-    else:
-        out[0] = s[k]
-        out[1:] = acc + s[k] * tp[k]
-    return out
-
-
 def jacobian_closed_form(kind, base_first, params):
     """Factored Jacobian determinant with the dimensional constant set to 1.
 
@@ -135,14 +99,11 @@ def jacobian_closed_form(kind, base_first, params):
     psi, d = 2k+1: prod_{j=1..k} (s_{j+1} - s_j) * prod_{2<=j<l<=k+1} (t_j - t_l)^4
                    * prod_{j=2..k+1} (t_j - t_1)^2
 
-    Chains use s0 = x1 (phi) and t1 = x1 (psi).  One parameter vector (d,)
-    gives a float; a batch (n, d), with base_first a number or (n,), gives
-    an (n,) array.  One vector is evaluated as a batch of one, so its value
-    is bit-identical to its row of any batch (numpy's array power and its
-    scalar power may differ in the last bit).
+    Chains use s0 = x1 (phi) and t1 = x1 (psi).  params is a batch (n, d)
+    (one vector (d,) is a batch of one) and base_first a number or (n,);
+    the result is an (n,) array.
     """
     _check_kind(kind)
-    single = np.ndim(params) == 1
     params = np.atleast_2d(np.asarray(params, dtype=float))
     d = params.shape[-1]
     if d < 2:
@@ -170,21 +131,20 @@ def jacobian_closed_form(kind, base_first, params):
             for l in range(j + 1, k + 1):
                 result = result * (t[..., j] - t[..., l]) ** 4
         result = result * np.prod((t[..., 1 : k + 1] - t[..., 0, None]) ** 2, axis=-1)
-    return float(result[0]) if single else result
+    return result
 
 
 def jacobian_numeric(kind, base, params):
     """Jacobian determinant of the iterated map by central differences.
 
-    base and params are one point and parameter vector (d,), giving a float,
-    or one of each per row (n, d), giving an (n,) array.  Each column uses
-    step h_j = 1e-4 * (1 + |p_j|); the determinant is recomputed at half
-    step and each row's Richardson pair must agree to 1e-5 relative,
+    base and params hold one point and parameter vector per row (n, d)
+    (one pair (d,) is a batch of one); the result is an (n,) array.  Each
+    column uses step h_j = 1e-4 * (1 + |p_j|); the determinant is recomputed
+    at half step and each row's Richardson pair must agree to 1e-5 relative,
     otherwise its parameters are treated as degenerate.  Both steps of every
     row go through one incidence pass and one stacked determinant.
     """
     _check_kind(kind)
-    single = np.ndim(params) == 1
     p = np.atleast_2d(np.asarray(params, dtype=float))
     base = np.atleast_2d(np.asarray(base, dtype=float))
     if p.ndim != 2 or base.shape != p.shape or p.shape[1] < 2:
@@ -208,8 +168,7 @@ def jacobian_numeric(kind, base, params):
             "finite-difference determinants disagree beyond tolerance; "
             "parameters are likely near-degenerate"
         )
-    result = (4.0 * det_half - det_full) / 3.0
-    return float(result[0]) if single else result
+    return (4.0 * det_half - det_full) / 3.0
 
 
 def _stratified(rng, count):

@@ -77,31 +77,6 @@ def lorentz_norm_from_steps(values, measures, s, r):
     return float(terms.sum() ** (1.0 / r))
 
 
-def blockwise_lorentz_norm(values, measures, s, r):
-    """ell^r aggregate of per-level Lorentz norms.
-
-    Each (value, measure) pair is scored as its own characteristic bump,
-    v (s/r)^{1/r} m^{1/s}, and the scores combine in ell^r:
-    ((s/r) sum_k v_k^r m_k^{r/s})^{1/r}.  For profiles whose levels live at
-    well separated scales this tracks the large-N behaviour of the true
-    norm while staying a clean power sum; it is the functional the scaling
-    study fits.
-    """
-    v = np.asarray(values, dtype=float)
-    mu = np.asarray(measures, dtype=float)
-    if v.shape != mu.shape or v.ndim != 1:
-        raise ValueError("values and measures must be 1-d arrays of equal size")
-    s = float(s)
-    if not s > 0:
-        raise ValueError("s must be positive")
-    if np.isinf(r):
-        return float(np.max(v * mu ** (1.0 / s)))
-    r = float(r)
-    if not r > 0:
-        raise ValueError("r must be positive")
-    return float(((s / r) * np.sum(v**r * mu ** (r / s))) ** (1.0 / r))
-
-
 def lorentz_norm(f, s, r):
     """Lorentz norm of a simple function, exact via its step profile."""
     if np.any(f.support_measures <= 0):

@@ -252,45 +252,6 @@ def image_volume_lower_bound(tower):
     return float((vols * (jac * constant)).sum())
 
 
-def _map_param_grid(tower, offs):
-    """Image points of an offs-grid placed inside every top cell."""
-    top = tower.top
-    axes = top.params[:, :, None] + offs * top.widths[:, :, None]  # (n, 2, m)
-    grid = np.stack(np.broadcast_arrays(axes[:, 0, :, None], axes[:, 1, None, :]), axis=-1)
-    return incidence_path(tower.base, grid.reshape(-1, 2), tower.start)[-1]
-
-
-_RASTER_N = 256
-
-
-def rasterized_image_measure(tower):
-    """Direct image-volume estimate for plane towers by rasterization.
-
-    Maps a grid inside every top cell through the incidence map and counts
-    hit cells of a 256 x 256 raster over the image bounding box.  The grid
-    density is chosen so neighbouring image points land within one raster
-    cell of each other (estimated from cell-corner displacements), otherwise
-    the count undershoots through coverage gaps.
-    """
-    if tower.dim != 2:
-        raise ValueError("rasterization oracle is for dimension 2 only")
-    corners = _map_param_grid(tower, np.array([-0.5, 0.5]))
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    cell = span / _RASTER_N
-    quad = corners.reshape(-1, 2, 2, 2)
-    step_a = np.abs(quad[:, 1, :, :] - quad[:, 0, :, :]) / cell
-    step_b = np.abs(quad[:, :, 1, :] - quad[:, :, 0, :]) / cell
-    needed = max(step_a.max(), step_b.max())
-    sub = int(np.clip(np.ceil(1.5 * needed), 3, 64))
-    offs = (np.arange(sub) + 0.5) / sub - 0.5
-    points = _map_param_grid(tower, offs)
-    ij = np.clip(((points - lo) / cell).astype(int), 0, _RASTER_N - 1)
-    flat = np.unique(ij[:, 0] * _RASTER_N + ij[:, 1])
-    return flat.size * float(cell.prod())
-
-
 def tower_report(tower):
     """Pairing value, per-level predicted averages, and the image integral."""
     t_value = bilinear_form(tower.E, tower.F, tower.interval)

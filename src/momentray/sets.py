@@ -112,9 +112,6 @@ class BoxUnionSet:
         powers = float(delta) ** np.arange(1, self.dim + 1)
         return BoxUnionSet(self.bounds * powers[:, None])
 
-    def to_jsonable(self):
-        return self.bounds.tolist()
-
     def __repr__(self):
         return f"BoxUnionSet(dim={self.dim}, n_boxes={self.n_boxes}, measure={self.measure:g})"
 

@@ -299,10 +299,7 @@ class FitResult:
     """Least-squares power-law fit on log-log axes."""
 
     slope: float
-    intercept: float
     residual: float
-    x_min: float
-    x_max: float
 
 
 def fit_power_law(xs, ys):
@@ -317,13 +314,7 @@ def fit_power_law(xs, ys):
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     fitted = A @ coef
     residual = float(np.sqrt(np.mean((ly - fitted) ** 2)))
-    return FitResult(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        residual=residual,
-        x_min=float(xs.min()),
-        x_max=float(xs.max()),
-    )
+    return FitResult(slope=float(coef[0]), residual=residual)
 
 
 def predicted_f_slope(d):
@@ -464,7 +455,6 @@ class Lemma2Report:
     ratio: float
     subset_measure: float
     rhs: float
-    hypothesis_min: float
     theta: float
     region_measure: float
 
@@ -493,13 +483,11 @@ def _grid(source, region, interval, grid_n, dual):
 
 
 def _rich(vals, vols, theta):
-    """Measure, pairing and smallest value of the rich set {vals >= theta}."""
+    """Measure and pairing of the rich set {vals >= theta}, refused when empty."""
     mask = vals >= theta
-    return (
-        float(vols[mask].sum()),
-        float((vals[mask] * vols[mask]).sum()),
-        float(vals[mask].min()),
-    )
+    if not mask.any():
+        raise ValueError(f"no grid value reaches the threshold {theta!r}")
+    return float(vols[mask].sum()), float((vals[mask] * vols[mask]).sum())
 
 
 # thresholds of the shrinking sweep, as fractions of the largest grid value
@@ -508,21 +496,21 @@ _SWEEP_FRACS = (0.3, 0.45, 0.6, 0.75, 0.9)
 
 def _check_theta_frac(theta_frac):
     # a fraction of the average in (0, 1] keeps the rich region non-empty
-    # (the largest cell value is at least the average) and the bound real
+    # (the largest cell value is at least the average; at 1 a constant grid's
+    # average can round above it, which _rich refuses) and the bound real
     if not 0.0 < theta_frac <= 1.0:
         raise ValueError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
 
 
 def _primal_report(E, vals, vols, theta, kind):
     """Score the rich region {vals >= theta} against the primal bound on |E|."""
-    g_measure, t_over_g, hypothesis_min = _rich(vals, vols, theta)
+    g_measure, t_over_g = _rich(vals, vols, theta)
     rhs = _primal_rhs(E.dim, theta, t_over_g / g_measure, t_over_g / E.measure)
     return Lemma2Report(
         kind=kind,
         ratio=math.inf if rhs == 0.0 else E.measure / rhs,
         subset_measure=E.measure,
         rhs=rhs,
-        hypothesis_min=hypothesis_min,
         theta=theta,
         region_measure=g_measure,
     )
@@ -572,14 +560,13 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32):
     _check_theta_frac(theta_frac)
     vals, vols, t_grid = _grid(F, E, window, grid_n, dual=True)
     theta = theta_frac * t_grid / E.measure
-    h_measure, t_over_h, hypothesis_min = _rich(vals, vols, theta)
+    h_measure, t_over_h = _rich(vals, vols, theta)
     rhs = _dual_rhs(E.dim, theta, t_over_h / F.measure, t_over_h / h_measure)
     return Lemma2Report(
         kind="dual-grid",
         ratio=math.inf if rhs == 0.0 else F.measure / rhs,
         subset_measure=F.measure,
         rhs=rhs,
-        hypothesis_min=hypothesis_min,
         theta=theta,
         region_measure=h_measure,
     )
@@ -597,12 +584,10 @@ class SuperlevelMassReport:
     c0: float
     theta: float
     g_measure: float
-    f_measure: float
     t_total: float
     t_inside: float
     t_outside: float
     constant: float
-    q_prime: float
     grid_n: int
 
 
@@ -626,17 +611,15 @@ def superlevel_mass_check(E, F, interval, grid_n=48):
     order = np.argsort(-vals)
     held = np.cumsum(vals[order] * vols[order])
     theta = float(vals[order[np.searchsorted(held, 0.5 * t_total)]])
-    g_measure, t_inside, _ = _rich(vals, vols, theta)
+    g_measure, t_inside = _rich(vals, vols, theta)
     return SuperlevelMassReport(
         epsilon=eps,
         c0=theta / theta_unit,
         theta=theta,
         g_measure=g_measure,
-        f_measure=F.measure,
         t_total=t_total,
         t_inside=t_inside,
         t_outside=t_total - t_inside,
         constant=g_measure / (eps**q_prime * F.measure),
-        q_prime=q_prime,
         grid_n=grid_n,
     )

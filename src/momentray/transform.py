@@ -225,11 +225,13 @@ def _fiber_points(region, points):
 
 
 def fiber_measure_batch(region, points, interval, dual=False):
-    """Exact fiber measures for a batch of points, (n, d) -> (n,); a point (d,) -> float."""
+    """Exact fiber measures for a batch of points, (n, d) -> (n,).
+
+    One point (d,) is a batch of one.
+    """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
-    out = _fiber_measures(region, X.T, lo, hi, dual)
-    return float(out[0]) if np.ndim(points) == 1 else out
+    return _fiber_measures(region, X.T, lo, hi, dual)
 
 
 def fiber_pieces(region, points, interval, dual=False):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from momentray import cli, refinement
-from momentray.acceptance import run_suite
-from momentray.corpus import CorpusEntry, build_default_corpus, save_corpus
+from momentray.acceptance import SuiteResult, run_suite
+from momentray.corpus import CorpusEntry, build_default_corpus
 from momentray.sets import BoxUnionSet, Interval
+from oracles import save_corpus
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -385,6 +386,18 @@ def test_json_format_structure(tmp_path):
     assert len(payload["rows"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["exponents"], ""), (["duality", "--dims", "2", "--pairs", "2"], "verdict: PASS\n")],
+)
+def test_json_format_without_output_prints_one_document(argv, err, capsys):
+    """stdout holds the JSON document alone; the verdict goes to stderr."""
+    assert run([*argv, "--format", "json"]) == PASS
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["meta"]["command"] == argv[0]
+    assert captured.err == err
+
+
 def test_scaling_and_necessity_quick(tmp_path):
     out = tmp_path / "scaling.csv"
     argv = [
@@ -458,6 +471,22 @@ def test_acceptance_quick_suite(tmp_path, capsys, monkeypatch):
         str(i) for i in range(1, 10)
     ]
     assert "criterion_seconds" not in json.dumps(summary)
+
+
+def test_manifest_hash_names_the_configuration_not_the_outdir(tmp_path, monkeypatch):
+    """Two runs written to different directories share one config_hash;
+    another seed changes it."""
+    def stub_run_suite(seed, profile, stream):
+        return SuiteResult(results=[], passed=True, seconds={}, reports={"r.csv": b"x\n"})
+
+    monkeypatch.setattr(cli, "run_suite", stub_run_suite)
+    hashes = []
+    for name, seed in (("a", "0"), ("b", "0"), ("c", "1")):
+        outdir = tmp_path / name
+        argv = ["acceptance", "--profile", "quick", "--outdir", str(outdir), "--seed", seed]
+        assert run(argv) == PASS
+        hashes.append(json.loads((outdir / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_console_script_entry_point():

@@ -7,15 +7,9 @@ import sys
 
 import pytest
 
-from momentray.corpus import (
-    CORPUS_VERSION,
-    build_default_corpus,
-    entry_from_jsonable,
-    entry_to_jsonable,
-    load_corpus,
-    save_corpus,
-)
+from momentray.corpus import CORPUS_VERSION, build_default_corpus, entry_from_jsonable, load_corpus
 from momentray.transform import QuadSpec, bilinear_form
+from oracles import entry_to_jsonable, save_corpus
 
 PROBE = QuadSpec(step=1.0 / 64.0)
 

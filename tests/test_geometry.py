@@ -13,10 +13,10 @@ from momentray.geometry import (
     jacobian_closed_form,
     jacobian_numeric,
     line_step,
-    psi_map_closed,
     sample_incidence_params,
     split_params,
 )
+from oracles import psi_map_closed
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -131,20 +131,20 @@ def test_batched_numeric_jacobian_rows_match_single_calls(d, n, seed, kind):
     got = jacobian_numeric(kind, bases, params)
     assert got.shape == (n,)
     for i in range(n):
-        assert got[i] == jacobian_numeric(kind, bases[i], params[i])
+        assert got[i] == jacobian_numeric(kind, bases[i : i + 1], params[i : i + 1])[0]
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])
 def test_batched_numeric_jacobian_raises_on_one_degenerate_row(at):
     # phi, d = 2: the determinant has the factor s1 - x1, here 1e-9; its
-    # full- and half-step estimates disagree (the single call raises too)
+    # full- and half-step estimates disagree (as a batch of one it raises too)
     rng = np.random.default_rng(5)
     draws = [sample_incidence_params("phi", 2, rng) for _ in range(4)]
     bases, params = (np.array(side) for side in zip(*draws))
     jacobian_numeric("phi", bases, params)  # the well-separated rows pass
     bad_base, bad_params = np.array([1.0, 0.0]), np.array([2.0, 1.0 + 1e-9])
     with pytest.raises(ValueError):
-        jacobian_numeric("phi", bad_base, bad_params)
+        jacobian_numeric("phi", bad_base[None], bad_params[None])
     with pytest.raises(ValueError, match="near-degenerate"):
         jacobian_numeric(
             "phi",
@@ -153,11 +153,22 @@ def test_batched_numeric_jacobian_raises_on_one_degenerate_row(at):
         )
 
 
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+def test_jacobians_return_an_array_for_every_input(kind):
+    """One vector (d,) is a batch of one: both routes return shape (1,)."""
+    base, params = sample_incidence_params(kind, 3, np.random.default_rng(0))
+    for got in (
+        jacobian_numeric(kind, base, params),
+        jacobian_closed_form(kind, base[0], params),
+    ):
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+
+
 def test_numeric_jacobian_shapes_must_agree():
     with pytest.raises(ValueError):
         jacobian_numeric("phi", np.zeros((3, 2)), np.ones((2, 2)))
     with pytest.raises(ValueError):
-        jacobian_numeric("phi", (1.0, 0.0, 0.0), (2.0, 3.0))
+        jacobian_numeric("phi", [(1.0, 0.0, 0.0)], [(2.0, 3.0)])
 
 
 @pytest.mark.parametrize("kind", ["phi", "psi"])
@@ -169,8 +180,8 @@ def test_estimate_c_d_matches_per_sample_loop(kind, d):
     ratios = []
     for _ in range(samples):
         base, params = sample_incidence_params(kind, d, rng)
-        num = jacobian_numeric(kind, base, params)
-        ratios.append(num / jacobian_closed_form(kind, base[0], params))
+        num = jacobian_numeric(kind, base[None], params[None])[0]
+        ratios.append(num / jacobian_closed_form(kind, base[0], params[None])[0])
     ratios = np.array(ratios)
     mean, std = float(ratios.mean()), float(ratios.std())
     want = CdEstimate(
@@ -211,16 +222,16 @@ def test_split_params_interleaving():
 
 def test_jacobian_closed_form_d2_hand():
     # phi factored form is (s1 - s0)(s1 - t1); psi is (t2 - t1)(t2 - s1)
-    assert jacobian_closed_form("phi", 0.0, [2.0, 3.0]) == pytest.approx(3.0)
-    assert jacobian_closed_form("psi", 1.0, [2.0, 3.0]) == pytest.approx(2.0)
+    assert jacobian_closed_form("phi", 0.0, [[2.0, 3.0]]) == pytest.approx([3.0])
+    assert jacobian_closed_form("psi", 1.0, [[2.0, 3.0]]) == pytest.approx([2.0])
 
 
 def test_jacobian_numeric_matches_d2_hand():
     # base (1, 0), params (t1, s1) = (2, 3): determinant -(3-1)(3-2) = -2
-    val = jacobian_numeric("phi", (1.0, 0.0), (2.0, 3.0))
-    assert val == pytest.approx(-2.0, abs=1e-7)
-    val = jacobian_numeric("psi", (1.0, 0.0), (2.0, 3.0))
-    assert val == pytest.approx(2.0, abs=1e-7)
+    val = jacobian_numeric("phi", [(1.0, 0.0)], [(2.0, 3.0)])
+    assert val == pytest.approx([-2.0], abs=1e-7)
+    val = jacobian_numeric("psi", [(1.0, 0.0)], [(2.0, 3.0)])
+    assert val == pytest.approx([2.0], abs=1e-7)
 
 
 @given(st.integers(2, 5), st.floats(1.2, 3.0))
@@ -229,8 +240,8 @@ def test_closed_form_scales_with_degree(d, scale):
     """Scaling all parameters multiplies the factored form by lam^degree."""
     rng = np.random.default_rng(d)
     base, params = sample_incidence_params("phi", d, rng)
-    v1 = jacobian_closed_form("phi", base[0] * scale, params * scale)
-    v0 = jacobian_closed_form("phi", base[0], params)
+    v1 = jacobian_closed_form("phi", base[0] * scale, params[None] * scale)[0]
+    v0 = jacobian_closed_form("phi", base[0], params[None])[0]
     # the factored form is a product of d(d-1)/2 linear factors
     # (1, 3, 6, 10 for d = 2..5), so it is homogeneous of that degree
     assert v1 == pytest.approx(scale ** (d * (d - 1) // 2) * v0, rel=1e-9)
@@ -242,9 +253,9 @@ def test_closed_form_scales_with_degree(d, scale):
 )
 @settings(max_examples=50, deadline=None)
 def test_batched_jacobian_matches_rows(batch, kind):
-    """One vector is a batch of one, so rows agree to the last bit."""
+    """Each row of a batch equals its batch of one to the last bit."""
     params, firsts = batch
-    rows = [jacobian_closed_form(kind, f, p) for f, p in zip(firsts, params)]
+    rows = [jacobian_closed_form(kind, f, p[None])[0] for f, p in zip(firsts, params)]
     got = jacobian_closed_form(kind, firsts, params)
     assert got.tolist() == rows
     shared = jacobian_closed_form(kind, firsts[0], params)
@@ -254,7 +265,7 @@ def test_batched_jacobian_matches_rows(batch, kind):
 def test_closed_form_vanishing_factor():
     """Repeating a chain value kills the factored determinant."""
     # phi in d=3: params (t1, s1, t2); t1 == t2 repeats a t-chain entry
-    assert jacobian_closed_form("phi", 0.3, [0.8, -0.4, 0.8]) == 0.0
+    assert jacobian_closed_form("phi", 0.3, [[0.8, -0.4, 0.8]]).tolist() == [0.0]
 
 
 def test_sampler_respects_separation():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from momentray.lorentz import (
     SimpleFunction,
-    blockwise_lorentz_norm,
     lorentz_norm,
     lorentz_norm_from_steps,
     lp_norm,
@@ -113,20 +112,6 @@ def test_steps_norm_matches_bruteforce_integral(weights, measures, p):
     norm = lorentz_norm_from_steps(values, measures, p, p)
     brute = sum(v**p * m for v, m in zip(values, measures)) ** (1.0 / p)
     assert norm == pytest.approx(brute, rel=1e-9)
-
-
-def test_blockwise_aggregate_between_min_and_sum():
-    values = [3.0, 2.0, 1.0]
-    measures = [0.5, 1.0, 2.0]
-    s, r = 1.5, 2.0
-    scores = [
-        lorentz_norm_from_steps([v], [m], s, r) for v, m in zip(values, measures)
-    ]
-    agg = blockwise_lorentz_norm(values, measures, s, r)
-    assert max(scores) <= agg <= sum(scores) + 1e-12
-    assert agg == pytest.approx(
-        sum(sc**r for sc in scores) ** (1.0 / r), rel=1e-12
-    )
 
 
 @st.composite

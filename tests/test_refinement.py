@@ -19,11 +19,11 @@ from momentray.refinement import (
     check_tower_structure,
     enumerate_tower_bruteforce,
     image_volume_lower_bound,
-    rasterized_image_measure,
     tower_report,
 )
 from momentray.sets import BoxUnionSet, Interval, fiber_cells
 from momentray.transform import fiber_measure_batch, fiber_pieces
+from oracles import rasterized_image_measure
 
 
 def unit_pair(d):
@@ -321,7 +321,7 @@ def test_image_bound_routes_agree():
     top = tower.top
     vols = top.widths.prod(axis=1) * top.weights
     numeric = sum(
-        vol * abs(jacobian_numeric(tower.start, tower.base, params))
+        vol * abs(jacobian_numeric(tower.start, tower.base[None], params[None])[0])
         for vol, params in zip(vols, top.params)
     )
     assert image_volume_lower_bound(tower) == pytest.approx(numeric, rel=1e-6)

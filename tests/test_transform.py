@@ -344,7 +344,7 @@ def test_non_finite_points_are_refused(bad, axis):
     for dual in (False, True):
         calls += [
             lambda: fiber_measure_batch(UNIT2, pts, (0.0, 1.0), dual=dual),
-            lambda: fiber_measure_batch(UNIT2, pts[1], (0.0, 1.0), dual=dual),
+            lambda: fiber_measure_batch(UNIT2, pts[1:], (0.0, 1.0), dual=dual),
             lambda: fiber_pieces(UNIT2, pts, (0.0, 1.0), dual=dual),
         ]
         for call in calls:
@@ -601,11 +601,10 @@ def test_fiber_dilation_covariance():
     delta = 0.6
     exps = np.arange(1, 4)
     scaled = E.dilated_nonisotropic(delta)
-    for _ in range(20):
-        x = rng.uniform(-1.0, 1.0, 3)
-        base = fiber_measure_batch(E, x, (-1.0, 1.0))
-        scaled_fiber = fiber_measure_batch(scaled, delta**exps * x, (-delta, delta))
-        assert scaled_fiber == pytest.approx(delta * base, rel=1e-12, abs=1e-15)
+    x = rng.uniform(-1.0, 1.0, (20, 3))
+    base = fiber_measure_batch(E, x, (-1.0, 1.0))
+    scaled_fiber = fiber_measure_batch(scaled, delta**exps * x, (-delta, delta))
+    assert scaled_fiber == pytest.approx(delta * base, rel=1e-12, abs=1e-15)
 
 
 def test_unit_square_pairing_all_methods():
@@ -641,7 +640,8 @@ def test_fiber_shapes_and_refusals():
     for dual in (False, True):
         assert fiber_measure_batch(pair, np.empty((0, 2)), (0.0, 1.0), dual=dual).shape == (0,)
         assert all(a.shape == (0, 2) for a in fiber_pieces(pair, np.empty((0, 2)), (0.0, 1.0), dual=dual))
-        assert isinstance(fiber_measure_batch(pair, np.array([0.5, 0.5]), (0.0, 1.0), dual=dual), float)
+        one = fiber_measure_batch(pair, np.array([0.5, 0.5]), (0.0, 1.0), dual=dual)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
         with pytest.raises(ValueError, match="dimension"):
             fiber_measure_batch(pair, np.zeros((4, 3)), (0.0, 1.0), dual=dual)
 
