@@ -11,6 +11,7 @@ and the CLI writes them.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import time
 from dataclasses import asdict, dataclass
@@ -192,18 +193,32 @@ def criterion_3_unit_square_pairing(seed, profile):
     For E = F = [0,1]^2 and I = [0,1] the pairing is
     int_0^1 int_0^1 |{s in [0,1] : x2 + s*x1 in [0,1]}| dx = 3/4 by direct
     integration, so alpha = beta = 3/4 and ratio_E = ratio_F = 64/27.
-    Gated: the pairing's error under the default layered quadrature and the
-    tensor midpoint rule at step 1/2048, and each testing-ratio error.
+    The second route is the tensor midpoint rule m(n) at step 1/n,
+    extrapolated as (4 m(1024) - m(512)) / 3 (Richardson, 1911), which
+    cancels its error's h^2 term.  Gated: the pairing's error under the
+    default layered quadrature and under that extrapolation; from below and
+    above, the midpoint rule's observed order
+    log2((m(256) - m(512)) / (m(512) - m(1024))), so a first-order grid
+    fails; and each testing-ratio error.
     """
     unit = BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])])
     rwt = check_rwt(unit, unit, (0.0, 1.0))
-    midpoint = bilinear_form(
-        unit, unit, (0.0, 1.0), QuadSpec(method="midpoint", step=1.0 / 2048.0)
+    m256, m512, m1024 = (
+        bilinear_form(unit, unit, (0.0, 1.0), QuadSpec(method="midpoint", step=1.0 / n))
+        for n in (256, 512, 1024)
     )
-    info = {"layered": rwt.value, "midpoint_2048": midpoint}
+    midpoint = (4.0 * m1024 - m512) / 3.0
+    coarse, fine = m256 - m512, m512 - m1024
+    # NaN, which fails both order rows, when the steps do not shrink alike
+    order = math.log2(coarse / fine) if coarse * fine > 0.0 else math.nan
+    info = {"layered": rwt.value, "midpoint_512": m512, "midpoint_1024": m1024}
     gates = [
         Gate(f"err_{route}", abs(value - 0.75), "<=", 1e-6)
         for route, value in (("layered", rwt.value), ("midpoint", midpoint))
+    ]
+    gates += [
+        Gate("order_midpoint", order, ">=", 1.5),
+        Gate("order_midpoint", order, "<=", 2.5),
     ]
     hand = {"alpha": 0.75, "beta": 0.75, "ratio_e": 64 / 27, "ratio_f": 64 / 27}
     gates += [

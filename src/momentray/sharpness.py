@@ -483,10 +483,9 @@ def _grid(source, region, interval, grid_n, dual):
 
 
 def _rich(vals, vols, theta):
-    """Measure and pairing of the rich set {vals >= theta}, refused when empty."""
+    """Measure and pairing of the rich set {vals >= theta}; every caller's
+    theta is at most the largest grid value, so the set is never empty."""
     mask = vals >= theta
-    if not mask.any():
-        raise ValueError(f"no grid value reaches the threshold {theta!r}")
     return float(vols[mask].sum()), float((vals[mask] * vols[mask]).sum())
 
 
@@ -495,11 +494,16 @@ _SWEEP_FRACS = (0.3, 0.45, 0.6, 0.75, 0.9)
 
 
 def _check_theta_frac(theta_frac):
-    # a fraction of the average in (0, 1] keeps the rich region non-empty
-    # (the largest cell value is at least the average; at 1 a constant grid's
-    # average can round above it, which _rich refuses) and the bound real
+    # a fraction of the average in (0, 1] keeps the bound real
     if not 0.0 < theta_frac <= 1.0:
         raise ValueError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
+
+
+def _threshold(theta_frac, vals, t_grid, measure):
+    """theta_frac times the grid average t_grid / measure, capped at the
+    largest grid value: at theta_frac = 1 a constant grid's average can
+    round one ulp above its value, which would leave no rich cell."""
+    return min(theta_frac * t_grid / measure, float(vals.max()))
 
 
 def _primal_report(E, vals, vols, theta, kind):
@@ -525,7 +529,7 @@ def _primal_grid(E, F, interval, theta_frac, grid_n):
     """
     _check_theta_frac(theta_frac)
     vals, vols, t_grid = _grid(E, F, interval, grid_n, dual=False)
-    theta = theta_frac * t_grid / F.measure
+    theta = _threshold(theta_frac, vals, t_grid, F.measure)
     return vals, vols, _primal_report(E, vals, vols, theta, "primal-grid")
 
 
@@ -559,7 +563,7 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32):
     """Grid-aligned dual check over the rich region on the source side."""
     _check_theta_frac(theta_frac)
     vals, vols, t_grid = _grid(F, E, window, grid_n, dual=True)
-    theta = theta_frac * t_grid / E.measure
+    theta = _threshold(theta_frac, vals, t_grid, E.measure)
     h_measure, t_over_h = _rich(vals, vols, theta)
     rhs = _dual_rhs(E.dim, theta, t_over_h / F.measure, t_over_h / h_measure)
     return Lemma2Report(

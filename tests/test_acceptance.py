@@ -26,6 +26,7 @@ from momentray.acceptance import (
     criterion_9_determinism,
     run_suite,
 )
+from momentray.sets import BoxUnionSet
 
 # Every gate of the quick profile, in suite order: (criterion, metric, op,
 # bound).  A bound loosened or a gate dropped in the package fails here.
@@ -38,6 +39,8 @@ QUICK_GATES = [
     (2, "worst_rel_d3", "<=", 1e-3),
     (3, "err_layered", "<=", 1e-6),
     (3, "err_midpoint", "<=", 1e-6),
+    (3, "order_midpoint", ">=", 1.5),
+    (3, "order_midpoint", "<=", 2.5),
     (3, "err_alpha", "<=", 1e-12),
     (3, "err_beta", "<=", 1e-12),
     (3, "err_ratio_e", "<=", 1e-12),
@@ -94,6 +97,40 @@ def test_criterion_3_unit_square_pairing_value():
     res = _check(criterion_3_unit_square_pairing)
     assert abs(res.details["err_layered"]) <= 1e-6
     assert abs(res.details["err_midpoint"]) <= 1e-6
+
+
+def test_criterion_3_extrapolated_midpoint_beats_the_2048_grid():
+    """The extrapolation from the 512 and 1024 grids errs by no more than
+    the single 2048 grid did (2.86e-7), and its observed order is about 2."""
+    res = criterion_3_unit_square_pairing(seed=0, profile="quick")
+    assert res.details["err_midpoint"] <= 2.86e-7
+    assert res.details["order_midpoint"] == pytest.approx(1.8687, abs=1e-4)
+
+
+def _shifted_grid(real):
+    """The midpoint rule on a grid shifted by a quarter of its step, whose
+    error is first order."""
+
+    def pairing(E, F, interval, quad):
+        return real(E, BoxUnionSet(F.bounds + 0.25 * quad.step), interval, quad)
+
+    return pairing
+
+
+@pytest.mark.parametrize(
+    "defect, failing_ops",
+    [
+        (_shifted_grid, [">="]),
+        # the exact value at every step: no observed order at all (NaN)
+        (lambda real: lambda *args: 0.75, [">=", "<="]),
+    ],
+    ids=["first-order", "constant"],
+)
+def test_seeded_midpoint_defects_fail_criterion_3(monkeypatch, defect, failing_ops):
+    monkeypatch.setattr(acceptance, "bilinear_form", defect(acceptance.bilinear_form))
+    res = criterion_3_unit_square_pairing(seed=0, profile="quick")
+    failed = [g.op for g in res.gates if g.metric == "order_midpoint" and not g.passed]
+    assert failed == failing_ops, res.line()
 
 
 def test_criterion_4_family_norm_scaling_slopes():

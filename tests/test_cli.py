@@ -425,6 +425,13 @@ def test_lemma2_and_superlevel_quick(mini_corpus_path, capsys):
     assert run(["superlevel", "--corpus", mini_corpus_path, "--grid-n", "16"]) == PASS
 
 
+@pytest.mark.parametrize("grid_n", ["8", "16"])
+def test_lemma2_theta_frac_one_exits_zero(grid_n):
+    """Each grid has a corpus entry whose cells all hold one value, whose
+    average rounds one ulp above it."""
+    assert run(["lemma2", "--theta-frac", "1", "--grid-n", grid_n]) == PASS
+
+
 def test_refine_json_report(tmp_path):
     out = tmp_path / "towers.json"
     argv = [

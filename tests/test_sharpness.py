@@ -463,13 +463,33 @@ def test_lemma2_primal_hand_config():
     assert rep.ratio == pytest.approx(rep.subset_measure / rep.rhs, rel=1e-12)
 
 
-def test_lemma2_empty_rich_region_is_refused():
+def test_lemma2_theta_frac_one_on_a_constant_grid_keeps_every_cell():
     """On a grid whose cells all hold 2.0 the average rounds one ulp above
-    it, so theta_frac = 1 leaves no rich cell: a ValueError, not a division
-    by zero."""
-    entry = next(e for e in build_default_corpus() if e.entry_id == "d2-thin-target")
-    with pytest.raises(ValueError, match="no grid value reaches the threshold"):
-        check_lemma2_primal(entry.E, entry.F, entry.interval, theta_frac=1.0, grid_n=16)
+    it; theta_frac = 1 caps the threshold at the largest grid value, so
+    every cell is rich instead of none."""
+    corpus = {e.entry_id: e for e in build_default_corpus()}
+    entry = corpus["d2-thin-target"]
+    rep, _ = check_lemma2_primal(entry.E, entry.F, entry.interval, theta_frac=1.0, grid_n=16)
+    assert rep.theta == 2.0
+    assert rep.region_measure == pytest.approx(entry.F.measure)
+    entry = corpus["d3-thin-source-x"]
+    rep = lemma2_grid_dual(entry.E, entry.F, entry.window, theta_frac=1.0, grid_n=8)
+    assert rep.theta == 2.0
+    assert rep.region_measure == pytest.approx(entry.E.measure)
+
+
+def test_lemma2_threshold_cap_leaves_non_constant_grids_alone():
+    """Below the largest grid value theta is theta_frac times the average,
+    uncapped, at theta_frac = 1 too."""
+    E = F = unit_box(2)
+    window = Interval(0.0, 1.0)
+    for check in (
+        lambda frac: check_lemma2_primal(E, F, window, theta_frac=frac, grid_n=24)[0],
+        lambda frac: lemma2_grid_dual(E, F, window, theta_frac=frac, grid_n=24),
+    ):
+        whole, half = check(1.0), check(0.5)
+        assert whole.theta == 2.0 * half.theta
+        assert 0.0 < whole.region_measure < half.region_measure < 1.0
 
 
 def test_lemma2_dual_hand_config():

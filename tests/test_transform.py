@@ -481,8 +481,9 @@ def test_region_cell_values_refuses_non_integer_grid_n(grid_n):
 
 
 def test_midpoint_pairing_bounds_memory():
-    """Criterion 3's 2048 x 2048 midpoint grid is never held as one point
-    array: the pass peaks near 35 MB (one 32 MiB value array), not 474 MB."""
+    """A QuadSpec("midpoint") grid at step 1/2048, 2048 x 2048 points on the
+    unit square, is never held as one point array: the pass peaks near 35 MB
+    (one 32 MiB value array), not 474 MB."""
     tracemalloc.start()
     try:
         val = bilinear_form(UNIT2, UNIT2, (0.0, 1.0), QuadSpec("midpoint", 1.0 / 2048.0))
