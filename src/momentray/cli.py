@@ -393,11 +393,7 @@ def cmd_duality(params):
         rng = np.random.default_rng(params["seed"] + 100 * d)
         pairs = [random_box_pair(d, rng) for _ in range(params["pairs"])]
         for i, (E, F) in enumerate(pairs):
-            span = E.first_axis_span()
-            wspan = F.first_axis_span()
-            gap = adjointness_gap(
-                E, F, (span.lo, span.hi), (wspan.lo, wspan.hi), params["quad"]
-            )
+            gap = adjointness_gap(E, F, E.first_axis_span(), F.first_axis_span(), params["quad"])
             ok = gap["rel_gap"] <= params["tol"]
             rows.append(
                 {
@@ -438,8 +434,7 @@ _RWT_COLUMNS = (
 
 def cmd_rwt(params):
     def rows_of(entry):
-        interval = (entry.interval.lo, entry.interval.hi)
-        rep = check_rwt(entry.E, entry.F, interval, params["quad"])
+        rep = check_rwt(entry.E, entry.F, entry.interval, params["quad"])
         ok = rep.verdict >= params["floor"]
         values = (
             entry.entry_id, entry.dim, rep.value, rep.measure_e, rep.measure_f,
@@ -453,10 +448,7 @@ def cmd_rwt(params):
 
 def cmd_superlevel(params):
     entry = _corpus_entry(_corpus_from(params), params["entry"])
-    rep = superlevel_mass_check(
-        entry.E, entry.F, (entry.interval.lo, entry.interval.hi),
-        grid_n=params["grid_n"],
-    )
+    rep = superlevel_mass_check(entry.E, entry.F, entry.interval, grid_n=params["grid_n"])
     ok = rep.c0 > 0.0 and rep.t_inside >= rep.t_outside
     rows = [
         {
@@ -531,13 +523,11 @@ def cmd_lemma2(params):
     floor, grid_n, theta_frac = params["floor"], params["grid_n"], params["theta_frac"]
 
     def rows_of(entry):
-        interval = (entry.interval.lo, entry.interval.hi)
-        window = (entry.window.lo, entry.window.hi)
         primal, sweep = check_lemma2_primal(
-            entry.E, entry.F, interval, theta_frac=theta_frac, grid_n=grid_n
+            entry.E, entry.F, entry.interval, theta_frac=theta_frac, grid_n=grid_n
         )
         dual = lemma2_grid_dual(
-            entry.E, entry.F, window, theta_frac=theta_frac, grid_n=grid_n
+            entry.E, entry.F, entry.window, theta_frac=theta_frac, grid_n=grid_n
         )
         reports = [("primal", primal), ("dual", dual)]
         if params["sweep"]:
@@ -570,12 +560,7 @@ def cmd_refine(params):
     passed = True
     for start in starts:
         tower = build_tower(
-            entry.E,
-            entry.F,
-            (entry.interval.lo, entry.interval.hi),
-            (entry.window.lo, entry.window.hi),
-            start=start,
-            config=config,
+            entry.E, entry.F, entry.interval, entry.window, start=start, config=config
         )
         frac, checked = check_tower_structure(
             tower, samples=params["samples"], seed=params["seed"]

@@ -18,6 +18,7 @@ because the draw and its probe pairings cost every build time.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,13 +232,23 @@ def build_default_corpus():
         for d, unions in _RANDOM_UNIONS.items()
         for i, (e, f) in enumerate(unions)
     ]
-    ids = [e.entry_id for e in entries]
-    if len(set(ids)) != len(ids):
-        raise RuntimeError("corpus ids must be unique")
+    return _checked(entries)
+
+
+def _checked(entries):
+    """The entries, refused when there are none or two share an id: a sweep
+    over no entry checks nothing, and an id names one entry."""
+    if not entries:
+        raise ValueError("corpus has no entries")
+    repeated = [i for i, n in Counter(e.entry_id for e in entries).items() if n > 1]
+    if repeated:
+        raise ValueError(f"corpus ids must be unique; repeated: {repeated}")
     return entries
 
 
 def entry_from_jsonable(data):
+    if not isinstance(data["id"], str):
+        raise ValueError(f"entry id {data['id']!r} is not a string")
     entry = CorpusEntry(
         entry_id=data["id"],
         E=BoxUnionSet(data["E"]),
@@ -257,6 +268,8 @@ def entry_from_jsonable(data):
 def load_corpus(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("a corpus file holds one JSON object")
     if payload.get("version") != CORPUS_VERSION:
         raise ValueError(f"unsupported corpus version: {payload.get('version')!r}")
-    return [entry_from_jsonable(item) for item in payload["entries"]]
+    return _checked([entry_from_jsonable(item) for item in payload["entries"]])

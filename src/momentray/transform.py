@@ -1,14 +1,14 @@
 """The line transform, its dual, exact fibers, and box-pair pairings.
 
 For a union of boxes E the fiber {s in I : gamma(x, s) in E} is solved in
-closed form: each box contributes an intersection of per-coordinate
-constraints that are linear in s (forward family) or monomial in t (dual
-family), so fiber measures are exact and the only quadrature happens in
-outer integrals.  Coordinate j's constraint depends on (x1, x_j) alone, so
-one kernel takes per-axis coordinate arrays that broadcast: the columns of
-a point list, or a grid's axes.  A grid is evaluated as a tensor product,
-its constraints on x1-by-x_j tables, and its points are never listed.  The
-boxes are one more leading broadcast axis, taken a chunk at a time.
+closed form by one constraint solver for both line families: each box
+contributes per-coordinate constraints coef * v**power in a range, so fiber
+measures are exact and the only quadrature happens in outer integrals.
+Coordinate j's constraint depends on (x1, x_j) alone, so one kernel takes
+per-axis coordinate arrays that broadcast: the columns of a point list, or
+a grid's axes.  A grid is evaluated as a tensor product, its constraints on
+x1-by-x_j tables, and its points are never listed.  The boxes are one more
+leading broadcast axis, taken a chunk at a time.
 """
 
 from __future__ import annotations
@@ -83,96 +83,76 @@ def _box_chunks(region, coords, lo, hi):
         yield blo, bhi, block[0], block[1]
 
 
-def _primal_pieces(region, coords, lo, hi):
-    """Per chunk of boxes, [(slo, shi, every)]: the fiber endpoints, of shape
-    (boxes, *points).
+def _orientation(coef):
+    """(coef, pos, zero): pos is a bool where coef has one sign, else the mask
+    coef > 0, and zero then the mask coef == 0, or None where none is."""
+    pos = coef > 0.0
+    if (all_pos := pos.all()) or (coef < 0.0).all():
+        return coef, bool(all_pos), None
+    zero = coef == 0.0
+    return coef, pos, zero if zero.any() else None
+
+
+def _fiber_chunks(region, coords, lo, hi, dual):
+    """Per chunk of boxes, comps: each fiber component as (clo, chi, present),
+    clo and chi of shape (boxes, *points); a piece with chi < clo is empty.
 
     coords holds one array per coordinate; they broadcast to the points'
     shape (the columns of a point list, or a grid's axes as an open mesh).
-    The line through x meets a box where s lies in its first-axis range and
-    x_j + s * x1**j in its j-th range, each constraint linear in s and a
-    function of (x1, x_j) alone.  The sign of x1**j does not depend on the
-    box, so each constraint's orientation is resolved once per call, point
-    by point only where x1**j changes sign or vanishes.  A piece with
-    shi < slo is empty.
+    Both line families meet a box where the parameter v lies in its
+    first-axis range and, for each j >= 1, coef * v**power lies in a range
+    set by x_j and the box's j-th side: coef = x1**j and power 1 forward
+    (x_j + s * x1**j), coef = x1 and power j dual (x_j - x1 * t**j).  The
+    sign of coef does not depend on the box, so each constraint's
+    orientation is resolved once per call, point by point only where coef
+    changes sign or vanishes (then the constraint holds for every v or
+    none).  A single range narrows the components in place.  An even power
+    bounds |v|, which splits a component in two when the range excludes 0;
+    a box has the second component only when some point splits, which the
+    per-box mask present records.
     """
     d, x1 = len(coords), coords[0]
-    powers = x1[..., None] ** np.arange(1, d)
-    sides = []
-    for j in range(1, d):
-        coef = powers[..., j - 1]
-        pos = coef > 0.0
-        if (all_pos := pos.all()) or (coef < 0.0).all():
-            sides.append((coef, bool(all_pos), None))
-        else:
-            zero = coef == 0.0
-            sides.append((coef, pos, zero if zero.any() else None))
-    for blo, bhi, slo, shi in _box_chunks(region, coords, lo, hi):
-        for j, (coef, pos, zero) in enumerate(sides, start=1):
-            cj = coords[j]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                a = (blo[j] - cj) / coef
-                b = (bhi[j] - cj) / coef
-            if isinstance(pos, bool):
-                lo_j, hi_j = (a, b) if pos else (b, a)
-            else:
-                lo_j, hi_j = np.where(pos, a, b), np.where(pos, b, a)
-            if zero is not None:
-                ok = (cj >= blo[j]) & (cj <= bhi[j])
-                lo_j = np.where(zero, np.where(ok, -np.inf, np.inf), lo_j)
-                hi_j = np.where(zero, np.where(ok, np.inf, -np.inf), hi_j)
-            np.maximum(slo, lo_j, out=slo)
-            np.minimum(shi, hi_j, out=shi)
-        yield [(slo, shi, np.ones(len(slo), dtype=bool))]
-
-
-def _dual_pieces(region, coords, lo, hi):
-    """Per chunk of boxes, comps: each fiber component as (clo, chi, present),
-    clo and chi of shape (boxes, *points).
-
-    coords as for _primal_pieces.  The dual line meets a box where t lies in
-    its first-axis range and x1 * t**j in x_j minus its j-th range, again a
-    function of (x1, x_j) alone.  For even j that is a range of |t|, which
-    splits a component in two when it excludes 0; a box has the second
-    component only when some point splits, which the per-box mask present
-    records.  A piece with chi < clo is empty.
-    """
-    d, x1 = len(coords), coords[0]
-    zero = x1 == 0.0
-    any_zero = np.any(zero)
+    if dual:
+        sides = [_orientation(x1)] * (d - 1)
+    else:
+        powers = x1[..., None] ** np.arange(1, d)
+        sides = [_orientation(powers[..., j]) for j in range(d - 1)]
     for blo, bhi, first_lo, first_hi in _box_chunks(region, coords, lo, hi):
         every = np.ones(len(first_lo), dtype=bool)
         comps = [(first_lo, first_hi, every)]
-        for j in range(1, d):
-            tlo = coords[j] - bhi[j]
-            thi = coords[j] - blo[j]
+        for j, (coef, pos, zero) in enumerate(sides, start=1):
+            cj = coords[j]
             with np.errstate(divide="ignore", invalid="ignore"):
-                r1 = tlo / x1
-                r2 = thi / x1
-            mlo = np.minimum(r1, r2)
-            mhi = np.maximum(r1, r2)
-            if any_zero:
-                ok = (tlo <= 0.0) & (0.0 <= thi)
+                if dual:
+                    a, b = (cj - bhi[j]) / coef, (cj - blo[j]) / coef
+                else:
+                    a, b = (blo[j] - cj) / coef, (bhi[j] - cj) / coef
+            if isinstance(pos, bool):
+                mlo, mhi = (a, b) if pos else (b, a)
+            else:
+                mlo, mhi = np.where(pos, a, b), np.where(pos, b, a)
+            if zero is not None:
+                ok = (cj >= blo[j]) & (cj <= bhi[j])
                 mlo = np.where(zero, np.where(ok, -np.inf, np.inf), mlo)
                 mhi = np.where(zero, np.where(ok, np.inf, -np.inf), mhi)
-            inv = 1.0 / j
-            if j == 1:
-                halves = [(mlo, mhi, every)]
-            elif j % 2 == 1:
-                halves = [(np.sign(mlo) * np.abs(mlo) ** inv, np.sign(mhi) * np.abs(mhi) ** inv, every)]
-            else:
-                hi_root = np.maximum(mhi, 0.0) ** inv
-                lo_root = np.maximum(mlo, 0.0) ** inv
-                feasible = mhi >= 0.0
-                split = feasible & (mlo > 0.0)
-                s1_lo = np.where(feasible, np.where(split, lo_root, -hi_root), np.inf)
-                s1_hi = np.where(feasible, hi_root, -np.inf)
-                s2_lo = np.where(split, -hi_root, np.inf)
-                s2_hi = np.where(split, -lo_root, -np.inf)
-                present = (s2_lo <= s2_hi).reshape(len(first_lo), -1).any(axis=1)
-                halves = [(s1_lo, s1_hi, every)]
-                if present.any():
-                    halves.append((s2_lo, s2_hi, present))
+            if not dual or j % 2 == 1:
+                if dual and j > 1:
+                    mlo, mhi = (np.sign(m) * np.abs(m) ** (1.0 / j) for m in (mlo, mhi))
+                for clo, chi, _ in comps:
+                    np.maximum(clo, mlo, out=clo)
+                    np.minimum(chi, mhi, out=chi)
+                continue
+            hi_root, lo_root = (np.maximum(m, 0.0) ** (1.0 / j) for m in (mhi, mlo))
+            feasible = mhi >= 0.0
+            split = feasible & (mlo > 0.0)
+            s1_lo = np.where(feasible, np.where(split, lo_root, -hi_root), np.inf)
+            s1_hi = np.where(feasible, hi_root, -np.inf)
+            s2_lo = np.where(split, -hi_root, np.inf)
+            s2_hi = np.where(split, -lo_root, -np.inf)
+            present = (s2_lo <= s2_hi).reshape(len(first_lo), -1).any(axis=1)
+            halves = [(s1_lo, s1_hi, every)]
+            if present.any():
+                halves.append((s2_lo, s2_hi, present))
             comps = [
                 (np.maximum(clo, h_lo), np.minimum(chi, h_hi), p if q is every else p & q)
                 for clo, chi, p in comps
@@ -207,7 +187,7 @@ def _fiber_measures(region, coords, lo, hi, dual):
         rows = slice(start, start + step)
         block = [c[rows] if c.shape[0] > 1 else c for c in coords]
         acc = total[rows]
-        for comps in (_dual_pieces if dual else _primal_pieces)(region, block, lo, hi):
+        for comps in _fiber_chunks(region, block, lo, hi, dual):
             for plo, phi, _ in comps:
                 np.maximum(np.subtract(phi, plo, out=phi), 0.0, out=phi)
             for _, length in _box_order(comps):
@@ -244,7 +224,7 @@ def fiber_pieces(region, points, interval, dual=False):
     """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
-    chunks = (_dual_pieces if dual else _primal_pieces)(region, X.T, lo, hi)
+    chunks = _fiber_chunks(region, X.T, lo, hi, dual)
     los, his = zip(*(piece for comps in chunks for piece in _box_order(comps)))
     return np.stack(los, axis=1), np.stack(his, axis=1)
 

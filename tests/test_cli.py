@@ -291,16 +291,24 @@ _GOOD_ENTRY = {
         {"version": 1, "entries": [{**_GOOD_ENTRY, "dim": 1, "E": [[[0.0, 1.0]]], "F": [[[0.0, 1.0]]]}]},
         {"version": 1, "entries": [{**_GOOD_ENTRY, "F": [[[0.0, 1.0]]]}]},
         {"version": 1, "entries": [{**_GOOD_ENTRY, "dim": 3}]},
+        {"version": 1, "entries": []},
+        {"version": 1, "entries": [_GOOD_ENTRY, {**_GOOD_ENTRY, "interval": [0.0, 2.0]}]},
+        [_GOOD_ENTRY],
+        {"version": 1, "entries": [{**_GOOD_ENTRY, "id": 5}]},
     ],
     ids=[
         "interval-one-end", "interval-number", "interval-object", "box-objects", "tags-number",
-        "entries-number", "one-d", "mixed-dims", "dim-disagrees",
+        "entries-number", "one-d", "mixed-dims", "dim-disagrees", "no-entries", "duplicate-ids",
+        "top-level-list", "id-number",
     ],
 )
 def test_malformed_corpus_is_usage_error(payload, tmp_path, capsys):
-    """Corpus input that is the wrong type anywhere, or an entry without a
-    line complex (d = 1, or E and F of different dimensions), exits 2, as a
-    bad value does."""
+    """Corpus input that is the wrong type anywhere, an entry without a line
+    complex (d = 1, or E and F of different dimensions), a file with no
+    entries (a sweep over it would pass having checked nothing), two
+    entries with one id, an id that is not a string (--entry could never
+    name it) or a top level that is not an object exits 2, as a bad value
+    does."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     out = tmp_path / "report.csv"

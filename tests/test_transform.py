@@ -352,22 +352,34 @@ def test_non_finite_points_are_refused(bad, axis):
                 call()
 
 
-@pytest.mark.parametrize("dual", [False, True])
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
+@pytest.mark.parametrize(
+    "d, dual, x1_sign",
+    [
+        # mixed keeps the bare d-dual id
+        pytest.param(d, dual, sign, id=f"{d}-{dual}" + ("" if sign == "mixed" else f"-{sign}"))
+        for d in (2, 3, 4)
+        for dual in (False, True)
+        for sign in ("mixed", "positive", "negative")
+    ],
+)
+def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual, x1_sign):
     """On a union of at least three boxes, fiber measures and fiber_pieces
     are bit for bit the same at every chunk size,
     and fiber_pieces returns the per-box reference loop's arrays, shape and
-    column order included.  The points have both signs of x1 and rows with
-    x1 = 0 (so chunks disagree on whether the vertical-line branch runs),
-    and on the dual route for d > 2 some box splits in two."""
+    column order included.  Mixed points have both signs of x1 and rows
+    with x1 = 0 (so chunks disagree on whether the vertical-line branch
+    runs); positive and negative ones take the kernel's one-sign branch.
+    On the dual route for d > 2 some box splits in two."""
     rng = np.random.default_rng(d)
     E, F = random_box_pair(d, rng, max_boxes=4)
     while min(E.n_boxes, F.n_boxes) < 3:
         E, F = random_box_pair(d, rng, max_boxes=4)
     region = F if dual else E
     pts = rng.uniform(-1.2, 1.2, size=(150, d))
-    pts[[3, 50, 51, 120], 0] = 0.0
+    if x1_sign == "mixed":
+        pts[[3, 50, 51, 120], 0] = 0.0
+    else:
+        pts[:, 0] = (1.0 if x1_sign == "positive" else -1.0) * (np.abs(pts[:, 0]) + 0.01)
     interval = (-1.1, 1.1)
 
     def compute():
@@ -377,7 +389,9 @@ def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual):
         ]
 
     runs = _at_every_chunk_size(monkeypatch, compute)
-    assert np.count_nonzero(runs[0][0]) > 30 and np.count_nonzero(runs[0][0][pts[:, 0] == 0.0])
+    assert np.count_nonzero(runs[0][0]) > 30
+    if x1_sign == "mixed":
+        assert np.count_nonzero(runs[0][0][pts[:, 0] == 0.0])
     _assert_runs_equal(runs)
     reference = _reference_fiber_pieces(region, pts, interval, dual)
     for got, want in zip(runs[0][1:], reference):
