@@ -35,7 +35,6 @@ from .refinement import TowerConfig, build_tower, check_tower_structure, tower_r
 from .sharpness import (
     check_lemma2_primal,
     check_rwt,
-    counterexample_f_lp,
     critical_exponents,
     delta_region_vertices,
     homogeneous_dimension,
@@ -44,7 +43,6 @@ from .sharpness import (
     region_contains,
     scaling_experiment,
     superlevel_mass_check,
-    xf_lower_block_norm,
 )
 from .transform import NoIncidence, QuadSpec, adjointness_gap
 
@@ -474,12 +472,8 @@ def cmd_scaling(params):
     r = params["r"] if params["r"] is not None else float(p_d)
     res = scaling_experiment(d, r=r, n_list=params["n_list"])
     rows = [
-        {
-            "N": n,
-            "norm_f": counterexample_f_lp(d, n),
-            "norm_xf": xf_lower_block_norm(d, r, n),
-        }
-        for n in res.n_list
+        {"N": n, "norm_f": f, "norm_xf": xf}
+        for n, f, xf in zip(res.n_list, res.norm_f, res.norm_xf)
     ]
     meta = {
         "r": r,

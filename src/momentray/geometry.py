@@ -112,25 +112,23 @@ def jacobian_closed_form(kind, base_first, params):
     t, s = split_params(kind, base_first, params)
     # s here is (s0, s1, ..., sk) for phi and (s1, ..., s_k or s_{k+1}) for
     # psi; t is (t1, ..., t_k or t_{k+1}) for phi and (t1, ..., t_{k+1}) for psi
+    # per (kind, d odd): whether (t_{k+1} - t_1) leads, the t indices
+    # [lo, hi) whose pairwise differences enter to the 4th power, and the
+    # indices e whose squared differences from them enter, in this order
+    lead, lo, hi, ends = {
+        (PHI, 0): (False, 0, k, ()),
+        (PHI, 1): (False, 0, k, (k,)),
+        (PSI, 0): (True, 1, k, (k, 0)),
+        (PSI, 1): (False, 1, k + 1, (0,)),
+    }[kind, d % 2]
     result = np.prod(np.diff(s), axis=-1)
-    if kind == PHI:
-        for j in range(k):
-            for l in range(j + 1, k):
-                result = result * (t[..., j] - t[..., l]) ** 4
-        if d % 2 == 1:
-            result = result * np.prod((t[..., :k] - t[..., k, None]) ** 2, axis=-1)
-    elif d % 2 == 0:
+    if lead:
         result = result * (t[..., k] - t[..., 0])
-        for j in range(1, k):
-            for l in range(j + 1, k):
-                result = result * (t[..., j] - t[..., l]) ** 4
-        result = result * np.prod((t[..., 1:k] - t[..., k, None]) ** 2, axis=-1)
-        result = result * np.prod((t[..., 1:k] - t[..., 0, None]) ** 2, axis=-1)
-    else:
-        for j in range(1, k + 1):
-            for l in range(j + 1, k + 1):
-                result = result * (t[..., j] - t[..., l]) ** 4
-        result = result * np.prod((t[..., 1 : k + 1] - t[..., 0, None]) ** 2, axis=-1)
+    for j in range(lo, hi):
+        for l in range(j + 1, hi):
+            result = result * (t[..., j] - t[..., l]) ** 4
+    for e in ends:
+        result = result * np.prod((t[..., lo:hi] - t[..., e, None]) ** 2, axis=-1)
     return result
 
 
@@ -195,26 +193,17 @@ def sample_incidence_params(kind, d, rng):
     if d < 2:
         raise ValueError("d must be at least 2")
     k = d // 2
-    if kind == PHI:
-        n_t = k + (d % 2)
-        n_s_chain = k + 1
-    else:
-        n_t = k + 1  # includes the dummy t1 = x1
-        n_s_chain = k + (d % 2)
+    # the chain whose first value lives on the base point, (s0, s1, ..., sk)
+    # for phi and (t1, t2, ...) with the dummy t1 for psi, has k + 1 values
+    n_t, n_s = (k + d % 2, k + 1) if kind == PHI else (k + 1, k + d % 2)
     ts = _stratified(rng, n_t)
-    ss = _stratified(rng, n_s_chain)
+    ss = _stratified(rng, n_s)
+    chain, other = (ss, ts) if kind == PHI else (ts, ss)
     base = rng.uniform(-1.0, 1.0, size=d)
+    base[0] = chain[0]
     params = np.empty(d)
-    if kind == PHI:
-        # ss is the chain (s0, s1, ..., sk) with s0 living on the base point
-        base[0] = ss[0]
-        params[0::2] = ts
-        params[1::2] = ss[1:]
-    else:
-        # ts is the chain (t1, t2, ...) with the dummy t1 on the base point
-        base[0] = ts[0]
-        params[0::2] = ss
-        params[1::2] = ts[1:]
+    params[0::2] = other
+    params[1::2] = chain[1:]
     return base, params
 
 

@@ -77,19 +77,24 @@ def lorentz_norm_from_steps(values, measures, s, r):
     return float(terms.sum() ** (1.0 / r))
 
 
-def lorentz_norm(f, s, r):
-    """Lorentz norm of a simple function, exact via its step profile."""
+def _check_supports(f):
+    # both norms refuse a support of zero measure rather than drop it silently
     if np.any(f.support_measures <= 0):
         raise ValueError("every support needs positive measure")
+
+
+def lorentz_norm(f, s, r):
+    """Lorentz norm of a simple function, exact via its step profile."""
+    _check_supports(f)
     return lorentz_norm_from_steps(f.weights, f.support_measures, s, r)
 
 
 def lp_norm(f, p):
     """Lebesgue p-norm of a simple function with disjoint supports."""
+    _check_supports(f)
     p = float(p)
     if np.isinf(p):
-        # the essential supremum: a support of zero measure does not count
-        return float(f.weights[f.support_measures > 0].max(initial=0.0))
+        return float(f.weights.max())
     if not p > 0:
         raise ValueError("p must be positive")
     return float((f.weights**p * f.support_measures).sum() ** (1.0 / p))

@@ -9,6 +9,7 @@ controls how finely rich fibers are subdivided.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .geometry import estimate_c_d, incidence_path, jacobian_closed_form, line_step
 from .sets import BoxUnionSet, Interval, _is_count, as_interval, fiber_cells
-from .sharpness import _dual_rhs, _primal_rhs
+from .sharpness import _two_slice
 from .transform import NoIncidence, bilinear_form, fiber_measure_batch, fiber_pieces
 
 
@@ -90,22 +91,16 @@ def _sample_points(region, count, rng):
     return lo + rng.uniform(size=(count, region.dim)) * (hi - lo)
 
 
+# per start: the parameter kinds of alternate levels ("t" dual, "s" forward)
+# and the first level's label
+_STARTS = {"phi": ("ts", 1), "psi": ("st", 2)}
+
+
 def _level_plan(start, d):
-    if start == "phi":
-        labels = range(1, d + 1)
-        first_kind = "t"
-    elif start == "psi":
-        labels = range(2, d + 2)
-        first_kind = "s"
-    else:
+    if start not in _STARTS:
         raise ValueError("start must be 'phi' or 'psi'")
-    plan = []
-    kind = first_kind
-    for label in labels:
-        target = "F" if kind == "t" else "E"
-        plan.append((label, kind, target))
-        kind = "s" if kind == "t" else "t"
-    return plan
+    kinds, first = _STARTS[start]
+    return [(first + i, kinds[i % 2], "F" if kinds[i % 2] == "t" else "E") for i in range(d)]
 
 
 def build_tower(E, F, interval, window, start="phi", config=None, base=None):
@@ -228,14 +223,9 @@ def check_tower_structure(tower, samples=200, seed=0):
     return passed / checked, checked
 
 
-_C_CACHE = {}
-
-
+@functools.cache
 def _measured_constant(kind, d):
-    key = (kind, d)
-    if key not in _C_CACHE:
-        _C_CACHE[key] = estimate_c_d(kind, d, samples=12, seed=0).mean
-    return _C_CACHE[key]
+    return estimate_c_d(kind, d, samples=12, seed=0).mean
 
 
 def image_volume_lower_bound(tower):
@@ -257,11 +247,8 @@ def tower_report(tower):
     t_value = bilinear_form(tower.E, tower.F, tower.interval)
     rows = []
     for level in tower.levels:
-        predicted = (
-            t_value / tower.E.measure
-            if level.param_kind == "t"
-            else t_value / tower.F.measure
-        )
+        # a dual step's average fiber is t / |E|, a forward step's t / |F|
+        predicted = t_value / (tower.E if level.param_kind == "t" else tower.F).measure
         rows.append(
             {
                 "label": level.label,
@@ -278,11 +265,10 @@ def tower_report(tower):
             }
         )
     image = image_volume_lower_bound(tower)
-    d = tower.dim
     delta_top = tower.top.min_kept_fiber
-    bound = _primal_rhs if tower.start == "phi" else _dual_rhs
-    rhs = bound(d, delta_top, t_value / tower.F.measure, t_value / tower.E.measure)
-    subject = tower.E.measure if tower.start == "phi" else tower.F.measure
+    subject, rhs, ratio = _two_slice(
+        tower.dim, delta_top, t_value, tower.E.measure, tower.F.measure, tower.start == "psi"
+    )
     return {
         "t_value": t_value,
         "levels": rows,
@@ -290,7 +276,7 @@ def tower_report(tower):
         "delta_top": delta_top,
         "predicted_rhs": rhs,
         "subject_measure": subject,
-        "ratio": subject / rhs if rhs > 0 else math.inf,
+        "ratio": ratio,
     }
 
 

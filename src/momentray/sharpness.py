@@ -339,6 +339,8 @@ class ScalingResult:
     fit_xf: FitResult
     predicted_f: float
     predicted_xf: float
+    norm_f: tuple  # the fitted norms, one per n_list entry
+    norm_xf: tuple
 
 
 def scaling_experiment(d, r, n_list=DEFAULT_N_LIST):
@@ -346,8 +348,8 @@ def scaling_experiment(d, r, n_list=DEFAULT_N_LIST):
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing with at least 3 entries")
-    norm_f = [counterexample_f_lp(d, n) for n in n_list]
-    norm_xf = [xf_lower_block_norm(d, r, n) for n in n_list]
+    norm_f = tuple(counterexample_f_lp(d, n) for n in n_list)
+    norm_xf = tuple(xf_lower_block_norm(d, r, n) for n in n_list)
     return ScalingResult(
         dim=d,
         r=float(r),
@@ -356,6 +358,8 @@ def scaling_experiment(d, r, n_list=DEFAULT_N_LIST):
         fit_xf=fit_power_law(n_list, norm_xf),
         predicted_f=float(predicted_f_slope(d)),
         predicted_xf=predicted_xf_slope(d, r),
+        norm_f=norm_f,
+        norm_xf=norm_xf,
     )
 
 
@@ -451,7 +455,6 @@ def check_rwt(E, F, interval, quad=None):
 class Lemma2Report:
     """Measured ratio of a subset measure to its predicted lower bound."""
 
-    kind: str
     ratio: float
     subset_measure: float
     rhs: float
@@ -467,6 +470,16 @@ def _primal_rhs(d, delta, a, b):
 def _dual_rhs(d, delta, a, b):
     """Dual two-slice bound delta^d a^(d-1) b^((d^2-d+2)/2-d) on |F|."""
     return delta**d * a ** (d - 1) * b ** ((d * d - d + 2) // 2 - d)
+
+
+def _two_slice(d, delta, t_value, e_measure, f_measure, dual):
+    """(subject, rhs, ratio): the two-slice bound rhs with a = t_value /
+    f_measure and b = t_value / e_measure, on the subject |E| (primal) or
+    |F| (dual), and the subject's ratio to it.  A grid check passes its rich
+    region as the side the grid lies over; a tower passes the pair itself."""
+    bound, subject = (_dual_rhs, f_measure) if dual else (_primal_rhs, e_measure)
+    rhs = bound(d, delta, t_value / f_measure, t_value / e_measure)
+    return subject, rhs, math.inf if rhs == 0.0 else subject / rhs
 
 
 def _grid(source, region, interval, grid_n, dual):
@@ -493,44 +506,39 @@ def _rich(vals, vols, theta):
 _SWEEP_FRACS = (0.3, 0.45, 0.6, 0.75, 0.9)
 
 
-def _check_theta_frac(theta_frac):
-    # a fraction of the average in (0, 1] keeps the bound real
-    if not 0.0 < theta_frac <= 1.0:
-        raise ValueError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
-
-
-def _threshold(theta_frac, vals, t_grid, measure):
-    """theta_frac times the grid average t_grid / measure, capped at the
-    largest grid value: at theta_frac = 1 a constant grid's average can
-    round one ulp above its value, which would leave no rich cell."""
-    return min(theta_frac * t_grid / measure, float(vals.max()))
-
-
-def _primal_report(E, vals, vols, theta, kind):
-    """Score the rich region {vals >= theta} against the primal bound on |E|."""
-    g_measure, t_over_g = _rich(vals, vols, theta)
-    rhs = _primal_rhs(E.dim, theta, t_over_g / g_measure, t_over_g / E.measure)
+def _rich_report(source, vals, vols, theta, dual):
+    """Score the rich region {vals >= theta} of a grid of source's transform:
+    it stands in for F on the primal route (source E) and for E on the dual
+    route (source F)."""
+    measure, t_rich = _rich(vals, vols, theta)
+    sides = (measure, source.measure) if dual else (source.measure, measure)
+    subject, rhs, ratio = _two_slice(source.dim, theta, t_rich, *sides, dual)
     return Lemma2Report(
-        kind=kind,
-        ratio=math.inf if rhs == 0.0 else E.measure / rhs,
-        subset_measure=E.measure,
+        ratio=ratio,
+        subset_measure=subject,
         rhs=rhs,
         theta=theta,
-        region_measure=g_measure,
+        region_measure=measure,
     )
 
 
-def _primal_grid(E, F, interval, theta_frac, grid_n):
-    """The primal midpoint grid's cell values and volumes, and its report.
+def _lemma2_grid(source, region, span, theta_frac, grid_n, dual):
+    """The midpoint grid of source's transform over region, its cell values
+    and volumes, and its report.
 
     The rich region collects cells whose center value clears theta_frac
-    times the F-average; the pairing over it and the fiber floor both come
-    from the same grid, so the accounting is internally consistent.
+    times the grid average over region, capped at the largest grid value:
+    at theta_frac = 1 a constant grid's average can round one ulp above its
+    value, which would leave no rich cell.  The pairing over the rich region
+    and the fiber floor both come from the same grid, so the accounting is
+    internally consistent.
     """
-    _check_theta_frac(theta_frac)
-    vals, vols, t_grid = _grid(E, F, interval, grid_n, dual=False)
-    theta = _threshold(theta_frac, vals, t_grid, F.measure)
-    return vals, vols, _primal_report(E, vals, vols, theta, "primal-grid")
+    # a fraction of the average in (0, 1] keeps the bound real
+    if not 0.0 < theta_frac <= 1.0:
+        raise ValueError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
+    vals, vols, t_grid = _grid(source, region, span, grid_n, dual)
+    theta = min(theta_frac * t_grid / region.measure, float(vals.max()))
+    return vals, vols, _rich_report(source, vals, vols, theta, dual)
 
 
 def check_lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32):
@@ -541,17 +549,15 @@ def check_lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     floor.  Both score rich regions of the same primal midpoint grid, which
     is evaluated once.
     """
-    vals, vols, primal = _primal_grid(E, F, interval, theta_frac, grid_n)
+    vals, vols, primal = _lemma2_grid(E, F, interval, theta_frac, grid_n, dual=False)
     vmax = float(vals.max())
-    sweep = [
-        _primal_report(E, vals, vols, frac * vmax, "primal-sweep") for frac in _SWEEP_FRACS
-    ]
+    sweep = [_rich_report(E, vals, vols, frac * vmax, dual=False) for frac in _SWEEP_FRACS]
     return primal, sweep
 
 
 def lemma2_grid_primal(E, F, interval):
     """The primal-grid report of check_lemma2_primal, without the sweep."""
-    return _primal_grid(E, F, interval, 0.5, 32)[2]
+    return _lemma2_grid(E, F, interval, 0.5, 32, dual=False)[2]
 
 
 def lemma2_shrinking_sweep(E, F, interval):
@@ -561,19 +567,7 @@ def lemma2_shrinking_sweep(E, F, interval):
 
 def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32):
     """Grid-aligned dual check over the rich region on the source side."""
-    _check_theta_frac(theta_frac)
-    vals, vols, t_grid = _grid(F, E, window, grid_n, dual=True)
-    theta = _threshold(theta_frac, vals, t_grid, E.measure)
-    h_measure, t_over_h = _rich(vals, vols, theta)
-    rhs = _dual_rhs(E.dim, theta, t_over_h / F.measure, t_over_h / h_measure)
-    return Lemma2Report(
-        kind="dual-grid",
-        ratio=math.inf if rhs == 0.0 else F.measure / rhs,
-        subset_measure=F.measure,
-        rhs=rhs,
-        theta=theta,
-        region_measure=h_measure,
-    )
+    return _lemma2_grid(F, E, window, theta_frac, grid_n, dual=True)[2]
 
 
 # ---------------------------------------------------------------------------

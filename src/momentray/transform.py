@@ -13,6 +13,7 @@ leading broadcast axis, taken a chunk at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -261,13 +262,10 @@ def _midpoint_pairing(source, region, lo, hi, step, dual):
     return total
 
 
-_GL_CACHE = {}
-
-
+@functools.cache
 def _leggauss(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    # looked up at call time: numpy loads np.polynomial on first access
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _overlap_product_integrals(a_lo, a_hi, b_lo, b_hi, scales, exps, v_lo, v_hi):
@@ -362,15 +360,25 @@ def _check_covers(lo, hi, region, what, name):
         )
 
 
-def bilinear_form(E, F, interval, quad=None):
-    """Pairing <X chi_E, chi_F> with exact inner fibers over the interval."""
+def _pairing(E, F, span, quad, dual):
+    """Both pairings: the primal route integrates E's fibers over the
+    interval, the dual route F's dual fibers over the window, which must
+    cover F's first-axis span."""
     if E.dim != F.dim:
         raise ValueError("E and F must share a dimension")
     quad = quad or QuadSpec()
-    lo, hi = _interval_pair(interval)
+    lo, hi = _interval_pair(span)
+    if dual:
+        _check_covers(lo, hi, F, "window", "F")
     if quad.method == "layered":
-        return _pairing_layered(E, F, lo, hi, quad.step, dual=False)
-    return _midpoint_pairing(E, F, lo, hi, quad.step, dual=False)
+        return _pairing_layered(E, F, lo, hi, quad.step, dual)
+    source, region = (F, E) if dual else (E, F)
+    return _midpoint_pairing(source, region, lo, hi, quad.step, dual)
+
+
+def bilinear_form(E, F, interval, quad=None):
+    """Pairing <X chi_E, chi_F> with exact inner fibers over the interval."""
+    return _pairing(E, F, interval, quad, dual=False)
 
 
 def bilinear_form_dual(E, F, window, quad=None):
@@ -379,14 +387,7 @@ def bilinear_form_dual(E, F, window, quad=None):
     Equals bilinear_form(E, F, I) when the interval covers E's first-axis
     span and the window covers F's; the window condition is enforced here.
     """
-    if E.dim != F.dim:
-        raise ValueError("E and F must share a dimension")
-    quad = quad or QuadSpec()
-    lo, hi = _interval_pair(window)
-    _check_covers(lo, hi, F, "window", "F")
-    if quad.method == "layered":
-        return _pairing_layered(E, F, lo, hi, quad.step, dual=True)
-    return _midpoint_pairing(F, E, lo, hi, quad.step, dual=True)
+    return _pairing(E, F, window, quad, dual=True)
 
 
 def adjointness_gap(E, F, interval, window, quad=None):

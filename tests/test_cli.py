@@ -518,13 +518,17 @@ def test_console_script_entry_point():
 # a numpy-only runtime: scipy is a test dependency
 
 
-def test_cli_import_loads_no_scipy():
-    """Importing the CLI imports every module of the package and no scipy."""
+@pytest.mark.parametrize("prefix", ["scipy", "numpy.polynomial"])
+def test_cli_import_loads_no_scipy(prefix):
+    """Importing the CLI imports every module of the package, and neither
+    scipy (a test dependency) nor numpy.polynomial, which numpy loads only
+    when first used: an import-time lookup of np.polynomial fails here."""
     code = (
         "import sys, momentray.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "prefix = sys.argv[1]\n"
+        "print(sorted(m for m in sys.modules if (m + '.').startswith(prefix + '.')))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, prefix], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

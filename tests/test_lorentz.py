@@ -52,15 +52,13 @@ def test_simple_function_steps():
 
 
 def test_lorentz_norm_refuses_zero_measure_support():
+    """Both norms refuse a support of zero measure rather than drop it."""
     flat = SimpleFunction([1.0, 2.0], [A, [[5.0, 5.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="positive measure"):
         lorentz_norm(flat, 2.0, 2.0)
-    # the Lebesgue norm is an integral, which the empty support leaves alone
-    assert lp_norm(flat, 2.0) == lp_norm(SimpleFunction([1.0], [A]), 2.0)
-    # and so is the essential supremum: the null support's weight 2 does not count
-    assert lp_norm(flat, float("inf")) == 1.0
-    null_only = SimpleFunction([2.0], [[[5.0, 5.0], [0.0, 1.0]]])
-    assert lp_norm(null_only, float("inf")) == 0.0
+    for p in (2.0, float("inf")):
+        with pytest.raises(ValueError, match="positive measure"):
+            lp_norm(flat, p)
 
 
 def test_lp_norm_hand_value():

@@ -350,3 +350,25 @@ def test_tower_report_contents():
         assert row["n_nodes"] > 0
         assert row["measure"] > 0.0
         assert np.isfinite(row["threshold_over_predicted"])
+
+
+@pytest.mark.parametrize("entry_id", ["d2-split-source", "d3-split-source"])
+@pytest.mark.parametrize("start", ["phi", "psi"])
+def test_tower_report_bound_is_the_hand_formula(entry_id, start):
+    """The top level's two-slice bound, written out with a = t/|F| and
+    b = t/|E|: the primal bound on |E| from phi, the dual bound on |F| from
+    psi, delta the smallest kept top-level fiber."""
+    entry = {e.entry_id: e for e in build_default_corpus()}[entry_id]
+    E, F, d = entry.E, entry.F, entry.E.dim
+    tower = build_tower(E, F, entry.interval, entry.window, start=start)
+    report = tower_report(tower)
+    t, delta = report["t_value"], tower.top.min_kept_fiber
+    a, b = t / F.measure, t / E.measure
+    if start == "phi":
+        subject, rhs = E.measure, delta**2 * a ** (d - 2) * b ** (d * (d - 1) // 2)
+    else:
+        subject, rhs = F.measure, delta**d * a ** (d - 1) * b ** ((d * d - d + 2) // 2 - d)
+    assert report["delta_top"] == delta
+    assert report["subject_measure"] == subject
+    assert report["predicted_rhs"] == pytest.approx(rhs, rel=1e-12)
+    assert report["ratio"] == pytest.approx(subject / rhs, rel=1e-12)

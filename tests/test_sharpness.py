@@ -456,7 +456,6 @@ def test_lemma2_primal_hand_config():
     G = box_from([0.4, 0.4], [0.6, 0.6])
     # every start in G keeps its line inside E for parameters up to 2/3
     rep, _ = check_lemma2_primal(E, G, Interval(0.0, 1.0), grid_n=8)
-    assert rep.kind == "primal-grid"
     assert rep.region_measure == pytest.approx(G.measure)  # every cell is rich
     assert rep.subset_measure == pytest.approx(1.0)
     assert rep.rhs > 0.0
@@ -496,8 +495,58 @@ def test_lemma2_dual_hand_config():
     F = unit_box(2)
     H = box_from([0.4, 0.4], [0.6, 0.6])
     rep = lemma2_grid_dual(H, F, Interval(0.0, 1.0), grid_n=8)
-    assert rep.kind == "dual-grid"
     assert rep.ratio > 0.0
+
+
+@pytest.mark.parametrize(
+    "d, primal, dual",
+    # delta = 2, a = 3, b = 5: 2^2 3^(d-2) 5^(d(d-1)/2) and 2^d 3^(d-1) 5^((d^2-d+2)/2-d)
+    [(2, 20.0, 12.0), (3, 1500.0, 360.0), (4, 562500.0, 54000.0)],
+)
+def test_two_slice_bounds_hand_values(d, primal, dual):
+    assert sharpness._primal_rhs(d, 2.0, 3.0, 5.0) == primal
+    assert sharpness._dual_rhs(d, 2.0, 3.0, 5.0) == dual
+
+
+def _hand_rich_rhs(vals, vols, theta, d, subject, dual):
+    """The two-slice bound over the rich cells {vals >= theta}, written out
+    with a = t/|F| and b = t/|E|: the rich region stands in for F on the
+    primal route and for E on the dual route, and subject is the other side."""
+    rich = vals >= theta
+    region, t = vols[rich].sum(), (vals * vols)[rich].sum()
+    if dual:
+        a, b = t / subject, t / region
+        return theta**d * a ** (d - 1) * b ** ((d * d - d + 2) // 2 - d)
+    a, b = t / region, t / subject
+    return theta**2 * a ** (d - 2) * b ** (d * (d - 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "entry_id", ["d2-split-source", "d2-thin-target", "d3-nested", "d3-random-0"]
+)
+def test_lemma2_rhs_is_the_hand_formula_on_the_same_grid(entry_id):
+    """Every report's rhs, subset measure and ratio from the same
+    region_cell_values grid: primal (E over F) at half the F-average and
+    at each sweep fraction of the largest value, dual (F over E) at half
+    the E-average."""
+    entry = {e.entry_id: e for e in build_default_corpus()}[entry_id]
+    E, F, d, grid_n = entry.E, entry.F, entry.E.dim, 16
+    primal, sweep = check_lemma2_primal(E, F, entry.interval, grid_n=grid_n)
+    dual = lemma2_grid_dual(E, F, entry.window, grid_n=grid_n)
+    routes = ((E, F, entry.interval, False, [primal, *sweep]), (F, E, entry.window, True, [dual]))
+    for source, region, span, is_dual, reports in routes:
+        blocks = region_cell_values(source, region, span, grid_n, dual=is_dual)
+        vals = np.concatenate([b.center_values.reshape(-1) for b in blocks])
+        vols = np.concatenate([np.full(b.center_values.size, b.cell_volume) for b in blocks])
+        thetas = [0.5 * (vals * vols).sum() / region.measure]
+        if not is_dual:
+            thetas += [frac * vals.max() for frac in (0.3, 0.45, 0.6, 0.75, 0.9)]
+        for rep, theta in zip(reports, thetas, strict=True):
+            assert rep.theta == pytest.approx(theta, rel=1e-12)
+            rhs = _hand_rich_rhs(vals, vols, rep.theta, d, source.measure, is_dual)
+            assert rep.rhs == pytest.approx(rhs, rel=1e-12), (entry_id, is_dual)
+            assert rep.subset_measure == source.measure
+            assert rep.ratio == pytest.approx(source.measure / rhs, rel=1e-12)
 
 
 def test_lemma2_grid_checks_positive():
