@@ -33,7 +33,6 @@ from .sharpness import (
     check_rwt,
     critical_exponents,
     lemma2_grid_dual,
-    necessity_check,
     scaling_experiment,
     xf_lower_block_norm,
     xf_lower_exact_lorentz,
@@ -255,8 +254,8 @@ def criterion_4_family_scaling(seed, profile):
             gates.append(Gate(f"rel_err_{route}_d{d}", rel, "<=", 0.03))
         gap = abs(res.fit_f.slope - res.fit_xf.slope)
         gates.append(Gate(f"slope_gap_d{d}", gap, "<=", 1e-2))
-        low = necessity_check(d, r=0.9 * float(p_d))
-        high = necessity_check(d, r=1.1 * float(p_d))
+        low = scaling_experiment(d, r=0.9 * float(p_d))
+        high = scaling_experiment(d, r=1.1 * float(p_d))
         verdicts = f"{low.verdict}/{high.verdict}"
         gates.append(Gate(f"verdicts_d{d}", verdicts, "==", "diverges/bounded"))
         closed = xf_lower_block_norm(d, float(q_d), 4)

@@ -1,11 +1,16 @@
 """Command line runner: seeded sweeps, deterministic reports, verdicts.
 
 COMMANDS declares each subcommand's parameters.  Each value comes from its
-flag, else the JSON config, else its default, through one converter.  Reports
-carry their full parameterization in '# key=value' header comments (CSV) or a
-meta object (JSON) and never embed timestamps, so identical configs and seeds
-produce byte-identical files.  A sibling manifest records config hash, seed,
-tool version, output digests, and wall time; wall time lives only there.
+flag, else the JSON config, else its default, through one converter.  Rows
+are read off the library's result records where their names are the
+published columns (superlevel, lemma2, duality), so a record's fields, in
+order, are those columns.  Reports carry their full parameterization in
+'# key=value' header comments (CSV) or a meta object (JSON, refine's
+per-tower document included) and never embed timestamps, so identical
+configs and seeds produce byte-identical files.  One writer writes every
+report file, the acceptance suite's included, with a sibling manifest of
+config hash, seed, tool version, the digests of the bytes written, and wall
+time; wall time lives only there.
 
 Exit codes: 0 all checks pass, 1 a check fails or the input sets have no
 incidence to measure, 2 configuration error (a size that cannot be allocated
@@ -22,7 +27,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -33,13 +38,14 @@ from .corpus import build_default_corpus, load_corpus
 from .geometry import estimate_c_d
 from .refinement import TowerConfig, build_tower, check_tower_structure, tower_report
 from .sharpness import (
+    DEFAULT_N_LIST,
+    Lemma2Report,
     check_lemma2_primal,
     check_rwt,
     critical_exponents,
     delta_region_vertices,
     homogeneous_dimension,
     lemma2_grid_dual,
-    necessity_check,
     region_contains,
     scaling_experiment,
     superlevel_mass_check,
@@ -211,27 +217,21 @@ def _cell(value):
     return str(value)
 
 
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 class Report:
-    """Rows plus meta, rendered to CSV/JSON/stdout deterministically.
+    """Rows plus meta, rendered to CSV, JSON or a stdout table deterministically.
 
-    The columns are the keys of the first row, in order.
-
-    A command whose JSON form is not its rows passes that document as
-    json_payload, and JSON output writes it in place of the rows.
+    The columns are the keys of the first row, in order.  The JSON document
+    is the meta plus a body, by default the columns and rows; a command whose
+    JSON form is not its rows passes its own body.
     """
 
-    def __init__(self, command, params, rows, extra_meta=None, json_payload=None):
+    def __init__(self, command, params, rows, extra_meta=None, body=None):
         self.command = command
         self.params = params
         self.columns = list(rows[0]) if rows else []
         self.rows = rows
         self.extra_meta = dict(extra_meta or {})
-        self.json_payload = json_payload
+        self.body = body or {"columns": self.columns, "rows": rows}
 
     def _meta(self):
         meta = {"command": self.command, "version": __version__}
@@ -246,57 +246,44 @@ class Report:
         meta.update(self.extra_meta)
         return meta
 
-    def write_csv(self, fh):
-        for key, value in self._meta().items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            fh.write(",".join(_cell(row[c]) for c in self.columns) + "\n")
-
-    def write_json(self, fh):
-        payload = self.json_payload or {
-            "meta": self._meta(),
-            "columns": self.columns,
-            "rows": self.rows,
-        }
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    def print_table(self, stream):
-        widths = [max(len(c), *(len(_cell(r[c])) for r in self.rows)) for c in self.columns]
-        header = "  ".join(c.ljust(w) for c, w in zip(self.columns, widths))
-        stream.write(header + "\n")
-        for row in self.rows:
-            stream.write(
-                "  ".join(_cell(row[c]).ljust(w) for c, w in zip(self.columns, widths))
-                + "\n"
-            )
+    def render(self, fmt):
+        """The report's text: "csv" (meta as '# key=value' lines), "json" or
+        "table" (aligned columns, no meta)."""
+        if fmt == "json":
+            return json.dumps({"meta": self._meta(), **self.body}, indent=2, sort_keys=True) + "\n"
+        cells = [self.columns, *([_cell(row[c]) for c in self.columns] for row in self.rows)]
+        if fmt == "csv":
+            lines = [f"# {key}={value}" for key, value in self._meta().items()]
+            lines += [",".join(line) for line in cells]
+        else:
+            widths = [max(len(cell) for cell in column) for column in zip(*cells)]
+            lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells]
+        return "".join(line + "\n" for line in lines)
 
 
 def _emit(report, params, passed, started):
     out, fmt = params["output"], params["format"]
     verdict = sys.stdout
     if out:
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w") as fh:
-            if fmt == "csv":
-                report.write_csv(fh)
-            else:
-                report.write_json(fh)
-        _write_manifest(
-            out + ".manifest.json", report.command, params, [out], started
-        )
+        files = {out: report.render(fmt).encode()}
+        _write_outputs(files, out + ".manifest.json", report.command, params, started)
         sys.stdout.write(f"wrote {out}\n")
     elif fmt == "json":
-        report.write_json(sys.stdout)
+        sys.stdout.write(report.render("json"))
         verdict = sys.stderr  # stdout holds the one JSON document alone
     else:
-        report.print_table(sys.stdout)
+        sys.stdout.write(report.render("table"))
     if passed is not None:
         verdict.write("verdict: " + ("PASS" if passed else "FAIL") + "\n")
 
 
-def _write_manifest(path, command, params, outputs, started, **timings):
+def _write_outputs(files, manifest_path, command, params, started, **timings):
+    """Write each path's bytes, then a manifest beside them with their
+    digests, the configuration's hash and the wall time since started."""
+    os.makedirs(os.path.dirname(os.path.abspath(manifest_path)), exist_ok=True)
+    for path, data in files.items():
+        with open(path, "wb") as fh:
+            fh.write(data)
     # where the outputs go is no part of the configuration
     canon = {k: v for k, v in params.items() if k not in ("output", "outdir")}
     blob = json.dumps(canon, sort_keys=True, default=str).encode()
@@ -305,11 +292,11 @@ def _write_manifest(path, command, params, outputs, started, **timings):
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": params.get("seed"),
         "version": __version__,
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": {os.path.basename(p): hashlib.sha256(d).hexdigest() for p, d in files.items()},
         "wall_time_s": round(time.perf_counter() - started, 3),
         **timings,
     }
-    with open(path, "w") as fh:
+    with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -366,7 +353,7 @@ def cmd_jacobian(params):
     rows = []
     for kind, d in jobs:
         est = estimate_c_d(kind, d, samples=params["samples"], seed=params["seed"] + d)
-        ok = est.rel_dispersion < params["tol"] and est.mean != 0.0
+        ok = est.rel_dispersion < params["tol"]
         rows.append(
             {
                 "kind": est.kind,
@@ -393,17 +380,7 @@ def cmd_duality(params):
         for i, (E, F) in enumerate(pairs):
             gap = adjointness_gap(E, F, E.first_axis_span(), F.first_axis_span(), params["quad"])
             ok = gap["rel_gap"] <= params["tol"]
-            rows.append(
-                {
-                    "d": d,
-                    "pair": i,
-                    "primal": gap["primal"],
-                    "dual": gap["dual"],
-                    "abs_gap": gap["abs_gap"],
-                    "rel_gap": gap["rel_gap"],
-                    "verdict": "PASS" if ok else "FAIL",
-                }
-            )
+            rows.append({"d": d, "pair": i, **gap, "verdict": "PASS" if ok else "FAIL"})
     return Report("duality", params, rows), _all_pass(rows)
 
 
@@ -448,21 +425,7 @@ def cmd_superlevel(params):
     entry = _corpus_entry(_corpus_from(params), params["entry"])
     rep = superlevel_mass_check(entry.E, entry.F, entry.interval, grid_n=params["grid_n"])
     ok = rep.c0 > 0.0 and rep.t_inside >= rep.t_outside
-    rows = [
-        {
-            "corpus_id": entry.entry_id,
-            "grid_n": rep.grid_n,
-            "epsilon": rep.epsilon,
-            "c0": rep.c0,
-            "theta": rep.theta,
-            "g_measure": rep.g_measure,
-            "t_total": rep.t_total,
-            "t_inside": rep.t_inside,
-            "t_outside": rep.t_outside,
-            "constant": rep.constant,
-            "verdict": "PASS" if ok else "FAIL",
-        }
-    ]
+    rows = [{"corpus_id": entry.entry_id, **asdict(rep), "verdict": "PASS" if ok else "FAIL"}]
     return Report("superlevel", params, rows), ok
 
 
@@ -492,25 +455,22 @@ def cmd_necessity(params):
     p_d, _ = critical_exponents(d)
     rows = []
     for mult in params["r_mults"]:
-        rep = necessity_check(d, r=float(p_d) * mult, n_list=params["n_list"])
+        res = scaling_experiment(d, r=float(p_d) * mult, n_list=params["n_list"])
         rows.append(
             {
                 "d": d,
                 "r_over_critical": mult,
-                "r": rep.r,
-                "slope_f": rep.slope_f,
-                "slope_xf": rep.slope_xf,
-                "slope_gap": rep.slope_gap,
-                "verdict": rep.verdict,
+                "r": res.r,
+                "slope_f": res.fit_f.slope,
+                "slope_xf": res.fit_xf.slope,
+                "slope_gap": res.slope_gap,
+                "verdict": res.verdict,
             }
         )
     return Report("necessity", params, rows), None
 
 
-_LEMMA2_COLUMNS = (
-    "corpus_id", "kind", "theta", "region_measure", "subset_measure", "rhs",
-    "ratio", "verdict",
-)
+_LEMMA2_COLUMNS = ("corpus_id", "kind", *(f.name for f in fields(Lemma2Report)), "verdict")
 
 
 def cmd_lemma2(params):
@@ -526,15 +486,13 @@ def cmd_lemma2(params):
         reports = [("primal", primal), ("dual", dual)]
         if params["sweep"]:
             reports += [(f"sweep-{i}", rep) for i, rep in enumerate(sweep)]
-        rows = []
-        for kind, rep in reports:
-            values = (
-                entry.entry_id, kind, rep.theta, rep.region_measure,
-                rep.subset_measure, rep.rhs, rep.ratio,
-                "PASS" if rep.ratio >= floor else "FAIL",
-            )
-            rows.append(dict(zip(_LEMMA2_COLUMNS, values)))
-        return rows
+        return [
+            {
+                "corpus_id": entry.entry_id, "kind": kind, **asdict(rep),
+                "verdict": "PASS" if rep.ratio >= floor else "FAIL",
+            }
+            for kind, rep in reports
+        ]
 
     rows = _entry_rows(_corpus_from(params), _LEMMA2_COLUMNS, rows_of)
     return Report("lemma2", params, rows), _all_pass(rows)
@@ -580,8 +538,7 @@ def cmd_refine(params):
                     "structure_fraction": frac,
                 }
             )
-    payload = {"meta": {"command": "refine", "version": __version__}, "towers": towers}
-    return Report("refine", params, rows, json_payload=payload), passed
+    return Report("refine", params, rows, body={"towers": towers}), passed
 
 
 def cmd_acceptance(params):
@@ -590,17 +547,11 @@ def cmd_acceptance(params):
     started = time.perf_counter()
     suite = run_suite(seed=params["seed"], profile=params["profile"], stream=sys.stdout)
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        outputs = []
-        for name, data in suite.reports.items():
-            outputs.append(os.path.join(outdir, name))
-            with open(outputs[-1], "wb") as fh:
-                fh.write(data)
-        _write_manifest(
+        _write_outputs(
+            {os.path.join(outdir, name): data for name, data in suite.reports.items()},
             os.path.join(outdir, "manifest.json"),
             "acceptance",
             params,
-            outputs,
             started,
             criterion_seconds={str(i): round(s, 3) for i, s in suite.seconds.items()},
         )
@@ -641,8 +592,7 @@ _ENTRY = Param("entry", "d2-unit", _text, ("--entry",), "corpus entry id")
 _FLOOR = Param("floor", 0.01, _finite, ("--floor",), "smallest passing ratio")
 _QUAD = Param("quad", None, _quad, (), "pairing quadrature (config only)")
 _N_LIST = Param(
-    "n_list", [16, 32, 64, 128, 256, 512, 1024, 2048, 4096], _INTS, ("--n-list",),
-    "comma-separated family start indices N",
+    "n_list", list(DEFAULT_N_LIST), _INTS, ("--n-list",), "comma-separated family start indices N"
 )
 
 

@@ -43,6 +43,12 @@ class SimpleFunction:
         return f"SimpleFunction({len(self.weights)} terms, dim={self.region.dim})"
 
 
+def _check_supports(measures):
+    # every norm refuses a step of zero measure rather than drop it silently
+    if np.any(measures <= 0):
+        raise ValueError("every support needs positive measure")
+
+
 def lorentz_norm_from_steps(values, measures, s, r):
     """Exact Lorentz norm of a step rearrangement given as arrays.
 
@@ -55,12 +61,9 @@ def lorentz_norm_from_steps(values, measures, s, r):
     mu = np.asarray(measures, dtype=float)
     if v.shape != mu.shape or v.ndim != 1:
         raise ValueError("values and measures must be 1-d arrays of equal size")
-    if np.any(mu < 0) or np.any(v < 0):
-        raise ValueError("values and measures must be nonnegative")
-    keep = mu > 0
-    v, mu = v[keep], mu[keep]
-    if v.size == 0:
-        return 0.0
+    if np.any(v < 0):
+        raise ValueError("values must be nonnegative")
+    _check_supports(mu)
     order = np.argsort(-v)
     v, mu = v[order], mu[order]
     cum = np.cumsum(mu)
@@ -77,21 +80,14 @@ def lorentz_norm_from_steps(values, measures, s, r):
     return float(terms.sum() ** (1.0 / r))
 
 
-def _check_supports(f):
-    # both norms refuse a support of zero measure rather than drop it silently
-    if np.any(f.support_measures <= 0):
-        raise ValueError("every support needs positive measure")
-
-
 def lorentz_norm(f, s, r):
     """Lorentz norm of a simple function, exact via its step profile."""
-    _check_supports(f)
     return lorentz_norm_from_steps(f.weights, f.support_measures, s, r)
 
 
 def lp_norm(f, p):
     """Lebesgue p-norm of a simple function with disjoint supports."""
-    _check_supports(f)
+    _check_supports(f.support_measures)
     p = float(p)
     if np.isinf(p):
         return float(f.weights.max())

@@ -342,6 +342,26 @@ class ScalingResult:
     norm_f: tuple  # the fitted norms, one per n_list entry
     norm_xf: tuple
 
+    @property
+    def slope_gap(self):
+        """Fitted decay slope of the minorant norm minus that of the input norm."""
+        return self.fit_xf.slope - self.fit_f.slope
+
+    @property
+    def verdict(self):
+        """The necessity verdict on the norm ratio as the family index grows.
+
+        A positive gap means the ratio grows without bound (the secondary
+        exponent is too small); the verdict flips from "diverges" to
+        "bounded" across the critical secondary exponent, and a gap within
+        1e-2 of zero reads "critical".
+        """
+        if self.slope_gap > 1e-2:
+            return "diverges"
+        if self.slope_gap < -1e-2:
+            return "bounded"
+        return "critical"
+
 
 def scaling_experiment(d, r, n_list=DEFAULT_N_LIST):
     """Fit the decay of both exact norms against the starting index."""
@@ -360,42 +380,6 @@ def scaling_experiment(d, r, n_list=DEFAULT_N_LIST):
         predicted_xf=predicted_xf_slope(d, r),
         norm_f=norm_f,
         norm_xf=norm_xf,
-    )
-
-
-@dataclass(frozen=True)
-class NecessityReport:
-    dim: int
-    r: float
-    slope_f: float
-    slope_xf: float
-    slope_gap: float
-    verdict: str
-
-
-def necessity_check(d, r, n_list=DEFAULT_N_LIST):
-    """Compare fitted decay rates of the minorant norm and the input norm.
-
-    A positive gap means the norm ratio grows without bound as the family
-    index increases (the secondary exponent is too small); the verdict flips
-    from "diverges" to "bounded" across the critical secondary exponent, and
-    a gap within 1e-2 of zero reads "critical".
-    """
-    result = scaling_experiment(d, r, n_list)
-    gap = result.fit_xf.slope - result.fit_f.slope
-    if gap > 1e-2:
-        verdict = "diverges"
-    elif gap < -1e-2:
-        verdict = "bounded"
-    else:
-        verdict = "critical"
-    return NecessityReport(
-        dim=d,
-        r=float(r),
-        slope_f=result.fit_f.slope,
-        slope_xf=result.fit_xf.slope,
-        slope_gap=gap,
-        verdict=verdict,
     )
 
 
@@ -455,11 +439,11 @@ def check_rwt(E, F, interval, quad=None):
 class Lemma2Report:
     """Measured ratio of a subset measure to its predicted lower bound."""
 
-    ratio: float
-    subset_measure: float
-    rhs: float
     theta: float
     region_measure: float
+    subset_measure: float
+    rhs: float
+    ratio: float
 
 
 def _primal_rhs(d, delta, a, b):
@@ -514,11 +498,11 @@ def _rich_report(source, vals, vols, theta, dual):
     sides = (measure, source.measure) if dual else (source.measure, measure)
     subject, rhs, ratio = _two_slice(source.dim, theta, t_rich, *sides, dual)
     return Lemma2Report(
-        ratio=ratio,
-        subset_measure=subject,
-        rhs=rhs,
         theta=theta,
         region_measure=measure,
+        subset_measure=subject,
+        rhs=rhs,
+        ratio=ratio,
     )
 
 
@@ -578,6 +562,7 @@ def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32):
 class SuperlevelMassReport:
     """Mass captured by the superlevel region at the half-pairing threshold."""
 
+    grid_n: int
     epsilon: float
     c0: float
     theta: float
@@ -586,7 +571,6 @@ class SuperlevelMassReport:
     t_inside: float
     t_outside: float
     constant: float
-    grid_n: int
 
 
 def superlevel_mass_check(E, F, interval, grid_n=48):
@@ -611,6 +595,7 @@ def superlevel_mass_check(E, F, interval, grid_n=48):
     theta = float(vals[order[np.searchsorted(held, 0.5 * t_total)]])
     g_measure, t_inside = _rich(vals, vols, theta)
     return SuperlevelMassReport(
+        grid_n=grid_n,
         epsilon=eps,
         c0=theta / theta_unit,
         theta=theta,
@@ -619,5 +604,4 @@ def superlevel_mass_check(E, F, interval, grid_n=48):
         t_inside=t_inside,
         t_outside=t_total - t_inside,
         constant=g_measure / (eps**q_prime * F.measure),
-        grid_n=grid_n,
     )

@@ -348,7 +348,7 @@ def test_rwt_csv_output_and_manifest(mini_corpus_path, tmp_path):
     manifest = json.loads((tmp_path / "rwt.csv.manifest.json").read_text())
     assert manifest["command"].startswith("rwt")
     assert "config_hash" in manifest and "wall_time_s" in manifest
-    assert len(manifest["outputs"]["rwt.csv"]) == 64  # sha256 hex digest
+    assert manifest["outputs"]["rwt.csv"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_outputs_are_byte_deterministic(mini_corpus_path, tmp_path):
@@ -433,6 +433,34 @@ def test_lemma2_and_superlevel_quick(mini_corpus_path, capsys):
     assert run(["superlevel", "--corpus", mini_corpus_path, "--grid-n", "16"]) == PASS
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (
+            ["superlevel", "--grid-n", "16"],
+            "corpus_id,grid_n,epsilon,c0,theta,g_measure,t_total,t_inside,t_outside,"
+            "constant,verdict",
+        ),
+        (
+            ["lemma2", "--grid-n", "16"],
+            "corpus_id,kind,theta,region_measure,subset_measure,rhs,ratio,verdict",
+        ),
+        (
+            ["necessity", "--dim", "2", "--n-list", "16,32,64"],
+            "d,r_over_critical,r,slope_f,slope_xf,slope_gap,verdict",
+        ),
+    ],
+)
+def test_record_columns_are_the_published_header(argv, header, mini_corpus_path, tmp_path):
+    """These rows are read off result records, so reordering a record's
+    fields would change the published columns."""
+    out = tmp_path / "report.csv"
+    corpus = [] if argv[0] == "necessity" else ["--corpus", mini_corpus_path]
+    assert run([*argv, *corpus, "--output", str(out)]) == PASS
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("# ")]
+    assert lines[0] == header
+
+
 @pytest.mark.parametrize("grid_n", ["8", "16"])
 def test_lemma2_theta_frac_one_exits_zero(grid_n):
     """Each grid has a corpus entry whose cells all hold one value, whose
@@ -448,7 +476,14 @@ def test_refine_json_report(tmp_path):
     ]
     assert run(argv) == PASS
     payload = json.loads(out.read_text())
-    assert "towers" in payload
+    assert set(payload) == {"meta", "towers"}
+    meta = payload["meta"]
+    assert meta["command"] == "refine"
+    assert (meta["entry"], meta["start"], meta["max_nodes"], meta["samples"]) == (
+        "d2-unit", "phi", 500, 40,
+    )
+    manifest = json.loads((tmp_path / "towers.json.manifest.json").read_text())
+    assert manifest["outputs"]["towers.json"] == hashlib.sha256(out.read_bytes()).hexdigest()
     tower = payload["towers"]["phi"]
     assert tower["structure_fraction"] == 1.0
     assert tower["ratio"] > 0.0

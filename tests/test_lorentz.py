@@ -61,6 +61,13 @@ def test_lorentz_norm_refuses_zero_measure_support():
             lp_norm(flat, p)
 
 
+def test_steps_norm_refuses_zero_measure_step():
+    """A zero-measure step is refused, not dropped, alone or among others."""
+    for values, measures in (([1.0, 5.0], [1.0, 0.0]), ([5.0], [0.0])):
+        with pytest.raises(ValueError, match="positive measure"):
+            lorentz_norm_from_steps(values, measures, 2, 2)
+
+
 def test_lp_norm_hand_value():
     # (2^2 * 2 + 1^2 * 1)^(1/2) = 3
     assert lp_norm(TWO_STEP, 2.0) == pytest.approx(3.0)

@@ -37,7 +37,6 @@ SHADOWED = {
     "sets.BoxUnionSet.measure": "sharpness.check_rwt reads E.measure and F.measure",
     "acceptance.Gate.passed": "CriterionResult.passed reads g.passed of each gate",
     "acceptance.CriterionResult.passed": "acceptance.run_suite reads r.passed of each result",
-    "sharpness.RwtReport.verdict": "cli.cmd_rwt reads rep.verdict of a check_rwt report",
 }
 
 

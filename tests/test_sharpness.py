@@ -32,7 +32,6 @@ from momentray.sharpness import (
     lemma2_grid_dual,
     lemma2_grid_primal,
     lemma2_shrinking_sweep,
-    necessity_check,
     predicted_f_slope,
     predicted_xf_slope,
     region_contains,
@@ -428,9 +427,9 @@ def test_scaling_experiment_matches_predictions():
 def test_necessity_verdicts_flip_at_critical_r():
     p, _ = critical_exponents(2)
     n_list = (16, 32, 64, 128, 256)
-    assert necessity_check(2, 0.9 * float(p), n_list).verdict == "diverges"
-    assert necessity_check(2, float(p), n_list).verdict == "critical"
-    assert necessity_check(2, 1.1 * float(p), n_list).verdict == "bounded"
+    assert scaling_experiment(2, 0.9 * float(p), n_list).verdict == "diverges"
+    assert scaling_experiment(2, float(p), n_list).verdict == "critical"
+    assert scaling_experiment(2, 1.1 * float(p), n_list).verdict == "bounded"
 
 
 # ---------------------------------------------------------------------------
