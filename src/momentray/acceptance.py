@@ -413,24 +413,16 @@ def criterion_8_tower_oracle(seed, profile):
     return CriterionResult(8, "tower-oracle", gates, info)
 
 
-def criterion_9_determinism(seed, profile, results=None):
-    """Two quick runs of criteria 1-8 with one seed render byte-identical reports.
+def criterion_9_determinism(seed, profile, results):
+    """A run and one fresh rerun of criteria 1-8 render byte-identical reports.
 
-    results, when given, are criteria 1-8 of the quick run this criterion
-    belongs to: their reports are one side and one fresh quick rerun the
-    other, so the run's first calls are compared too.  Without them, two
-    fresh quick reruns are compared.
+    results are criteria 1-8 of the run this criterion belongs to: their
+    reports are one side and one fresh rerun at the same profile the other,
+    so every size the run used and its first calls are compared.
     """
-
-    def rerun():
-        return [
-            fn(seed=seed, profile="quick")
-            for fn in ALL_CRITERIA
-            if fn is not criterion_9_determinism
-        ]
-
-    first = _render_reports(rerun() if results is None else results, seed, "quick")
-    identical = first == _render_reports(rerun(), seed, "quick")
+    rerun = [fn(seed=seed, profile=profile) for fn in ALL_CRITERIA[:-1]]
+    first = _render_reports(results, seed, profile)
+    identical = first == _render_reports(rerun, seed, profile)
     gates = [Gate("identical", identical, "==", True)]
     return CriterionResult(9, "determinism", gates, {"files": len(first)})
 
@@ -451,9 +443,12 @@ ALL_CRITERIA = (
 @dataclass
 class SuiteResult:
     results: list
-    passed: bool
     seconds: dict  # criterion index -> wall seconds; never in the reports
     reports: dict  # report file name -> its bytes
+
+    @property
+    def passed(self):
+        return all(r.passed for r in self.results)
 
 
 def _text(value):
@@ -501,27 +496,25 @@ def _render_reports(results, seed, profile):
     }
 
 
-def run_suite(seed=0, profile="full", stream=None):
-    """Run the acceptance criteria, render their reports, and print one line
-    per criterion to stream when one is given."""
+def run_suite(seed=0, profile="full"):
+    """Run criteria 1-8, then criterion 9 on their results; render the reports."""
     if profile not in ("full", "quick"):
         raise ValueError("profile must be 'full' or 'quick'")
+    *checks, determinism = ALL_CRITERIA
     results = []
     seconds = {}
-    for fn in ALL_CRITERIA:
-        kwargs = {}
-        if fn is criterion_9_determinism and profile == "quick":
-            kwargs["results"] = list(results)  # full-profile results are not quick ones
+
+    def timed(fn, **kwargs):
         start = time.perf_counter()
         res = fn(seed=seed, profile=profile, **kwargs)
         seconds[res.index] = time.perf_counter() - start
         results.append(res)
-        if stream is not None:
-            stream.write(f"{res.line()} [{seconds[res.index]:.1f}s]\n")
-            stream.flush()
+
+    for fn in checks:
+        timed(fn)
+    timed(determinism, results=list(results))
     return SuiteResult(
         results=results,
-        passed=all(r.passed for r in results),
         seconds=seconds,
         reports=_render_reports(results, seed, profile),
     )

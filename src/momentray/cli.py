@@ -545,7 +545,9 @@ def cmd_acceptance(params):
     """Runs the suite and writes its report bytes; returns no Report."""
     outdir = params["outdir"]
     started = time.perf_counter()
-    suite = run_suite(seed=params["seed"], profile=params["profile"], stream=sys.stdout)
+    suite = run_suite(seed=params["seed"], profile=params["profile"])
+    for res in suite.results:
+        sys.stdout.write(f"{res.line()} [{suite.seconds[res.index]:.1f}s]\n")
     if outdir:
         _write_outputs(
             {os.path.join(outdir, name): data for name, data in suite.reports.items()},

@@ -71,8 +71,6 @@ class Tower:
     E: BoxUnionSet
     F: BoxUnionSet
     interval: Interval
-    window: Interval
-    config: TowerConfig
 
     @property
     def depth(self):
@@ -94,6 +92,8 @@ def _sample_points(region, count, rng):
 # per start: the parameter kinds of alternate levels ("t" dual, "s" forward)
 # and the first level's label
 _STARTS = {"phi": ("ts", 1), "psi": ("st", 2)}
+# batches of 64 base candidates drawn before the first level collapses
+_BASE_BATCHES = 16
 
 
 def _level_plan(start, d):
@@ -107,15 +107,19 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     """Grow a full-depth parameter tower over the pair by greedy refinement.
 
     Unless given, the base point is the one of 64 points drawn from E (phi
-    start) or F (psi start) with the largest first-level fiber.  Every
-    level, the first included, takes the exact fibers of the previous
+    start) or F (psi start) with the largest first-level fiber.  While no
+    point of a batch has a nonempty first fiber, the same generator draws
+    another 64, up to _BASE_BATCHES = 16 batches (1,024 points); the first
+    batch, and so every base found in it, is unchanged by the retries.
+    Every level, the first included, takes the exact fibers of the previous
     level's nodes (of the base alone at first), keeps the nodes whose fiber
     clears the keep_fraction bar (at level 1 every nonempty fiber), and cuts
     the kept fibers into cells, which become the level's nodes.  Past
     config.max_nodes cells, fiber_cells (seeded seed + label) cuts only a
     draw of max_nodes of them, and the nodes' weights carry the factor it
     returns.  The top level's nodes are not stepped to points, since
-    no level reads them.  Raises TowerCollapse when a level empties.
+    no level reads them.  Raises TowerCollapse when a level empties, at the
+    first level when all 16 batches miss.
     """
     config = config or TowerConfig()
     d = E.dim
@@ -128,10 +132,13 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
 
     if base is None:
         dual = plan[0][1] == "t"
-        candidates = _sample_points(E if dual else F, 64, rng)
-        measures = fiber_measure_batch(
-            F if dual else E, candidates, window if dual else interval, dual=dual
-        )
+        for _ in range(_BASE_BATCHES):
+            candidates = _sample_points(E if dual else F, 64, rng)
+            measures = fiber_measure_batch(
+                F if dual else E, candidates, window if dual else interval, dual=dual
+            )
+            if measures.max() > 0.0:
+                break
         base = candidates[np.argmax(measures)]  # the first maximum
     base = np.asarray(base, dtype=float)
 
@@ -179,17 +186,7 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
         if i + 1 < len(plan):
             points = line_step(points[parent_idx], centers, dual)
 
-    return Tower(
-        dim=d,
-        start=start,
-        base=base,
-        levels=levels,
-        E=E,
-        F=F,
-        interval=interval,
-        window=window,
-        config=config,
-    )
+    return Tower(dim=d, start=start, base=base, levels=levels, E=E, F=F, interval=interval)
 
 
 def check_tower_structure(tower, samples=200, seed=0):

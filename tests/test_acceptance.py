@@ -166,14 +166,12 @@ def test_criterion_8_tower_matches_bruteforce():
 
 
 def test_criterion_9_byte_identical_reruns():
-    res = _check(criterion_9_determinism)
-    assert res.details["identical"] is True
-
-
-def test_criterion_9_standalone_quick_passes():
-    res = criterion_9_determinism(seed=0, profile="quick")
+    """A full run's own criteria 1-8 against one fresh full rerun."""
+    suite = run_suite(seed=0, profile="full")
+    res = suite.results[-1]
     assert res.passed, res.line()
     assert res.details == {"files": 2, "identical": True}
+    assert suite.passed
 
 
 def _counting_criterion():
@@ -192,16 +190,33 @@ def _counting_criterion():
 def test_criterion_9_fails_on_seeded_nondeterminism(monkeypatch, profile):
     criteria = (_counting_criterion(), criterion_9_determinism)
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", criteria)
-    suite = run_suite(seed=0, profile=profile, stream=None)
+    suite = run_suite(seed=0, profile=profile)
     assert suite.results[0].passed
     assert not suite.results[1].passed, suite.results[1].line()
     assert not suite.passed
 
 
-@pytest.mark.parametrize("profile, reruns", [("quick", 1), ("full", 2)])
-def test_criterion_9_rerun_count(monkeypatch, profile, reruns):
-    """The quick run is compared with one fresh quick rerun, the full run
-    renders two; each rerun calls criteria 1-8 once, inside one suite run."""
+def test_criterion_9_fails_when_only_the_full_rerun_differs(monkeypatch):
+    """A value that changes on its second full-profile call only: the full
+    run must be compared with a full rerun, not with quick ones."""
+    full_calls = 0
+
+    def criterion(seed, profile):
+        nonlocal full_calls
+        full_calls += profile == "full"
+        value = 2 if full_calls == 2 else 1
+        return acceptance.CriterionResult(1, "second-full", [Gate("v", value, ">=", 1)], {})
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (criterion, criterion_9_determinism))
+    suite = run_suite(seed=0, profile="full")
+    assert suite.results[0].passed
+    assert not suite.results[1].passed, suite.results[1].line()
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_criterion_9_rerun_count(monkeypatch, profile):
+    """Each run is compared with one fresh rerun at its own profile; the
+    rerun calls criteria 1-8 once, inside one suite run."""
     calls = []
 
     def constant(seed, profile):
@@ -217,17 +232,16 @@ def test_criterion_9_rerun_count(monkeypatch, profile, reruns):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(acceptance, "run_suite", counting)
-    suite = acceptance.run_suite(seed=0, profile=profile, stream=None)
+    suite = acceptance.run_suite(seed=0, profile=profile)
     assert suite.passed, [r.line() for r in suite.results]
-    assert calls == [profile] + ["quick"] * reruns
+    assert calls == [profile, profile]
     assert entries == [profile]
 
 
-def test_quick_suite_end_to_end(capsys):
-    suite = run_suite(seed=0, profile="quick", stream=sys.stdout)
-    out = capsys.readouterr().out
+def test_quick_suite_end_to_end():
+    suite = run_suite(seed=0, profile="quick")
     assert suite.passed
-    assert out.count("[PASS]") == 9
+    assert [r.line().startswith("[PASS]") for r in suite.results] == [True] * 9
     assert sorted(suite.reports) == ["acceptance_results.csv", "acceptance_summary.json"]
     rows = [(r.index, g.metric, g.op, g.bound) for r in suite.results for g in r.gates]
     assert rows == QUICK_GATES

@@ -526,8 +526,8 @@ def test_acceptance_quick_suite(tmp_path, capsys, monkeypatch):
 def test_manifest_hash_names_the_configuration_not_the_outdir(tmp_path, monkeypatch):
     """Two runs written to different directories share one config_hash;
     another seed changes it."""
-    def stub_run_suite(seed, profile, stream):
-        return SuiteResult(results=[], passed=True, seconds={}, reports={"r.csv": b"x\n"})
+    def stub_run_suite(seed, profile):
+        return SuiteResult(results=[], seconds={}, reports={"r.csv": b"x\n"})
 
     monkeypatch.setattr(cli, "run_suite", stub_run_suite)
     hashes = []

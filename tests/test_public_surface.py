@@ -35,8 +35,6 @@ SHADOWED = {
     "sets.BoxUnionSet.dim": "transform._fiber_points reads region.dim of a BoxUnionSet",
     "corpus.CorpusEntry.dim": "cli.cmd_rwt reads entry.dim of a corpus entry",
     "sets.BoxUnionSet.measure": "sharpness.check_rwt reads E.measure and F.measure",
-    "acceptance.Gate.passed": "CriterionResult.passed reads g.passed of each gate",
-    "acceptance.CriterionResult.passed": "acceptance.run_suite reads r.passed of each result",
 }
 
 
@@ -134,7 +132,6 @@ DEFAULT_EXEMPT = {
     "refinement.build_tower.base": "tests pin a hand-placed base point with it",
     "acceptance.random_box_pair.max_boxes": "tests draw 3-box unions with it",
     "transform.CellBlock.corner_values": "bench/layers.py reads the field",
-    "acceptance.criterion_9_determinism.results": "run_suite passes it through ALL_CRITERIA in the quick profile",
 }
 
 
