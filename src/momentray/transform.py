@@ -4,11 +4,15 @@ For a union of boxes E the fiber {s in I : gamma(x, s) in E} is solved in
 closed form by one constraint solver for both line families: each box
 contributes per-coordinate constraints coef * v**power in a range, so fiber
 measures are exact and the only quadrature happens in outer integrals.
-Coordinate j's constraint depends on (x1, x_j) alone, so one kernel takes
-per-axis coordinate arrays that broadcast: the columns of a point list, or
-a grid's axes.  A grid is evaluated as a tensor product, its constraints on
-x1-by-x_j tables, and its points are never listed.  The boxes are one more
-leading broadcast axis, taken a chunk at a time.
+Coordinate j's constraint depends on (x1, x_j) alone, so the solver takes
+arrays that broadcast.  A grid is evaluated as a tensor product of its
+axes, its constraints on x1-by-x_j tables and its points never listed, with
+the boxes as one more leading broadcast axis taken a chunk at a time.  A
+point list over many boxes is solved on (point, box) pairs instead: over
+the parameter interval a line's second coordinate sweeps an interval, its
+reach, and only the boxes whose second-axis side meets it are solved.  Both
+paths add the lengths in the same order, so they give the same values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -64,18 +68,26 @@ def _interval_pair(interval):
 # exact fibers
 
 
+def _first_ranges(region, lo, hi):
+    """Each box's first-axis range clipped to the interval, as Python's
+    max(lo, .) and min(hi, .) take it (lo where they tie): a fresh
+    (2, boxes) array."""
+    first = np.array([region.los[:, 0], region.his[:, 0]])
+    first[0][first[0] <= lo] = lo
+    first[1][first[1] >= hi] = hi
+    return first
+
+
 def _box_chunks(region, coords, lo, hi):
     """(blo, bhi, first_lo, first_hi) per slice of at most _BLOCK_ROWS
     points x boxes: the bounds, blo[j] shaped (boxes, 1, ...) or a scalar
     for a lone box (numpy adds about 0.5 us to each operation on a 2-d
-    array), and fresh (boxes, *points) first-axis ranges clipped as
-    max(lo, .), min(hi, .)."""
+    array), and fresh (boxes, *points) first-axis ranges."""
     shape = np.broadcast(*coords).shape
     size = max(1, _BLOCK_ROWS // max(1, math.prod(shape)))
     tail = (...,) + (None,) * len(shape)
     los, his = region.los.T[tail], region.his.T[tail]
-    ends = zip(region.los[:, 0].tolist(), region.his[:, 0].tolist())
-    first = np.array([(max(lo, a), min(hi, b)) for a, b in ends]).T[tail]
+    first = _first_ranges(region, lo, hi)[tail]
     for start in range(0, region.n_boxes, size):
         boxes = slice(start, min(start + size, region.n_boxes))
         block = np.empty((2, boxes.stop - start, *shape))
@@ -94,31 +106,44 @@ def _orientation(coef):
     return coef, pos, zero if zero.any() else None
 
 
-def _fiber_chunks(region, coords, lo, hi, dual):
-    """Per chunk of boxes, comps: each fiber component as (clo, chi, present),
-    clo and chi of shape (boxes, *points); a piece with chi < clo is empty.
+def _coefficients(x1, d, dual):
+    """The constraints' coefficients: x1 on the dual route, else x1**j for
+    j = 1, ..., d - 1 along a last axis."""
+    return x1 if dual else x1[..., None] ** np.arange(1, d)
 
-    coords holds one array per coordinate; they broadcast to the points'
-    shape (the columns of a point list, or a grid's axes as an open mesh).
-    Both line families meet a box where the parameter v lies in its
-    first-axis range and, for each j >= 1, coef * v**power lies in a range
-    set by x_j and the box's j-th side: coef = x1**j and power 1 forward
-    (x_j + s * x1**j), coef = x1 and power j dual (x_j - x1 * t**j).  The
-    sign of coef does not depend on the box, so each constraint's
-    orientation is resolved once per call, point by point only where coef
-    changes sign or vanishes (then the constraint holds for every v or
-    none).  A single range narrows the components in place.  An even power
-    bounds |v|, which splits a component in two when the range excludes 0;
-    a box has the second component only when some point splits, which the
-    per-box mask present records.
-    """
-    d, x1 = len(coords), coords[0]
+
+def _sides(coef, d, dual):
+    """Each constraint's _orientation, from _coefficients' array; the dual
+    route's one coefficient is resolved once."""
     if dual:
-        sides = [_orientation(x1)] * (d - 1)
-    else:
-        powers = x1[..., None] ** np.arange(1, d)
-        sides = [_orientation(powers[..., j]) for j in range(d - 1)]
-    for blo, bhi, first_lo, first_hi in _box_chunks(region, coords, lo, hi):
+        return [_orientation(coef)] * (d - 1)
+    return [_orientation(coef[..., j]) for j in range(d - 1)]
+
+
+def _solve(chunks, dual):
+    """The constraint solver: for each chunk, its fiber components as
+    (clo, chi, present), clo and chi shaped as first_lo; a piece with
+    chi < clo is empty.
+
+    A chunk is (sides, coords, blo, bhi, first_lo, first_hi).  For j = 1,
+    ..., d - 1, sides[j - 1] is the j-th constraint's _orientation,
+    coords[j] the points' j-th coordinates and blo[j], bhi[j] the boxes'
+    j-th sides; they broadcast against first_lo and first_hi, the boxes'
+    fresh first-axis ranges (a row per box, or an entry per (point, box)
+    pair), which the solver narrows in place.  Both line families meet a
+    box where the parameter v lies in its first-axis range and, for each
+    j >= 1, coef * v**power lies in a range set by x_j and the box's j-th
+    side: coef = x1**j and power 1 forward (x_j + s * x1**j), coef = x1
+    and power j dual (x_j - x1 * t**j).  The sign of coef does not depend
+    on the box, so each constraint's orientation is resolved once per call,
+    point by point only where coef changes sign or vanishes (then the
+    constraint holds for every v or none).  A single range narrows the
+    components in place.  An even power bounds |v|, which splits a
+    component in two when the range excludes 0; a box has the second
+    component only when some point splits, which the per-box mask present
+    records.
+    """
+    for sides, coords, blo, bhi, first_lo, first_hi in chunks:
         every = np.ones(len(first_lo), dtype=bool)
         comps = [(first_lo, first_hi, every)]
         for j, (coef, pos, zero) in enumerate(sides, start=1):
@@ -162,6 +187,19 @@ def _fiber_chunks(region, coords, lo, hi, dual):
         yield comps
 
 
+def _fiber_chunks(region, coords, lo, hi, dual):
+    """Per chunk of boxes, _solve's comps for every point coords spans, with
+    the boxes as one more leading broadcast axis.
+
+    coords holds one array per coordinate; they broadcast to the points'
+    shape (the columns of a point list, or a grid's axes as an open mesh).
+    """
+    d = len(coords)
+    sides = _sides(_coefficients(coords[0], d, dual), d, dual)
+    chunks = _box_chunks(region, coords, lo, hi)
+    return _solve(((sides, coords, *chunk) for chunk in chunks), dual)
+
+
 def _box_order(comps):
     """(plo, phi) for each box of a chunk and each component it has, box after
     box, as the pieces of one box at a time would come."""
@@ -172,7 +210,9 @@ def _box_order(comps):
 
 
 def _fiber_measures(region, coords, lo, hi, dual):
-    """Fiber measures at the points coords spans, in their broadcast shape.
+    """Fiber measures at the points coords spans, in their broadcast shape:
+    the broadcast kernel, which grids take, and point lists whose candidate
+    pairs are not few (see fiber_measure_batch).
 
     The kernel runs over blocks of whole first-axis rows of about
     _BLOCK_ROWS points, and within a block over chunks of boxes as one more
@@ -196,6 +236,94 @@ def _fiber_measures(region, coords, lo, hi, dual):
     return total
 
 
+# the widening of a line's reach, in ulps of the magnitudes it is computed
+# from: the solver's roundings move a box edge's crossing by a few of them
+_REACH_ULPS = 16
+# a point's candidate search, or a pair solved from gathered inputs, costs
+# about this many pairs solved by broadcasting (2 to 7 measured for a pair,
+# d = 2 to 4), so fewer boxes, or more candidates per point, keep the
+# broadcast kernel
+_PAIR_COST = 8
+
+
+def _candidates(region, X, coef, lo, hi, dual):
+    """(order, first, last): the boxes sorted by their second-axis lower
+    bound, and for each point the run order[first:last] of boxes whose
+    fiber the solver can make non-empty.
+
+    The line's second coordinate, x2 + v * x1 forward and x2 - x1 * v dual,
+    sweeps an interval, the reach, as v runs over [lo, hi]; a box whose
+    second-axis side misses it has an empty fiber.  A point's run goes from
+    its reach's low end less the widest side to its high end.  Both ends
+    move out by _REACH_ULPS ulps of |x2| + |x1| * max(|lo|, |hi|) + the
+    widest side and of the smallest normal number, so no rounding, nor a
+    quotient that underflows, drops a pair.  A point whose reach overflows
+    keeps every box, and so does one whose forward coefficients x1**j
+    overflow, where the solver's inf / inf can make a fiber NaN.
+    """
+    x1, x2 = X[:, 0], X[:, 1]
+    slope = -x1 if dual else x1
+    order = np.argsort(region.los[:, 1], kind="stable")
+    keys = region.los[order, 1]
+    width = float((region.his[:, 1] - region.los[:, 1]).max())
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_lo, at_hi = x2 + slope * lo, x2 + slope * hi
+        scale = np.abs(x2) + np.abs(x1) * (max(abs(lo), abs(hi)) + tiny) + (width + tiny)
+        pad = _REACH_ULPS * np.finfo(float).eps * scale
+        low, high = np.minimum(at_lo, at_hi) - pad, np.maximum(at_lo, at_hi) + pad
+        narrow = np.isfinite(low) & np.isfinite(high)
+        if not dual:
+            narrow &= np.isfinite(coef[:, -1])  # the largest power where any overflows
+        first = np.searchsorted(keys, np.where(narrow, low - width, -np.inf))
+    last = np.searchsorted(keys, np.where(narrow, high, np.inf), side="right")
+    return order, first, last
+
+
+def _pair_passes(order, first, last, d):
+    """(points, boxes) index arrays of the candidate pairs, point after
+    point and box after box, at most _BLOCK_ROWS // d pairs a pass, so a
+    pass's gathered (pairs, d) arrays hold at most _BLOCK_ROWS values, as
+    the broadcast kernel's temporaries do."""
+    n, nb = len(first), len(order)
+    counts, step = last - first, max(1, _BLOCK_ROWS // d)
+    ends = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=ends[1:])
+    i = 0
+    while i < n:
+        # whole points up to step pairs, or one point with more
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] + step, side="right")) - 1)
+        size = int(ends[j] - ends[i])
+        points = np.repeat(np.arange(i, j), counts[i:j])
+        boxes = order[np.arange(size) + np.repeat(first[i:j] - (ends[i:j] - ends[i]), counts[i:j])]
+        boxes = np.sort(points * nb + boxes) % nb  # each point's boxes in box order
+        for start in range(0, size, step):
+            yield points[start : start + step], boxes[start : start + step]
+        i = j
+
+
+def _pair_measures(region, X, coef, passes, lo, hi, dual):
+    """Fiber measures of a point list X, (n, d) -> (n,), from the candidate
+    pairs alone: every other pair's fiber is empty and would add 0.
+
+    Each pass runs _solve on its pairs' gathered coordinates, coefficients,
+    box sides and first-axis ranges, and np.add.at adds the lengths in pair
+    order, box after box and component after component, as the broadcast
+    kernel adds them, so the totals are the same bit for bit.
+    """
+    d = X.shape[1]
+    first = _first_ranges(region, lo, hi)
+    total = np.zeros(len(X))
+    for points, boxes in passes:
+        sides = _sides(coef.take(points, axis=0), d, dual)
+        blo, bhi = region.los.take(boxes, axis=0).T, region.his.take(boxes, axis=0).T
+        chunk = (sides, X.take(points, axis=0).T, blo, bhi, *first.take(boxes, axis=1))
+        (comps,) = _solve([chunk], dual)
+        lengths = np.stack([np.maximum(phi - plo, 0.0) for plo, phi, _ in comps], axis=1)
+        np.add.at(total, np.repeat(points, len(comps)), lengths.reshape(-1))
+    return total
+
+
 def _fiber_points(region, points):
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != region.dim:
@@ -208,10 +336,21 @@ def _fiber_points(region, points):
 def fiber_measure_batch(region, points, interval, dual=False):
     """Exact fiber measures for a batch of points, (n, d) -> (n,).
 
-    One point (d,) is a batch of one.
+    One point (d,) is a batch of one.  On a union of more than _PAIR_COST
+    boxes, a search finds the (point, box) pairs whose line reaches the
+    box's second-axis side, and when they are fewer than points x boxes /
+    _PAIR_COST, only they are solved (_pair_measures); otherwise the
+    broadcast kernel solves every pair.  Both give the same values.
     """
     lo, hi = _interval_pair(interval)
     X = _fiber_points(region, points)
+    (n, d), nb = X.shape, region.n_boxes
+    if d > 1 and nb > _PAIR_COST:
+        coef = _coefficients(X[:, 0], d, dual)
+        order, first, last = _candidates(region, X, coef, lo, hi, dual)
+        if (last - first).sum() * _PAIR_COST < n * nb:
+            passes = _pair_passes(order, first, last, d)
+            return _pair_measures(region, X, coef, passes, lo, hi, dual)
     return _fiber_measures(region, X.T, lo, hi, dual)
 
 

@@ -351,10 +351,13 @@ def test_verify_minorant_d4_slack_nonnegative():
 
 
 def test_verify_minorant_d4_bounds_memory():
-    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 0.85 MB
-    under tracemalloc, most of it the kernel's box chunks; the family's
-    disjointness check, a sweep, adds about 0.1 MB.  Holding the
-    (boxes, points) arrays whole peaks near 20 MB."""
+    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 0.55 MB
+    under tracemalloc, most of it the kernel's per-point arrays (the
+    coefficients x1**j, each line's reach and its candidate search) and its
+    one pass: each line reaches one box, so the kernel solves 1,576 pairs.
+    The family's disjointness check, a sweep, adds about 0.1 MB.  Solving
+    every (point, box) pair in passes of boxes peaked near 0.9 MB, and
+    holding the (boxes, points) arrays whole near 20 MB."""
     spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)
     verify_minorant(spec)
     tracemalloc.start()
@@ -364,7 +367,7 @@ def test_verify_minorant_d4_bounds_memory():
     finally:
         tracemalloc.stop()
     assert slack == -0.009259259259259259
-    assert peak < 2_000_000
+    assert peak < 1_000_000
 
 
 def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):

@@ -264,8 +264,10 @@ def _assert_runs_equal(runs):
 def test_family_values_same_at_every_chunk_size(monkeypatch, d):
     """Fiber measures on the 197-box family (the route verify_minorant
     takes) are bit for bit the same at every chunk size.
-    One point in every third minorant piece (66 points) keeps the one-box,
-    one-point passes few, and the default splits the boxes into two chunks.
+    One point in every third minorant piece (66 points) keeps the one-pair
+    passes few.  Each line reaches the box of its own piece alone, so the
+    66 candidate pairs fit one pass at the default; the assert below pins
+    the broadcast kernel's split there, two chunks of boxes.
     At d = 4 the pieces from k = 91 on round to zero width, so about half
     of the points see no fiber (ROADMAP item 4)."""
     spec = CounterexampleSpec(dim=d, n_start=4, k_max=200)
@@ -398,6 +400,196 @@ def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual, x1_sign):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if dual and d > 2:
         assert reference[0].shape[1] > region.n_boxes
+
+
+def _pair_path_case(kind, d, dual, rng):
+    """A many-box union, an interval inside its first-axis span, and points
+    whose lines reach some boxes and miss most.
+
+    "family" is the 37-box counterexample family (k_max = 40), "random" a
+    random union with three more copies 2.5 apart along axis 2 and, for
+    d > 2, a box at x2 ~ -10 whose x3 side lies below the x3 of the points
+    sent to it, so the dual route's even powers split their fibers.  The box
+    order is shuffled, so it is not sorted along axis 2.  Of the 40 points,
+    8 have x1 = 0 and 8 lie on lines through a box's axis-2 edge at an
+    interval end, where that box's first-axis side holds the end, so the
+    reach ends on the edge and the fiber is one point or a rounding's
+    width.
+    """
+    if kind == "family":
+        spec = CounterexampleSpec(dim=d, n_start=4, k_max=40)
+        region, pieces = build_counterexample_f(spec).region, build_xf_lower_bound(spec).region
+        rows = rng.integers(0, pieces.n_boxes, 24)
+        pts = rng.uniform(pieces.los[rows], pieces.his[rows])
+        lo, hi = -rng.uniform(0.01, 0.3), rng.uniform(0.01, 0.3)
+    else:
+        base = random_box_pair(d, rng, max_boxes=4)[int(dual)]
+        boxes = [
+            np.stack([b_lo + 2.5 * m * (np.arange(d) == 1), b_hi + 2.5 * m * (np.arange(d) == 1)], axis=1)
+            for m in range(4)
+            for b_lo, b_hi in zip(base.los, base.his)
+        ]
+        pts = rng.uniform(-1.2, 1.2, size=(24, d))
+        pts[:, 1] += 2.5 * rng.integers(0, 4, 24)
+        if d > 2:
+            boxes.append(np.array([[-2.0, 2.0], [-11.0, -9.0], [0.0, 0.5]] + [[-3.0, 3.0]] * (d - 3)))
+            pts[:4] = np.column_stack(
+                [rng.uniform(0.5, 1.5, 4), rng.uniform(-10.2, -9.8, 4), rng.uniform(0.6, 1.4, 4)]
+                + [rng.uniform(-0.2, 0.2, 4)] * (d - 3)
+            )
+        region = BoxUnionSet(boxes)
+        lo, hi = -rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9)
+    region = BoxUnionSet(np.asarray(region.bounds)[rng.permutation(region.n_boxes)])
+    edge = np.zeros((8, d))
+    for row in edge:
+        v = (lo, hi)[rng.integers(2)]
+        holding = np.flatnonzero((region.los[:, 0] <= v) & (v <= region.his[:, 0]))
+        k = rng.choice(holding) if holding.size else rng.integers(region.n_boxes)
+        x1, j = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.5), np.arange(1, d)
+        at = 0.5 * (region.los[k] + region.his[k])
+        at[1] = (region.los[k, 1], region.his[k, 1])[rng.integers(2)]
+        # the line's point at v is `at`: x_j + v * x1**j, or x_j - x1 * v**j
+        row[0], row[1:] = x1, at[1:] - (-x1 * v**j if dual else v * x1**j)
+    zero = pts[rng.permutation(len(pts))[:8]].copy()
+    zero[:, 0] = 0.0
+    zero[:3, 1] = region.los[rng.integers(region.n_boxes, size=3), 1]
+    return region, (lo, hi), np.concatenate([pts, edge, zero])
+
+
+@given(
+    st.sampled_from(["family", "random"]),
+    st.sampled_from([2, 3, 4]),
+    st.booleans(),
+    st.sampled_from([1, 7, _DEFAULT_BLOCK_ROWS, 1 << 30]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_path_equals_broadcast_kernel(kind, d, dual, rows, seed):
+    """The pair path, which solves only the (point, box) pairs whose line's
+    reach meets the box's axis-2 side, gives the broadcast kernel's values
+    on the same points bit for bit, at every pass size, on unions whose
+    boxes lie far apart along axis 2 (see _pair_path_case).  The pair tests
+    set _PAIR_COST to 0, so fiber_measure_batch takes the pair path
+    whatever the union's size and candidate count."""
+    region, (lo, hi), pts = _pair_path_case(kind, d, dual, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_PAIR_COST", 0)
+        mp.setattr(transform, "_BLOCK_ROWS", rows)
+        got = fiber_measure_batch(region, pts, (lo, hi), dual=dual)
+        want = transform._fiber_measures(region, pts.T, lo, hi, dual)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("dual", [False, True])
+def test_pair_path_keeps_fibers_of_rounding_width(monkeypatch, d, dual):
+    """40,000 lines leave one of three boxes, 3 apart along axis 2, through
+    its axis-2 edge at an interval end, with x2 moved by up to 4 ulps.  On
+    some of them the reach, taken as x2 + x1 * v or x2 - x1 * v at both
+    ends, misses the box's axis-2 side, while the broadcast kernel's
+    rounding still gives the box a fiber of positive width; the pair path
+    keeps those pairs and gives the kernel's values bit for bit."""
+    monkeypatch.setattr(transform, "_PAIR_COST", 0)
+    rng = np.random.default_rng(d + 10 * dual)
+    n, lo, hi = 40_000, -0.7, 0.6
+    sides = 3.0 * np.arange(3)[:, None] + [0.0, 1.0] + rng.uniform(0.0, 0.2, (3, 2))
+    region = BoxUnionSet([[[-1.0, 1.0], side] + [[-1.0, 1.0]] * (d - 2) for side in sides])
+    k, v = rng.integers(0, 3, n), np.where(rng.integers(0, 2, n) == 0, lo, hi)
+    x1 = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    slope = -x1 if dual else x1
+    # the edge the line leaves through at v: the upper one where axis 2 rises
+    edge = np.where((slope > 0) == (v == lo), sides[k, 1], sides[k, 0])
+    j = np.arange(2, d)
+    move = -x1[:, None] * v[:, None] ** j if dual else v[:, None] * x1[:, None] ** j
+    x2 = edge - slope * v
+    x2 += rng.integers(-4, 5, n) * np.spacing(x2)
+    pts = np.column_stack([x1, x2, -move])
+    want = transform._fiber_measures(region, pts.T, lo, hi, dual)
+    ends = np.stack([x2 + slope * lo, x2 + slope * hi])
+    missed = (ends.min(axis=0) > sides[k, 1]) | (ends.max(axis=0) < sides[k, 0])
+    assert np.count_nonzero(missed & (want > 0.0)) >= 5
+    assert fiber_measure_batch(region, pts, (lo, hi), dual=dual).tobytes() == want.tobytes()
+
+
+def test_pair_path_keeps_lines_that_overflow(monkeypatch):
+    """A line whose reach overflows, or whose coefficients x1**j do, keeps
+    every box.  At x1 = 1e160 the forward route's x1**2 is inf, so on the
+    far box's third axis the solver divides inf by inf and the fiber is NaN,
+    though the box's axis-2 side, from 1e300 on, lies far outside the reach
+    x2 +- 1.1e160.  At |x1| = 1.7e308 the reach overflows, and the dual
+    fibers are subnormal.  Both routes give the broadcast kernel's values
+    bit for bit, the NaN included."""
+    monkeypatch.setattr(transform, "_PAIR_COST", 0)
+    boxes = [[[-1.0, 1.0], [3.0 * m, 3.0 * m + 1.0], [-1.0, 1.0]] for m in range(3)]
+    region = BoxUnionSet(boxes + [[[-1.0, 1.0], [1e300, 2e300], [-1e308, -9e307]]])
+    pts = np.array([[1e160, 0.0, 1e308], [1.7e308, 0.5, 0.5], [-1.7e308, 3.5, 0.0], [0.5, 0.5, 0.5]])
+    runs = []
+    for dual in (False, True):
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append(fiber_measure_batch(region, pts, (-1.1, 1.1), dual=dual))
+            want = transform._fiber_measures(region, pts.T, -1.1, 1.1, dual)
+        assert runs[-1].tobytes() == want.tobytes()
+    assert np.isnan(runs[0][0]) and 0.0 < runs[1][1] < np.finfo(float).tiny
+
+
+def test_pair_path_peak_memory_near_broadcast_kernel(monkeypatch):
+    """When every line meets every box (197 boxes stacked along the first
+    axis, each spanning [-1, 1] on the others, 1,576 points), all 310,472
+    pairs are candidates, and the pair path still holds at most
+    _BLOCK_ROWS // d of them a pass.  Its peak under tracemalloc stays
+    within twice the broadcast kernel's on the same points (0.76 MB against
+    0.79 MB at d = 2, 0.70 MB against 0.82 MB forward at d = 4), below one
+    (points, boxes) array of floats, 2.5 MB."""
+    monkeypatch.setattr(transform, "_PAIR_COST", 0)
+    for d in (2, 4):
+        boxes = [[[k / 200, (k + 1) / 200]] + [[-1.0, 1.0]] * (d - 1) for k in range(197)]
+        region = BoxUnionSet(boxes)
+        pts = np.random.default_rng(d).uniform(-0.5, 0.5, size=(1576, d))
+        coef = transform._coefficients(pts[:, 0], d, False)
+        _, first, last = transform._candidates(region, pts, coef, -1.0, 1.0, False)
+        assert (last - first).sum() == 1576 * 197
+        for dual in (False, True):
+            peaks = []
+            for compute in (
+                lambda: fiber_measure_batch(region, pts, (-1.0, 1.0), dual=dual),
+                lambda: transform._fiber_measures(region, pts.T, -1.0, 1.0, dual),
+            ):
+                compute()
+                tracemalloc.start()
+                try:
+                    values = compute()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert np.all(values > 0.0)
+            assert peaks[0] < 2.0 * peaks[1] and peaks[0] < 8 * 1576 * 197
+
+
+def test_fiber_measure_batch_takes_pair_path_where_it_pays(monkeypatch):
+    """fiber_measure_batch solves only the candidate pairs where they are
+    fewer than points x boxes / _PAIR_COST: on the 197-box family (one
+    candidate a point).  Three boxes, or 197 that every line meets, keep
+    the broadcast kernel.  Every route gives the same values."""
+    taken = []
+    pair_measures = transform._pair_measures
+    monkeypatch.setattr(
+        transform, "_pair_measures", lambda *args: taken.append(True) or pair_measures(*args)
+    )
+    spec = CounterexampleSpec(dim=3, n_start=4, k_max=200)
+    family, pieces = build_counterexample_f(spec).region, build_xf_lower_bound(spec).region
+    rng = np.random.default_rng(0)
+    stacked = BoxUnionSet([[[k / 200, (k + 1) / 200], [-1.0, 1.0], [-1.0, 1.0]] for k in range(197)])
+    cases = [
+        (family, rng.uniform(pieces.los, pieces.his), True),
+        (random_box_pair(3, rng, max_boxes=3)[0], rng.uniform(-1.0, 1.0, (200, 3)), False),
+        (stacked, rng.uniform(-0.5, 0.5, (200, 3)), False),
+    ]
+    for region, pts, pair in cases:
+        for dual in (False, True):
+            taken.clear()
+            got = fiber_measure_batch(region, pts, (-1.0, 1.0), dual=dual)
+            want = transform._fiber_measures(region, pts.T, -1.0, 1.0, dual)
+            assert taken == [True] * pair and got.tobytes() == want.tobytes()
 
 
 def _grid_points(axes):
