@@ -262,8 +262,9 @@ def _assert_runs_equal(runs):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_family_values_same_at_every_chunk_size(monkeypatch, d):
-    """Fiber measures on the 197-box family (the route verify_minorant
-    takes) are bit for bit the same at every chunk size.
+    """Fiber measures on the 197-box family are bit for bit the same at
+    every chunk size, on the pair path (the route verify_minorant takes)
+    and on the broadcast kernel.
     One point in every third minorant piece (66 points) keeps the one-pair
     passes few.  Each line reaches the box of its own piece alone, so the
     66 candidate pairs fit one pass at the default; the assert below pins
@@ -276,7 +277,10 @@ def test_family_values_same_at_every_chunk_size(monkeypatch, d):
     assert f.region.n_boxes == 197 and 1 < math.ceil(197 / (_DEFAULT_BLOCK_ROWS // len(pts))) < 197
 
     def compute():
-        return [fiber_measure_batch(f.region, pts, (-1.0, 1.0))]
+        return [
+            fiber_measure_batch(f.region, pts, (-1.0, 1.0)),
+            transform._fiber_measures(f.region, pts.T, -1.0, 1.0, False),
+        ]
 
     runs = _at_every_chunk_size(monkeypatch, compute)
     assert np.count_nonzero(runs[0][0]) > 30
@@ -470,7 +474,7 @@ def test_pair_path_equals_broadcast_kernel(kind, d, dual, rows, seed):
     on the same points bit for bit, at every pass size, on unions whose
     boxes lie far apart along axis 2 (see _pair_path_case).  The pair tests
     set _PAIR_COST to 0, so fiber_measure_batch takes the pair path
-    whatever the union's size and candidate count."""
+    whatever the union's size."""
     region, (lo, hi), pts = _pair_path_case(kind, d, dual, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transform, "_PAIR_COST", 0)
@@ -532,7 +536,7 @@ def test_pair_path_keeps_lines_that_overflow(monkeypatch):
     assert np.isnan(runs[0][0]) and 0.0 < runs[1][1] < np.finfo(float).tiny
 
 
-def test_pair_path_peak_memory_near_broadcast_kernel(monkeypatch):
+def test_pair_path_peak_memory_near_broadcast_kernel():
     """When every line meets every box (197 boxes stacked along the first
     axis, each spanning [-1, 1] on the others, 1,576 points), all 310,472
     pairs are candidates, and the pair path still holds at most
@@ -540,7 +544,6 @@ def test_pair_path_peak_memory_near_broadcast_kernel(monkeypatch):
     within twice the broadcast kernel's on the same points (0.76 MB against
     0.79 MB at d = 2, 0.70 MB against 0.82 MB forward at d = 4), below one
     (points, boxes) array of floats, 2.5 MB."""
-    monkeypatch.setattr(transform, "_PAIR_COST", 0)
     for d in (2, 4):
         boxes = [[[k / 200, (k + 1) / 200]] + [[-1.0, 1.0]] * (d - 1) for k in range(197)]
         region = BoxUnionSet(boxes)
@@ -565,11 +568,10 @@ def test_pair_path_peak_memory_near_broadcast_kernel(monkeypatch):
             assert peaks[0] < 2.0 * peaks[1] and peaks[0] < 8 * 1576 * 197
 
 
-def test_fiber_measure_batch_takes_pair_path_where_it_pays(monkeypatch):
-    """fiber_measure_batch solves only the candidate pairs where they are
-    fewer than points x boxes / _PAIR_COST: on the 197-box family (one
-    candidate a point).  Three boxes, or 197 that every line meets, keep
-    the broadcast kernel.  Every route gives the same values."""
+def test_fiber_measure_batch_takes_pair_path_on_many_boxes(monkeypatch):
+    """fiber_measure_batch solves only the candidate pairs on a union of
+    more than _PAIR_COST boxes, such as the 197-box family; three boxes
+    keep the broadcast kernel.  Every route gives the same values."""
     taken = []
     pair_measures = transform._pair_measures
     monkeypatch.setattr(
@@ -578,11 +580,9 @@ def test_fiber_measure_batch_takes_pair_path_where_it_pays(monkeypatch):
     spec = CounterexampleSpec(dim=3, n_start=4, k_max=200)
     family, pieces = build_counterexample_f(spec).region, build_xf_lower_bound(spec).region
     rng = np.random.default_rng(0)
-    stacked = BoxUnionSet([[[k / 200, (k + 1) / 200], [-1.0, 1.0], [-1.0, 1.0]] for k in range(197)])
     cases = [
         (family, rng.uniform(pieces.los, pieces.his), True),
         (random_box_pair(3, rng, max_boxes=3)[0], rng.uniform(-1.0, 1.0, (200, 3)), False),
-        (stacked, rng.uniform(-0.5, 0.5, (200, 3)), False),
     ]
     for region, pts, pair in cases:
         for dual in (False, True):
