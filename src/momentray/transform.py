@@ -17,6 +17,7 @@ for bit.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -407,52 +408,83 @@ def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _overlap_product_integrals(a_lo, a_hi, b_lo, b_hi, scales, exps, v_lo, v_hi):
-    """Exact integrals over v in [v_lo, v_hi], one per row i of scales, of
-    prod_j |[a_j] ∩ ([b_j] + scales[i, j] * v**exps[j])|.
+def _breakpoints(diffs, sc, exps, v_lo, v_hi):
+    """Each row's breakpoints, (slots, rows), clipped to [v_lo, v_hi] and
+    sorted: v_lo, 0, v_hi and the real roots of v**exps[j] == c / sc[j]
+    for the edge differences c in diffs[j].  A NaN slot (no real root)
+    holds v_lo and an infinite one (zero scale) v_lo or v_hi."""
+    pts = np.empty((3 + 4 * sum(1 if e % 2 else 2 for e in exps), len(sc[0])))
+    pts[0], pts[1], pts[-1] = v_lo, 0.0, v_hi
+    k = 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, s, e in zip(diffs, sc, exps):
+            if e == 1:
+                np.divide(c, s, out=pts[k : k + 4])
+            elif e % 2:
+                ratio = c / s
+                pts[k : k + 4] = np.copysign(np.abs(ratio) ** (1.0 / e), ratio)
+            else:
+                root = (c / s) ** (1.0 / e)  # NaN where the ratio is negative
+                pts[k : k + 4], pts[k + 4 : k + 8] = -root, root
+            k += 4 if e % 2 else 8
+    np.fmin(np.fmax(pts, v_lo, out=pts), v_hi, out=pts)  # NaN -> v_lo
+    pts[1:-1].sort(axis=0)  # v_lo and v_hi are in place
+    return pts
 
-    The integrand is piecewise polynomial: each factor is piecewise linear
-    in the shift, so between shift-crossing breakpoints a Gauss-Legendre
-    rule of sufficient order is exact.  Every row has the same breakpoint
-    slots: v_lo, v_hi, 0 and the real roots of v**exps[j] == c / scales[i, j]
-    for the four edge differences c.  A slot without a real root (NaN) or
-    without a finite one (zero scale) holds v_lo, so after clipping and
-    sorting the spare slots are zero-width segments that add exactly 0.
-    Rows are processed in chunks of at most _CHUNK_LIMIT quadrature points.
+
+def _overlap_product_integrals(a_lo, a_hi, b_lo, b_hi, scales, exps, v_lo, v_hi):
+    """Exact integrals over v in [v_lo, v_hi], one per row i, of
+    prod_j |[a_j] ∩ ([b_j] + scales[j][i] * v**exps[j])|.
+
+    The integrand is piecewise polynomial, so between the breakpoints a
+    Gauss-Legendre rule of sufficient order is exact.  Every operation runs
+    along the rows: breakpoints are laid out (slots, rows) and quadrature
+    points (nodes, segments, rows).  The spare slots make zero-width
+    segments; the leading and trailing ones, zero-width on every row of a
+    chunk, are sliced off before the integrand is evaluated.  Node values
+    and segments are added one after another in a fixed order, so a
+    zero-width segment adds exactly 0 and a row's value does not depend on
+    the chunking.  A chunk holds at most _CHUNK_LIMIT quadrature points
+    before trimming.
     """
-    diffs = np.stack([a_lo - b_lo, a_lo - b_hi, a_hi - b_lo, a_hi - b_hi], axis=1)
+    out = np.zeros(len(scales[0]))
+    if v_hi <= v_lo:
+        return out
+    a_lo, a_hi, b_lo, b_hi = (x.tolist() for x in (a_lo, a_hi, b_lo, b_hi))
+    edges = zip(a_lo, a_hi, b_lo, b_hi)
+    diffs = np.array([(al - bl, al - bh, ah - bl, ah - bh) for al, ah, bl, bh in edges])
     nodes, weights = _leggauss(sum(exps) // 2 + 1)
     n_seg = 2 + 4 * sum(1 if e % 2 else 2 for e in exps)
     block = max(1, _CHUNK_LIMIT // (n_seg * nodes.size))
-    out = np.empty(scales.shape[0])
-    for start in range(0, scales.shape[0], block):
-        sc = scales[start : start + block]
-        n = sc.shape[0]
-        cols = [np.full((n, 1), v_lo), np.full((n, 1), v_hi), np.zeros((n, 1))]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j, e in enumerate(exps):
-                ratio = diffs[j] / sc[:, j, None]
-                if e == 1:
-                    cols.append(ratio)
-                elif e % 2:
-                    cols.append(np.copysign(np.abs(ratio) ** (1.0 / e), ratio))
-                else:
-                    root = ratio ** (1.0 / e)  # NaN where ratio < 0
-                    cols.extend((-root, root))
-        pts = np.concatenate(cols, axis=1)
-        pts[~np.isfinite(pts)] = v_lo
-        np.clip(pts, v_lo, v_hi, out=pts)
-        pts.sort(axis=1)
-        half = 0.5 * (pts[:, 1:] - pts[:, :-1])
-        mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
-        v = mid[:, :, None] + half[:, :, None] * nodes
-        prod = np.ones_like(v)
-        for j, e in enumerate(exps):
-            shift = sc[:, j, None, None] * v**e
-            ov = np.minimum(a_hi[j], b_hi[j] + shift) - np.maximum(a_lo[j], b_lo[j] + shift)
-            np.clip(ov, 0.0, None, out=ov)
-            prod *= ov
-        out[start : start + block] = (half * (prod @ weights)).sum(axis=1)
+    for start in range(0, out.size, block):
+        sc = [s[start : start + block] for s in scales]
+        pts = _breakpoints(diffs[:, :, None], sc, exps, v_lo, v_hi)
+        # each row's v_lo copies lead and its v_hi copies trail
+        first = bisect.bisect_right(pts.max(axis=1).tolist(), v_lo) - 1
+        last = bisect.bisect_left(pts.min(axis=1).tolist(), v_hi)
+        lo, hi = pts[first:last], pts[first + 1 : last + 1]
+        half = hi - lo
+        half *= 0.5
+        mid = hi + lo
+        mid *= 0.5
+        v = half * nodes[:, None, None]
+        v += mid
+        prod = None
+        for j, e in enumerate(exps):  # in place: few (nodes, segments, rows) arrays live
+            shift = (v**e if e > 1 else v) * sc[j]
+            ov = np.add(b_hi[j], shift)
+            np.minimum(a_hi[j], ov, out=ov)
+            ov -= np.maximum(a_lo[j], np.add(b_lo[j], shift, out=shift), out=shift)
+            np.maximum(ov, 0.0, out=ov)
+            prod = ov if prod is None else np.multiply(prod, ov, out=prod)
+        prod *= weights[:, None, None]
+        seg = prod[0]
+        for p in prod[1:]:
+            seg += p
+        seg *= half
+        row = out[start : start + block]
+        for s in seg:
+            row += s
     return out
 
 
@@ -465,7 +497,9 @@ def _pairing_layered(E, F, lo, hi, step, dual):
     running through the window, where breakpoints come from real roots of
     the parameter powers.  Contributions add exactly across box pairs
     because a line point lies in at most one box of a disjoint union.
-    All first-axis midpoints of a box pair go through one kernel call.
+    All first-axis midpoints of a box pair go through one kernel call, with
+    one row of scales per remaining coordinate: -y**j on the primal route,
+    the midpoints themselves on the dual route.
     """
     d = E.dim
     if dual:
@@ -476,9 +510,9 @@ def _pairing_layered(E, F, lo, hi, step, dual):
     for o_lo, o_hi in zip(outer.los, outer.his):
         centers, w = _grid_axes(o_lo[0], o_hi[0], step)
         if dual:
-            scales = np.repeat(centers[:, None], d - 1, axis=1)
+            scales = [centers] * (d - 1)
         else:
-            scales = -(centers[:, None] ** np.arange(1, d))
+            scales = -(centers[:, None] ** np.arange(1, d)).T
         for i_lo, i_hi in zip(inner.los, inner.his):
             v_lo, v_hi = max(lo, i_lo[0]), min(hi, i_hi[0])
             if v_hi <= v_lo:

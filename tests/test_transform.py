@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from momentray import transform
 from momentray.acceptance import random_box_pair
+from momentray.corpus import build_default_corpus
 from momentray.refinement import build_tower
 from momentray.sets import BoxUnionSet, fiber_cells
 from momentray.sharpness import (
@@ -984,7 +985,7 @@ def test_layered_pairing_skips_degenerate_first_axis_overlap():
     assert bilinear_form(BoxUnionSet([core, touching, outside]), F, (0.0, 1.0)) == base
     assert bilinear_form(BoxUnionSet([touching, outside]), F, (0.0, 1.0)) == 0.0
     # the kernel itself integrates nothing over a one-point parameter range
-    scales = np.linspace(-1.0, 1.0, 9)[:, None] * np.ones(2)
+    scales = np.ones(2)[:, None] * np.linspace(-1.0, 1.0, 9)
     for exps in ((1, 1), (1, 2)):
         vals = transform._overlap_product_integrals(
             core[1:, 0], core[1:, 1], F.los[0, 1:], F.his[0, 1:], scales, exps, 0.3, 0.3
@@ -992,12 +993,90 @@ def test_layered_pairing_skips_degenerate_first_axis_overlap():
         assert np.all(vals == 0.0)
 
 
+def _kernel_scale_rows(exps, edges, v_lo, v_hi, rng):
+    """Scale rows, (rows, len(exps)), in runs of three: tiny scales (every
+    root clips away, so a row has no interior breakpoint), random ones, a
+    zero scale (a midpoint at x1 = 0), and per factor the scales that put
+    a breakpoint exactly on v_lo or v_hi (a shifted edge touching the other
+    box's edge there)."""
+    m = len(exps)
+    tiny = np.full(m, 1.0 / 1024.0)
+    rows = [tiny, tiny, tiny, tiny, rng.uniform(-3.0, 3.0, m), -tiny]
+    rows += list(rng.uniform(-3.0, 3.0, (6, m)))
+    rows += [np.zeros(m), tiny, rng.uniform(-3.0, 3.0, m)]
+    for j, e in enumerate(exps):
+        for c in edges[j]:
+            for v in (v_lo, v_hi):
+                if c != 0.0 and v != 0.0:
+                    row = rng.uniform(-3.0, 3.0, m)
+                    row[j] = c / v**e
+                    rows += [tiny, row, -tiny]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("route", ["primal", "dual"])
+def test_overlap_kernel_rows_match_per_midpoint_oracle(monkeypatch, d, route):
+    """Every row of the layered kernel against the per-midpoint oracle at
+    rel 1e-14, in one chunk and in chunks of three rows, which trim
+    different widths and must give the same values bit for bit.  The
+    parameter ranges straddle 0, lie on one side of it or are one point;
+    negative ratios under an even power leave NaN slots on the dual
+    route."""
+    exps = (1,) * (d - 1) if route == "primal" else tuple(range(1, d))
+    rng = np.random.default_rng(70 + d)
+    j = np.arange(d - 1)
+    a_lo, a_hi = -0.375 - 0.125 * j, 0.625 + 0.25 * j
+    b_lo, b_hi = -0.5 + 0.0625 * j, 0.25 + 0.125 * j
+    edges = np.stack([a_lo - b_lo, a_lo - b_hi, a_hi - b_lo, a_hi - b_hi], axis=1)
+    n_seg = 2 + 4 * sum(1 if e % 2 else 2 for e in exps)
+    n_nodes = sum(exps) // 2 + 1
+    trims = []
+    breakpoints = transform._breakpoints
+
+    def recorded(diffs, sc, exps, v_lo, v_hi):
+        pts = breakpoints(diffs, sc, exps, v_lo, v_hi)
+        spare = (pts == v_lo).all(axis=1) | (pts == v_hi).all(axis=1)
+        trims.append(int(np.count_nonzero(spare)))
+        return pts
+
+    for v_lo, v_hi in ((-0.75, 0.5), (0.25, 0.75), (-0.5, -0.125), (0.5, 0.5)):
+        rows = _kernel_scale_rows(exps, edges, v_lo, v_hi, rng)
+        args = (a_lo, a_hi, b_lo, b_hi, rows.T, exps, v_lo, v_hi)
+        whole = transform._overlap_product_integrals(*args)
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_CHUNK_LIMIT", 3 * n_seg * n_nodes)
+            m.setattr(transform, "_breakpoints", recorded)
+            chunked = transform._overlap_product_integrals(*args)
+        assert np.array_equal(chunked, whole)
+        for got, row in zip(whole, rows):
+            want = _overlap_product_integral(
+                a_lo, a_hi, b_lo, b_hi, row, np.array(exps), v_lo, v_hi
+            )
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert len(set(trims)) > 1
+
+
 def test_layered_pairing_chunks_agree_and_bound_memory(monkeypatch):
+    """Both routes give the same values bit for bit in one chunk and in
+    chunks of 3,072 quadrature points, which cut the d = 3 calls' 236 to
+    310 rows into chunks of 109 (dual) or 153 (primal) rows."""
     E = BoxUnionSet([np.array([[0.0, 1.0], [-0.5, 0.5]])])
     F = BoxUnionSet([np.array([[-0.5, 0.8], [0.0, 1.0]])])
     quad = QuadSpec(step=2.0**-14)  # 21,300 first-axis midpoints
+    E3, F3 = random_box_pair(3, np.random.default_rng(5), max_boxes=3)
+    entry = next(e for e in build_default_corpus() if e.entry_id == "d3-random-2")
+
+    def d3_values():
+        return [
+            bilinear_form_dual(E3, F3, F3.first_axis_span()),
+            bilinear_form(entry.E, entry.F, entry.interval),
+            bilinear_form_dual(entry.E, entry.F, entry.window),
+        ]
+
     one_chunk = bilinear_form(E, F, (0.0, 1.0), quad)
     one_chunk_dual = bilinear_form_dual(E, F, (-0.5, 0.8), quad)
+    one_chunk_d3 = d3_values()
     monkeypatch.setattr(transform, "_CHUNK_LIMIT", 6 * 512)
     tracemalloc.start()
     try:
@@ -1006,9 +1085,10 @@ def test_layered_pairing_chunks_agree_and_bound_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunked == pytest.approx(one_chunk, rel=1e-12)
-    assert chunked_dual == pytest.approx(one_chunk_dual, rel=1e-12)
-    # in one chunk the same two calls peak near 11 MB
+    assert chunked == one_chunk
+    assert chunked_dual == one_chunk_dual
+    assert d3_values() == one_chunk_d3
+    # in one chunk the same two calls peak near 5.8 MB
     assert peak < 3_000_000
 
 
