@@ -20,7 +20,9 @@ included).
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -253,11 +255,12 @@ class Report:
             return json.dumps({"meta": self._meta(), **self.body}, indent=2, sort_keys=True) + "\n"
         cells = [self.columns, *([_cell(row[c]) for c in self.columns] for row in self.rows)]
         if fmt == "csv":
-            lines = [f"# {key}={value}" for key, value in self._meta().items()]
-            lines += [",".join(line) for line in cells]
-        else:
-            widths = [max(len(cell) for cell in column) for column in zip(*cells)]
-            lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells]
+            text = io.StringIO()
+            text.writelines(f"# {key}={value}\n" for key, value in self._meta().items())
+            csv.writer(text, lineterminator="\n").writerows(cells)
+            return text.getvalue()
+        widths = [max(len(cell) for cell in column) for column in zip(*cells)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells]
         return "".join(line + "\n" for line in lines)
 
 
@@ -280,25 +283,29 @@ def _emit(report, params, passed, started):
 def _write_outputs(files, manifest_path, command, params, started, **timings):
     """Write each path's bytes, then a manifest beside them with their
     digests, the configuration's hash and the wall time since started."""
-    os.makedirs(os.path.dirname(os.path.abspath(manifest_path)), exist_ok=True)
-    for path, data in files.items():
-        with open(path, "wb") as fh:
-            fh.write(data)
     # where the outputs go is no part of the configuration
     canon = {k: v for k, v in params.items() if k not in ("output", "outdir")}
     blob = json.dumps(canon, sort_keys=True, default=str).encode()
-    manifest = {
-        "command": command,
-        "config_hash": hashlib.sha256(blob).hexdigest(),
-        "seed": params.get("seed"),
-        "version": __version__,
-        "outputs": {os.path.basename(p): hashlib.sha256(d).hexdigest() for p, d in files.items()},
-        "wall_time_s": round(time.perf_counter() - started, 3),
-        **timings,
-    }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    digests = {os.path.basename(p): hashlib.sha256(d).hexdigest() for p, d in files.items()}
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(manifest_path)), exist_ok=True)
+        for path, data in files.items():
+            with open(path, "wb") as fh:
+                fh.write(data)
+        manifest = {
+            "command": command,
+            "config_hash": hashlib.sha256(blob).hexdigest(),
+            "seed": params.get("seed"),
+            "version": __version__,
+            "outputs": digests,
+            "wall_time_s": round(time.perf_counter() - started, 3),
+            **timings,
+        }
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from exc
 
 
 def _all_pass(rows):

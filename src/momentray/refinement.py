@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import estimate_c_d, incidence_path, jacobian_closed_form, line_step
 from .sets import BoxUnionSet, Interval, _is_count, as_interval, fiber_cells
 from .sharpness import _two_slice
-from .transform import NoIncidence, bilinear_form, fiber_measure_batch, fiber_pieces
+from .transform import NoIncidence, bilinear_form, fiber_pieces
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,11 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
 
     if base is None:
         dual = plan[0][1] == "t"
+        source, target, span = (E, F, window) if dual else (F, E, interval)
         for _ in range(_BASE_BATCHES):
-            candidates = _sample_points(E if dual else F, 64, rng)
-            measures = fiber_measure_batch(
-                F if dual else E, candidates, window if dual else interval, dual=dual
-            )
+            candidates = _sample_points(source, 64, rng)
+            los, his = fiber_pieces(target, candidates, span, dual=dual)
+            measures = np.clip(his - los, 0.0, None).sum(axis=1)
             if measures.max() > 0.0:
                 break
         base = candidates[np.argmax(measures)]  # the first maximum

@@ -286,7 +286,7 @@ def verify_minorant(spec, seed=0):
     pts = rng.uniform(
         blo[:, None, :], bhi[:, None, :], size=(blo.shape[0], _MINORANT_SAMPLES, spec.dim)
     )
-    vals = fiber_measure_batch(f.region, pts.reshape(-1, spec.dim), (-1.0, 1.0))
+    vals = fiber_measure_batch(f.region, pts.reshape(-1, spec.dim), (-1.0, 1.0), dual=False)
     return float(np.min(vals - np.repeat(minorant.weights, _MINORANT_SAMPLES)))
 
 

@@ -8,11 +8,10 @@ Coordinate j's constraint depends on (x1, x_j) alone, so the solver takes
 arrays that broadcast.  A grid is evaluated as a tensor product of its
 axes, its constraints on x1-by-x_j tables and its points never listed, with
 the boxes as one more leading broadcast axis taken a chunk at a time.  A
-point list over many boxes is solved on (point, box) pairs instead: over
-the parameter interval a line's second coordinate sweeps an interval, its
-reach, and only the boxes whose second-axis side meets it are solved.  Both
-paths add the lengths in the same order, so they give the same values bit
-for bit.
+point list is solved on (point, box) pairs instead: over the parameter
+interval a line's second coordinate sweeps an interval, its reach, and only
+the boxes whose second-axis side meets it are solved.  Both add the lengths
+in the same order, so they give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -212,8 +211,7 @@ def _box_order(comps):
 
 def _fiber_measures(region, coords, lo, hi, dual):
     """Fiber measures at the points coords spans, in their broadcast shape:
-    the broadcast kernel, which grids take, and point lists on at most
-    _PAIR_COST boxes (see fiber_measure_batch).
+    the broadcast kernel, which evaluates grids (point lists take pairs).
 
     The kernel runs over blocks of whole first-axis rows of about
     _BLOCK_ROWS points, and within a block over chunks of boxes as one more
@@ -240,10 +238,6 @@ def _fiber_measures(region, coords, lo, hi, dual):
 # the widening of a line's reach, in ulps of the magnitudes it is computed
 # from: the solver's roundings move a box edge's crossing by a few of them
 _REACH_ULPS = 16
-# a point's candidate search, or a pair solved from gathered inputs, costs
-# about this many pairs solved by broadcasting (2 to 7 measured for a pair,
-# d = 2 to 4), so a union of no more boxes keeps the broadcast kernel
-_PAIR_COST = 8
 
 
 def _candidates(region, X, coef, lo, hi, dual):
@@ -327,32 +321,31 @@ def _pair_measures(region, X, coef, passes, lo, hi, dual):
     return total
 
 
-def _fiber_points(region, points):
+def _fiber_points(region, points, interval):
+    """(X, lo, hi): the points as a finite (n, d) array, and the interval."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != region.dim:
         raise ValueError("point dimension does not match the set")
+    if X.shape[1] < 2:
+        raise ValueError("points need at least 2 coordinates: d = 1 has no line complex")
     if not np.isfinite(X).all():
         raise ValueError("points must be finite")
-    return X
+    return X, *_interval_pair(interval)
 
 
-def fiber_measure_batch(region, points, interval, dual=False):
-    """Exact fiber measures for a batch of points, (n, d) -> (n,).
+def fiber_measure_batch(region, points, interval, *, dual):
+    """Exact fiber measures for a batch of points, (n, d) -> (n,), along the
+    dual lines (parameter t) or the forward lines (parameter s).
 
-    One point (d,) is a batch of one.  On a union of more than _PAIR_COST
-    boxes, a search finds the (point, box) pairs whose line reaches the
-    box's second-axis side, and only they are solved (_pair_measures); on
-    at most _PAIR_COST boxes the broadcast kernel solves every pair.  Both
-    give the same values.
+    One point (d,) is a batch of one.  A search finds the (point, box) pairs
+    whose line reaches the box's second-axis side, and only they are solved
+    (_pair_measures), with the values that the broadcast kernel, which
+    evaluates grids (_fiber_measures), gives on the same points.
     """
-    lo, hi = _interval_pair(interval)
-    X = _fiber_points(region, points)
-    d = X.shape[1]
-    if d > 1 and region.n_boxes > _PAIR_COST:
-        coef = _coefficients(X[:, 0], d, dual)
-        passes = _pair_passes(*_candidates(region, X, coef, lo, hi, dual), d)
-        return _pair_measures(region, X, coef, passes, lo, hi, dual)
-    return _fiber_measures(region, X.T, lo, hi, dual)
+    X, lo, hi = _fiber_points(region, points, interval)
+    coef = _coefficients(X[:, 0], X.shape[1], dual)
+    passes = _pair_passes(*_candidates(region, X, coef, lo, hi, dual), X.shape[1])
+    return _pair_measures(region, X, coef, passes, lo, hi, dual)
 
 
 def fiber_pieces(region, points, interval, dual=False):
@@ -363,8 +356,7 @@ def fiber_pieces(region, points, interval, dual=False):
     boxes can touch, so point i's fiber is the union of row i's pieces, which
     sets.fiber_cells merges and cuts into cells.
     """
-    lo, hi = _interval_pair(interval)
-    X = _fiber_points(region, points)
+    X, lo, hi = _fiber_points(region, points, interval)
     chunks = _fiber_chunks(region, X.T, lo, hi, dual)
     los, his = zip(*(piece for comps in chunks for piece in _box_order(comps)))
     return np.stack(los, axis=1), np.stack(his, axis=1)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import csv
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -265,6 +267,25 @@ def test_fine_cell_width_cuts_only_the_kept_cells(tmp_path):
     assert out.exists()
 
 
+def test_unwritable_report_path_is_usage_error(tmp_path, monkeypatch, capsys):
+    """An --output that is a directory or lies under a file, and an --outdir
+    that is a file, exit 2 with one line naming the path, not 1 with a
+    traceback."""
+    monkeypatch.setattr(
+        cli, "run_suite", lambda seed, profile: SuiteResult([], {}, {"r.csv": b"x\n"})
+    )
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv, path in (
+        (["exponents", "--output", str(tmp_path)], tmp_path),
+        (["exponents", "--output", str(afile / "x.csv")], afile),
+        (["acceptance", "--profile", "quick", "--outdir", str(afile)], afile),
+    ):
+        assert run(argv) == USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["jacobian", "--config", str(tmp_path / "nope.json")]) == USAGE
 
@@ -349,6 +370,21 @@ def test_rwt_csv_output_and_manifest(mini_corpus_path, tmp_path):
     assert manifest["command"].startswith("rwt")
     assert "config_hash" in manifest and "wall_time_s" in manifest
     assert manifest["outputs"]["rwt.csv"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_csv_cells_are_quoted(tmp_path):
+    """A corpus id holding a comma or a quote is quoted in the CSV, so every
+    row reads back as wide as the header."""
+    unit = next(e for e in build_default_corpus() if e.entry_id == "d2-unit")
+    ids = ["pair,one", 'say "two"']
+    path = tmp_path / "odd.json"
+    save_corpus([dataclasses.replace(unit, entry_id=i) for i in ids], path)
+    out = tmp_path / "rwt.csv"
+    assert run(["rwt", "--corpus", str(path), "--output", str(out)]) == PASS
+    lines = [line for line in out.read_text().splitlines(True) if not line.startswith("#")]
+    header, *rows = csv.reader(lines)
+    assert [row[0] for row in rows] == ids
+    assert all(len(row) == len(header) == 10 for row in rows)
 
 
 def test_outputs_are_byte_deterministic(mini_corpus_path, tmp_path):

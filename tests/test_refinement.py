@@ -111,7 +111,7 @@ def test_base_found_past_the_first_batch():
     second batch holds one, and the tower it grows is sound."""
     entry = {e.entry_id: e for e in build_default_corpus()}["d3-random-2"]
     first = refinement._sample_points(entry.F, 64, np.random.default_rng(0))
-    assert fiber_measure_batch(entry.E, first, entry.interval).max() == 0.0
+    assert fiber_measure_batch(entry.E, first, entry.interval, dual=False).max() == 0.0
     tower = build_tower(entry.E, entry.F, entry.interval, entry.window, start="psi")
     assert [level.n_nodes for level in tower.levels] == [12, 68, 860]
     assert check_tower_structure(tower)[0] == 1.0
@@ -131,14 +131,11 @@ def test_node_cap_rescales_weights():
     assert capped.top.measure == pytest.approx(full.top.measure, rel=0.25)
 
 
-def _reference_tower(E, F, interval, window, start, config):
-    """The level loop that cuts every cell, then subsamples the node rows.
-
-    Returns (base, levels); raises TowerCollapse like build_tower.
-    """
-    plan = refinement._level_plan(start, E.dim)
-    rng = np.random.default_rng(config.seed)
-    dual = plan[0][1] == "t"
+def _reference_base(E, F, interval, window, start, seed):
+    """The base search through fiber_measure_batch's pair path, where
+    build_tower sums the pieces of fiber_pieces' broadcast kernel."""
+    dual = refinement._level_plan(start, E.dim)[0][1] == "t"
+    rng = np.random.default_rng(seed)
     for _ in range(refinement._BASE_BATCHES):
         candidates = refinement._sample_points(E if dual else F, 64, rng)
         measures = fiber_measure_batch(
@@ -146,7 +143,16 @@ def _reference_tower(E, F, interval, window, start, config):
         )
         if measures.max() > 0.0:
             break
-    base = candidates[np.argmax(measures)]
+    return candidates[np.argmax(measures)]
+
+
+def _reference_tower(E, F, interval, window, start, config):
+    """The level loop that cuts every cell, then subsamples the node rows.
+
+    Returns (base, levels); raises TowerCollapse like build_tower.
+    """
+    plan = refinement._level_plan(start, E.dim)
+    base = _reference_base(E, F, interval, window, start, config.seed)
     params = widths = np.empty((1, 0))
     weights = np.ones(1)
     points = base[None]
@@ -226,6 +232,18 @@ def test_capped_levels_bit_identical_to_full_cut(max_nodes):
     # levels the cap binds: the d = 3 tops at every size but d3-random-2 psi's
     # 860 nodes at 20000, lower levels when small
     assert capped == {20000: 4, 500: 11, 37: 21}[max_nodes]
+
+
+def test_base_search_matches_pair_path_on_corpus():
+    """On every default corpus entry and both starts, build_tower's base is
+    the candidate _reference_base picks from fiber_measure_batch's values."""
+    corpus = build_default_corpus()
+    assert len(corpus) == 32
+    for e in corpus:
+        for start in ("phi", "psi"):
+            tower = build_tower(e.E, e.F, e.interval, e.window, start=start)
+            want = _reference_base(e.E, e.F, e.interval, e.window, start, TowerConfig().seed)
+            assert np.array_equal(tower.base, want), (e.entry_id, start)
 
 
 def _parent_fibers(tower, window, li):

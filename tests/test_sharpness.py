@@ -379,9 +379,9 @@ def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
     seen = []
     real_fiber_measure_batch = sharpness.fiber_measure_batch
 
-    def recording_fiber_measure_batch(region, points, interval):
+    def recording_fiber_measure_batch(region, points, interval, dual):
         seen.append(np.array(points))
-        return real_fiber_measure_batch(region, points, interval)
+        return real_fiber_measure_batch(region, points, interval, dual=dual)
 
     monkeypatch.setattr(sharpness, "fiber_measure_batch", recording_fiber_measure_batch)
     slack = verify_minorant(spec, seed=11)
@@ -398,7 +398,7 @@ def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
         draws.append(pts)
         vals = np.zeros(8)
         for w, box in zip(f.weights, f.region.bounds):
-            vals += w * fiber_measure_batch(BoxUnionSet([box]), pts, (-1.0, 1.0))
+            vals += w * fiber_measure_batch(BoxUnionSet([box]), pts, (-1.0, 1.0), dual=False)
         worst = min(worst, float(np.min(vals - weight)))
     assert np.array_equal(seen[0], np.concatenate(draws))
     assert slack == worst

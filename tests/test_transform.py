@@ -279,7 +279,7 @@ def test_family_values_same_at_every_chunk_size(monkeypatch, d):
 
     def compute():
         return [
-            fiber_measure_batch(f.region, pts, (-1.0, 1.0)),
+            fiber_measure_batch(f.region, pts, (-1.0, 1.0), dual=False),
             transform._fiber_measures(f.region, pts.T, -1.0, 1.0, False),
         ]
 
@@ -473,12 +473,9 @@ def test_pair_path_equals_broadcast_kernel(kind, d, dual, rows, seed):
     """The pair path, which solves only the (point, box) pairs whose line's
     reach meets the box's axis-2 side, gives the broadcast kernel's values
     on the same points bit for bit, at every pass size, on unions whose
-    boxes lie far apart along axis 2 (see _pair_path_case).  The pair tests
-    set _PAIR_COST to 0, so fiber_measure_batch takes the pair path
-    whatever the union's size."""
+    boxes lie far apart along axis 2 (see _pair_path_case)."""
     region, (lo, hi), pts = _pair_path_case(kind, d, dual, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transform, "_PAIR_COST", 0)
         mp.setattr(transform, "_BLOCK_ROWS", rows)
         got = fiber_measure_batch(region, pts, (lo, hi), dual=dual)
         want = transform._fiber_measures(region, pts.T, lo, hi, dual)
@@ -487,14 +484,13 @@ def test_pair_path_equals_broadcast_kernel(kind, d, dual, rows, seed):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("dual", [False, True])
-def test_pair_path_keeps_fibers_of_rounding_width(monkeypatch, d, dual):
+def test_pair_path_keeps_fibers_of_rounding_width(d, dual):
     """40,000 lines leave one of three boxes, 3 apart along axis 2, through
     its axis-2 edge at an interval end, with x2 moved by up to 4 ulps.  On
     some of them the reach, taken as x2 + x1 * v or x2 - x1 * v at both
     ends, misses the box's axis-2 side, while the broadcast kernel's
     rounding still gives the box a fiber of positive width; the pair path
     keeps those pairs and gives the kernel's values bit for bit."""
-    monkeypatch.setattr(transform, "_PAIR_COST", 0)
     rng = np.random.default_rng(d + 10 * dual)
     n, lo, hi = 40_000, -0.7, 0.6
     sides = 3.0 * np.arange(3)[:, None] + [0.0, 1.0] + rng.uniform(0.0, 0.2, (3, 2))
@@ -516,7 +512,7 @@ def test_pair_path_keeps_fibers_of_rounding_width(monkeypatch, d, dual):
     assert fiber_measure_batch(region, pts, (lo, hi), dual=dual).tobytes() == want.tobytes()
 
 
-def test_pair_path_keeps_lines_that_overflow(monkeypatch):
+def test_pair_path_keeps_lines_that_overflow():
     """A line whose reach overflows, or whose coefficients x1**j do, keeps
     every box.  At x1 = 1e160 the forward route's x1**2 is inf, so on the
     far box's third axis the solver divides inf by inf and the fiber is NaN,
@@ -524,7 +520,6 @@ def test_pair_path_keeps_lines_that_overflow(monkeypatch):
     x2 +- 1.1e160.  At |x1| = 1.7e308 the reach overflows, and the dual
     fibers are subnormal.  Both routes give the broadcast kernel's values
     bit for bit, the NaN included."""
-    monkeypatch.setattr(transform, "_PAIR_COST", 0)
     boxes = [[[-1.0, 1.0], [3.0 * m, 3.0 * m + 1.0], [-1.0, 1.0]] for m in range(3)]
     region = BoxUnionSet(boxes + [[[-1.0, 1.0], [1e300, 2e300], [-1e308, -9e307]]])
     pts = np.array([[1e160, 0.0, 1e308], [1.7e308, 0.5, 0.5], [-1.7e308, 3.5, 0.0], [0.5, 0.5, 0.5]])
@@ -569,10 +564,10 @@ def test_pair_path_peak_memory_near_broadcast_kernel():
             assert peaks[0] < 2.0 * peaks[1] and peaks[0] < 8 * 1576 * 197
 
 
-def test_fiber_measure_batch_takes_pair_path_on_many_boxes(monkeypatch):
-    """fiber_measure_batch solves only the candidate pairs on a union of
-    more than _PAIR_COST boxes, such as the 197-box family; three boxes
-    keep the broadcast kernel.  Every route gives the same values."""
+def test_fiber_measure_batch_takes_pair_path(monkeypatch):
+    """fiber_measure_batch solves only the candidate pairs on every union,
+    the 197-box family and three random boxes alike, and gives the
+    broadcast kernel's values bit for bit."""
     taken = []
     pair_measures = transform._pair_measures
     monkeypatch.setattr(
@@ -581,16 +576,27 @@ def test_fiber_measure_batch_takes_pair_path_on_many_boxes(monkeypatch):
     spec = CounterexampleSpec(dim=3, n_start=4, k_max=200)
     family, pieces = build_counterexample_f(spec).region, build_xf_lower_bound(spec).region
     rng = np.random.default_rng(0)
-    cases = [
-        (family, rng.uniform(pieces.los, pieces.his), True),
-        (random_box_pair(3, rng, max_boxes=3)[0], rng.uniform(-1.0, 1.0, (200, 3)), False),
-    ]
-    for region, pts, pair in cases:
+    few = random_box_pair(3, rng, max_boxes=3)[0]
+    while few.n_boxes < 3:
+        few = random_box_pair(3, rng, max_boxes=3)[0]
+    cases = [(family, rng.uniform(pieces.los, pieces.his)), (few, rng.uniform(-1.0, 1.0, (200, 3)))]
+    for region, pts in cases:
         for dual in (False, True):
             taken.clear()
             got = fiber_measure_batch(region, pts, (-1.0, 1.0), dual=dual)
             want = transform._fiber_measures(region, pts.T, -1.0, 1.0, dual)
-            assert taken == [True] * pair and got.tobytes() == want.tobytes()
+            assert taken == [True] and got.tobytes() == want.tobytes()
+            assert np.count_nonzero(got)
+
+
+def test_one_dimensional_points_are_refused():
+    """d = 1 has no line complex, and the pair search reads axis 2: both
+    point-list entries refuse 1-d points rather than take another path."""
+    line = BoxUnionSet([[[0.0, 1.0]]])
+    for dual in (False, True):
+        for call in (fiber_measure_batch, fiber_pieces):
+            with pytest.raises(ValueError, match="at least 2 coordinates"):
+                call(line, [[0.5], [0.25]], (0.0, 1.0), dual=dual)
 
 
 def _grid_points(axes):
@@ -790,7 +796,7 @@ def test_fiber_cells_match_reference_merge_and_cut(pieces, max_width):
 @pytest.mark.parametrize("bad", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
 def test_unrepresentable_intervals_are_refused(bad):
     calls = [
-        lambda: fiber_measure_batch(UNIT2, [(0.5, 0.5)], bad),
+        lambda: fiber_measure_batch(UNIT2, [(0.5, 0.5)], bad, dual=False),
         lambda: fiber_pieces(UNIT2, [(0.5, 0.5)], bad),
         lambda: bilinear_form(UNIT2, UNIT2, bad),
         lambda: bilinear_form_dual(UNIT2, UNIT2, bad),
@@ -810,8 +816,8 @@ def test_fiber_dilation_covariance():
     exps = np.arange(1, 4)
     scaled = E.dilated_nonisotropic(delta)
     x = rng.uniform(-1.0, 1.0, (20, 3))
-    base = fiber_measure_batch(E, x, (-1.0, 1.0))
-    scaled_fiber = fiber_measure_batch(scaled, delta**exps * x, (-delta, delta))
+    base = fiber_measure_batch(E, x, (-1.0, 1.0), dual=False)
+    scaled_fiber = fiber_measure_batch(scaled, delta**exps * x, (-delta, delta), dual=False)
     assert scaled_fiber == pytest.approx(delta * base, rel=1e-12, abs=1e-15)
 
 
