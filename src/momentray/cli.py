@@ -552,6 +552,11 @@ def cmd_acceptance(params):
     """Runs the suite and writes its report bytes; returns no Report."""
     outdir = params["outdir"]
     started = time.perf_counter()
+    if outdir:
+        try:  # refuse a path that cannot be a directory before the suite runs
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     suite = run_suite(seed=params["seed"], profile=params["profile"])
     for res in suite.results:
         sys.stdout.write(f"{res.line()} [{suite.seconds[res.index]:.1f}s]\n")

@@ -15,26 +15,33 @@ from .sets import BoxUnionSet
 class SimpleFunction:
     """Nonnegative simple function: weighted sum of disjoint box unions.
 
-    Each support is a BoxUnionSet or the (d, 2) bounds of one box.  The
-    supports' boxes are stacked in support order into region, which checks
-    that they are disjoint; support_measures holds one measure per support.
+    Each support is a BoxUnionSet or the (d, 2) bounds of one box, or
+    supports is one (n, d, 2) array of n one-box supports, taken as a stack
+    without a loop over its rows.  The supports' boxes are stacked in
+    support order into region, which checks that they are disjoint;
+    support_measures holds one measure per support.
     """
 
     def __init__(self, weights, supports):
-        weights = np.array([float(w) for w in weights])
-        bounds = [
-            s.bounds if isinstance(s, BoxUnionSet) else np.asarray(s, dtype=float)[None]
-            for s in supports
-        ]
-        if len(weights) != len(bounds):
+        weights = np.array(weights, dtype=float)
+        if weights.ndim != 1:
+            raise ValueError("weights must be a 1-d sequence")
+        if isinstance(supports, np.ndarray) and supports.ndim == 3:
+            bounds, counts = [supports], [1] * len(supports)
+        else:
+            bounds = [
+                s.bounds if isinstance(s, BoxUnionSet) else np.asarray(s, dtype=float)[None]
+                for s in supports
+            ]
+            counts = [b.shape[0] for b in bounds]
+        if len(weights) != len(counts):
             raise ValueError("need one weight per support")
-        if not bounds:
+        if not counts:
             raise ValueError("need at least one term")
         if not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("weights must be positive and finite")
         if len({b.shape[1:] for b in bounds}) != 1:
             raise ValueError("supports must share a dimension")
-        counts = [b.shape[0] for b in bounds]
         self.weights = weights
         self.region = BoxUnionSet(np.concatenate(bounds))
         self.support_measures = np.add.reduceat(self.region.box_volumes, np.cumsum(counts) - counts)

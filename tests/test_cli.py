@@ -270,10 +270,12 @@ def test_fine_cell_width_cuts_only_the_kept_cells(tmp_path):
 def test_unwritable_report_path_is_usage_error(tmp_path, monkeypatch, capsys):
     """An --output that is a directory or lies under a file, and an --outdir
     that is a file, exit 2 with one line naming the path, not 1 with a
-    traceback."""
-    monkeypatch.setattr(
-        cli, "run_suite", lambda seed, profile: SuiteResult([], {}, {"r.csv": b"x\n"})
-    )
+    traceback; the --outdir is refused before the suite runs."""
+
+    def suite_must_not_run(seed, profile):
+        pytest.fail("the suite ran before its --outdir was refused")
+
+    monkeypatch.setattr(cli, "run_suite", suite_must_not_run)
     afile = tmp_path / "afile"
     afile.write_text("")
     for argv, path in (

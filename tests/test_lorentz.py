@@ -51,6 +51,39 @@ def test_simple_function_steps():
     assert SimpleFunction([1.0, 3.0], [pair, A]).support_measures.tolist() == [1.5, 2.0]
 
 
+def test_stacked_supports_match_their_rows():
+    """An (n, d, 2) array of one-box supports gives the weights, region and
+    support measures of the list of its rows, bit for bit, and both forms
+    refuse the same malformed inputs."""
+    rng = np.random.default_rng(3)
+    lo = np.stack([2.0 * np.arange(6), *rng.uniform(-1.0, 0.0, (2, 6))], axis=1)
+    stack = np.stack([lo, lo + rng.uniform(0.1, 1.5, (6, 3))], axis=2)
+    weights = rng.uniform(0.1, 5.0, 6)
+    f, g = SimpleFunction(weights, stack), SimpleFunction(weights, list(stack))
+    for a, b in (
+        (f.weights, g.weights),
+        (f.region.los, g.region.los),
+        (f.region.his, g.region.his),
+        (f.support_measures, g.support_measures),
+    ):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    nan_bound, overlap = stack.copy(), stack.copy()
+    nan_bound[2, 1, 0] = np.nan
+    overlap[4] = overlap[1]
+    for w, bounds, match in (
+        (weights[:5], stack, "one weight per support"),
+        (weights, np.concatenate([stack, stack[..., :1]], axis=2), r"shape \(d, 2\)"),
+        (weights, nan_bound, "finite"),
+        (np.where(np.arange(6) == 3, 0.0, weights), stack, "positive"),
+        (weights[:, None], stack, "1-d"),
+        (weights[None], stack, "1-d"),
+        (weights, overlap, "boxes 1 and 4 overlap"),
+    ):
+        for supports in (bounds, list(bounds)):
+            with pytest.raises(ValueError, match=match):
+                SimpleFunction(w, supports)
+
+
 def test_lorentz_norm_refuses_zero_measure_support():
     """Both norms refuse a support of zero measure rather than drop it."""
     flat = SimpleFunction([1.0, 2.0], [A, [[5.0, 5.0], [0.0, 1.0]]])

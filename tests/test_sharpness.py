@@ -351,11 +351,12 @@ def test_verify_minorant_d4_slack_nonnegative():
 
 
 def test_verify_minorant_d4_bounds_memory():
-    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 0.55 MB
+    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 0.53 MB
     under tracemalloc, most of it the kernel's per-point arrays (the
-    coefficients x1**j, each line's reach and its candidate search) and its
-    one pass: each line reaches one box, so the kernel solves 1,576 pairs.
-    The family's disjointness check, a sweep, adds about 0.1 MB.  Solving
+    coefficients x1**j, built by repeated products, each line's reach and
+    its candidate search) and its one pass: each line reaches one box, so
+    the kernel solves 1,576 pairs.  Building the family from its stacked
+    bounds, the disjointness sweep included, peaks near 0.1 MB.  Solving
     every (point, box) pair in passes of boxes peaked near 0.9 MB, and
     holding the (boxes, points) arrays whole near 20 MB."""
     spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)

@@ -1,7 +1,9 @@
 """Exact fibers, the transform on points, and the pairing quadratures."""
 
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,7 +218,7 @@ def _reference_fiber_pieces(region, points, interval, dual):
                     mlo, mhi = np.minimum(r1, r2), np.maximum(r1, r2)
                     zero, ok = x1 == 0.0, (tlo <= 0.0) & (0.0 <= thi)
                 else:
-                    coef = (x1[:, None] ** np.arange(1, d))[:, j - 1]
+                    coef = functools.reduce(np.multiply, [x1] * j)  # fl(x1**(j-1) * x1)
                     a, b = (blo[j] - cj) / coef, (bhi[j] - cj) / coef
                     mlo, mhi = np.where(coef > 0, a, b), np.where(coef > 0, b, a)
                     zero, ok = coef == 0.0, (cj >= blo[j]) & (cj <= bhi[j])
@@ -405,6 +407,41 @@ def test_fiber_row_blocks_match_one_block(monkeypatch, d, dual, x1_sign):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if dual and d > 2:
         assert reference[0].shape[1] > region.n_boxes
+
+
+def _rounded(exact):
+    """The float nearest a Fraction, +-inf where that rounds past the range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def test_forward_coefficients_are_repeated_products():
+    """The forward coefficients, pinned bit for bit since grids, fiber_pieces
+    and the pair path all read them: column 1 is x1, column 2 the correctly
+    rounded square, and column j >= 3 is fl(column j-1 * x1), at most one
+    float from the correctly rounded power (its error reaches 1.27 ulps of
+    the exact cube on these draws).  The draws run from squares that
+    underflow to cubes that overflow, and the last column is inf exactly
+    where some column is, which _candidates reads."""
+    rng = np.random.default_rng(7)
+    n = 12_000
+    x1 = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-400.0, 400.0, n))
+    x1[:4000] = rng.uniform(-3.0, 3.0, 4000)
+    with np.errstate(over="ignore"):
+        coef = transform._coefficients(x1, 4, False)
+        assert coef.shape == (n, 3) and coef[:, 0].tobytes() == x1.tobytes()
+        assert np.array_equal(coef[:, 2], coef[:, 1] * x1)
+    assert transform._coefficients(x1, 4, True) is x1
+    assert np.array_equal(np.isinf(coef[:, 2]), np.isinf(coef).any(axis=1))
+    assert np.isinf(coef[:, 1]).any() and np.isinf(coef[:, 2]).sum() > np.isinf(coef[:, 1]).sum()
+    assert ((coef[:, 1] > 0) & (coef[:, 1] < np.finfo(float).tiny)).any()
+    assert (coef[:, 1] == 0).any() and (coef[:, 2] == 0).sum() > (coef[:, 1] == 0).sum()
+    for x, square, cube in zip(x1.tolist(), coef[:, 1].tolist(), coef[:, 2].tolist()):
+        assert square == _rounded(Fraction(x) ** 2)
+        nearest = _rounded(Fraction(x) ** 3)
+        assert cube in (nearest, math.nextafter(nearest, -math.inf), math.nextafter(nearest, math.inf))
 
 
 def _pair_path_case(kind, d, dual, rng):
