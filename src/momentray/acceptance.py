@@ -239,6 +239,13 @@ def criterion_4_family_scaling(seed, profile):
     blockwise norm from n = 4 is its literal Lorentz norm, which the step
     profile of pieces 4..2000 gives up to the truncated tail (about 6e-15
     of the norm at d = 2, less above).
+
+    Every row checks closed-form arithmetic, and none calls the transform.
+    Each fitted slope is the asymptotic of its own closed form (a Hurwitz
+    zeta value for f, an ell^r sum of per-piece scores for Xf), so the slope
+    gap is 1/r - 1/p by algebra and the verdicts flip at r = p whatever the
+    transform computes; the zeta route compares two forms that agree by
+    additivity.
     """
     info = {}
     gates = []

@@ -103,6 +103,25 @@ def _level_plan(start, d):
     return [(first + i, kinds[i % 2], "F" if kinds[i % 2] == "t" else "E") for i in range(d)]
 
 
+def _extend_rows(table, rows, column):
+    """table's rows gathered by index with column appended, filled a column at
+    a time: the same array as concatenating table[rows] and column."""
+    out = np.empty((rows.size, table.shape[1] + 1))
+    for j in range(table.shape[1]):
+        out[:, j] = table[:, j].take(rows)
+    out[:, -1] = column
+    return out
+
+
+def _row_products(table):
+    """table.prod(axis=1) with the same bits (left to right along each row),
+    multiplied a column at a time; table has at least one column."""
+    product = table[:, 0].copy()
+    for column in table.T[1:]:
+        product *= column
+    return product
+
+
 def build_tower(E, F, interval, window, start="phi", config=None, base=None):
     """Grow a full-depth parameter tower over the pair by greedy refinement.
 
@@ -162,11 +181,13 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
         rows, centers, cell_widths, scale = fiber_cells(
             los[kept], his[kept], config.cell_width, config.max_nodes, config.seed + label
         )
-        parent_idx = kept[rows]
-        weights = weights[parent_idx] * scale
-        params = np.concatenate([params[parent_idx], centers[:, None]], axis=1)
-        widths = np.concatenate([widths[parent_idx], cell_widths[:, None]], axis=1)
-        node_vols = widths.prod(axis=1) * weights
+        parent_idx = kept.take(rows)
+        weights = weights.take(parent_idx)
+        weights *= scale
+        params = _extend_rows(params, parent_idx, centers)
+        widths = _extend_rows(widths, parent_idx, cell_widths)
+        node_vols = _row_products(widths)
+        node_vols *= weights
 
         levels.append(
             TowerLevel(
@@ -184,7 +205,7 @@ def build_tower(E, F, interval, window, start="phi", config=None, base=None):
             )
         )
         if i + 1 < len(plan):
-            points = line_step(points[parent_idx], centers, dual)
+            points = line_step(points.take(parent_idx, axis=0), centers, dual)
 
     return Tower(dim=d, start=start, base=base, levels=levels, E=E, F=F, interval=interval)
 
@@ -198,8 +219,8 @@ def check_tower_structure(tower, samples=200, seed=0):
     boundary.  Returns the fraction of
     sampled checks that passed and the number checked.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not _is_count(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     checked = passed = 0
     for li, level in enumerate(tower.levels):
@@ -234,7 +255,7 @@ def image_volume_lower_bound(tower):
     """
     constant = abs(_measured_constant(tower.start, tower.dim))
     top = tower.top
-    vols = top.widths.prod(axis=1) * top.weights
+    vols = _row_products(top.widths) * top.weights
     jac = np.abs(jacobian_closed_form(tower.start, tower.base[0], top.params))
     return float((vols * (jac * constant)).sum())
 

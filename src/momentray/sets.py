@@ -96,10 +96,19 @@ class BoxUnionSet:
         return np.prod(self.his - self.los, axis=1)
 
     def contains_batch(self, points, atol=0.0):
+        """Which of the (n, d) points lie in a box widened by atol; a single
+        (d,) point is refused, not read as a batch of one."""
         p = np.asarray(points, dtype=float)
+        if p.ndim != 2 or p.shape[1] != self.dim:
+            raise ValueError("point dimension does not match the set")
+        columns = p.T.copy()
         inside = np.zeros(p.shape[0], dtype=bool)
-        for lo, hi in zip(self.los, self.his):
-            inside |= np.all(p >= lo - atol, axis=1) & np.all(p <= hi + atol, axis=1)
+        for lo, hi in zip(self.los - atol, self.his + atol):
+            box = np.ones(p.shape[0], dtype=bool)
+            for x, a, b in zip(columns, lo, hi):
+                box &= x >= a
+                box &= x <= b
+            inside |= box
         return inside
 
     def first_axis_span(self):
@@ -135,19 +144,21 @@ def fiber_cells(los, his, max_width, max_cells, seed):
     max(1, ceil(length / max_width)) equal cells; a count, or a total over
     all rows, of 2^63 or more is refused.  When the total n exceeds
     max_cells, only a sorted draw of max_cells cell indices
-    (default_rng(seed), without replacement) is built; each cell is found in
-    its merged interval by a search in the running counts.  Returns (rows,
-    centers, widths, scale), one entry per built cell, ordered by row and
-    then along the line, with scale = n / max_cells when cells were drawn and
-    1.0 otherwise; a row's widths sum to its fiber measure when every cell
-    is built.
+    (default_rng(seed), without replacement) is built; each merged interval
+    takes as many of the drawn cells as a search of its end in them counts,
+    so past the draw no array longer than max_cells or the interval count
+    is built.  Returns (rows, centers, widths, scale), one entry per built
+    cell, ordered by row and then along the line, with scale = n / max_cells
+    when cells were drawn and 1.0 otherwise; a row's widths sum to its fiber
+    measure when every cell is built.
     """
     if not max_width > 0:
         raise ValueError("max_width must be positive")
     valid = his >= los
     los = np.where(valid, los, np.inf)  # empty pieces sort last
     order = np.lexsort((his, los), axis=1)
-    los, his, valid = (np.take_along_axis(a, order, axis=1) for a in (los, his, valid))
+    order += np.arange(0, order.size, los.shape[1])[:, None]  # flat positions
+    los, his, valid = (a.take(order) for a in (los, his, valid))
     reach = np.maximum.accumulate(np.where(valid, his, -np.inf), axis=1)
     start = valid.copy()
     start[:, 1:] &= los[:, 1:] > reach[:, :-1]
@@ -169,11 +180,17 @@ def fiber_cells(los, his, max_width, max_cells, seed):
         raise ValueError(f"the fibers need 2^63 or more cells of width {max_width} in all")
     n = int(counts.sum())
     if n <= max_cells:
-        cell, scale = np.arange(n), 1.0
+        cell, scale, built = np.arange(n), 1.0, counts
     else:
-        cell = np.sort(np.random.default_rng(seed).choice(n, size=max_cells, replace=False))
+        cell = np.random.default_rng(seed).choice(n, size=max_cells, replace=False)
+        cell.sort()
         scale = n / max_cells
-    segment = np.searchsorted(ends, cell, side="right")
-    index = cell - (ends - counts)[segment]
-    width = (length / counts)[segment]
-    return rows[segment], lo[segment] + (index + 0.5) * width, width, scale
+        # the drawn cells below each segment's end give its share of them
+        built = np.diff(np.searchsorted(cell, ends), prepend=0)
+    segment = np.repeat(np.arange(ends.size), built)
+    cell -= (ends - counts).take(segment)  # each cell's index in its segment
+    width = (length / counts).take(segment)
+    centers = cell + 0.5
+    centers *= width
+    centers += lo.take(segment)
+    return rows.take(segment), centers, width, scale

@@ -1,6 +1,7 @@
 """Tests for the greedy refinement towers and their oracles."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -302,6 +303,44 @@ def test_level_measures_conserve_kept_fiber_mass():
         )
         assert tower.depth == 4
         assert _conserved_levels(tower, window, config.max_nodes) == tower.depth
+
+
+@pytest.mark.parametrize("samples", [2.5, 2.0, True, "200", 0])
+def test_structure_check_refuses_non_integer_samples(samples):
+    E, F = unit_pair(2)
+    tower = build_tower(E, F, (0.0, 1.0), (0.0, 1.0), start="phi", base=(0.5, 0.5))
+    with pytest.raises(ValueError, match="samples"):
+        check_tower_structure(tower, samples=samples)
+
+
+# SHA-256 of every default-corpus tower (both starts, default config): each
+# level's arrays and scalars, the seed-0 structure check over 200 samples and
+# tower_report, plus the plane entries' 64-point grid oracle.  Recorded with
+# numpy 2.4 on x86-64; a faster form of any tower step must keep these bits.
+TOWER_SHA256 = "b9c937a9d9ac7a0353482687eb254c6caebd47acdd27af89f6b5489ef9c6ed66"
+
+
+def test_corpus_towers_are_pinned():
+    digest = hashlib.sha256()
+    for e in build_default_corpus():
+        for start in ("phi", "psi"):
+            tower = build_tower(e.E, e.F, e.interval, e.window, start=start)
+            digest.update(tower.base.tobytes())
+            for level in tower.levels:
+                for a in (level.params, level.widths, level.weights, level.parent_idx):
+                    digest.update(f"{a.dtype}{a.shape}".encode())
+                    digest.update(a.tobytes())
+                scalars = (level.label, level.param_kind, level.target, level.measure,
+                           level.threshold, level.min_kept_fiber, level.n_nodes)
+                digest.update(repr(scalars).encode())
+            digest.update(repr(check_tower_structure(tower, 200, 0)).encode())
+            digest.update(repr(tower_report(tower)).encode())
+            if e.dim == 2:
+                brute = enumerate_tower_bruteforce(
+                    e.E, e.F, tower.base, e.interval, e.window, start=start
+                )
+                digest.update(repr(brute).encode())
+    assert digest.hexdigest() == TOWER_SHA256
 
 
 # ---------------------------------------------------------------------------

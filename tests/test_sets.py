@@ -62,6 +62,47 @@ def test_union_measure_and_containment():
     assert got.tolist() == [True, True, False]
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[[0.5], [2.0]], [0.5, 0.5], [[0.5, 0.5, 0.5]], [[[0.5, 0.5]]]],
+    ids=["n-by-1", "one-point", "n-by-3", "three-axes"],
+)
+def test_containment_refuses_wrong_point_shape(points):
+    """Points must be an (n, d) batch: an (n, 1) one is not broadcast against
+    each box and an (n, 3) one is not cut to two coordinates."""
+    u = BoxUnionSet([[[0, 1], [0, 1]]])
+    with pytest.raises(ValueError, match="point dimension does not match the set"):
+        u.contains_batch(np.array(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_containment_matches_row_reference(data):
+    """contains_batch, a column at a time, against the row-wise test of every
+    box, on points at, just off and away from the faces, NaNs included."""
+    d = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.integers(0, 3**d - 1), min_size=1, max_size=6, unique=True))
+    boxes = np.array([[[a, a + 1] for a in np.unravel_index(c, (3,) * d)] for c in cells], float)
+    u = BoxUnionSet(boxes)
+    faces = [0.0, 1.0, 2.0, 3.0]
+    offsets = [0.0, 1e-9, -1e-9, 5e-10, -5e-10, 2e-9, -2e-9, 0.37]
+    coordinate = st.one_of(
+        st.builds(lambda f, o: f + o, st.sampled_from(faces), st.sampled_from(offsets)),
+        st.floats(-1.0, 4.0),
+        st.just(math.nan),
+    )
+    n = data.draw(st.integers(0, 12))
+    points = np.array(
+        data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=n, max_size=n)),
+        dtype=float,
+    ).reshape(n, d)
+    atol = data.draw(st.sampled_from([0.0, 1e-9]))
+    want = np.zeros(n, dtype=bool)
+    for lo, hi in zip(u.los, u.his):
+        want |= np.all(points >= lo - atol, axis=1) & np.all(points <= hi + atol, axis=1)
+    assert np.array_equal(u.contains_batch(points, atol=atol), want)
+
+
 def test_union_rejects_overlap():
     with pytest.raises(ValueError):
         BoxUnionSet([np.array([[0, 2], [0, 2]]), np.array([[1, 3], [1, 3]])])
@@ -191,3 +232,30 @@ def test_fiber_cells_preserve_measure():
         fiber_cells(los, his, 0.0, math.inf, 0)
     with pytest.raises(ValueError, match="max_width"):
         fiber_cells(los, his, float("nan"), math.inf, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fiber_cells_draw_equals_the_full_cut(data):
+    """Past max_cells, the built cells are the full cut's cells at the sorted
+    draw's indices, bit for bit, over rows of several overlapping pieces."""
+    n_rows, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    ends = st.floats(-2.0, 2.0, allow_nan=False)
+    los = np.array(data.draw(st.lists(ends, min_size=n_rows * k, max_size=n_rows * k)))
+    spans = st.floats(-0.5, 1.5, allow_nan=False)
+    his = los + np.array(data.draw(st.lists(spans, min_size=n_rows * k, max_size=n_rows * k)))
+    los, his = los.reshape(n_rows, k), his.reshape(n_rows, k)
+    max_width = data.draw(st.sampled_from([0.05, 0.25, 1.0]))
+    full = fiber_cells(los, his, max_width, math.inf, 0)
+    n = full[0].size
+    max_cells = data.draw(st.integers(1, max(1, n)))
+    seed = data.draw(st.integers(0, 3))
+    rows, centers, widths, scale = fiber_cells(los, his, max_width, max_cells, seed)
+    if n <= max_cells:
+        pick, want_scale = np.arange(n), 1.0
+    else:
+        pick = np.sort(np.random.default_rng(seed).choice(n, size=max_cells, replace=False))
+        want_scale = n / max_cells
+    assert scale == want_scale
+    for got, want in zip((rows, centers, widths), full[:3]):
+        assert got.dtype == want.dtype and np.array_equal(got, want[pick])
