@@ -133,8 +133,8 @@ def test_node_cap_rescales_weights():
 
 
 def _reference_base(E, F, interval, window, start, seed):
-    """The base search through fiber_measure_batch's pair path, where
-    build_tower sums the pieces of fiber_pieces' broadcast kernel."""
+    """The base search through fiber_measure_batch's values, where
+    build_tower sums the pieces fiber_pieces gives."""
     dual = refinement._level_plan(start, E.dim)[0][1] == "t"
     rng = np.random.default_rng(seed)
     for _ in range(refinement._BASE_BATCHES):
@@ -235,7 +235,7 @@ def test_capped_levels_bit_identical_to_full_cut(max_nodes):
     assert capped == {20000: 4, 500: 11, 37: 21}[max_nodes]
 
 
-def test_base_search_matches_pair_path_on_corpus():
+def test_base_search_matches_fiber_measures_on_corpus():
     """On every default corpus entry and both starts, build_tower's base is
     the candidate _reference_base picks from fiber_measure_batch's values."""
     corpus = build_default_corpus()

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.special import zeta as scipy_zeta
 
@@ -329,36 +331,23 @@ def test_verify_minorant_nonnegative_slack():
     assert verify_minorant(spec) >= 0.0
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_verify_minorant_slack_at_benchmark_size(d, seed):
     """The benchmark's family size: the minimum slack is 0.005 exactly,
-    reached at the last piece (weight 1/200 against a transform of 2/200)."""
+    reached at the last piece (weight 1/200 against a transform of 2/200),
+    at d = 4 too, where the pieces from k = 108 on have sides below one ulp
+    of their centres k^4."""
     spec = CounterexampleSpec(dim=d, n_start=4, k_max=200)
     assert verify_minorant(spec, seed=seed) == 0.005
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="from k = 108 on, a d = 4 piece's last side (about k^-4 wide) is "
-    "below one ulp of its center k^4 and rounds to zero width, so the "
-    "transform reads 0 there and the slack is -1/108; evaluating each piece "
-    "in local coordinates would fix it",
-)
-def test_verify_minorant_d4_slack_nonnegative():
-    spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)
-    assert verify_minorant(spec) >= 0.0
-
-
 def test_verify_minorant_d4_bounds_memory():
-    """One d = 4 evaluation (197 boxes, 1,576 points) peaks near 0.53 MB
-    under tracemalloc, most of it the kernel's per-point arrays (the
-    coefficients x1**j, built by repeated products, each line's reach and
-    its candidate search) and its one pass: each line reaches one box, so
-    the kernel solves 1,576 pairs.  Building the family from its stacked
-    bounds, the disjointness sweep included, peaks near 0.1 MB.  Solving
-    every (point, box) pair in passes of boxes peaked near 0.9 MB, and
-    holding the (boxes, points) arrays whole near 20 MB."""
+    """One d = 4 check (197 pieces, 1,576 points on the one box Q) peaks
+    near 0.23 MB under tracemalloc: the (197, 8, 4) draw, the kernel's
+    per-point coefficients x1**j and its solver's per-point temporaries in
+    one pass over one box.  The check builds neither family, so nothing in
+    it grows with a box count."""
     spec = CounterexampleSpec(dim=4, n_start=4, k_max=200)
     verify_minorant(spec)
     tracemalloc.start()
@@ -367,42 +356,46 @@ def test_verify_minorant_d4_bounds_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert slack == -0.009259259259259259
-    assert peak < 1_000_000
+    assert slack == 0.005
+    assert peak < 300_000
 
 
-def test_verify_minorant_draw_and_value_match_per_piece_loop(monkeypatch):
-    """One draw for every piece gives the per-piece draws bit for bit, and
-    the slack equals the per-piece, per-support evaluation exactly."""
-    from momentray import sharpness
+@given(st.sampled_from([2, 3, 4]), st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_piece_transform_is_the_cube_transform_in_own_coordinates(d, k_max, k, seed):
+    """The identity verify_minorant rests on, at small k, where the centre
+    c_k = (0, k^2, ..., k^d) and the sides 2 k^-i of piece k's box E_k are
+    both representable.  At 64 points x drawn over all of E_k, the transform
+    of E_k alone over (-1, 1) equals g(u) / k, where u = delta_k(x - c_k)
+    and g is the transform of Q = [-1, 1]^d, and the whole family's
+    transform is at least that piece's.
 
-    spec = CounterexampleSpec(dim=3, n_start=4, k_max=40)
-    seen = []
-    real_fiber_measure_batch = sharpness.fiber_measure_batch
-
-    def recording_fiber_measure_batch(region, points, interval, dual):
-        seen.append(np.array(points))
-        return real_fiber_measure_batch(region, points, interval, dual=dual)
-
-    monkeypatch.setattr(sharpness, "fiber_measure_batch", recording_fiber_measure_batch)
-    slack = verify_minorant(spec, seed=11)
-    assert len(seen) == 1
-
-    f = build_counterexample_f(spec)
-    minorant = build_xf_lower_bound(spec)
-    rng = np.random.default_rng(11)
-    worst = np.inf
-    draws = []
-    # every support of both families is one box
-    for weight, lo, hi in zip(minorant.weights, minorant.region.los, minorant.region.his):
-        pts = rng.uniform(lo, hi, size=(8, 3))
-        draws.append(pts)
-        vals = np.zeros(8)
-        for w, box in zip(f.weights, f.region.bounds):
-            vals += w * fiber_measure_batch(BoxUnionSet([box]), pts, (-1.0, 1.0), dual=False)
-        worst = min(worst, float(np.min(vals - weight)))
-    assert np.array_equal(seen[0], np.concatenate(draws))
-    assert slack == worst
+    The tolerance: each edge of E_k rounds by at most half an ulp of its
+    magnitude, at most ulp(k^d) / 2, which delta_k scales by at most k^d
+    (the inverse of the side k^-d), so an edge moves by at most
+    eta / 2 = ulp(k^d) k^d / 2 in u's coordinates.  Coordinate j's edges are
+    crossed at parameters (edge - u_j) / u1^(j-1), so a fiber's ends move by
+    at most eta / |u1|^(d-1) together for |u1| < 1.  Each end that lies in
+    [-1, 1] carries at most d + 2 roundings of a ratio below 1 in magnitude
+    on each side (the power, the quotient, u's dilation and the difference
+    of the ends), 4 (d + 2) eps in all, which the steepest coefficient
+    scales alike.  Both are in u's parameter, k times x's."""
+    k_max, k = max(k_max, k), min(k_max, k)
+    spec = CounterexampleSpec(dim=d, n_start=2, k_max=k_max)
+    family = build_counterexample_f(spec).region
+    piece = BoxUnionSet([family.bounds[k - 2]])
+    x = np.random.default_rng(seed).uniform(piece.los[0], piece.his[0], size=(64, d))
+    centre = np.zeros(d)
+    centre[1:] = float(k) ** np.arange(2, d + 1)
+    u = (x - centre) * float(k) ** np.arange(1, d + 1)
+    alone = fiber_measure_batch(piece, x, (-1.0, 1.0), dual=False)
+    g = fiber_measure_batch(BoxUnionSet([[[-1.0, 1.0]] * d]), u, (-1.0, 1.0), dual=False)
+    eta = np.spacing(float(k) ** d) * float(k) ** d
+    steepest = np.minimum(np.abs(u[:, 0]), 1.0) ** (d - 1)
+    tol = (eta + 4 * (d + 2) * np.finfo(float).eps) / steepest / k
+    assert np.all(np.abs(alone - g / k) <= tol)
+    assert np.all(fiber_measure_batch(family, x, (-1.0, 1.0), dual=False) >= alone)
+    assert verify_minorant(spec, seed=seed) == 1.0 / k_max
 
 
 # ---------------------------------------------------------------------------
