@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import BoxUnionSet, Interval
-from .sharpness import CounterexampleSpec, build_counterexample_f, build_xf_lower_bound
 
 CORPUS_VERSION = 1
 
@@ -86,11 +85,16 @@ def _box(*sides):
 
 
 def _family_piece_entry(d, k):
-    spec = CounterexampleSpec(dim=d, n_start=k, k_max=k)
+    """Piece k of the example family: E is c_k +- k^-i on axis i and F, the
+    minorant's piece, c_k +- k^-i / 2, with c_k = (0, k^2, ..., k^d)."""
+    center = np.zeros(d)
+    center[1:] = float(k) ** np.arange(2, d + 1)
+    sides = float(k) ** np.arange(1, d + 1)
+    e_half, f_half = 1.0 / sides, 0.5 / sides
     return _entry(
         f"d{d}-family-k{k}",
-        build_counterexample_f(spec).region.bounds,
-        build_xf_lower_bound(spec).region.bounds,
+        [np.stack([center - e_half, center + e_half], axis=1)],
+        [np.stack([center - f_half, center + f_half], axis=1)],
         ("family",),
     )
 

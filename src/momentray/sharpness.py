@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lorentz import SimpleFunction, lorentz_norm_from_steps
+from .lorentz import lorentz_norm_from_steps
 from .sets import BoxUnionSet, Interval, _is_count, as_interval
 from .transform import NoIncidence, bilinear_form, fiber_measure_batch, region_cell_values
 
@@ -105,8 +105,9 @@ def dilate_configuration(E, F, interval, delta):
 class CounterexampleSpec:
     """Index range for the multi-scale example family.
 
-    Pieces are indexed k = n_start, n_start+1, ..., k_max; a range of more
-    than MAX_MATERIALIZED_BOXES pieces is refused here.
+    Pieces are indexed k = n_start, n_start+1, ..., k_max.  No box is built:
+    verify_minorant draws 8 points of d coordinates per piece, so a range of
+    more than MAX_MATERIALIZED_BOXES pieces is refused here.
     """
 
     dim: int
@@ -127,41 +128,8 @@ class CounterexampleSpec:
         count = self.k_max - self.n_start + 1
         if count > MAX_MATERIALIZED_BOXES:
             raise ValueError(
-                f"k_max materializes {count} boxes; limit is {MAX_MATERIALIZED_BOXES}"
+                f"k_max asks for {count} pieces; limit is {MAX_MATERIALIZED_BOXES}"
             )
-
-
-def _family(spec, half_scale, weight_of):
-    """Pieces k = n_start..k_max: weight_of(k) on the box with half-sides
-    half_scale k^-i centered at (0, k^2, ..., k^d), as one (n, d, 2) stack."""
-    d = spec.dim
-    ks = np.arange(spec.n_start, spec.k_max + 1).astype(float)
-    center = np.zeros((ks.size, d))
-    center[:, 1:] = ks[:, None] ** np.arange(2, d + 1)
-    half = half_scale / ks[:, None] ** np.arange(1, d + 1)
-    bounds = np.stack([center - half, center + half], axis=2)
-    return SimpleFunction(weight_of(ks), bounds)
-
-
-def build_counterexample_f(spec):
-    """Unit-weight pieces on boxes with sides 2 k^-i centered at (0, k^2, ..., k^d).
-
-    Piece k has measure 2^d k^(-d(d+1)/2).  Consecutive centers are at least
-    2k+1 apart along the second axis while the boxes are O(k^-2) thin there,
-    so the supports are disjoint for every k >= 2; the region checks it too,
-    at every size.
-    """
-    return _family(spec, 1.0, np.ones_like)
-
-
-def build_xf_lower_bound(spec):
-    """Weight k^-1 pieces on the concentric boxes with sides k^-i.
-
-    Piece k lives where every line of the k-th unit-weight piece dumps at
-    least k^-1 of parameter mass, so the sum minorizes the transform of the
-    unit-weight family whenever the parameter interval contains [-1/k, 1/k].
-    """
-    return _family(spec, 0.5, lambda ks: 1.0 / ks)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_20, over (2j)!

@@ -102,13 +102,15 @@ def _orientation(coef):
 def _coefficients(x1, d, dual):
     """The constraints' coefficients: x1 on the dual route, else x1**j for
     j = 1, ..., d - 1 along a last axis, each the previous times x1, so an
-    overflow carries to the last (numpy's pow costs about 80 ns a value)."""
+    overflow carries to the last, silently: the caller refuses it (numpy's
+    pow costs about 80 ns a value)."""
     if dual:
         return x1
     coef = np.empty(x1.shape + (d - 1,))
     coef[..., 0] = x1
-    for j in range(1, d - 1):
-        np.multiply(coef[..., j - 1], x1, out=coef[..., j])
+    with np.errstate(over="ignore"):
+        for j in range(1, d - 1):
+            np.multiply(coef[..., j - 1], x1, out=coef[..., j])
     return coef
 
 
@@ -185,13 +187,17 @@ def _fiber_chunks(region, coords, lo, hi, dual):
     coords holds one array per coordinate; they broadcast to the points'
     shape (the columns of a point list, or a grid's axes as an open mesh).
     Each constraint's _orientation is resolved once, the dual route's one
-    coefficient once for all of them.
+    coefficient once for all of them.  A forward coefficient x1**j that
+    overflows is refused: the solver would divide inf by inf on a box the
+    line never reaches, and an overflow carries to the last column.
     """
     d = len(coords)
     coef = _coefficients(coords[0], d, dual)
     if dual:
         sides = [_orientation(coef)] * (d - 1)
     else:
+        if not np.isfinite(coef[..., -1]).all():
+            raise ValueError("a forward coefficient x1**j overflows: some x1 is too large for this dimension")
         sides = [_orientation(coef[..., j]) for j in range(d - 1)]
     return _solve(sides, coords, _box_chunks(region, coords, lo, hi), dual)
 

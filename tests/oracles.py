@@ -3,7 +3,9 @@
 Each is an independent route to something the package computes, or the
 writer of a file the package reads: the closed psi map against the
 incidence recursion, a raster count of a plane tower's image against the
-Jacobian integral, and the corpus JSON writer against load_corpus.
+Jacobian integral, the example family's boxes against the corpus's family
+pieces and the closed-form norms, and the corpus JSON writer against
+load_corpus.
 """
 
 import json
@@ -94,6 +96,22 @@ def rasterized_image_measure(tower):
     ij = np.clip(((points - lo) / cell).astype(int), 0, _RASTER_N - 1)
     flat = np.unique(ij[:, 0] * _RASTER_N + ij[:, 1])
     return flat.size * float(cell.prod())
+
+
+# ---------------------------------------------------------------------------
+# the example family
+
+
+def family_bounds(d, n_start, k_max, half_scale):
+    """(n, d, 2) bounds of pieces k = n_start..k_max of the example family:
+    the box with half-sides half_scale k^-i centered at (0, k^2, ..., k^d).
+    half_scale 1 gives the unit-weight family, 0.5 the minorant's pieces,
+    whose weights are 1 / k."""
+    ks = np.arange(n_start, k_max + 1).astype(float)
+    center = np.zeros((ks.size, d))
+    center[:, 1:] = ks[:, None] ** np.arange(2, d + 1)
+    half = half_scale / ks[:, None] ** np.arange(1, d + 1)
+    return np.stack([center - half, center + half], axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from momentray.corpus import CORPUS_VERSION, build_default_corpus, entry_from_jsonable, load_corpus
 from momentray.transform import QuadSpec, bilinear_form
-from oracles import entry_to_jsonable, save_corpus
+from oracles import entry_to_jsonable, family_bounds, save_corpus
 
 PROBE = QuadSpec(step=1.0 / 64.0)
 
@@ -39,6 +42,30 @@ def test_corpus_is_pinned(corpus):
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256.get(CORPUS_VERSION), (
         "the default corpus changed: bump CORPUS_VERSION and record the new hash"
     )
+
+
+def test_family_entries_are_example_family_pieces(corpus):
+    """Entry dD-family-kK is piece k of the example family: E is
+    c_k +- k^-i on axis i and F, the minorant's piece, c_k +- k^-i / 2, with
+    c_k = (0, k^2, ..., k^d).  Every bound lies within one ulp of its exact
+    value and equals the oracle's bit for bit, and the interval and window
+    are E's and F's first-axis spans."""
+    family = [e for e in corpus if "family" in e.tags]
+    assert [e.entry_id for e in family] == [
+        "d2-family-k2", "d2-family-k3", "d2-family-k4", "d3-family-k2", "d3-family-k3"
+    ]
+    for entry in family:
+        d, k = entry.dim, int(entry.entry_id.rsplit("-k", 1)[1])
+        sides = ((entry.E, Fraction(1), entry.interval), (entry.F, Fraction(1, 2), entry.window))
+        for region, scale, span in sides:
+            assert region.n_boxes == 1
+            assert np.array_equal(region.bounds, family_bounds(d, k, k, float(scale)))
+            for i, (lo, hi) in enumerate(region.bounds[0].tolist()):
+                centre = Fraction(k) ** (i + 1) if i else Fraction(0)
+                half = scale / Fraction(k) ** (i + 1)
+                for got, exact in ((lo, centre - half), (hi, centre + half)):
+                    assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)), entry.entry_id
+            assert (span.lo, span.hi) == tuple(region.bounds[0, 0].tolist())
 
 
 def test_every_entry_is_incident(corpus):

@@ -1,6 +1,7 @@
 """Intervals, boxes, disjoint unions, and fiber cells."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentray.sets import BoxUnionSet, Interval, fiber_cells
-from oracles import union_to_jsonable
+from oracles import family_bounds, union_to_jsonable
 
 
 def test_interval_basics():
@@ -156,6 +157,22 @@ def test_disjointness_check_spans_blocks():
     chain[-1] = [[270.5, 271.5], [0.5, 1.5]]  # overlaps cell 270 and cell 271
     with pytest.raises(ValueError, match="boxes 270 and 299 overlap"):
         BoxUnionSet(chain)
+
+
+def test_large_union_check_bounds_memory():
+    """The disjointness check of the 20,000 boxes of a d = 3 example family
+    peaks near 4 MB under tracemalloc.  The bound leaves no room for
+    all-pairs tests: 256 rows of them against 20,000 boxes in d = 3 are
+    123 MB of floats."""
+    bounds = family_bounds(3, 2, 20_001, 1.0)
+    tracemalloc.start()
+    try:
+        region = BoxUnionSet(bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert region.n_boxes == 20_000
+    assert peak < 30_000_000
 
 
 def test_disjointness_check_does_not_underflow():

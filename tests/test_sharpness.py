@@ -16,12 +16,11 @@ from momentray.sets import BoxUnionSet, Interval
 from momentray.corpus import build_default_corpus
 from momentray.transform import fiber_measure_batch, region_cell_values
 from momentray import sharpness
+from oracles import family_bounds
 from momentray.sharpness import (
     DEFAULT_N_LIST,
     CounterexampleSpec,
     _hurwitz_zeta,
-    build_counterexample_f,
-    build_xf_lower_bound,
     check_lemma2_primal,
     check_rwt,
     counterexample_f_lp,
@@ -127,9 +126,9 @@ def test_rwt_ratios_invariant_under_dilation():
 def test_spec_refuses_more_pieces_than_the_box_budget():
     limit = sharpness.MAX_MATERIALIZED_BOXES
     assert CounterexampleSpec(dim=2, n_start=2, k_max=limit + 1).k_max == limit + 1
-    with pytest.raises(ValueError, match="materializes"):
+    with pytest.raises(ValueError, match="asks for .* pieces"):
         CounterexampleSpec(dim=2, n_start=2, k_max=limit + 2)
-    with pytest.raises(ValueError, match="materializes"):
+    with pytest.raises(ValueError, match="asks for .* pieces"):
         CounterexampleSpec(dim=2, n_start=2, k_max=10_000_000)
 
 
@@ -160,59 +159,12 @@ def test_spec_refuses_non_integer_indices(fields):
     assert CounterexampleSpec(dim=np.int64(2), n_start=np.int32(4), k_max=np.int64(9)).k_max == 9
 
 
-def test_family_piece_geometry():
-    spec = CounterexampleSpec(dim=3, n_start=2, k_max=5)
-    f = build_counterexample_f(spec)
-    m = homogeneous_dimension(3)
-    ks = np.arange(2, 6, dtype=float)
-    assert f.region.n_boxes == f.support_measures.size == 4
-    assert f.support_measures == pytest.approx(2.0**3 * ks**-m, rel=1e-12)
-    centers = np.stack([np.zeros(4), ks**2, ks**3], axis=1)
-    np.testing.assert_allclose(0.5 * (f.region.los + f.region.his), centers, rtol=1e-12)
-    assert f.region.contains_batch(centers).all() and f.weights.tolist() == [1.0] * 4
-    g = build_xf_lower_bound(spec)
-    assert g.region.n_boxes == g.support_measures.size == 4
-    assert g.support_measures == pytest.approx(ks**-m, rel=1e-12)
-    np.testing.assert_array_equal(g.weights, 1.0 / ks)
-
-
-def test_family_past_256_pieces_is_checked(monkeypatch):
-    """A 300-piece family is checked for disjointness like any other: with
-    piece 280 moved onto the center of piece 281 before the family is
-    built, it is refused, and the message names both."""
-
-    def moved(weights, bounds, **kwargs):
-        assert bounds.shape[0] == 300
-        bounds[280] += (bounds[281] - bounds[280]).mean(axis=1, keepdims=True)
-        return SimpleFunction(weights, bounds, **kwargs)
-
-    monkeypatch.setattr(sharpness, "SimpleFunction", moved)
-    with pytest.raises(ValueError, match="boxes 280 and 281 overlap"):
-        build_counterexample_f(CounterexampleSpec(dim=3, n_start=2, k_max=301))
-
-
-def test_large_family_check_bounds_memory():
-    """Building a 20,000-piece d = 3 family, its disjointness check
-    included, peaks near 9 MB under tracemalloc.  The bound leaves no room
-    for all-pairs tests: 256 rows of them against 20,000 boxes in d = 3 are
-    123 MB of floats."""
-    spec = CounterexampleSpec(dim=3, n_start=2, k_max=20_001)
-    tracemalloc.start()
-    try:
-        f = build_counterexample_f(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert f.region.n_boxes == 20_000
-    assert peak < 30_000_000
-
-
 def test_truncated_lp_matches_closed_form_tail():
     d, n, k_hi = 2, 3, 40
     p, _ = critical_exponents(d)
     m = homogeneous_dimension(d)
-    f = build_counterexample_f(CounterexampleSpec(dim=d, n_start=n, k_max=k_hi))
     ks = np.arange(n, k_hi + 1, dtype=float)
+    f = SimpleFunction(np.ones_like(ks), list(family_bounds(d, n, k_hi, 1.0)))
     direct = (2.0**d * np.sum(ks**-m)) ** (1.0 / float(p))
     assert lp_norm(f, float(p)) == pytest.approx(direct, rel=1e-12)
     # the closed form includes the infinite tail, so it sits just above
@@ -224,7 +176,8 @@ def test_truncated_lp_matches_closed_form_tail():
 def test_exact_lorentz_matches_materialized_minorant():
     d, n, k_hi = 2, 2, 30
     _, q = critical_exponents(d)
-    g = build_xf_lower_bound(CounterexampleSpec(dim=d, n_start=n, k_max=k_hi))
+    ks = np.arange(n, k_hi + 1, dtype=float)
+    g = SimpleFunction(1.0 / ks, list(family_bounds(d, n, k_hi, 0.5)))
     for r in (1.5, float(q), 4.0):
         closed = xf_lower_exact_lorentz(d, r, n, k_max=k_hi)
         assert lorentz_norm(g, float(q), r) == pytest.approx(closed, rel=1e-10)
@@ -382,7 +335,7 @@ def test_piece_transform_is_the_cube_transform_in_own_coordinates(d, k_max, k, s
     scales alike.  Both are in u's parameter, k times x's."""
     k_max, k = max(k_max, k), min(k_max, k)
     spec = CounterexampleSpec(dim=d, n_start=2, k_max=k_max)
-    family = build_counterexample_f(spec).region
+    family = BoxUnionSet(family_bounds(d, 2, k_max, 1.0))
     piece = BoxUnionSet([family.bounds[k - 2]])
     x = np.random.default_rng(seed).uniform(piece.los[0], piece.his[0], size=(64, d))
     centre = np.zeros(d)
@@ -593,12 +546,3 @@ def test_superlevel_theta_is_largest_half_pairing_grid_value(grid_n):
         assert rep.theta == brute, entry.entry_id
         assert rep.t_inside >= 0.5 * rep.t_total
         assert rep.c0 == pytest.approx(rep.theta * entry.F.measure / rep.t_total, rel=1e-14)
-
-
-def test_collapsed_d4_minorant_lorentz_norm_is_refused():
-    """From k = 91 on, a d = 4 minorant box rounds to zero width; a norm
-    over a zero-measure support is refused, not computed without it."""
-    g = build_xf_lower_bound(CounterexampleSpec(dim=4, n_start=4, k_max=200))
-    assert np.count_nonzero(g.support_measures == 0.0) > 0
-    with pytest.raises(ValueError, match="positive measure"):
-        lorentz_norm(g, 2.0, 2.0)

@@ -15,12 +15,7 @@ from momentray.acceptance import random_box_pair
 from momentray.corpus import build_default_corpus
 from momentray.refinement import build_tower
 from momentray.sets import BoxUnionSet, fiber_cells
-from momentray.sharpness import (
-    CounterexampleSpec,
-    build_counterexample_f,
-    build_xf_lower_bound,
-    dilate_configuration,
-)
+from momentray.sharpness import dilate_configuration
 from momentray.transform import (
     QuadSpec,
     adjointness_gap,
@@ -30,6 +25,7 @@ from momentray.transform import (
     fiber_pieces,
     region_cell_values,
 )
+from oracles import family_bounds
 
 UNIT2 = BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])])
 
@@ -272,13 +268,13 @@ def test_family_values_same_at_every_chunk_size(monkeypatch, d):
     at the default, two chunks of boxes.
     At d = 4 the pieces from k = 91 on round to zero width, so about half
     of the points see no fiber (ROADMAP item 4)."""
-    spec = CounterexampleSpec(dim=d, n_start=4, k_max=200)
-    f, pieces = build_counterexample_f(spec), build_xf_lower_bound(spec).region
+    family = BoxUnionSet(family_bounds(d, 4, 200, 1.0))
+    pieces = BoxUnionSet(family_bounds(d, 4, 200, 0.5))
     pts = np.random.default_rng(d).uniform(pieces.los[::3], pieces.his[::3])
-    assert f.region.n_boxes == 197 and 1 < math.ceil(197 / (_DEFAULT_BLOCK_ROWS // len(pts))) < 197
+    assert family.n_boxes == 197 and 1 < math.ceil(197 / (_DEFAULT_BLOCK_ROWS // len(pts))) < 197
 
     runs = _at_every_chunk_size(
-        monkeypatch, lambda: [fiber_measure_batch(f.region, pts, (-1.0, 1.0), dual=False)]
+        monkeypatch, lambda: [fiber_measure_batch(family, pts, (-1.0, 1.0), dual=False)]
     )
     assert np.count_nonzero(runs[0][0]) > 30
     _assert_runs_equal(runs)
@@ -440,29 +436,30 @@ def test_forward_coefficients_are_repeated_products():
 
 def test_lines_that_overflow_keep_their_values(monkeypatch):
     """Lines whose coefficients x1**j or whose reach overflow.  At
-    x1 = 1e160 the forward route's x1**2 is inf, so on the far box's third
-    axis the solver divides inf by inf and the fiber measure is NaN, though
-    the box's axis-2 side, from 1e300 on, lies far outside the reach
-    x2 +- 1.1e160.  At |x1| = 1.7e308 the reach overflows, and the dual
-    fibers are subnormal.  On both routes fiber_measure_batch gives, at
-    every chunk size and the NaN included, the lengths of fiber_pieces'
-    pieces added column after column."""
+    x1 = 1e160 the forward route's x1**2 is inf, where the solver would
+    divide inf by inf on the far box's third axis and read the fiber
+    measure as NaN, though the box's axis-2 side, from 1e300 on, lies far
+    outside the reach x2 +- 1.1e160: both forward entries refuse the
+    points instead.  At |x1| = 1.7e308 the reach overflows, and the dual
+    fibers are subnormal.  On the dual route fiber_measure_batch gives, at
+    every chunk size, the lengths of fiber_pieces' pieces added column
+    after column."""
     boxes = [[[-1.0, 1.0], [3.0 * m, 3.0 * m + 1.0], [-1.0, 1.0]] for m in range(3)]
     region = BoxUnionSet(boxes + [[[-1.0, 1.0], [1e300, 2e300], [-1e308, -9e307]]])
     pts = np.array([[1e160, 0.0, 1e308], [1.7e308, 0.5, 0.5], [-1.7e308, 3.5, 0.0], [0.5, 0.5, 0.5]])
-    values = []
-    for dual in (False, True):
-        with np.errstate(over="ignore", invalid="ignore"):
-            runs = _at_every_chunk_size(
-                monkeypatch, lambda: [fiber_measure_batch(region, pts, (-1.1, 1.1), dual=dual)]
-            )
-            los, his = fiber_pieces(region, pts, (-1.1, 1.1), dual=dual)
-        want = np.zeros(len(pts))
-        for length in np.maximum(his - los, 0.0).T:
-            want += length
-        assert all(got.tobytes() == want.tobytes() for (got,) in runs)
-        values.append(want)
-    assert np.isnan(values[0][0]) and 0.0 < values[1][1] < np.finfo(float).tiny
+    for call in (fiber_measure_batch, fiber_pieces):
+        with pytest.raises(ValueError, match="overflows"):
+            call(region, pts, (-1.1, 1.1), dual=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = _at_every_chunk_size(
+            monkeypatch, lambda: [fiber_measure_batch(region, pts, (-1.1, 1.1), dual=True)]
+        )
+        los, his = fiber_pieces(region, pts, (-1.1, 1.1), dual=True)
+    want = np.zeros(len(pts))
+    for length in np.maximum(his - los, 0.0).T:
+        want += length
+    assert all(got.tobytes() == want.tobytes() for (got,) in runs)
+    assert 0.0 < want[1] < np.finfo(float).tiny
 
 
 def test_one_dimensional_points_are_refused():
