@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -439,35 +440,47 @@ def _two_slice(d, delta, t_value, e_measure, f_measure, dual):
     return subject, rhs, math.inf if rhs == 0.0 else subject / rhs
 
 
+class _Grid(NamedTuple):
+    """Midpoint-grid cell values and volumes, their products (each cell's
+    mass) and the pairing, the masses' sum."""
+
+    vals: np.ndarray
+    vols: np.ndarray
+    mass: np.ndarray
+    total: float
+
+
 def _grid(source, region, interval, grid_n, dual):
-    """Midpoint-grid cell values and volumes over region, and their pairing."""
+    """The midpoint grid of source's transform over region's boxes."""
     blocks = region_cell_values(source, region, interval, grid_n, dual=dual)
-    vals = np.concatenate([b.center_values.reshape(-1) for b in blocks])
-    vols = np.concatenate(
-        [np.full(b.center_values.size, b.cell_volume) for b in blocks]
-    )
-    t_grid = float((vals * vols).sum())
+    vals = [b.center_values.reshape(-1) for b in blocks]
+    vols = [np.full(v.size, b.cell_volume) for v, b in zip(vals, blocks)]
+    # one box's grid is used as it stands, not copied
+    vals, vols = (a[0] if len(a) == 1 else np.concatenate(a) for a in (vals, vols))
+    mass = vals * vols
+    t_grid = float(mass.sum())
     if t_grid <= 0.0:
         raise NoIncidence("no incidence on the grid")
-    return vals, vols, t_grid
+    return _Grid(vals, vols, mass, t_grid)
 
 
-def _rich(vals, vols, theta):
-    """Measure and pairing of the rich set {vals >= theta}; every caller's
-    theta is at most the largest grid value, so the set is never empty."""
-    mask = vals >= theta
-    return float(vols[mask].sum()), float((vals[mask] * vols[mask]).sum())
+def _rich(grid, theta):
+    """Measure and pairing of the rich set {vals >= theta} of a grid; every
+    caller's theta is at most the largest grid value, so the set is never
+    empty."""
+    mask = grid.vals >= theta
+    return float(grid.vols[mask].sum()), float(grid.mass[mask].sum())
 
 
 # thresholds of the shrinking sweep, as fractions of the largest grid value
 _SWEEP_FRACS = (0.3, 0.45, 0.6, 0.75, 0.9)
 
 
-def _rich_report(source, vals, vols, theta, dual):
+def _rich_report(source, grid, theta, dual):
     """Score the rich region {vals >= theta} of a grid of source's transform:
     it stands in for F on the primal route (source E) and for E on the dual
     route (source F)."""
-    measure, t_rich = _rich(vals, vols, theta)
+    measure, t_rich = _rich(grid, theta)
     sides = (measure, source.measure) if dual else (source.measure, measure)
     subject, rhs, ratio = _two_slice(source.dim, theta, t_rich, *sides, dual)
     return Lemma2Report(
@@ -480,8 +493,8 @@ def _rich_report(source, vals, vols, theta, dual):
 
 
 def _lemma2_grid(source, region, span, theta_frac, grid_n, dual):
-    """The midpoint grid of source's transform over region, its cell values
-    and volumes, and its report.
+    """The midpoint grid of source's transform over region, as _grid gives
+    it, and its report.
 
     The rich region collects cells whose center value clears theta_frac
     times the grid average over region, capped at the largest grid value:
@@ -493,9 +506,9 @@ def _lemma2_grid(source, region, span, theta_frac, grid_n, dual):
     # a fraction of the average in (0, 1] keeps the bound real
     if not 0.0 < theta_frac <= 1.0:
         raise ValueError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
-    vals, vols, t_grid = _grid(source, region, span, grid_n, dual)
-    theta = min(theta_frac * t_grid / region.measure, float(vals.max()))
-    return vals, vols, _rich_report(source, vals, vols, theta, dual)
+    grid = _grid(source, region, span, grid_n, dual)
+    theta = min(theta_frac * grid.total / region.measure, float(grid.vals.max()))
+    return grid, _rich_report(source, grid, theta, dual)
 
 
 def check_lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32):
@@ -506,15 +519,15 @@ def check_lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     floor.  Both score rich regions of the same primal midpoint grid, which
     is evaluated once.
     """
-    vals, vols, primal = _lemma2_grid(E, F, interval, theta_frac, grid_n, dual=False)
-    vmax = float(vals.max())
-    sweep = [_rich_report(E, vals, vols, frac * vmax, dual=False) for frac in _SWEEP_FRACS]
+    grid, primal = _lemma2_grid(E, F, interval, theta_frac, grid_n, dual=False)
+    vmax = float(grid.vals.max())
+    sweep = [_rich_report(E, grid, frac * vmax, dual=False) for frac in _SWEEP_FRACS]
     return primal, sweep
 
 
 def lemma2_grid_primal(E, F, interval):
     """The primal-grid report of check_lemma2_primal, without the sweep."""
-    return _lemma2_grid(E, F, interval, 0.5, 32, dual=False)[2]
+    return _lemma2_grid(E, F, interval, 0.5, 32, dual=False)[1]
 
 
 def lemma2_shrinking_sweep(E, F, interval):
@@ -524,7 +537,7 @@ def lemma2_shrinking_sweep(E, F, interval):
 
 def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32):
     """Grid-aligned dual check over the rich region on the source side."""
-    return _lemma2_grid(F, E, window, theta_frac, grid_n, dual=True)[2]
+    return _lemma2_grid(F, E, window, theta_frac, grid_n, dual=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +571,16 @@ def superlevel_mass_check(E, F, interval, grid_n=48):
     d = E.dim
     p, q = critical_exponents(d)
     q_prime = float(dual_exponent(q))
-    vals, vols, t_total = _grid(E, F, interval, grid_n, dual=False)
+    grid = _grid(E, F, interval, grid_n, dual=False)
+    vals, t_total = grid.vals, grid.total
     eps = t_total / (E.measure ** (1.0 / float(p)) * F.measure ** (1.0 / q_prime))
     theta_unit = t_total / F.measure  # = eps |E|^(1/p) |F|^(1/q'-1)
     # values in decreasing order with the pairing they hold so far: the
     # first that reaches half the pairing is the largest such threshold
     order = np.argsort(-vals)
-    held = np.cumsum(vals[order] * vols[order])
+    held = np.cumsum(grid.mass[order])
     theta = float(vals[order[np.searchsorted(held, 0.5 * t_total)]])
-    g_measure, t_inside = _rich(vals, vols, theta)
+    g_measure, t_inside = _rich(grid, theta)
     return SuperlevelMassReport(
         grid_n=grid_n,
         epsilon=eps,

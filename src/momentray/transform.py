@@ -5,17 +5,23 @@ closed form by one constraint solver for both line families: each box
 contributes per-coordinate constraints coef * v**power in a range, so fiber
 measures are exact and the only quadrature happens in outer integrals.
 Coordinate j's constraint depends on (x1, x_j) alone, so the solver takes
-arrays that broadcast.  A grid is evaluated as a tensor product of its
-axes, its constraints on x1-by-x_j tables and its points never listed, with
-the boxes as one more leading broadcast axis taken a chunk at a time.  A
-point list goes through the same kernel with its columns as the arrays, so
-grids, point lists and towers' fiber pieces all come from one solver.
+arrays that broadcast and works in three stages.  The table stage solves
+each constraint once per box on an x1-by-x_j table, with the boxes as one
+more leading broadcast axis taken a chunk at a time.  On a grid in d >= 3,
+where a table is far smaller than the rows it spans, the reach test marks
+from the tables the first-axis rows each box can reach.  The combine stage
+intersects the ranges and adds the lengths to the running total at full
+size, only over the rows reached.  A grid is evaluated as a tensor product
+of its axes and its points are never listed.  A point list goes through the
+same solver with its columns as the tables, so grids, point lists and
+towers' fiber pieces all come from one solver and agree bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,10 +30,10 @@ import numpy as np
 from .sets import _is_count, as_interval
 
 _CHUNK_LIMIT = 1 << 22
-# points x boxes per pass of the exact-fiber kernel, whole first-axis rows on
-# a grid: its 64 KiB temporaries stay under the allocator's mmap threshold and
-# are reused, where one 4M-point pass maps and page-faults a fresh 32 MiB
-# array for each of them
+# values per table and points x boxes per pass of the exact-fiber kernel,
+# whole first-axis rows on a grid: its 64 KiB temporaries stay under the
+# allocator's mmap threshold and are reused, where one 4M-point pass maps and
+# page-faults a fresh 32 MiB array for each of them
 _BLOCK_ROWS = 8192
 
 
@@ -66,27 +72,27 @@ def _interval_pair(interval):
 # exact fibers
 
 
-def _box_chunks(region, coords, lo, hi):
-    """(blo, bhi, first_lo, first_hi) per slice of at most _BLOCK_ROWS
-    points x boxes: the bounds, blo[j] shaped (boxes, 1, ...) or a scalar
-    for a lone box (numpy adds about 0.5 us to each operation on a 2-d
-    array), and fresh (boxes, *points) first-axis ranges, each box's
-    clipped to the interval as Python's max(lo, .) and min(hi, .) take it
-    (lo where they tie)."""
-    shape = np.broadcast(*coords).shape
-    size = max(1, _BLOCK_ROWS // max(1, math.prod(shape)))
-    tail = (...,) + (None,) * len(shape)
-    los, his = region.los.T[tail], region.his.T[tail]
+def _box_chunks(region, ndim, size, lo, hi):
+    """(boxes, blo, bhi, flo, fhi) per chunk of at most `size` boxes: the
+    bounds, blo[j] shaped (boxes, 1, ...) with ndim trailing axes, and the
+    first-axis ranges likewise, each box's clipped to the interval as
+    Python's max(lo, .) and min(hi, .) take it (lo where they tie).  boxes
+    is the chunk's number of boxes, or 0 for a chunk of one box, which
+    holds scalars and has no box axis (numpy adds about 0.5 us to each
+    operation on a 2-d array)."""
     first = np.array([region.los[:, 0], region.his[:, 0]])
     first[0][first[0] <= lo] = lo
     first[1][first[1] >= hi] = hi
-    first = first[tail]
+    if size == 1 or region.n_boxes == 1:
+        for blo, bhi, flo, fhi in zip(region.los.tolist(), region.his.tolist(), *first.tolist()):
+            yield 0, blo, bhi, flo, fhi
+        return
+    tail = (...,) + (None,) * ndim
+    los, his, first = region.los.T[tail], region.his.T[tail], first[tail]
     for start in range(0, region.n_boxes, size):
-        boxes = slice(start, min(start + size, region.n_boxes))
-        block = np.empty((2, boxes.stop - start, *shape))
-        block[...] = first[:, boxes]
-        blo, bhi = (region.los[start], region.his[start]) if size == 1 else (los[:, boxes], his[:, boxes])
-        yield blo, bhi, block[0], block[1]
+        boxes = slice(start, start + size)
+        count = min(size, region.n_boxes - start)
+        yield count, los[:, boxes], his[:, boxes], first[0, boxes], first[1, boxes]
 
 
 def _orientation(coef):
@@ -114,126 +120,185 @@ def _coefficients(x1, d, dual):
     return coef
 
 
-def _solve(sides, coords, chunks, dual):
-    """The constraint solver: for each chunk, its fiber components as
-    (clo, chi, present), clo and chi shaped as first_lo; a piece with
-    chi < clo is empty.
+def _tables(sides, coords, blo, bhi, flo, fhi, boxes, dual):
+    """One chunk's constraint tables, (first, later).
 
-    A chunk is (blo, bhi, first_lo, first_hi).  For j = 1, ..., d - 1,
-    sides[j - 1] is the j-th constraint's _orientation, coords[j] the
-    points' j-th coordinates and blo[j], bhi[j] the boxes' j-th sides; they
-    broadcast against first_lo and first_hi, the boxes' fresh first-axis
-    ranges, which the solver narrows in place.  Both line families meet a
-    box where the parameter v lies in its first-axis range and, for each
+    For j = 1, ..., d - 1, sides[j - 1] is the j-th constraint's
+    _orientation, coords[j] the points' j-th coordinates and blo[j], bhi[j]
+    the boxes' j-th sides.  Both line families meet a box where the
+    parameter v lies in its first-axis range [flo, fhi] and, for each
     j >= 1, coef * v**power lies in a range set by x_j and the box's j-th
     side: coef = x1**j and power 1 forward (x_j + s * x1**j), coef = x1
-    and power j dual (x_j - x1 * t**j).  The sign of coef does not depend
-    on the box, so each constraint's orientation is resolved once per call,
-    point by point only where coef changes sign or vanishes (then the
-    constraint holds for every v or none).  A single range narrows the
-    components in place.  An even power bounds |v|, which splits a
-    component in two when the range excludes 0; a box has the second
-    component only when some point splits, which the per-box mask present
-    records.
+    and power j dual (x_j - x1 * t**j).  So constraint j's range is a table
+    over (x1, x_j) alone.  The sign of coef does not depend on the box, so
+    each constraint's orientation is resolved once per block of rows, point
+    by point only where coef changes sign or vanishes (then the constraint
+    holds for every v or none).  A range end that overflows is inf.
+
+    first is constraint 1's range clipped to the first-axis range, (lo, hi).
+    later holds, for each j >= 2, constraint j's halves (lo, hi, present):
+    one range, or on the dual route for even j, where |v| is bounded, two
+    when the range excludes 0.  present is True, or for the second half a
+    per-box mask: a box has it only when some point splits, and a chunk of
+    one box has it only then.  A range with hi < lo is empty.
     """
-    for blo, bhi, first_lo, first_hi in chunks:
-        every = np.ones(len(first_lo), dtype=bool)
-        comps = [(first_lo, first_hi, every)]
-        for j, (coef, pos, zero) in enumerate(sides, start=1):
-            cj = coords[j]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if dual:
-                    a, b = (cj - bhi[j]) / coef, (cj - blo[j]) / coef
-                else:
-                    a, b = (blo[j] - cj) / coef, (bhi[j] - cj) / coef
-            if isinstance(pos, bool):
-                mlo, mhi = (a, b) if pos else (b, a)
+    first, later = None, []
+    for j, (coef, pos, zero) in enumerate(sides, start=1):
+        cj = coords[j]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if dual:
+                a, b = (cj - bhi[j]) / coef, (cj - blo[j]) / coef
             else:
-                mlo, mhi = np.where(pos, a, b), np.where(pos, b, a)
-            if zero is not None:
-                ok = (cj >= blo[j]) & (cj <= bhi[j])
-                mlo = np.where(zero, np.where(ok, -np.inf, np.inf), mlo)
-                mhi = np.where(zero, np.where(ok, np.inf, -np.inf), mhi)
-            if not dual or j % 2 == 1:
-                if dual and j > 1:
-                    mlo, mhi = (np.sign(m) * np.abs(m) ** (1.0 / j) for m in (mlo, mhi))
-                for clo, chi, _ in comps:
-                    np.maximum(clo, mlo, out=clo)
-                    np.minimum(chi, mhi, out=chi)
-                continue
+                a, b = (blo[j] - cj) / coef, (bhi[j] - cj) / coef
+        if isinstance(pos, bool):
+            mlo, mhi = (a, b) if pos else (b, a)
+        else:
+            mlo, mhi = np.where(pos, a, b), np.where(pos, b, a)
+        if zero is not None:
+            ok = (cj >= blo[j]) & (cj <= bhi[j])
+            mlo = np.where(zero, np.where(ok, -np.inf, np.inf), mlo)
+            mhi = np.where(zero, np.where(ok, np.inf, -np.inf), mhi)
+        if j == 1:
+            first = np.maximum(flo, mlo, out=mlo), np.minimum(fhi, mhi, out=mhi)
+        elif not dual or j % 2 == 1:
+            if dual:
+                mlo, mhi = (np.sign(m) * np.abs(m) ** (1.0 / j) for m in (mlo, mhi))
+            later.append([(mlo, mhi, True)])
+        else:
             hi_root, lo_root = (np.maximum(m, 0.0) ** (1.0 / j) for m in (mhi, mlo))
             feasible = mhi >= 0.0
             split = feasible & (mlo > 0.0)
             s1_lo = np.where(feasible, np.where(split, lo_root, -hi_root), np.inf)
-            s1_hi = np.where(feasible, hi_root, -np.inf)
-            s2_lo = np.where(split, -hi_root, np.inf)
-            s2_hi = np.where(split, -lo_root, -np.inf)
-            present = (s2_lo <= s2_hi).reshape(len(first_lo), -1).any(axis=1)
-            halves = [(s1_lo, s1_hi, every)]
+            halves = [(s1_lo, np.where(feasible, hi_root, -np.inf), True)]
+            s2_lo, s2_hi = np.where(split, -hi_root, np.inf), np.where(split, -lo_root, -np.inf)
+            present = (s2_lo <= s2_hi).reshape(max(boxes, 1), -1).any(axis=1)
             if present.any():
-                halves.append((s2_lo, s2_hi, present))
-            comps = [
-                (np.maximum(clo, h_lo), np.minimum(chi, h_hi), p if q is every else p & q)
-                for clo, chi, p in comps
-                for h_lo, h_hi, q in halves
-            ]
-        yield comps
+                halves.append((s2_lo, s2_hi, present if boxes else True))
+            later.append(halves)
+    return first, later
 
 
-def _fiber_chunks(region, coords, lo, hi, dual):
-    """Per chunk of boxes, _solve's comps for every point coords spans, with
-    the boxes as one more leading broadcast axis.
+def _solve(region, coords, lo, hi, dual, width, block_rows):
+    """The table stage, one solver for grids and point lists: per block of
+    block_rows first-axis rows and chunk of boxes, (rows, boxes, flo, fhi,
+    tables), rows the block's slice and tables as _tables gives them, with
+    the boxes as one more leading broadcast axis (none where boxes is 0).
 
-    coords holds one array per coordinate; they broadcast to the points'
-    shape (the columns of a point list, or a grid's axes as an open mesh).
-    Each constraint's _orientation is resolved once, the dual route's one
-    coefficient once for all of them.  A forward coefficient x1**j that
-    overflows is refused: the solver would divide inf by inf on a box the
-    line never reaches, and an overflow carries to the last column.
+    coords holds one array per coordinate, all with one number of axes;
+    they broadcast to the points' shape (the columns of a point list, or a
+    grid's axes as an open mesh).  x1 varies along the first axis alone, so
+    constraint j's table spans it and x_j's axes, at most `width` points a
+    row, and a chunk's tables hold at most _BLOCK_ROWS values each (or one
+    box's).  A forward coefficient x1**j that overflows is refused: the
+    solver would divide inf by inf on a box the line never reaches, and an
+    overflow carries to the last column.
     """
-    d = len(coords)
-    coef = _coefficients(coords[0], d, dual)
-    if dual:
-        sides = [_orientation(coef)] * (d - 1)
-    else:
-        if not np.isfinite(coef[..., -1]).all():
-            raise ValueError("a forward coefficient x1**j overflows: some x1 is too large for this dimension")
-        sides = [_orientation(coef[..., j]) for j in range(d - 1)]
-    return _solve(sides, coords, _box_chunks(region, coords, lo, hi), dual)
+    d, (n, *_) = len(coords), coords[0].shape
+    for start in range(0, max(n, 1), block_rows):
+        rows = slice(start, start + block_rows)
+        block = [c[rows] if c.shape[0] > 1 else c for c in coords]
+        coef = _coefficients(block[0], d, dual)
+        if dual:
+            sides = [_orientation(coef)] * (d - 1)
+        else:
+            if not np.isfinite(coef[..., -1]).all():
+                raise ValueError("a forward coefficient x1**j overflows: some x1 is too large for this dimension")
+            sides = [_orientation(coef[..., j]) for j in range(d - 1)]
+        size = max(1, _BLOCK_ROWS // max(1, min(block_rows, n - start) * width))
+        for boxes, blo, bhi, flo, fhi in _box_chunks(region, coords[0].ndim, size, lo, hi):
+            yield rows, boxes, flo, fhi, _tables(sides, block, blo, bhi, flo, fhi, boxes, dual)
 
 
-def _box_order(comps):
-    """(plo, phi) for each box of a chunk and each component it has, box after
-    box, as the pieces of one box at a time would come."""
-    for k in range(len(comps[0][0])):
-        for plo, phi, present in comps:
-            if present[k]:
-                yield plo[k], phi[k]
+def _components(tables, pick=None):
+    """The fiber components (clo, chi, present) at the points pick selects
+    from the tables (all of them by default), at full size: one for every
+    choice of one half per later constraint, each narrowed constraint after
+    constraint, as one box at a time would narrow it."""
+    first, later = tables
+    for halves in itertools.product(*later):
+        clo, chi = first if pick is None else (first[0][pick], first[1][pick])
+        present = True
+        for h_lo, h_hi, p in halves:
+            if pick is not None:
+                h_lo, h_hi = h_lo[pick], h_hi[pick]
+            clo, chi = np.maximum(clo, h_lo), np.minimum(chi, h_hi)
+            present = p if present is True else present & p
+        yield clo, chi, present
+
+
+def _reach(tables, flo, fhi, boxes):
+    """Per box (if boxes) and first-axis row, whether the box is reached:
+    False only where some constraint's range, clipped to the first-axis
+    range, is empty at every point of the row.  NaN counts as reached."""
+    first, later = tables
+    axes = tuple(range(2 if boxes else 1, first[0].ndim))
+    reached = (~(first[0] > first[1])).any(axis=axes)
+    for halves in later:
+        hit = None
+        for h_lo, h_hi, _ in halves:
+            ok = ~(np.maximum(flo, h_lo) > np.minimum(fhi, h_hi))
+            hit = ok if hit is None else hit | ok
+        reached &= hit.any(axis=axes)
+    return reached
+
+
+def _length(clo, chi):
+    """max(chi - clo, 0), written over chi, which no stage reads again."""
+    length = np.subtract(chi, clo, out=chi)
+    return np.maximum(length, 0.0, out=length)
+
+
+def _box_order(comps, boxes):
+    """Each box's views of a chunk's components (arrays..., present), box
+    after box and for each box only the components it has, as one box at a
+    time would give them."""
+    if not boxes:
+        return [arrays for *arrays, _ in comps]
+    return [[a[k] for a in arrays] for k in range(boxes) for *arrays, p in comps if p is True or p[k]]
+
+
+def _runs(mask):
+    """(start, stop) of each run of True in a 1-d mask."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return zip(edges[::2].tolist(), edges[1::2].tolist())
 
 
 def _fiber_measures(region, coords, lo, hi, dual):
     """Fiber measures at the points coords spans, in their broadcast shape:
-    the broadcast kernel, which evaluates grids and point lists alike.
+    the kernel that evaluates grids and point lists alike, in three stages.
 
-    The kernel runs over blocks of whole first-axis rows of about
-    _BLOCK_ROWS points, and within a block over chunks of boxes as one more
-    leading broadcast axis, at most _BLOCK_ROWS points x boxes a pass, so no
-    (points, boxes) array is held whole; an array that is constant along the
-    first axis is shared by every block.  Box i's lengths are added to the
-    total after box i - 1's, as one box at a time would add them.
+    Tables: _solve's constraint ranges over (x1, x_j), once per block of
+    first-axis rows and chunk of boxes, at most _BLOCK_ROWS values each.
+    Reach: where the tables are narrower than the rows (a grid in d >= 3),
+    the rows each box reaches.  Combine: each component's intersection,
+    length and running total at full size, over the rows a box reaches in
+    blocks of at most _BLOCK_ROWS points (or one row), or where the tables
+    are as wide as the rows, over the whole chunk.  No (points, boxes)
+    array is held whole.  Box i's lengths are added to the total after box
+    i - 1's, as one box at a time would add them; a row skipped would have
+    added exactly +0.0, so every value keeps its bits.
     """
     shape = np.broadcast(*coords).shape
     total = np.zeros(shape)
-    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
-    for start in range(0, shape[0], step):
-        rows = slice(start, start + step)
-        block = [c[rows] if c.shape[0] > 1 else c for c in coords]
+    points = math.prod(shape[1:])
+    width = max([math.prod(c.shape[1:]) for c in coords[1:]])
+    step = max(1, _BLOCK_ROWS // points)
+    chunks = _solve(region, coords, lo, hi, dual, width, max(1, _BLOCK_ROWS // width))
+    for rows, boxes, flo, fhi, tables in chunks:
         acc = total[rows]
-        for comps in _fiber_chunks(region, block, lo, hi, dual):
-            for plo, phi, _ in comps:
-                np.maximum(np.subtract(phi, plo, out=phi), 0.0, out=phi)
-            for _, length in _box_order(comps):
+        if width == points:
+            comps = [(_length(clo, chi), p) for clo, chi, p in _components(tables)]
+            for (length,) in _box_order(comps, boxes):
                 acc += length
+            continue
+        reached = _reach(tables, flo, fhi, boxes)
+        for k, row_mask in enumerate(reached if boxes else [reached]):
+            for start, stop in _runs(row_mask):
+                for r in range(start, stop, step):
+                    block = slice(r, min(r + step, stop))
+                    for clo, chi, p in _components(tables, (k, block) if boxes else block):
+                        if p is True or p[k]:
+                            acc[block] += _length(clo, chi)
     return total
 
 
@@ -270,8 +335,10 @@ def fiber_pieces(region, points, interval, dual=False):
     sets.fiber_cells merges and cuts into cells.
     """
     X, lo, hi = _fiber_points(region, points, interval)
-    chunks = _fiber_chunks(region, X.T, lo, hi, dual)
-    los, his = zip(*(piece for comps in chunks for piece in _box_order(comps)))
+    pieces = []
+    for _, boxes, _, _, tables in _solve(region, X.T, lo, hi, dual, 1, max(1, len(X))):
+        pieces += _box_order(list(_components(tables)), boxes)
+    los, his = zip(*pieces)
     return np.stack(los, axis=1), np.stack(his, axis=1)
 
 

@@ -1,5 +1,6 @@
 """Tests for exponent arithmetic, the sharp example family, and ratio checks."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -519,6 +520,24 @@ def test_lemma2_wrappers_are_check_lemma2_primal_at_its_defaults():
         primal, sweep = check_lemma2_primal(entry.E, entry.F, entry.interval)
         assert lemma2_grid_primal(entry.E, entry.F, entry.interval) == primal
         assert lemma2_shrinking_sweep(entry.E, entry.F, entry.interval) == sweep
+
+
+# SHA-256 of every default-corpus entry's Lemma 2 reports at their defaults:
+# check_lemma2_primal's report and sweep, lemma2_grid_dual and
+# superlevel_mass_check.  Recorded with numpy 2.4 on x86-64; a faster form
+# of the grid kernel or of the scoring must keep these bits.
+LEMMA2_SHA256 = "983b166bdcff559e34a339dd3778c4617da5f00b1091ace38f208f8316710dce"
+
+
+def test_corpus_lemma2_reports_are_pinned():
+    digest = hashlib.sha256()
+    for e in build_default_corpus():
+        interval, window = (e.interval.lo, e.interval.hi), (e.window.lo, e.window.hi)
+        primal, sweep = check_lemma2_primal(e.E, e.F, interval)
+        digest.update(repr((e.entry_id, primal, sweep)).encode())
+        digest.update(repr(lemma2_grid_dual(e.E, e.F, window)).encode())
+        digest.update(repr(superlevel_mass_check(e.E, e.F, interval)).encode())
+    assert digest.hexdigest() == LEMMA2_SHA256
 
 
 def test_superlevel_mass_unit_pair():

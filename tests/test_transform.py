@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentray import transform
@@ -434,6 +434,13 @@ def test_forward_coefficients_are_repeated_products():
         assert cube in (nearest, math.nextafter(nearest, -math.inf), math.nextafter(nearest, math.inf))
 
 
+def _overflow_region():
+    """Three unit boxes along x2 and a far box with axis-2 side [1e300,
+    2e300] and axis-3 side [-1e308, -9e307]."""
+    boxes = [[[-1.0, 1.0], [3.0 * m, 3.0 * m + 1.0], [-1.0, 1.0]] for m in range(3)]
+    return BoxUnionSet(boxes + [[[-1.0, 1.0], [1e300, 2e300], [-1e308, -9e307]]])
+
+
 def test_lines_that_overflow_keep_their_values(monkeypatch):
     """Lines whose coefficients x1**j or whose reach overflow.  At
     x1 = 1e160 the forward route's x1**2 is inf, where the solver would
@@ -442,24 +449,48 @@ def test_lines_that_overflow_keep_their_values(monkeypatch):
     outside the reach x2 +- 1.1e160: both forward entries refuse the
     points instead.  At |x1| = 1.7e308 the reach overflows, and the dual
     fibers are subnormal.  On the dual route fiber_measure_batch gives, at
-    every chunk size, the lengths of fiber_pieces' pieces added column
-    after column."""
-    boxes = [[[-1.0, 1.0], [3.0 * m, 3.0 * m + 1.0], [-1.0, 1.0]] for m in range(3)]
-    region = BoxUnionSet(boxes + [[[-1.0, 1.0], [1e300, 2e300], [-1e308, -9e307]]])
+    every chunk size and without a warning, the lengths of fiber_pieces'
+    pieces added column after column."""
+    region = _overflow_region()
     pts = np.array([[1e160, 0.0, 1e308], [1.7e308, 0.5, 0.5], [-1.7e308, 3.5, 0.0], [0.5, 0.5, 0.5]])
     for call in (fiber_measure_batch, fiber_pieces):
         with pytest.raises(ValueError, match="overflows"):
             call(region, pts, (-1.1, 1.1), dual=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        runs = _at_every_chunk_size(
-            monkeypatch, lambda: [fiber_measure_batch(region, pts, (-1.1, 1.1), dual=True)]
-        )
-        los, his = fiber_pieces(region, pts, (-1.1, 1.1), dual=True)
+    runs = _at_every_chunk_size(
+        monkeypatch, lambda: [fiber_measure_batch(region, pts, (-1.1, 1.1), dual=True)]
+    )
+    los, his = fiber_pieces(region, pts, (-1.1, 1.1), dual=True)
     want = np.zeros(len(pts))
     for length in np.maximum(his - los, 0.0).T:
         want += length
     assert all(got.tobytes() == want.tobytes() for (got,) in runs)
     assert 0.0 < want[1] < np.finfo(float).tiny
+
+
+@pytest.mark.parametrize(
+    "dual, point, want",
+    [
+        # x1**2 = 1e-20 divides the far box's axis-2 side: (1e300 - 0.5) / 1e-20
+        (False, [1e-10, 0.5, 0.0], 2.0),
+        # x1 = 0.5 divides x3 minus the axis-3 side: (0.5 + 1e308) / 0.5
+        (True, [0.5, 0.5, 0.5], 2.0),
+        # x3 minus the axis-3 side: 1e308 + 1e308
+        (True, [1e160, 0.0, 1e308], 0.0),
+    ],
+)
+def test_overflowing_range_ends_are_silent(dual, point, want):
+    """A constraint range whose end overflows ends at inf, without a warning
+    (warnings are errors in this suite), and the line keeps its fiber
+    measure: as a point list of one, and on a grid of the point's x1 row
+    with a second value on each later axis, where the reach test runs and
+    every cell equals fiber_measure_batch's value bit for bit."""
+    region = _overflow_region()
+    assert fiber_measure_batch(region, [point], (-1.1, 1.1), dual=dual).tolist() == [want]
+    axes = [np.array(point[:1])] + [np.array([x, 0.25]) for x in point[1:]]
+    grid = transform._fiber_measures(region, np.ix_(*axes), -1.1, 1.1, dual)
+    assert grid[0, 0, 0] == want
+    listed = fiber_measure_batch(region, _grid_points(axes), (-1.1, 1.1), dual=dual)
+    assert grid.reshape(-1).tobytes() == listed.tobytes()
 
 
 def test_one_dimensional_points_are_refused():
@@ -489,27 +520,69 @@ def _grid_region(d, case, n, rng):
     return BoxUnionSet([np.stack([lo, hi], axis=1)])
 
 
+def _grid_source(source, layout, rng):
+    """The source union as drawn ("random"), with every box moved along a
+    later axis by 0.6 to 1.6 either way ("offset": axis 2 from d = 3 on,
+    whose dual constraint has an even power, so near x1 = 0 whole rows go
+    unreached and elsewhere ranges split), or with a box added whose
+    first-axis side is the one point 1.05 ("graze": a line reaches it at
+    most at one parameter, where its clipped range has lo == hi, a fiber
+    of length 0)."""
+    los, his = source.los.copy(), source.his.copy()
+    if layout == "offset":
+        axis = min(2, source.dim - 1)
+        shift = rng.choice([-1.0, 1.0], source.n_boxes) * rng.uniform(0.6, 1.6, source.n_boxes)
+        los[:, axis] += shift
+        his[:, axis] += shift
+    boxes = list(np.stack([los, his], axis=2))
+    if layout == "graze":
+        boxes.append(np.array([[1.05, 1.05]] + [[-0.5, 0.5]] * (source.dim - 1)))
+    return BoxUnionSet(boxes)
+
+
 @given(
     st.sampled_from([2, 3, 4]),
     st.booleans(),
     st.sampled_from(["negative", "straddle", "zero"]),
     st.integers(0, 3),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "offset", "graze"]),
+    st.sampled_from([1, 7, _DEFAULT_BLOCK_ROWS]),
 )
-@settings(max_examples=60, deadline=None)
-def test_grid_values_equal_point_batch(d, dual, case, k, seed):
+# rows on x1 = 0 and rows each box cannot reach, with dual ranges that
+# split in two (d = 3 and 4) or on the forward route, and a grazed box
+@example(3, True, "zero", 3, 3, "offset", 7)
+@example(4, True, "zero", 2, 0, "offset", 7)
+@example(3, False, "zero", 2, 2, "offset", 1)
+@example(3, True, "straddle", 2, 3, "graze", _DEFAULT_BLOCK_ROWS)
+@settings(max_examples=90, deadline=None)
+def test_grid_values_equal_point_batch(d, dual, case, k, seed, layout, rows):
     """Grids evaluated as tensor products of their axes give, bit for bit,
     fiber_measure_batch's values on the same points listed row by row:
     region_cell_values' cell values and the midpoint route's sum, primal
-    (over F's grid) and dual (over E's)."""
+    (over F's grid) and dual (over E's), the grids with passes of `rows`
+    points x boxes.  Sources with boxes moved along a later axis leave
+    whole rows unreached, which the grid skips; the examples pin that on
+    the x1 = 0 row and with the dual even-power split for d = 3 and 4."""
     rng = np.random.default_rng(seed)
     n = 2 * k + 1 if case == "zero" else k + 2
     E, F = random_box_pair(d, rng, max_boxes=3)
+    if dual:
+        F = _grid_source(F, layout, rng)
+    else:
+        E = _grid_source(E, layout, rng)
     source = F if dual else E
     grid = _grid_region(d, case, n, rng)
     interval = (-1.1, 1.1)
-
-    (block,) = region_cell_values(source, grid, interval, n, dual=dual)
+    step = 1.0 / 8.0
+    quad = QuadSpec("midpoint", step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_BLOCK_ROWS", rows)
+        (block,) = region_cell_values(source, grid, interval, n, dual=dual)
+        if dual:
+            got = bilinear_form_dual(grid, F, interval, quad)
+        else:
+            got = bilinear_form(E, grid, interval, quad)
     axes = [lo + (np.arange(n) + 0.5) * w for lo, w in zip(grid.los[0], block.widths)]
     pts = _grid_points(axes)
     assert block.center_values.shape == (n,) * d
@@ -518,14 +591,8 @@ def test_grid_values_equal_point_batch(d, dual, case, k, seed):
     )
     assert (case == "zero") == np.any(pts[:, 0] == 0.0)
 
-    step = 1.0 / 8.0
     axes, widths = zip(*(transform._grid_axes(a, b, step) for a, b in zip(*grid.bounds[0].T)))
     vals = fiber_measure_batch(source, _grid_points(axes), interval, dual=dual)
-    quad = QuadSpec("midpoint", step)
-    if dual:
-        got = bilinear_form_dual(grid, F, interval, quad)
-    else:
-        got = bilinear_form(E, grid, interval, quad)
     assert got == float(vals.sum()) * float(np.prod(widths))
 
 
