@@ -63,6 +63,8 @@ def lorentz_norm_from_steps(values, measures, s, r):
     mu = np.asarray(measures, dtype=float)
     if v.shape != mu.shape or v.ndim != 1:
         raise ValueError("values and measures must be 1-d arrays of equal size")
+    if not (np.isfinite(v).all() and np.isfinite(mu).all()):
+        raise ValueError("values and measures must be finite")
     if np.any(v < 0):
         raise ValueError("values must be nonnegative")
     _check_supports(mu)

@@ -5,16 +5,16 @@ closed form by one constraint solver for both line families: each box
 contributes per-coordinate constraints coef * v**power in a range, so fiber
 measures are exact and the only quadrature happens in outer integrals.
 Coordinate j's constraint depends on (x1, x_j) alone, so the solver takes
-arrays that broadcast and works in three stages.  The table stage solves
-each constraint once per box on an x1-by-x_j table, with the boxes as one
-more leading broadcast axis taken a chunk at a time.  On a grid in d >= 3,
-where a table is far smaller than the rows it spans, the reach test marks
-from the tables the first-axis rows each box can reach.  The combine stage
-intersects the ranges and adds the lengths to the running total at full
-size, only over the rows reached.  A grid is evaluated as a tensor product
-of its axes and its points are never listed.  A point list goes through the
-same solver with its columns as the tables, so grids, point lists and
-towers' fiber pieces all come from one solver and agree bit for bit.
+arrays that broadcast and works in three stages, one box at a time.  The
+table stage solves each constraint once per box and block of first-axis
+rows on an x1-by-x_j table.  On a grid in d >= 3, where a table is far
+smaller than the rows it spans, the reach test marks from the tables the
+first-axis rows the box can reach.  The combine stage intersects the ranges
+and adds the lengths to the running total at full size, only over the rows
+reached.  A grid is evaluated as a tensor product of its axes and its
+points are never listed.  A point list goes through the same solver with
+its columns as the tables, so grids, point lists and towers' fiber pieces
+all come from one solver and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from .sets import _is_count, as_interval
 
 _CHUNK_LIMIT = 1 << 22
-# values per table and points x boxes per pass of the exact-fiber kernel,
-# whole first-axis rows on a grid: its 64 KiB temporaries stay under the
+# values per table and points per pass of the exact-fiber kernel, whole
+# first-axis rows on a grid: its 64 KiB temporaries stay under the
 # allocator's mmap threshold and are reused, where one 4M-point pass maps and
 # page-faults a fresh 32 MiB array for each of them
 _BLOCK_ROWS = 8192
@@ -72,29 +72,6 @@ def _interval_pair(interval):
 # exact fibers
 
 
-def _box_chunks(region, ndim, size, lo, hi):
-    """(boxes, blo, bhi, flo, fhi) per chunk of at most `size` boxes: the
-    bounds, blo[j] shaped (boxes, 1, ...) with ndim trailing axes, and the
-    first-axis ranges likewise, each box's clipped to the interval as
-    Python's max(lo, .) and min(hi, .) take it (lo where they tie).  boxes
-    is the chunk's number of boxes, or 0 for a chunk of one box, which
-    holds scalars and has no box axis (numpy adds about 0.5 us to each
-    operation on a 2-d array)."""
-    first = np.array([region.los[:, 0], region.his[:, 0]])
-    first[0][first[0] <= lo] = lo
-    first[1][first[1] >= hi] = hi
-    if size == 1 or region.n_boxes == 1:
-        for blo, bhi, flo, fhi in zip(region.los.tolist(), region.his.tolist(), *first.tolist()):
-            yield 0, blo, bhi, flo, fhi
-        return
-    tail = (...,) + (None,) * ndim
-    los, his, first = region.los.T[tail], region.his.T[tail], first[tail]
-    for start in range(0, region.n_boxes, size):
-        boxes = slice(start, start + size)
-        count = min(size, region.n_boxes - start)
-        yield count, los[:, boxes], his[:, boxes], first[0, boxes], first[1, boxes]
-
-
 def _orientation(coef):
     """(coef, pos, zero): pos is a bool where coef has one sign, else the mask
     coef > 0, and zero then the mask coef == 0, or None where none is."""
@@ -120,12 +97,12 @@ def _coefficients(x1, d, dual):
     return coef
 
 
-def _tables(sides, coords, blo, bhi, flo, fhi, boxes, dual):
-    """One chunk's constraint tables, (first, later).
+def _tables(sides, coords, blo, bhi, flo, fhi, dual):
+    """One box's constraint tables over a block of rows, (first, later).
 
     For j = 1, ..., d - 1, sides[j - 1] is the j-th constraint's
     _orientation, coords[j] the points' j-th coordinates and blo[j], bhi[j]
-    the boxes' j-th sides.  Both line families meet a box where the
+    the box's j-th side.  Both line families meet a box where the
     parameter v lies in its first-axis range [flo, fhi] and, for each
     j >= 1, coef * v**power lies in a range set by x_j and the box's j-th
     side: coef = x1**j and power 1 forward (x_j + s * x1**j), coef = x1
@@ -136,11 +113,10 @@ def _tables(sides, coords, blo, bhi, flo, fhi, boxes, dual):
     holds for every v or none).  A range end that overflows is inf.
 
     first is constraint 1's range clipped to the first-axis range, (lo, hi).
-    later holds, for each j >= 2, constraint j's halves (lo, hi, present):
-    one range, or on the dual route for even j, where |v| is bounded, two
-    when the range excludes 0.  present is True, or for the second half a
-    per-box mask: a box has it only when some point splits, and a chunk of
-    one box has it only then.  A range with hi < lo is empty.
+    later holds, for each j >= 2, constraint j's halves (lo, hi): one range,
+    or on the dual route for even j, where |v| is bounded, two when the
+    range excludes 0; the second half is kept only when some point splits.
+    A range with hi < lo is empty.
     """
     first, later = None, []
     for j, (coef, pos, zero) in enumerate(sides, start=1):
@@ -163,37 +139,40 @@ def _tables(sides, coords, blo, bhi, flo, fhi, boxes, dual):
         elif not dual or j % 2 == 1:
             if dual:
                 mlo, mhi = (np.sign(m) * np.abs(m) ** (1.0 / j) for m in (mlo, mhi))
-            later.append([(mlo, mhi, True)])
+            later.append([(mlo, mhi)])
         else:
             hi_root, lo_root = (np.maximum(m, 0.0) ** (1.0 / j) for m in (mhi, mlo))
             feasible = mhi >= 0.0
             split = feasible & (mlo > 0.0)
             s1_lo = np.where(feasible, np.where(split, lo_root, -hi_root), np.inf)
-            halves = [(s1_lo, np.where(feasible, hi_root, -np.inf), True)]
+            halves = [(s1_lo, np.where(feasible, hi_root, -np.inf))]
             s2_lo, s2_hi = np.where(split, -hi_root, np.inf), np.where(split, -lo_root, -np.inf)
-            present = (s2_lo <= s2_hi).reshape(max(boxes, 1), -1).any(axis=1)
-            if present.any():
-                halves.append((s2_lo, s2_hi, present if boxes else True))
+            if (s2_lo <= s2_hi).any():
+                halves.append((s2_lo, s2_hi))
             later.append(halves)
     return first, later
 
 
-def _solve(region, coords, lo, hi, dual, width, block_rows):
+def _solve(region, coords, lo, hi, dual, block_rows):
     """The table stage, one solver for grids and point lists: per block of
-    block_rows first-axis rows and chunk of boxes, (rows, boxes, flo, fhi,
-    tables), rows the block's slice and tables as _tables gives them, with
-    the boxes as one more leading broadcast axis (none where boxes is 0).
+    block_rows first-axis rows, box after box, (rows, flo, fhi, tables),
+    rows the block's slice, [flo, fhi] the box's first-axis range clipped
+    to [lo, hi] as Python's max(lo, .) and min(hi, .) take it, and tables
+    as _tables gives them.
 
     coords holds one array per coordinate, all with one number of axes;
     they broadcast to the points' shape (the columns of a point list, or a
     grid's axes as an open mesh).  x1 varies along the first axis alone, so
-    constraint j's table spans it and x_j's axes, at most `width` points a
-    row, and a chunk's tables hold at most _BLOCK_ROWS values each (or one
-    box's).  A forward coefficient x1**j that overflows is refused: the
-    solver would divide inf by inf on a box the line never reaches, and an
-    overflow carries to the last column.
+    constraint j's table spans the block's rows and x_j's axes.  A forward
+    coefficient x1**j that overflows is refused: the solver would divide
+    inf by inf on a box the line never reaches, and an overflow carries to
+    the last column.
     """
     d, (n, *_) = len(coords), coords[0].shape
+    boxes = [
+        (blo, bhi, max(lo, blo[0]), min(hi, bhi[0]))
+        for blo, bhi in zip(region.los.tolist(), region.his.tolist())
+    ]
     for start in range(0, max(n, 1), block_rows):
         rows = slice(start, start + block_rows)
         block = [c[rows] if c.shape[0] > 1 else c for c in coords]
@@ -204,38 +183,34 @@ def _solve(region, coords, lo, hi, dual, width, block_rows):
             if not np.isfinite(coef[..., -1]).all():
                 raise ValueError("a forward coefficient x1**j overflows: some x1 is too large for this dimension")
             sides = [_orientation(coef[..., j]) for j in range(d - 1)]
-        size = max(1, _BLOCK_ROWS // max(1, min(block_rows, n - start) * width))
-        for boxes, blo, bhi, flo, fhi in _box_chunks(region, coords[0].ndim, size, lo, hi):
-            yield rows, boxes, flo, fhi, _tables(sides, block, blo, bhi, flo, fhi, boxes, dual)
+        for blo, bhi, flo, fhi in boxes:
+            yield rows, flo, fhi, _tables(sides, block, blo, bhi, flo, fhi, dual)
 
 
-def _components(tables, pick=None):
-    """The fiber components (clo, chi, present) at the points pick selects
-    from the tables (all of them by default), at full size: one for every
-    choice of one half per later constraint, each narrowed constraint after
-    constraint, as one box at a time would narrow it."""
+def _components(tables, rows=None):
+    """The fiber components (clo, chi) at the given rows of the tables (all
+    of them by default), at full size: one for every choice of one half per
+    later constraint, each narrowed constraint after constraint."""
     first, later = tables
     for halves in itertools.product(*later):
-        clo, chi = first if pick is None else (first[0][pick], first[1][pick])
-        present = True
-        for h_lo, h_hi, p in halves:
-            if pick is not None:
-                h_lo, h_hi = h_lo[pick], h_hi[pick]
+        clo, chi = first if rows is None else (first[0][rows], first[1][rows])
+        for h_lo, h_hi in halves:
+            if rows is not None:
+                h_lo, h_hi = h_lo[rows], h_hi[rows]
             clo, chi = np.maximum(clo, h_lo), np.minimum(chi, h_hi)
-            present = p if present is True else present & p
-        yield clo, chi, present
+        yield clo, chi
 
 
-def _reach(tables, flo, fhi, boxes):
-    """Per box (if boxes) and first-axis row, whether the box is reached:
-    False only where some constraint's range, clipped to the first-axis
-    range, is empty at every point of the row.  NaN counts as reached."""
+def _reach(tables, flo, fhi):
+    """Per first-axis row, whether the box is reached: False only where
+    some constraint's range, clipped to the first-axis range, is empty at
+    every point of the row.  NaN counts as reached."""
     first, later = tables
-    axes = tuple(range(2 if boxes else 1, first[0].ndim))
+    axes = tuple(range(1, first[0].ndim))
     reached = (~(first[0] > first[1])).any(axis=axes)
     for halves in later:
         hit = None
-        for h_lo, h_hi, _ in halves:
+        for h_lo, h_hi in halves:
             ok = ~(np.maximum(flo, h_lo) > np.minimum(fhi, h_hi))
             hit = ok if hit is None else hit | ok
         reached &= hit.any(axis=axes)
@@ -246,15 +221,6 @@ def _length(clo, chi):
     """max(chi - clo, 0), written over chi, which no stage reads again."""
     length = np.subtract(chi, clo, out=chi)
     return np.maximum(length, 0.0, out=length)
-
-
-def _box_order(comps, boxes):
-    """Each box's views of a chunk's components (arrays..., present), box
-    after box and for each box only the components it has, as one box at a
-    time would give them."""
-    if not boxes:
-        return [arrays for *arrays, _ in comps]
-    return [[a[k] for a in arrays] for k in range(boxes) for *arrays, p in comps if p is True or p[k]]
 
 
 def _runs(mask):
@@ -268,14 +234,13 @@ def _fiber_measures(region, coords, lo, hi, dual):
     the kernel that evaluates grids and point lists alike, in three stages.
 
     Tables: _solve's constraint ranges over (x1, x_j), once per block of
-    first-axis rows and chunk of boxes, at most _BLOCK_ROWS values each.
+    first-axis rows and box, at most _BLOCK_ROWS values each (or one row).
     Reach: where the tables are narrower than the rows (a grid in d >= 3),
-    the rows each box reaches.  Combine: each component's intersection,
-    length and running total at full size, over the rows a box reaches in
-    blocks of at most _BLOCK_ROWS points (or one row), or where the tables
-    are as wide as the rows, over the whole chunk.  No (points, boxes)
-    array is held whole.  Box i's lengths are added to the total after box
-    i - 1's, as one box at a time would add them; a row skipped would have
+    the rows the box reaches.  Combine: each component's intersection,
+    length and running total at full size, over the rows the box reaches
+    in blocks of at most _BLOCK_ROWS points (or one row), or where the
+    tables are as wide as the rows, over the whole block.  Box i's lengths
+    are added to the total after box i - 1's; a row skipped would have
     added exactly +0.0, so every value keeps its bits.
     """
     shape = np.broadcast(*coords).shape
@@ -283,22 +248,17 @@ def _fiber_measures(region, coords, lo, hi, dual):
     points = math.prod(shape[1:])
     width = max([math.prod(c.shape[1:]) for c in coords[1:]])
     step = max(1, _BLOCK_ROWS // points)
-    chunks = _solve(region, coords, lo, hi, dual, width, max(1, _BLOCK_ROWS // width))
-    for rows, boxes, flo, fhi, tables in chunks:
+    for rows, flo, fhi, tables in _solve(region, coords, lo, hi, dual, max(1, _BLOCK_ROWS // width)):
         acc = total[rows]
         if width == points:
-            comps = [(_length(clo, chi), p) for clo, chi, p in _components(tables)]
-            for (length,) in _box_order(comps, boxes):
-                acc += length
+            for clo, chi in _components(tables):
+                acc += _length(clo, chi)
             continue
-        reached = _reach(tables, flo, fhi, boxes)
-        for k, row_mask in enumerate(reached if boxes else [reached]):
-            for start, stop in _runs(row_mask):
-                for r in range(start, stop, step):
-                    block = slice(r, min(r + step, stop))
-                    for clo, chi, p in _components(tables, (k, block) if boxes else block):
-                        if p is True or p[k]:
-                            acc[block] += _length(clo, chi)
+        for start, stop in _runs(_reach(tables, flo, fhi)):
+            for r in range(start, stop, step):
+                block = slice(r, min(r + step, stop))
+                for clo, chi in _components(tables, block):
+                    acc[block] += _length(clo, chi)
     return total
 
 
@@ -335,10 +295,8 @@ def fiber_pieces(region, points, interval, dual=False):
     sets.fiber_cells merges and cuts into cells.
     """
     X, lo, hi = _fiber_points(region, points, interval)
-    pieces = []
-    for _, boxes, _, _, tables in _solve(region, X.T, lo, hi, dual, 1, max(1, len(X))):
-        pieces += _box_order(list(_components(tables)), boxes)
-    los, his = zip(*pieces)
+    chunks = _solve(region, X.T, lo, hi, dual, max(1, len(X)))
+    los, his = zip(*(piece for *_, tables in chunks for piece in _components(tables)))
     return np.stack(los, axis=1), np.stack(his, axis=1)
 
 
@@ -346,11 +304,15 @@ def fiber_pieces(region, points, interval, dual=False):
 # box-pair pairing <X chi_E, chi_F>
 
 
-def _grid_axes(lo, hi, step):
-    n = max(1, int(np.ceil((hi - lo) / step - 1e-12)))
+def _cell_axis(lo, hi, n):
+    """The centres and the width of n equal cells over [lo, hi]."""
     w = (hi - lo) / n
-    centers = lo + (np.arange(n) + 0.5) * w
-    return centers, w
+    return lo + (np.arange(n) + 0.5) * w, w
+
+
+def _grid_axes(lo, hi, step):
+    """_cell_axis with the fewest cells no wider than step (to 1e-12)."""
+    return _cell_axis(lo, hi, max(1, int(np.ceil((hi - lo) / step - 1e-12))))
 
 
 def _midpoint_pairing(source, region, lo, hi, step, dual):
@@ -581,8 +543,7 @@ def region_cell_values(source, region, interval, grid_n, dual=False):
     lo, hi = _interval_pair(interval)
     blocks = []
     for blo, bhi in zip(region.los, region.his):
-        widths = (bhi - blo) / grid_n
-        axes = [lo_a + (np.arange(grid_n) + 0.5) * w for lo_a, w in zip(blo, widths)]
+        axes, widths = zip(*(_cell_axis(a, b, grid_n) for a, b in zip(blo, bhi)))
         vals = _fiber_measures(source, np.ix_(*axes), lo, hi, dual)
-        blocks.append(CellBlock(widths=widths, center_values=vals))
+        blocks.append(CellBlock(widths=np.array(widths), center_values=vals))
     return blocks

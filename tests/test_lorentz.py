@@ -93,6 +93,18 @@ def test_steps_norm_refuses_zero_measure_step():
             lorentz_norm_from_steps(values, measures, 2, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["values", "measures"])
+def test_steps_norm_refuses_non_finite_steps(bad, which):
+    """A NaN or infinite value or measure is refused at every exponent, not
+    carried into a NaN or infinite norm."""
+    steps = {"values": [1.0, 1.0], "measures": [1.0, 1.0]}
+    steps[which][0] = bad
+    for r in (2, float("inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            lorentz_norm_from_steps(steps["values"], steps["measures"], 2, r)
+
+
 def test_lp_norm_hand_value():
     # (2^2 * 2 + 1^2 * 1)^(1/2) = 3
     assert lp_norm(TWO_STEP, 2.0) == pytest.approx(3.0)

@@ -192,7 +192,7 @@ def test_fiber_measure_batch_matches_single():
 
 
 # ---------------------------------------------------------------------------
-# the kernel's box axis: chunk sizes, a per-box reference, box splits
+# the kernel's boxes: row block sizes, a per-box reference, box splits
 
 
 def _reference_fiber_pieces(region, points, interval, dual):
@@ -245,7 +245,7 @@ _DEFAULT_BLOCK_ROWS = transform._BLOCK_ROWS
 
 
 def _at_every_chunk_size(monkeypatch, compute):
-    """compute() with passes of 1, 7, the default and unbounded points x boxes."""
+    """compute() with row blocks of 1, 7, the default and unbounded points."""
     runs = []
     for rows in (1, 7, _DEFAULT_BLOCK_ROWS, 1 << 30):
         monkeypatch.setattr(transform, "_BLOCK_ROWS", rows)
@@ -262,16 +262,17 @@ def _assert_runs_equal(runs):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_family_values_same_at_every_chunk_size(monkeypatch, d):
     """Fiber measures on the 197-box family are bit for bit the same at
-    every chunk size.
+    every row block size.
     One point in every third minorant piece (66 points) keeps the passes
-    of one point and one box few; the assert below pins the kernel's split
-    at the default, two chunks of boxes.
+    of one point and one box few; the assert below pins the kernel's row
+    blocks: blocks of 1 and 7 points split the list, and the default holds
+    it in one block, which every box is solved over in turn.
     At d = 4 the pieces from k = 91 on round to zero width, so about half
     of the points see no fiber (ROADMAP item 4)."""
     family = BoxUnionSet(family_bounds(d, 4, 200, 1.0))
     pieces = BoxUnionSet(family_bounds(d, 4, 200, 0.5))
     pts = np.random.default_rng(d).uniform(pieces.los[::3], pieces.his[::3])
-    assert family.n_boxes == 197 and 1 < math.ceil(197 / (_DEFAULT_BLOCK_ROWS // len(pts))) < 197
+    assert family.n_boxes == 197 and 1 < math.ceil(len(pts) / 7) < len(pts) <= _DEFAULT_BLOCK_ROWS
 
     runs = _at_every_chunk_size(
         monkeypatch, lambda: [fiber_measure_batch(family, pts, (-1.0, 1.0), dual=False)]
@@ -281,9 +282,10 @@ def test_family_values_same_at_every_chunk_size(monkeypatch, d):
 
 
 def test_dual_second_component_is_per_box(monkeypatch):
-    """In one chunk, a box whose x3 range excludes every point's x3 splits
-    in two and a box whose range contains them does not: three columns, not
-    four, at every chunk size, as the per-box reference has them."""
+    """Over one block of all the points, a box whose x3 range excludes
+    every point's x3 splits in two and the next box, whose range contains
+    them, does not: three columns, not four, as the per-box reference has
+    them, whatever _BLOCK_ROWS is."""
     F = BoxUnionSet(
         [np.array([[-2.0, 0.0], [-1.0, 1.0], [0.0, 0.5]]), np.array([[0.0, 2.0], [-1.0, 1.0], [-3.0, 3.0]])]
     )
@@ -309,8 +311,8 @@ def test_dual_second_component_is_per_box(monkeypatch):
 def test_fiber_measures_additive_under_box_split(d, seed, which, axis, k, rows):
     """Splitting one box of a random union at an interior dyadic point, along
     any axis, leaves both routes' fiber measures unchanged to rel 1e-12, with
-    passes of `rows` points x boxes so the halves can land in different
-    chunks."""
+    row blocks of `rows` points, over each of which the halves are solved
+    one after the other."""
     rng = np.random.default_rng(seed)
     E, F = random_box_pair(d, rng, max_boxes=3)
     pts = rng.uniform(-1.2, 1.2, size=(40, d))
@@ -561,9 +563,9 @@ def test_grid_values_equal_point_batch(d, dual, case, k, seed, layout, rows):
     fiber_measure_batch's values on the same points listed row by row:
     region_cell_values' cell values and the midpoint route's sum, primal
     (over F's grid) and dual (over E's), the grids with passes of `rows`
-    points x boxes.  Sources with boxes moved along a later axis leave
-    whole rows unreached, which the grid skips; the examples pin that on
-    the x1 = 0 row and with the dual even-power split for d = 3 and 4."""
+    points.  Sources with boxes moved along a later axis leave whole rows
+    unreached, which the grid skips; the examples pin that on the x1 = 0
+    row and with the dual even-power split for d = 3 and 4."""
     rng = np.random.default_rng(seed)
     n = 2 * k + 1 if case == "zero" else k + 2
     E, F = random_box_pair(d, rng, max_boxes=3)
@@ -599,11 +601,10 @@ def test_grid_values_equal_point_batch(d, dual, case, k, seed, layout, rows):
 @pytest.mark.parametrize("d", [2, 3])
 def test_midpoint_box_sum_same_at_every_block_size(monkeypatch, d):
     """region_cell_values and both midpoint routes are bit-identical whether
-    the kernel takes one first-axis row and one box (a block of 1, 5 or 7
-    points, smaller than a row), 100 points, 7 rows, the default (several
-    boxes a pass) or a whole grid per pass.  The 40-per-axis grid
-    has x1 = 0 in row 12 only, and the midpoint route sums it in groups of
-    12 first-axis rows."""
+    each pass of the kernel takes one first-axis row (at a block of 1, 5 or
+    7 points, fewer than a row holds), 100 points, 7 rows, the default or a
+    whole grid.  The 40-per-axis grid has x1 = 0 in row 12 only, and the
+    midpoint route sums it in groups of 12 first-axis rows."""
     monkeypatch.setattr(transform, "_CHUNK_LIMIT", 500 * 40 ** (d - 2))
     rng = np.random.default_rng(d)
     E, F = random_box_pair(d, rng, max_boxes=3)
