@@ -187,18 +187,19 @@ def criterion_2_adjointness(seed, profile):
 
 
 def criterion_3_unit_square_pairing(seed, profile):
-    """Unit-square pairing and testing ratios equal their hand values.
+    """Unit-square pairing and testing ratio equal their hand values.
 
     For E = F = [0,1]^2 and I = [0,1] the pairing is
     int_0^1 int_0^1 |{s in [0,1] : x2 + s*x1 in [0,1]}| dx = 3/4 by direct
-    integration, so alpha = beta = 3/4 and ratio_E = ratio_F = 64/27.
+    integration, so alpha = beta = 3/4 and the testing ratio is
+    (1 / (3/4))^3 = 64/27.
     The second route is the tensor midpoint rule m(n) at step 1/n,
     extrapolated as (4 m(1024) - m(512)) / 3 (Richardson, 1911), which
     cancels its error's h^2 term.  Gated: the pairing's error under the
     default layered quadrature and under that extrapolation; from below and
     above, the midpoint rule's observed order
     log2((m(256) - m(512)) / (m(512) - m(1024))), so a first-order grid
-    fails; and each testing-ratio error.
+    fails; and the errors of alpha, beta and the testing ratio.
     """
     unit = BoxUnionSet([np.array([[0.0, 1.0], [0.0, 1.0]])])
     rwt = check_rwt(unit, unit, (0.0, 1.0))
@@ -210,16 +211,16 @@ def criterion_3_unit_square_pairing(seed, profile):
     coarse, fine = m256 - m512, m512 - m1024
     # NaN, which fails both order rows, when the steps do not shrink alike
     order = math.log2(coarse / fine) if coarse * fine > 0.0 else math.nan
-    info = {"layered": rwt.value, "midpoint_512": m512, "midpoint_1024": m1024}
+    info = {"layered": rwt.t_value, "midpoint_512": m512, "midpoint_1024": m1024}
     gates = [
         Gate(f"err_{route}", abs(value - 0.75), "<=", 1e-6)
-        for route, value in (("layered", rwt.value), ("midpoint", midpoint))
+        for route, value in (("layered", rwt.t_value), ("midpoint", midpoint))
     ]
     gates += [
         Gate("order_midpoint", order, ">=", 1.5),
         Gate("order_midpoint", order, "<=", 2.5),
     ]
-    hand = {"alpha": 0.75, "beta": 0.75, "ratio_e": 64 / 27, "ratio_f": 64 / 27}
+    hand = {"alpha": 0.75, "beta": 0.75, "ratio": 64 / 27}
     gates += [
         Gate(f"err_{key}", abs(getattr(rwt, key) - want), "<=", 1e-12)
         for key, want in hand.items()
@@ -319,22 +320,18 @@ def criterion_5_lorentz_identity(seed, profile):
 
 
 def criterion_6_testing_ratio_floor(seed, profile):
-    """Two-sided testing ratios hold a positive floor over the corpus.
+    """The testing ratio holds a positive floor over the corpus.
 
-    Gated: the corpus floor of max(ratio_E, ratio_F), and the worst factor
-    by which an entry's value moves when the quadrature step is halved.
+    Gated: the corpus floor of the testing ratio, and the worst factor by
+    which an entry's ratio moves when the quadrature step is halved.
     """
     corpus = build_default_corpus()
     if profile != "full":
         corpus = corpus[:8]
-    bases, fines = [], []  # RwtReport.verdict at the default and halved step
-    for entry in corpus:
-        base = check_rwt(entry.E, entry.F, entry.interval)
-        fine = check_rwt(
-            entry.E, entry.F, entry.interval, QuadSpec(step=QuadSpec().step / 2.0)
-        )
-        bases.append(base.verdict)
-        fines.append(fine.verdict)
+    # the testing ratio at the default and at the halved quadrature step
+    halved = QuadSpec(step=QuadSpec().step / 2.0)
+    bases = [check_rwt(e.E, e.F, e.interval).ratio for e in corpus]
+    fines = [check_rwt(e.E, e.F, e.interval, halved).ratio for e in corpus]
     worst = int(np.argmin(bases))
     drifts = [max(b, f) / min(b, f) for b, f in zip(bases, fines)]
     gates = [

@@ -3,11 +3,11 @@
 COMMANDS declares each subcommand's parameters.  Each value comes from its
 flag, else the JSON config, else its default, through one converter.  Rows
 are read off the library's result records where their names are the
-published columns (superlevel, lemma2, duality), so a record's fields, in
-order, are those columns.  Reports carry their full parameterization in
-'# key=value' header comments (CSV) or a meta object (JSON, refine's
-per-tower document included) and never embed timestamps, so identical
-configs and seeds produce byte-identical files.  One writer writes every
+published columns (rwt, superlevel, lemma2, duality), so a record's
+fields, in order, are those columns.  Reports carry their full
+parameterization in '# key=value' header comments (CSV) or a meta object
+(JSON, refine's per-tower document included) and never embed timestamps,
+so identical configs and seeds produce byte-identical files.  One writer writes every
 report file, the acceptance suite's included, with a sibling manifest of
 config hash, seed, tool version, the digests of the bytes written, and wall
 time; wall time lives only there.
@@ -42,6 +42,7 @@ from .refinement import TowerConfig, build_tower, check_tower_structure, tower_r
 from .sharpness import (
     DEFAULT_N_LIST,
     Lemma2Report,
+    RwtReport,
     check_lemma2_primal,
     check_rwt,
     critical_exponents,
@@ -408,21 +409,14 @@ def _entry_rows(entries, columns, rows_of):
     return rows
 
 
-_RWT_COLUMNS = (
-    "corpus_id", "d", "t_value", "measure_E", "measure_F",
-    "alpha", "beta", "ratio_E", "ratio_F", "verdict",
-)
+_RWT_COLUMNS = ("corpus_id", "d", *(f.name for f in fields(RwtReport)), "verdict")
 
 
 def cmd_rwt(params):
     def rows_of(entry):
         rep = check_rwt(entry.E, entry.F, entry.interval, params["quad"])
-        ok = rep.verdict >= params["floor"]
-        values = (
-            entry.entry_id, entry.dim, rep.value, rep.measure_e, rep.measure_f,
-            rep.alpha, rep.beta, rep.ratio_e, rep.ratio_f, "PASS" if ok else "FAIL",
-        )
-        return [dict(zip(_RWT_COLUMNS, values))]
+        verdict = "PASS" if rep.ratio >= params["floor"] else "FAIL"
+        return [{"corpus_id": entry.entry_id, "d": entry.dim, **asdict(rep), "verdict": verdict}]
 
     rows = _entry_rows(_corpus_from(params), _RWT_COLUMNS, rows_of)
     return Report("rwt", params, rows), _all_pass(rows)

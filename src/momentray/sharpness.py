@@ -86,7 +86,7 @@ def dilate_configuration(E, F, interval, delta):
 
     The line parameter scales like the first coordinate, so the pairing of
     the dilated triple equals delta^(homogeneous dimension + 1) times the
-    original and the restricted weak-type ratios are exactly invariant.
+    original and the restricted weak-type testing ratio is exactly invariant.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -363,45 +363,47 @@ def scaling_experiment(d, r, n_list=DEFAULT_N_LIST):
 
 @dataclass(frozen=True)
 class RwtReport:
-    """Measured two-sided testing ratios for a set pair."""
+    """The pairing of a set pair, its two measures and averages, and the one
+    restricted weak-type testing ratio."""
 
-    value: float
+    t_value: float
     measure_e: float
     measure_f: float
     alpha: float
     beta: float
-    ratio_e: float
-    ratio_f: float
-
-    @property
-    def verdict(self):
-        """The larger testing ratio: the number a positive floor is checked on."""
-        return max(self.ratio_e, self.ratio_f)
+    ratio: float
 
 
 def check_rwt(E, F, interval, quad=None):
-    """Evaluate the pairing and the two testing ratios it must satisfy.
+    """Evaluate the pairing T and the testing ratio of the endpoint bound.
 
-    With alpha the F-average and beta the E-average of the pairing, at least
-    one of |E| / (alpha^d beta^(d(d-1)/2)) and
-    |F| / (alpha^(d-1) beta^((d^2-d+2)/2)) stays above a dimensional floor.
+    The ratio is (|E|^(1/p) |F|^(1/q') / T)^m with (p, q) the critical
+    exponents and m = d(d+1)/2, that is |E|^((d^2-d+2)/2) |F|^d / T^m.  It
+    is formed from that root, each measure under a power below 1 and the
+    m-th power taken last, so it keeps full precision wherever it is a
+    finite float; the alpha/beta forms lose a small average raised to the
+    power d below the smallest normal float.  A ratio that is not a finite
+    float is refused with ValueError.
     """
     d = E.dim
     t_value = bilinear_form(E, F, interval, quad)
     if t_value <= 0.0:
-        raise NoIncidence("pairing vanished; testing ratios are undefined")
-    alpha = t_value / F.measure
-    beta = t_value / E.measure
-    ratio_e = E.measure / (alpha**d * beta ** (d * (d - 1) // 2))
-    ratio_f = F.measure / (alpha ** (d - 1) * beta ** ((d * d - d + 2) // 2))
+        raise NoIncidence("pairing vanished; the testing ratio is undefined")
+    p, q = critical_exponents(d)
+    root = E.measure ** float(1 / p) * F.measure ** float(1 / dual_exponent(q)) / t_value
+    try:
+        ratio = root ** homogeneous_dimension(d)
+    except OverflowError:
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"the testing ratio is not a finite float (its m-th root is {root!r})")
     return RwtReport(
-        value=t_value,
+        t_value=t_value,
         measure_e=E.measure,
         measure_f=F.measure,
-        alpha=alpha,
-        beta=beta,
-        ratio_e=ratio_e,
-        ratio_f=ratio_f,
+        alpha=t_value / F.measure,
+        beta=t_value / E.measure,
+        ratio=ratio,
     )
 
 

@@ -43,8 +43,7 @@ QUICK_GATES = [
     (3, "order_midpoint", "<=", 2.5),
     (3, "err_alpha", "<=", 1e-12),
     (3, "err_beta", "<=", 1e-12),
-    (3, "err_ratio_e", "<=", 1e-12),
-    (3, "err_ratio_f", "<=", 1e-12),
+    (3, "err_ratio", "<=", 1e-12),
     *[
         (4, f"{name}_d{d}", op, bound)
         for d in (2, 3, 4)
@@ -290,11 +289,11 @@ def test_equality_gate_has_no_headroom():
 @pytest.mark.parametrize(
     "defect",
     [
-        lambda rep: replace(rep, ratio_e=rep.ratio_e * 0.05),
-        # the exponent of beta in ratio_e raised by 1
-        lambda rep: replace(rep, ratio_e=rep.ratio_e / rep.beta),
+        lambda rep: replace(rep, ratio=rep.ratio * 0.05),
+        # the exponent of beta in the ratio's alpha/beta form raised by 1
+        lambda rep: replace(rep, ratio=rep.ratio / rep.beta),
     ],
-    ids=["ratio_e-scaled", "beta-exponent"],
+    ids=["ratio-scaled", "beta-exponent"],
 )
 def test_seeded_check_rwt_defects_fail_criterion_3(monkeypatch, defect):
     real = acceptance.check_rwt

@@ -14,6 +14,7 @@ from momentray import cli, refinement
 from momentray.acceptance import SuiteResult, run_suite
 from momentray.corpus import CorpusEntry, build_default_corpus
 from momentray.sets import BoxUnionSet, Interval
+from momentray.sharpness import RwtReport
 from oracles import save_corpus
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -385,8 +386,38 @@ def test_csv_cells_are_quoted(tmp_path):
     assert run(["rwt", "--corpus", str(path), "--output", str(out)]) == PASS
     lines = [line for line in out.read_text().splitlines(True) if not line.startswith("#")]
     header, *rows = csv.reader(lines)
+    assert header == ["corpus_id", "d", *(f.name for f in dataclasses.fields(RwtReport)), "verdict"]
     assert [row[0] for row in rows] == ids
-    assert all(len(row) == len(header) == 10 for row in rows)
+    assert all(len(row) == len(header) == 9 for row in rows)
+
+
+def _thin_entry(d, width):
+    """E = [0, width] x [0, 1]^(d-1) against the unit cube, over [0, width]."""
+    return CorpusEntry(
+        entry_id=f"thin-d{d}",
+        E=BoxUnionSet([[[0.0, width]] + [[0.0, 1.0]] * (d - 1)]),
+        F=BoxUnionSet([[[0.0, 1.0]] * d]),
+        interval=Interval(0.0, width),
+        window=Interval(0.0, 1.0),
+    )
+
+
+def test_rwt_ratio_range(tmp_path, capsys):
+    """At width 1e-200 in the plane the ratio, about 1e200, is written and
+    passes; in d = 3 at width 1e-160 it would be about 1e320, past float
+    range, and is refused with exit 2 and no report."""
+    path, out = tmp_path / "thin.json", tmp_path / "rwt.csv"
+    save_corpus([_thin_entry(2, 1e-200)], path)
+    assert run(["rwt", "--corpus", str(path), "--output", str(out)]) == PASS
+    lines = [line for line in out.read_text().splitlines(True) if not line.startswith("#")]
+    (row,) = csv.DictReader(lines)
+    assert row["corpus_id"] == "thin-d2" and row["verdict"] == "PASS"
+    assert float(row["ratio"]) == pytest.approx(1e200, rel=1e-12)
+    save_corpus([_thin_entry(3, 1e-160)], path)
+    out.unlink()
+    assert run(["rwt", "--corpus", str(path), "--output", str(out)]) == USAGE
+    assert "not a finite float" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_are_byte_deterministic(mini_corpus_path, tmp_path):

@@ -23,7 +23,7 @@ PACKAGE = Path(momentray.__file__).parent
 # Reached only from tests or the benchmark on purpose; test-only oracles
 # live in tests/oracles.py instead.
 EXEMPT = {
-    "sharpness.dilate_configuration": "test oracle for dilation invariance of the testing ratios",
+    "sharpness.dilate_configuration": "test oracle for dilation invariance of the testing ratio",
     "sharpness.verify_minorant": "the benchmark's family-minorant entry point",
     "sharpness.lemma2_grid_primal": "the benchmark's tower-corpus lemma2 op; the package scores it and the sweep from one grid through check_lemma2_primal",
     "sharpness.lemma2_shrinking_sweep": "the benchmark's tower-corpus lemma2 op; the package scores it and the primal report from one grid through check_lemma2_primal",

@@ -14,6 +14,7 @@ from scipy.special import zeta as scipy_zeta
 
 from momentray.lorentz import SimpleFunction, lorentz_norm, lp_norm
 from momentray.sets import BoxUnionSet, Interval
+from momentray.acceptance import random_box_pair
 from momentray.corpus import build_default_corpus
 from momentray.transform import fiber_measure_batch, region_cell_values
 from momentray import sharpness
@@ -114,10 +115,9 @@ def test_rwt_ratios_invariant_under_dilation():
         scaled = check_rwt(Ed, Fd, win)
         # quadrature resolution relative to the boxes changes with delta,
         # so exact invariance shows up only to quadrature accuracy
-        assert scaled.ratio_e == pytest.approx(base.ratio_e, rel=1e-5)
-        assert scaled.ratio_f == pytest.approx(base.ratio_f, rel=1e-5)
+        assert scaled.ratio == pytest.approx(base.ratio, rel=1e-5)
         m = homogeneous_dimension(2)
-        assert scaled.value == pytest.approx(base.value * delta ** (m + 1), rel=1e-5)
+        assert scaled.t_value == pytest.approx(base.t_value * delta ** (m + 1), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +389,48 @@ def test_necessity_verdicts_flip_at_critical_r():
 
 def test_rwt_unit_square_exact_ratio():
     rep = check_rwt(unit_box(2), unit_box(2), Interval(0.0, 1.0))
-    assert rep.value == pytest.approx(0.75, abs=1e-9)
-    assert rep.ratio_e == pytest.approx(64.0 / 27.0, rel=1e-6)
-    assert rep.ratio_f == pytest.approx(64.0 / 27.0, rel=1e-6)
-    assert rep.verdict == pytest.approx(64.0 / 27.0, rel=1e-6)
+    assert rep.t_value == pytest.approx(0.75, abs=1e-9)
+    assert rep.ratio == pytest.approx(64.0 / 27.0, rel=1e-6)
+
+
+def _assert_exact_ratio(rep, d, rel):
+    """The ratio is |E|^((d^2-d+2)/2) |F|^d / T^(d(d+1)/2), computed exactly
+    from the report's own floats, to within rel."""
+    e, f, t = (Fraction(v) for v in (rep.measure_e, rep.measure_f, rep.t_value))
+    exact = e ** ((d * d - d + 2) // 2) * f**d / t ** homogeneous_dimension(d)
+    assert abs(Fraction(rep.ratio) - exact) <= rel * exact, (rep.ratio, float(exact))
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_rwt_ratio_is_the_one_testing_ratio(d, seed):
+    """On random box-union pairs the ratio is |E|^((d^2-d+2)/2) |F|^d / T^m
+    to rel 1e-13: the exponents of |E| and |F| differ off the unit square,
+    so swapping them fails here though criterion 3 (|E| = |F| = 1) cannot
+    see it."""
+    E, F = random_box_pair(d, np.random.default_rng(seed))
+    rep = check_rwt(E, F, E.first_axis_span())
+    _assert_exact_ratio(rep, d, 1e-13)
+
+
+def test_rwt_ratio_stays_exact_where_averages_underflow():
+    """E = [0, 1e-200] x [0, 1]: alpha = T/|F| is 1e-200, whose square is
+    below the smallest float, yet the ratio, about 1e200, is representable
+    and is returned to rel 1e-12."""
+    w = 1e-200
+    E = BoxUnionSet([[[0.0, w], [0.0, 1.0]]])
+    rep = check_rwt(E, unit_box(2), Interval(0.0, w))
+    assert rep.alpha == pytest.approx(w, rel=1e-12)
+    _assert_exact_ratio(rep, 2, 1e-12)
+
+
+def test_rwt_refuses_a_ratio_past_float_range():
+    """E = [0, 1e-160] x [0, 1]^2 against the unit cube has a ratio of about
+    1e320, which no float holds: refused, not returned as inf."""
+    w = 1e-160
+    E = BoxUnionSet([[[0.0, w], [0.0, 1.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="not a finite float"):
+        check_rwt(E, unit_box(3), Interval(0.0, w))
 
 
 def test_rwt_rejects_vanishing_pairing():
