@@ -332,16 +332,19 @@ def criterion_6_testing_ratio_floor(seed, profile):
     halved = QuadSpec(step=QuadSpec().step / 2.0)
     bases = [check_rwt(e.E, e.F, e.interval).ratio for e in corpus]
     fines = [check_rwt(e.E, e.F, e.interval, halved).ratio for e in corpus]
-    worst = int(np.argmin(bases))
+    floor = min(bases)
+    # mirror entries share one ratio up to rounding, so the first entry
+    # within rounding of the floor is named, not whichever rounds lower
+    worst = next(e.entry_id for e, b in zip(corpus, bases) if b - floor <= 1e-12 * floor)
     drifts = [max(b, f) / min(b, f) for b, f in zip(bases, fines)]
     gates = [
-        Gate("floor", bases[worst], ">=", 0.01),
+        Gate("floor", floor, ">=", 0.01),
         Gate("worst_drift", max(drifts), "<=", 2.0),
     ]
     info = {
         "entries": len(corpus),
         "floor_halved_step": min(fines),
-        "worst_entry": corpus[worst].entry_id,
+        "worst_entry": worst,
     }
     return CriterionResult(6, "testing-ratio-floor", gates, info)
 

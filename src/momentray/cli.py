@@ -3,7 +3,7 @@
 COMMANDS declares each subcommand's parameters.  Each value comes from its
 flag, else the JSON config, else its default, through one converter.  Rows
 are read off the library's result records where their names are the
-published columns (rwt, superlevel, lemma2, duality), so a record's
+published columns (rwt, lemma2, duality), so a record's
 fields, in order, are those columns.  Reports carry their full
 parameterization in '# key=value' header comments (CSV) or a meta object
 (JSON, refine's per-tower document included) and never embed timestamps,
@@ -51,7 +51,6 @@ from .sharpness import (
     lemma2_grid_dual,
     region_contains,
     scaling_experiment,
-    superlevel_mass_check,
 )
 from .transform import NoIncidence, QuadSpec, adjointness_gap
 
@@ -422,14 +421,6 @@ def cmd_rwt(params):
     return Report("rwt", params, rows), _all_pass(rows)
 
 
-def cmd_superlevel(params):
-    entry = _corpus_entry(_corpus_from(params), params["entry"])
-    rep = superlevel_mass_check(entry.E, entry.F, entry.interval, grid_n=params["grid_n"])
-    ok = rep.c0 > 0.0 and rep.t_inside >= rep.t_outside
-    rows = [{"corpus_id": entry.entry_id, **asdict(rep), "verdict": "PASS" if ok else "FAIL"}]
-    return Report("superlevel", params, rows), ok
-
-
 def cmd_scaling(params):
     d = params["dim"]
     p_d, _ = critical_exponents(d)
@@ -635,11 +626,6 @@ COMMANDS = {
     )),
     "rwt": Command("two-sided testing ratios over the corpus", cmd_rwt, (
         _CORPUS, _FLOOR, _QUAD, *_REPORT,
-    )),
-    "superlevel": Command("threshold mass check for one corpus entry", cmd_superlevel, (
-        _CORPUS, _ENTRY,
-        Param("grid_n", 48, _integer, ("--grid-n",), "grid cells per axis"),
-        *_REPORT,
     )),
     "scaling": Command("norm decay of the shrinking family", cmd_scaling, (
         _DIM,

@@ -466,14 +466,6 @@ def _grid(source, region, interval, grid_n, dual):
     return _Grid(vals, vols, mass, t_grid)
 
 
-def _rich(grid, theta):
-    """Measure and pairing of the rich set {vals >= theta} of a grid; every
-    caller's theta is at most the largest grid value, so the set is never
-    empty."""
-    mask = grid.vals >= theta
-    return float(grid.vols[mask].sum()), float(grid.mass[mask].sum())
-
-
 # thresholds of the shrinking sweep, as fractions of the largest grid value
 _SWEEP_FRACS = (0.3, 0.45, 0.6, 0.75, 0.9)
 
@@ -481,8 +473,10 @@ _SWEEP_FRACS = (0.3, 0.45, 0.6, 0.75, 0.9)
 def _rich_report(source, grid, theta, dual):
     """Score the rich region {vals >= theta} of a grid of source's transform:
     it stands in for F on the primal route (source E) and for E on the dual
-    route (source F)."""
-    measure, t_rich = _rich(grid, theta)
+    route (source F).  Every caller's theta is at most the largest grid
+    value, so the region is never empty."""
+    mask = grid.vals >= theta
+    measure, t_rich = float(grid.vols[mask].sum()), float(grid.mass[mask].sum())
     sides = (measure, source.measure) if dual else (source.measure, measure)
     subject, rhs, ratio = _two_slice(source.dim, theta, t_rich, *sides, dual)
     return Lemma2Report(
@@ -540,57 +534,3 @@ def lemma2_shrinking_sweep(E, F, interval):
 def lemma2_grid_dual(E, F, window, theta_frac=0.5, grid_n=32):
     """Grid-aligned dual check over the rich region on the source side."""
     return _lemma2_grid(F, E, window, theta_frac, grid_n, dual=True)[1]
-
-
-# ---------------------------------------------------------------------------
-# superlevel mass bound
-
-
-@dataclass(frozen=True)
-class SuperlevelMassReport:
-    """Mass captured by the superlevel region at the half-pairing threshold."""
-
-    grid_n: int
-    epsilon: float
-    c0: float
-    theta: float
-    g_measure: float
-    t_total: float
-    t_inside: float
-    t_outside: float
-    constant: float
-
-
-def superlevel_mass_check(E, F, interval, grid_n=48):
-    """Find the threshold keeping at least half the pairing, then score it.
-
-    epsilon normalizes the pairing by |E|^(1/p) |F|^(1/q'); the threshold
-    theta = c0 * epsilon * |E|^(1/p) |F|^(1/q'-1) is the largest grid value
-    whose superlevel region {vals >= theta} keeps at least half the pairing.
-    The returned constant is |G| / (epsilon^q' |F|), which the theory bounds
-    below uniformly.
-    """
-    d = E.dim
-    p, q = critical_exponents(d)
-    q_prime = float(dual_exponent(q))
-    grid = _grid(E, F, interval, grid_n, dual=False)
-    vals, t_total = grid.vals, grid.total
-    eps = t_total / (E.measure ** (1.0 / float(p)) * F.measure ** (1.0 / q_prime))
-    theta_unit = t_total / F.measure  # = eps |E|^(1/p) |F|^(1/q'-1)
-    # values in decreasing order with the pairing they hold so far: the
-    # first that reaches half the pairing is the largest such threshold
-    order = np.argsort(-vals)
-    held = np.cumsum(grid.mass[order])
-    theta = float(vals[order[np.searchsorted(held, 0.5 * t_total)]])
-    g_measure, t_inside = _rich(grid, theta)
-    return SuperlevelMassReport(
-        grid_n=grid_n,
-        epsilon=eps,
-        c0=theta / theta_unit,
-        theta=theta,
-        g_measure=g_measure,
-        t_total=t_total,
-        t_inside=t_inside,
-        t_outside=t_total - t_inside,
-        constant=g_measure / (eps**q_prime * F.measure),
-    )

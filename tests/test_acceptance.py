@@ -8,6 +8,7 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from momentray.acceptance import (
     criterion_9_determinism,
     run_suite,
 )
+from momentray.corpus import build_default_corpus
 from momentray.sets import BoxUnionSet
 
 # Every gate of the quick profile, in suite order: (criterion, metric, op,
@@ -148,6 +150,26 @@ def test_criterion_6_testing_ratio_floor_over_corpus():
     res = _check(criterion_6_testing_ratio_floor)
     assert res.details["floor"] >= 0.01
     assert res.details["worst_drift"] <= 2.0
+
+
+def test_criterion_6_worst_entry_ignores_last_bit_rounding(monkeypatch):
+    """d2-split-source and d2-split-target are mirror entries with one ratio;
+    one ulp lower on the second still names the first, and the floor gate
+    still reads the lowest ratio."""
+    target = next(e for e in build_default_corpus() if e.entry_id == "d2-split-target")
+    real = acceptance.check_rwt
+
+    def lowered(E, F, *args):
+        rep = real(E, F, *args)
+        if all(np.array_equal(a.bounds, b.bounds) for a, b in ((E, target.E), (F, target.F))):
+            rep = replace(rep, ratio=float(np.nextafter(rep.ratio, 0.0)))
+        return rep
+
+    monkeypatch.setattr(acceptance, "check_rwt", lowered)
+    res = criterion_6_testing_ratio_floor(seed=0, profile="full")
+    assert res.details["worst_entry"] == "d2-split-source"
+    floor = lowered(target.E, target.F, target.interval).ratio
+    assert res.details["floor"] == floor < real(target.E, target.F, target.interval).ratio
 
 
 def test_criterion_7_rich_set_ratio_floors():

@@ -80,7 +80,7 @@ def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
     [
         ("region", {"boundary": "false"}),
         ("lemma2", {"sweep": "no"}),
-        ("superlevel", {"grid_n": 8.5}),
+        ("lemma2", {"grid_n": 8.5}),
         ("jacobian", {"samples": True}),
         ("refine", {"start": "phi,psi"}),
         ("scaling", {"n_list": 64}),
@@ -92,7 +92,7 @@ def test_quad_accepted_only_where_used(tmp_path, mini_corpus_path):
         ("refine", {"samples": -5}),
         ("lemma2", {"grid_n": 0}),
         ("lemma2", {"grid_n": -3}),
-        ("superlevel", {"grid_n": 0}),
+        ("region", {"p": "0"}),
         ("lemma2", {"theta_frac": 0}),
         ("lemma2", {"theta_frac": -0.5}),
         ("lemma2", {"theta_frac": 1.5}),
@@ -167,7 +167,6 @@ def test_every_subcommand_reads_every_key_it_declares(monkeypatch, mini_corpus_p
         "jacobian": ["--dims", "2", "--samples", "5"],
         "duality": ["--dims", "2", "--pairs", "1"],
         "rwt": ["--corpus", mini_corpus_path],
-        "superlevel": ["--corpus", mini_corpus_path, "--grid-n", "8"],
         "scaling": ["--dim", "2", "--n-list", "16,32,64"],
         "necessity": ["--dim", "2", "--n-list", "16,32,64"],
         "lemma2": ["--corpus", mini_corpus_path, "--grid-n", "8"],
@@ -210,7 +209,6 @@ def test_no_incidence_is_measured_failure(tmp_path, capsys):
         ["refine", "--entry", "far-apart"],
         ["rwt"],
         ["lemma2"],
-        ["superlevel", "--entry", "far-apart", "--grid-n", "8"],
     ):
         assert run([*argv, "--corpus", str(path)]) == FAIL, argv[0]
         err = capsys.readouterr().err
@@ -336,8 +334,8 @@ def test_malformed_corpus_is_usage_error(payload, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     out = tmp_path / "report.csv"
-    for argv in (["rwt"], ["lemma2"], ["superlevel", "--entry", "d2-square"]):
-        assert run([*argv, "--corpus", str(path), "--output", str(out)]) == USAGE, argv[0]
+    for command in ("rwt", "lemma2"):
+        assert run([command, "--corpus", str(path), "--output", str(out)]) == USAGE, command
         assert "cannot load corpus" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
 
@@ -492,23 +490,21 @@ def test_scaling_and_necessity_quick(tmp_path):
     assert run(["necessity", "--dim", "2", "--n-list", "16,32,64,128"]) == PASS
 
 
-def test_lemma2_and_superlevel_quick(mini_corpus_path, capsys):
+def test_lemma2_quick(mini_corpus_path, capsys):
     argv = [
         "lemma2", "--corpus", mini_corpus_path, "--grid-n", "16", "--sweep",
     ]
     assert run(argv) == PASS
     out = capsys.readouterr().out
     assert "verdict: PASS" in out
-    assert run(["superlevel", "--corpus", mini_corpus_path, "--grid-n", "16"]) == PASS
 
 
 @pytest.mark.parametrize(
     "argv, header",
     [
         (
-            ["superlevel", "--grid-n", "16"],
-            "corpus_id,grid_n,epsilon,c0,theta,g_measure,t_total,t_inside,t_outside,"
-            "constant,verdict",
+            ["rwt"],
+            "corpus_id,d,t_value,measure_e,measure_f,alpha,beta,ratio,verdict",
         ),
         (
             ["lemma2", "--grid-n", "16"],

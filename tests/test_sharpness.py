@@ -39,7 +39,6 @@ from momentray.sharpness import (
     predicted_xf_slope,
     region_contains,
     scaling_experiment,
-    superlevel_mass_check,
     verify_minorant,
     xf_lower_block_norm,
     xf_lower_exact_lorentz,
@@ -561,10 +560,10 @@ def test_lemma2_wrappers_are_check_lemma2_primal_at_its_defaults():
 
 
 # SHA-256 of every default-corpus entry's Lemma 2 reports at their defaults:
-# check_lemma2_primal's report and sweep, lemma2_grid_dual and
-# superlevel_mass_check.  Recorded with numpy 2.4 on x86-64; a faster form
-# of the grid kernel or of the scoring must keep these bits.
-LEMMA2_SHA256 = "983b166bdcff559e34a339dd3778c4617da5f00b1091ace38f208f8316710dce"
+# check_lemma2_primal's report and sweep, and lemma2_grid_dual.  Recorded
+# with numpy 2.4 on x86-64; a faster form of the grid kernel or of the
+# scoring must keep these bits.
+LEMMA2_SHA256 = "f228e98a0028cb4dbcbce2ae469c1c6bc50740f4d3d10e544f1cd91ce13e6b4e"
 
 
 def test_corpus_lemma2_reports_are_pinned():
@@ -574,32 +573,4 @@ def test_corpus_lemma2_reports_are_pinned():
         primal, sweep = check_lemma2_primal(e.E, e.F, interval)
         digest.update(repr((e.entry_id, primal, sweep)).encode())
         digest.update(repr(lemma2_grid_dual(e.E, e.F, window)).encode())
-        digest.update(repr(superlevel_mass_check(e.E, e.F, interval)).encode())
     assert digest.hexdigest() == LEMMA2_SHA256
-
-
-def test_superlevel_mass_unit_pair():
-    rep = superlevel_mass_check(unit_box(2), unit_box(2), Interval(0.0, 1.0), grid_n=32)
-    assert rep.c0 > 0.0
-    assert rep.t_inside >= rep.t_outside
-    assert rep.t_inside + rep.t_outside == pytest.approx(rep.t_total, rel=1e-12)
-    assert rep.constant > 0.0
-    # unit measures make the normalizer equal the pairing itself
-    assert rep.epsilon == pytest.approx(rep.t_total, rel=1e-12)
-
-
-@pytest.mark.parametrize("grid_n", [8, 16])
-def test_superlevel_theta_is_largest_half_pairing_grid_value(grid_n):
-    """Brute force over every grid value: theta is the largest one with at
-    most half the pairing strictly below it."""
-    for entry in build_default_corpus()[::3]:
-        interval = (entry.interval.lo, entry.interval.hi)
-        rep = superlevel_mass_check(entry.E, entry.F, interval, grid_n=grid_n)
-        blocks = region_cell_values(entry.E, entry.F, interval, grid_n)
-        vals = np.concatenate([b.center_values.reshape(-1) for b in blocks])
-        mass = np.concatenate([b.center_values.reshape(-1) * b.cell_volume for b in blocks])
-        below = np.array([mass[vals < v].sum() for v in np.unique(vals)])
-        brute = np.unique(vals)[below <= 0.5 * mass.sum()].max()
-        assert rep.theta == brute, entry.entry_id
-        assert rep.t_inside >= 0.5 * rep.t_total
-        assert rep.c0 == pytest.approx(rep.theta * entry.F.measure / rep.t_total, rel=1e-14)
