@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 import time
 from collections.abc import Callable
@@ -282,7 +283,9 @@ def _emit(report, params, passed, started):
 
 def _write_outputs(files, manifest_path, command, params, started, **timings):
     """Write each path's bytes, then a manifest beside them with their
-    digests, the configuration's hash and the wall time since started."""
+    digests, the configuration's hash, the wall time since started and the
+    process's peak resident set so far, in MB (ru_maxrss is in KiB on
+    Linux)."""
     # where the outputs go is no part of the configuration
     canon = {k: v for k, v in params.items() if k not in ("output", "outdir")}
     blob = json.dumps(canon, sort_keys=True, default=str).encode()
@@ -299,6 +302,7 @@ def _write_outputs(files, manifest_path, command, params, started, **timings):
             "version": __version__,
             "outputs": digests,
             "wall_time_s": round(time.perf_counter() - started, 3),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             **timings,
         }
         with open(manifest_path, "w") as fh:

@@ -11,10 +11,13 @@ rows on an x1-by-x_j table.  On a grid in d >= 3, where a table is far
 smaller than the rows it spans, the reach test marks from the tables the
 first-axis rows the box can reach.  The combine stage intersects the ranges
 and adds the lengths to the running total at full size, only over the rows
-reached.  A grid is evaluated as a tensor product of its axes and its
-points are never listed.  A point list goes through the same solver with
-its columns as the tables, so grids, point lists and towers' fiber pieces
-all come from one solver and agree bit for bit.
+reached, and hands each block of rows on once every box is in it: to one
+output array, filled in place, or to the tensor midpoint rule, which sums
+the block's rows at once and so never holds a grid's values whole.  A grid
+is evaluated as a tensor product of its axes and its points are never
+listed.  A point list goes through the same solver with its columns as the
+tables, so grids, point lists and towers' fiber pieces all come from one
+solver and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from .sets import _is_count, as_interval
 
+# quadrature points per chunk of the layered pairing's kernel
 _CHUNK_LIMIT = 1 << 22
 # values per table and points per pass of the exact-fiber kernel, whole
 # first-axis rows on a grid: its 64 KiB temporaries stay under the
@@ -229,9 +233,11 @@ def _runs(mask):
     return zip(edges[::2].tolist(), edges[1::2].tolist())
 
 
-def _fiber_measures(region, coords, lo, hi, dual):
-    """Fiber measures at the points coords spans, in their broadcast shape:
-    the kernel that evaluates grids and point lists alike, in three stages.
+def _combined(region, coords, lo, hi, dual, out=None):
+    """The exact-fiber kernel over the points coords spans, in three stages:
+    per block of first-axis rows, (rows, acc), acc the block's fiber
+    measures, yielded once every box has been added to it.  acc is out's
+    block, filled in place, or without out a fresh array of the block alone.
 
     Tables: _solve's constraint ranges over (x1, x_j), once per block of
     first-axis rows and box, at most _BLOCK_ROWS values each (or one row).
@@ -243,22 +249,36 @@ def _fiber_measures(region, coords, lo, hi, dual):
     are added to the total after box i - 1's; a row skipped would have
     added exactly +0.0, so every value keeps its bits.
     """
-    shape = np.broadcast(*coords).shape
-    total = np.zeros(shape)
+    shape = np.broadcast(*coords).shape if out is None else out.shape
     points = math.prod(shape[1:])
     width = max([math.prod(c.shape[1:]) for c in coords[1:]])
     step = max(1, _BLOCK_ROWS // points)
-    for rows, flo, fhi, tables in _solve(region, coords, lo, hi, dual, max(1, _BLOCK_ROWS // width)):
-        acc = total[rows]
-        if width == points:
-            for clo, chi in _components(tables):
-                acc += _length(clo, chi)
-            continue
-        for start, stop in _runs(_reach(tables, flo, fhi)):
-            for r in range(start, stop, step):
-                block = slice(r, min(r + step, stop))
-                for clo, chi in _components(tables, block):
-                    acc[block] += _length(clo, chi)
+    solved = _solve(region, coords, lo, hi, dual, max(1, _BLOCK_ROWS // width))
+    for rows, boxes in itertools.groupby(solved, key=lambda item: item[0]):
+        if out is None:
+            acc = np.zeros((len(range(shape[0])[rows]), *shape[1:]))
+        else:
+            acc = out[rows]
+        for _, flo, fhi, tables in boxes:
+            if width == points:
+                for clo, chi in _components(tables):
+                    acc += _length(clo, chi)
+                continue
+            for start, stop in _runs(_reach(tables, flo, fhi)):
+                for r in range(start, stop, step):
+                    block = slice(r, min(r + step, stop))
+                    for clo, chi in _components(tables, block):
+                        acc[block] += _length(clo, chi)
+        yield rows, acc
+
+
+def _fiber_measures(region, coords, lo, hi, dual):
+    """Fiber measures at the points coords spans, in their broadcast shape:
+    _combined filling one array in place, so grids, point lists and towers
+    take the same kernel."""
+    total = np.zeros(np.broadcast(*coords).shape)
+    for _ in _combined(region, coords, lo, hi, dual, total):
+        pass
     return total
 
 
@@ -318,21 +338,18 @@ def _grid_axes(lo, hi, step):
 def _midpoint_pairing(source, region, lo, hi, step, dual):
     """Full tensor midpoint rule over region's boxes of source's fiber measures.
 
-    Each box's grid is summed in groups of whole first-axis rows of at most
-    _CHUNK_LIMIT points (or one row); a group is evaluated as a tensor
-    product of its axes, so no point array is built.
+    Each box's grid is evaluated as a tensor product of its axes and never
+    held whole: each block of first-axis rows the kernel finishes is
+    reduced to its rows' sums at once, and the box's sum is the sum of those
+    row sums, so it does not depend on how the rows are blocked.
     """
     total = 0.0
     for blo, bhi in zip(region.los, region.his):
         axes, widths = zip(*(_grid_axes(a, b, step) for a, b in zip(blo, bhi)))
-        cellvol = float(np.prod(widths))
-        group = max(1, _CHUNK_LIMIT // math.prod(a.size for a in axes[1:]))
-        box_total = 0.0
-        for i0 in range(0, axes[0].size, group):
-            mesh = np.ix_(axes[0][i0 : i0 + group], *axes[1:])
-            vals = _fiber_measures(source, mesh, lo, hi, dual)
-            box_total += float(vals.sum()) * cellvol
-        total += box_total
+        row_sums = np.zeros(axes[0].size)
+        for rows, acc in _combined(source, np.ix_(*axes), lo, hi, dual):
+            row_sums[rows] = acc.reshape(len(acc), -1).sum(axis=1)
+        total += float(row_sums.sum()) * float(np.prod(widths))
     return total
 
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -370,6 +371,7 @@ def test_rwt_csv_output_and_manifest(mini_corpus_path, tmp_path):
     manifest = json.loads((tmp_path / "rwt.csv.manifest.json").read_text())
     assert manifest["command"].startswith("rwt")
     assert "config_hash" in manifest and "wall_time_s" in manifest
+    assert manifest["peak_rss_mb"] > 0.0
     assert manifest["outputs"]["rwt.csv"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -586,6 +588,10 @@ def test_acceptance_quick_suite(tmp_path, capsys, monkeypatch):
         str(i) for i in range(1, 10)
     ]
     assert "criterion_seconds" not in json.dumps(summary)
+    # and so does the process's peak resident set, in MB as bench/run.py has it
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0.0 < manifest["peak_rss_mb"] <= peak
+    assert all("peak_rss" not in data.decode() for data in suite.reports.values())
 
 
 def test_manifest_hash_names_the_configuration_not_the_outdir(tmp_path, monkeypatch):

@@ -85,8 +85,16 @@ def test_unmodified_copy_passes_every_gate(tmp_path):
             "    return 0.9 * float(total)",
             {"3:err_layered", "3:err_alpha", "3:err_beta", "3:err_ratio"},
         ),
+        # the first block holds 8192 / n**2 of the square at step 1/n, an
+        # h**2 loss, so the observed order stays near 2 (1.96)
+        (
+            "transform.py",
+            "row_sums[rows] = acc",
+            "row_sums[rows] = 0.0 if rows.start == 0 else acc",
+            {"3:err_midpoint"},
+        ),
     ],
-    ids=["fiber-length", "layered-pairing"],
+    ids=["fiber-length", "layered-pairing", "midpoint-first-block"],
 )
 def test_seeded_defect_is_caught(tmp_path, module, old, new, caught_by):
     assert _failing_gates(tmp_path, module, old, new) == caught_by

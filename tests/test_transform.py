@@ -562,10 +562,11 @@ def test_grid_values_equal_point_batch(d, dual, case, k, seed, layout, rows):
     """Grids evaluated as tensor products of their axes give, bit for bit,
     fiber_measure_batch's values on the same points listed row by row:
     region_cell_values' cell values and the midpoint route's sum, primal
-    (over F's grid) and dual (over E's), the grids with passes of `rows`
-    points.  Sources with boxes moved along a later axis leave whole rows
-    unreached, which the grid skips; the examples pin that on the x1 = 0
-    row and with the dual even-power split for d = 3 and 4."""
+    (over F's grid) and dual (over E's), the sum of the grid's first-axis
+    row sums, the grids with passes of `rows` points.  Sources with boxes
+    moved along a later axis leave whole rows unreached, which the grid
+    skips; the examples pin that on the x1 = 0 row and with the dual
+    even-power split for d = 3 and 4."""
     rng = np.random.default_rng(seed)
     n = 2 * k + 1 if case == "zero" else k + 2
     E, F = random_box_pair(d, rng, max_boxes=3)
@@ -595,7 +596,8 @@ def test_grid_values_equal_point_batch(d, dual, case, k, seed, layout, rows):
 
     axes, widths = zip(*(transform._grid_axes(a, b, step) for a, b in zip(*grid.bounds[0].T)))
     vals = fiber_measure_batch(source, _grid_points(axes), interval, dual=dual)
-    assert got == float(vals.sum()) * float(np.prod(widths))
+    row_sums = vals.reshape(axes[0].size, -1).sum(axis=1)
+    assert got == float(row_sums.sum()) * float(np.prod(widths))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -603,9 +605,9 @@ def test_midpoint_box_sum_same_at_every_block_size(monkeypatch, d):
     """region_cell_values and both midpoint routes are bit-identical whether
     each pass of the kernel takes one first-axis row (at a block of 1, 5 or
     7 points, fewer than a row holds), 100 points, 7 rows, the default or a
-    whole grid.  The 40-per-axis grid has x1 = 0 in row 12 only, and the
-    midpoint route sums it in groups of 12 first-axis rows."""
-    monkeypatch.setattr(transform, "_CHUNK_LIMIT", 500 * 40 ** (d - 2))
+    whole grid.  The 40-per-axis grid has x1 = 0 in row 12 only; the
+    midpoint route sums each first-axis row as its block is finished, then
+    the row sums, so the blocks' bounds never enter its sum."""
     rng = np.random.default_rng(d)
     E, F = random_box_pair(d, rng, max_boxes=3)
     grid = BoxUnionSet([np.tile([-12.5 / 32, 27.5 / 32], (d, 1))])
@@ -638,16 +640,23 @@ def test_region_cell_values_refuses_non_integer_grid_n(grid_n):
 
 def test_midpoint_pairing_bounds_memory():
     """A QuadSpec("midpoint") grid at step 1/2048, 2048 x 2048 points on the
-    unit square, is never held as one point array: the pass peaks near 35 MB
-    (one 32 MiB value array), not 474 MB."""
-    tracemalloc.start()
-    try:
-        val = bilinear_form(UNIT2, UNIT2, (0.0, 1.0), QuadSpec("midpoint", 1.0 / 2048.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert val == pytest.approx(0.75, abs=1e-6)
-    assert peak < 48_000_000
+    unit square, is never held as one array, of points or of values: each
+    block of first-axis rows is summed as the kernel finishes it, so the
+    pass peaks near 0.6 MB (34 MB when the value array was built), and from
+    the 1024 grid to the 2048 grid, which holds 3M more points, the peak
+    grows by less than four 2048-value vectors (the axes and the row sums)."""
+    bilinear_form(UNIT2, UNIT2, (0.0, 1.0), QuadSpec("midpoint", 1.0 / 64.0))  # first-call allocations
+    peaks = {}
+    for n in (1024, 2048):
+        tracemalloc.start()
+        try:
+            val = bilinear_form(UNIT2, UNIT2, (0.0, 1.0), QuadSpec("midpoint", 1.0 / n))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert val == pytest.approx(0.75, abs=1.5 / n**2)  # the rule's h**2 error
+    assert peaks[2048] < 1_000_000
+    assert peaks[2048] < peaks[1024] + 4 * 2048 * 8
 
 
 def test_fiber_pieces_split_and_merge():
