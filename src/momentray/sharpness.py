@@ -443,27 +443,38 @@ def _two_slice(d, delta, t_value, e_measure, f_measure, dual):
 
 
 class _Grid(NamedTuple):
-    """Midpoint-grid cell values and volumes, their products (each cell's
-    mass) and the pairing, the masses' sum."""
+    """A midpoint grid: each box's cell values as region_cell_values gives
+    them, one cell volume per box, all cells' masses in one flat array, the
+    largest value and the pairing, the masses' sum."""
 
-    vals: np.ndarray
+    vals: list
     vols: np.ndarray
     mass: np.ndarray
+    vmax: float
     total: float
 
 
+def _box_views(flat, vals):
+    """flat's consecutive views, one the size of each box's values."""
+    start = 0
+    for v in vals:
+        yield flat[start : start + v.size]
+        start += v.size
+
+
 def _grid(source, region, interval, grid_n, dual):
-    """The midpoint grid of source's transform over region's boxes."""
+    """The midpoint grid of source's transform over region's boxes; its
+    values stay box by box, uncopied, and only the masses are held whole."""
     blocks = region_cell_values(source, region, interval, grid_n, dual=dual)
     vals = [b.center_values.reshape(-1) for b in blocks]
-    vols = [np.full(v.size, b.cell_volume) for v, b in zip(vals, blocks)]
-    # one box's grid is used as it stands, not copied
-    vals, vols = (a[0] if len(a) == 1 else np.concatenate(a) for a in (vals, vols))
-    mass = vals * vols
+    vols = np.array([b.cell_volume for b in blocks])
+    mass = np.empty(sum(v.size for v in vals))
+    for v, vol, out in zip(vals, vols, _box_views(mass, vals)):
+        np.multiply(v, vol, out=out)
     t_grid = float(mass.sum())
     if t_grid <= 0.0:
         raise NoIncidence("no incidence on the grid")
-    return _Grid(vals, vols, mass, t_grid)
+    return _Grid(vals, vols, mass, max(float(v.max()) for v in vals), t_grid)
 
 
 # thresholds of the shrinking sweep, as fractions of the largest grid value
@@ -474,9 +485,13 @@ def _rich_report(source, grid, theta, dual):
     """Score the rich region {vals >= theta} of a grid of source's transform:
     it stands in for F on the primal route (source E) and for E on the dual
     route (source F).  Every caller's theta is at most the largest grid
-    value, so the region is never empty."""
-    mask = grid.vals >= theta
-    measure, t_rich = float(grid.vols[mask].sum()), float(grid.mass[mask].sum())
+    value, so the region is never empty.  Its measure sums each rich cell's
+    box volume in cell order, the same sum as over a per-cell volume array."""
+    mask = np.empty(grid.mass.size, dtype=bool)
+    views = zip(grid.vals, _box_views(mask, grid.vals))
+    counts = [np.count_nonzero(np.greater_equal(v, theta, out=m)) for v, m in views]
+    measure = float(np.repeat(grid.vols, counts).sum())
+    t_rich = float(grid.mass[mask].sum())
     sides = (measure, source.measure) if dual else (source.measure, measure)
     subject, rhs, ratio = _two_slice(source.dim, theta, t_rich, *sides, dual)
     return Lemma2Report(
@@ -493,17 +508,17 @@ def _lemma2_grid(source, region, span, theta_frac, grid_n, dual):
     it, and its report.
 
     The rich region collects cells whose center value clears theta_frac
-    times the grid average over region, capped at the largest grid value:
-    at theta_frac = 1 a constant grid's average can round one ulp above its
-    value, which would leave no rich cell.  The pairing over the rich region
-    and the fiber floor both come from the same grid, so the accounting is
-    internally consistent.
+    times the grid average over region, capped at vmax, the largest of the
+    boxes' values: at theta_frac = 1 a constant grid's average can round one
+    ulp above its value, which would leave no rich cell.  The pairing over
+    the rich region and the fiber floor both come from the same grid, so the
+    accounting is internally consistent.
     """
     # a fraction of the average in (0, 1] keeps the bound real
     if not 0.0 < theta_frac <= 1.0:
         raise ValueError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
     grid = _grid(source, region, span, grid_n, dual)
-    theta = min(theta_frac * grid.total / region.measure, float(grid.vals.max()))
+    theta = min(theta_frac * grid.total / region.measure, grid.vmax)
     return grid, _rich_report(source, grid, theta, dual)
 
 
@@ -516,8 +531,7 @@ def check_lemma2_primal(E, F, interval, theta_frac=0.5, grid_n=32):
     is evaluated once.
     """
     grid, primal = _lemma2_grid(E, F, interval, theta_frac, grid_n, dual=False)
-    vmax = float(grid.vals.max())
-    sweep = [_rich_report(E, grid, frac * vmax, dual=False) for frac in _SWEEP_FRACS]
+    sweep = [_rich_report(E, grid, frac * grid.vmax, dual=False) for frac in _SWEEP_FRACS]
     return primal, sweep
 
 

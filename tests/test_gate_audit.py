@@ -141,6 +141,13 @@ def _uncaught(reason):
             marks=_uncaught("criterion 7 gates floors only, at a quarter to half the ratios"),
         ),
         pytest.param(
+            "sharpness.py",
+            "measure = float(np.repeat(grid.vols, counts).sum())",
+            "measure = 0.9 * float(np.repeat(grid.vols, counts).sum())",
+            id="rich-region-measure",
+            marks=_uncaught("criterion 7 gates floors only"),
+        ),
+        pytest.param(
             "transform.py",
             "    return total\n\n\ndef _fiber_points(",
             "    return 0.9 * total if dual else total\n\n\ndef _fiber_points(",

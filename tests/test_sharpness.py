@@ -509,13 +509,16 @@ def _hand_rich_rhs(vals, vols, theta, d, subject, dual):
 
 
 @pytest.mark.parametrize(
-    "entry_id", ["d2-split-source", "d2-thin-target", "d3-nested", "d3-random-0"]
+    "entry_id",
+    ["d2-split-source", "d2-thin-target", "d2-random-0", "d3-nested", "d3-random-0", "d3-random-2"],
 )
 def test_lemma2_rhs_is_the_hand_formula_on_the_same_grid(entry_id):
     """Every report's rhs, subset measure and ratio from the same
     region_cell_values grid: primal (E over F) at half the F-average and
     at each sweep fraction of the largest value, dual (F over E) at half
-    the E-average."""
+    the E-average.  The rich region's measure is the sum over a per-cell
+    volume array bit for bit, multi-box regions (d3-random-2 has 3 boxes a
+    side) included, though the scorer holds one volume per box."""
     entry = {e.entry_id: e for e in build_default_corpus()}[entry_id]
     E, F, d, grid_n = entry.E, entry.F, entry.E.dim, 16
     primal, sweep = check_lemma2_primal(E, F, entry.interval, grid_n=grid_n)
@@ -533,7 +536,35 @@ def test_lemma2_rhs_is_the_hand_formula_on_the_same_grid(entry_id):
             rhs = _hand_rich_rhs(vals, vols, rep.theta, d, source.measure, is_dual)
             assert rep.rhs == pytest.approx(rhs, rel=1e-12), (entry_id, is_dual)
             assert rep.subset_measure == source.measure
+            assert rep.region_measure == float(vols[vals >= rep.theta].sum())
             assert rep.ratio == pytest.approx(source.measure / rhs, rel=1e-12)
+
+
+def test_lemma2_grids_hold_no_per_cell_volumes():
+    """At grid_n 64 d3-random-2's 3-box regions hold 786,432 cells, 6.3 MB
+    of values on each route.  The scorer keeps those values box by box as
+    the kernel returns them, one flat mass array and a bool mask per
+    threshold, and peaks near 2.2 times the value bytes under tracemalloc;
+    a concatenated copy of the values and a per-cell volume array on top
+    of those reach 4 times."""
+    entry = {e.entry_id: e for e in build_default_corpus()}["d3-random-2"]
+    E, F, grid_n = entry.E, entry.F, 64
+    blocks = region_cell_values(E, F, entry.interval, grid_n)
+    value_bytes = 8 * sum(b.center_values.size for b in blocks)
+    del blocks
+    assert value_bytes == 8 * 786_432
+    for run in (
+        lambda: check_lemma2_primal(E, F, entry.interval, grid_n=grid_n),
+        lambda: lemma2_grid_dual(E, F, entry.window, grid_n=grid_n),
+    ):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * value_bytes
 
 
 def test_lemma2_grid_checks_positive():

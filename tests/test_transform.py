@@ -1,6 +1,7 @@
 """Exact fibers, the transform on points, and the pairing quadratures."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -780,6 +781,27 @@ def test_unit_square_pairing_all_methods():
     ):
         val = bilinear_form(UNIT2, UNIT2, (0.0, 1.0), quad)
         assert val == pytest.approx(0.75, abs=tol)
+
+
+@pytest.mark.parametrize(
+    "d, value",
+    [(2, Fraction(3, 4)), (3, Fraction(2, 3)), (4, Fraction(1583, 2520)), (5, Fraction(22441, 36960))],
+)
+def test_unit_cube_pairing_is_exact(d, value):
+    """On E = F = [0, 1]^d over [0, 1], with a = x1 and u_j = 1 - x_j, the
+    fiber is min(1, min_j u_j / a^(j-1)), so the pairing is the integral
+    over [0, 1]^2 of prod_{k=1}^{d-1} (1 - s a^k) ds da; expanded over the
+    subsets S of {1, ..., d-1} it is sum_S (-1)^|S| / ((|S|+1)(sum S+1)).
+    The layered primal route meets it to 5e-14 and the dual route to 2e-7."""
+    exact = sum(
+        Fraction((-1) ** len(S), (len(S) + 1) * (sum(S) + 1))
+        for r in range(d)
+        for S in itertools.combinations(range(1, d), r)
+    )
+    assert exact == value
+    cube = BoxUnionSet([np.array([[0.0, 1.0]] * d)])
+    assert bilinear_form(cube, cube, (0.0, 1.0)) == pytest.approx(float(exact), rel=0, abs=1e-13)
+    assert bilinear_form_dual(cube, cube, (0.0, 1.0)) == pytest.approx(float(exact), rel=0, abs=1e-6)
 
 
 def test_pairing_methods_agree_on_skew_pair():
