@@ -3,7 +3,7 @@
 COMMANDS declares each subcommand's parameters.  Each value comes from its
 flag, else the JSON config, else its default, through one converter.  Rows
 are read off the library's result records where their names are the
-published columns (rwt, lemma2, duality), so a record's
+published columns (rwt, lemma2, duality, jacobian, refine), so a record's
 fields, in order, are those columns.  Reports carry their full
 parameterization in '# key=value' header comments (CSV) or a meta object
 (JSON, refine's per-tower document included) and never embed timestamps,
@@ -365,19 +365,7 @@ def cmd_jacobian(params):
     for kind, d in jobs:
         est = estimate_c_d(kind, d, samples=params["samples"], seed=params["seed"] + d)
         ok = est.rel_dispersion < params["tol"]
-        rows.append(
-            {
-                "kind": est.kind,
-                "d": est.dim,
-                "samples": est.samples,
-                "mean": est.mean,
-                "std": est.std,
-                "rel_dispersion": est.rel_dispersion,
-                "ratio_min": est.ratio_min,
-                "ratio_max": est.ratio_max,
-                "verdict": "PASS" if ok else "FAIL",
-            }
-        )
+        rows.append({**asdict(est), "verdict": "PASS" if ok else "FAIL"})
     return Report("jacobian", params, rows), _all_pass(rows)
 
 
@@ -494,6 +482,13 @@ def cmd_lemma2(params):
     return Report("lemma2", params, rows), _all_pass(rows)
 
 
+# refine's published columns; tower_report's level rows hold more keys than these
+_REFINE_COLUMNS = (
+    "corpus_id", "start", "label", "param_kind", "target", "n_nodes",
+    "measure", "threshold", "predicted_average", "structure_fraction",
+)
+
+
 def cmd_refine(params):
     entry = _corpus_entry(_corpus_from(params), params["entry"])
     starts = ("phi", "psi") if params["start"] == "both" else (params["start"],)
@@ -520,20 +515,8 @@ def cmd_refine(params):
         report["start"] = start
         towers[start] = report
         for level in report["levels"]:
-            rows.append(
-                {
-                    "corpus_id": entry.entry_id,
-                    "start": start,
-                    "label": level["label"],
-                    "param_kind": level["param_kind"],
-                    "target": level["target"],
-                    "n_nodes": level["n_nodes"],
-                    "measure": level["measure"],
-                    "threshold": level["threshold"],
-                    "predicted_average": level["predicted_average"],
-                    "structure_fraction": frac,
-                }
-            )
+            row = {"corpus_id": entry.entry_id, "start": start, **level, "structure_fraction": frac}
+            rows.append({c: row[c] for c in _REFINE_COLUMNS})
     return Report("refine", params, rows, body={"towers": towers}), passed
 
 

@@ -212,9 +212,8 @@ class CdEstimate:
     """Sampled ratio of numeric to factored Jacobian determinants."""
 
     kind: str
-    dim: int
+    d: int
     samples: int
-    seed: int
     mean: float
     std: float
     rel_dispersion: float
@@ -246,9 +245,8 @@ def estimate_c_d(kind, d, samples=100, seed=0):
         raise ValueError("mean ratio is zero; factored form cannot be rescaled")
     return CdEstimate(
         kind=kind,
-        dim=d,
+        d=d,
         samples=samples,
-        seed=seed,
         mean=mean,
         std=std,
         rel_dispersion=std / abs(mean),

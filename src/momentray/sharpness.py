@@ -444,8 +444,8 @@ def _two_slice(d, delta, t_value, e_measure, f_measure, dual):
 
 class _Grid(NamedTuple):
     """A midpoint grid: each box's cell values as region_cell_values gives
-    them, one cell volume per box, all cells' masses in one flat array, the
-    largest value and the pairing, the masses' sum."""
+    them, one cell volume per box, each box's cell masses as one row of a
+    (boxes, grid_n**d) array, the largest value and the pairing, the masses' sum."""
 
     vals: list
     vols: np.ndarray
@@ -454,22 +454,14 @@ class _Grid(NamedTuple):
     total: float
 
 
-def _box_views(flat, vals):
-    """flat's consecutive views, one the size of each box's values."""
-    start = 0
-    for v in vals:
-        yield flat[start : start + v.size]
-        start += v.size
-
-
 def _grid(source, region, interval, grid_n, dual):
     """The midpoint grid of source's transform over region's boxes; its
     values stay box by box, uncopied, and only the masses are held whole."""
     blocks = region_cell_values(source, region, interval, grid_n, dual=dual)
     vals = [b.center_values.reshape(-1) for b in blocks]
     vols = np.array([b.cell_volume for b in blocks])
-    mass = np.empty(sum(v.size for v in vals))
-    for v, vol, out in zip(vals, vols, _box_views(mass, vals)):
+    mass = np.empty((len(vals), grid_n**region.dim))
+    for v, vol, out in zip(vals, vols, mass):
         np.multiply(v, vol, out=out)
     t_grid = float(mass.sum())
     if t_grid <= 0.0:
@@ -487,9 +479,8 @@ def _rich_report(source, grid, theta, dual):
     route (source F).  Every caller's theta is at most the largest grid
     value, so the region is never empty.  Its measure sums each rich cell's
     box volume in cell order, the same sum as over a per-cell volume array."""
-    mask = np.empty(grid.mass.size, dtype=bool)
-    views = zip(grid.vals, _box_views(mask, grid.vals))
-    counts = [np.count_nonzero(np.greater_equal(v, theta, out=m)) for v, m in views]
+    mask = np.empty(grid.mass.shape, dtype=bool)
+    counts = [np.count_nonzero(np.greater_equal(v, theta, out=m)) for v, m in zip(grid.vals, mask)]
     measure = float(np.repeat(grid.vols, counts).sum())
     t_rich = float(grid.mass[mask].sum())
     sides = (measure, source.measure) if dual else (source.measure, measure)

@@ -516,13 +516,24 @@ def test_lemma2_quick(mini_corpus_path, capsys):
             ["necessity", "--dim", "2", "--n-list", "16,32,64"],
             "d,r_over_critical,r,slope_f,slope_xf,slope_gap,verdict",
         ),
+        (
+            ["jacobian", "--dims", "2", "--samples", "5"],
+            "kind,d,samples,mean,std,rel_dispersion,ratio_min,ratio_max,verdict",
+        ),
+        (
+            # the mini corpus's first entry, d2-unit, is refine's default
+            ["refine", "--start", "phi", "--max-nodes", "200", "--samples", "10"],
+            "corpus_id,start,label,param_kind,target,n_nodes,measure,threshold,"
+            "predicted_average,structure_fraction",
+        ),
     ],
 )
 def test_record_columns_are_the_published_header(argv, header, mini_corpus_path, tmp_path):
     """These rows are read off result records, so reordering a record's
     fields would change the published columns."""
     out = tmp_path / "report.csv"
-    corpus = [] if argv[0] == "necessity" else ["--corpus", mini_corpus_path]
+    takes_corpus = argv[0] in ("rwt", "lemma2", "refine")
+    corpus = ["--corpus", mini_corpus_path] if takes_corpus else []
     assert run([*argv, *corpus, "--output", str(out)]) == PASS
     lines = [line for line in out.read_text().splitlines() if not line.startswith("# ")]
     assert lines[0] == header

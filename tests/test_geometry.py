@@ -186,9 +186,8 @@ def test_estimate_c_d_matches_per_sample_loop(kind, d):
     mean, std = float(ratios.mean()), float(ratios.std())
     want = CdEstimate(
         kind=kind,
-        dim=d,
+        d=d,
         samples=samples,
-        seed=seed,
         mean=mean,
         std=std,
         rel_dispersion=std / abs(mean),

@@ -804,6 +804,75 @@ def test_unit_cube_pairing_is_exact(d, value):
     assert bilinear_form_dual(cube, cube, (0.0, 1.0)) == pytest.approx(float(exact), rel=0, abs=1e-6)
 
 
+def _unit_square_line(a, x2):
+    """X chi_E(a, x2) for E = [0, 1]^2 over [0, 1] and a != 0: the share of
+    [x2, x2 + a] that lies in [0, 1]."""
+    lo, hi = min(x2, x2 + a), max(x2, x2 + a)
+    return max(0, min(hi, 1) - max(lo, 0)) / abs(a)
+
+
+def _superlevel_width_and_mass(a, lam):
+    """The exact width and mass of {x2 : X chi_E(a, x2) >= lam}: the line
+    x1 = a is piecewise linear in x2 with knots 0, 1, -a and 1 - a."""
+    width = mass = Fraction(0)
+    knots = sorted({Fraction(0), Fraction(1), -a, 1 - a})
+    for u, v in itertools.pairwise(knots):
+        gu, gv = _unit_square_line(a, u), _unit_square_line(a, v)
+        if max(gu, gv) < lam:
+            continue
+        # the part of [u, v] where the linear piece is at least lam
+        if gu < lam:
+            u, gu = u + (v - u) * (lam - gu) / (gv - gu), lam
+        elif gv < lam:
+            v, gv = v - (v - u) * (lam - gv) / (gu - gv), lam
+        width += v - u
+        mass += (v - u) * (gu + gv) / 2
+    return width, mass
+
+
+def test_unit_square_ratio_infimum_is_16_over_27():
+    """On E = [0, 1]^2 over I = [0, 1] the least testing ratio t^2 / T^3,
+    t = |F| and T = <X chi_E, chi_F>, is 16/27.
+
+    The line x1 = a holds a trapezoid of mass 1 in x2.  At a level
+    lam in (0, 1] its superlevel set has width 1 + |a| - 2|a| lam and mass
+    1 - |a| lam^2 while |a| <= 1/lam, and is empty beyond.  Over |a| <= 1/lam
+    they integrate to t = 1/lam^2 and T = 2/lam - 1 for F* = {X chi_E >= lam},
+    so t^2 / T^3 = 1 / (lam (2 - lam)^3), least at lam = 1/2, where |F*| = 4
+    and T = 3."""
+    grid = [Fraction(k, 8) for k in range(-24, 25)]
+    points = [(a, x2) for a in grid if a != 0 for x2 in grid]
+    got = fiber_measure_batch(UNIT2, np.array(points, dtype=float), (0.0, 1.0), dual=False)
+    want = [float(_unit_square_line(a, x2)) for a, x2 in points]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+        for a in (Fraction(1, 8), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(5)):
+            width, mass = (1 + a - 2 * a * lam, 1 - a * lam**2) if a <= 1 / lam else (0, 0)
+            assert _superlevel_width_and_mass(a, lam) == (width, mass)
+            assert _superlevel_width_and_mass(-a, lam) == (width, mass)
+
+    def over_lines(c0, c1, lam):
+        """The integral of c0 + c1 |a| over |a| <= 1/lam."""
+        return 2 * c0 / lam + c1 / lam**2
+
+    ratios = {}
+    for k in range(1, 65):
+        lam = Fraction(k, 64)
+        t = over_lines(1, 1 - 2 * lam, lam)
+        T = over_lines(1, -(lam**2), lam)
+        assert (t, T) == (1 / lam**2, 2 / lam - 1)
+        ratios[lam] = t**2 / T**3
+        assert ratios[lam] == 1 / (lam * (2 - lam) ** 3)
+        # 27 - 16 lam (2 - lam)^3 = (2 lam - 1)^2 (4 lam^2 - 20 lam + 27), and
+        # the last factor has no real root (discriminant 400 - 432)
+        assert 27 - 16 * lam * (2 - lam) ** 3 == (2 * lam - 1) ** 2 * (4 * lam**2 - 20 * lam + 27)
+    half = Fraction(1, 2)
+    assert min(ratios.values()) == ratios[half] == Fraction(16, 27)
+    assert [lam for lam, r in ratios.items() if r == Fraction(16, 27)] == [half]
+    assert (1 / half**2, 2 / half - 1) == (4, 3)
+
+
 def test_pairing_methods_agree_on_skew_pair():
     E = BoxUnionSet([np.array([[-0.3, 0.9], [-0.5, 0.6], [-0.4, 0.7]])])
     F = BoxUnionSet([np.array([[-0.8, 0.7], [-0.6, 0.3], [-0.2, 0.8]])])
